@@ -43,6 +43,8 @@ from .model import (
     ModeLabel,
     PhaseMode,
     PulseShape,
+    Scan,
+    Scene,
     SqueezePair,
     SqueezeSpec,
     build_field_state,
@@ -56,7 +58,6 @@ from .montecarlo import (
     CurrentTrace,
     EmissionTimes,
     ExperimentReport,
-    ScenarioParams,
     estimate_psd,
     extract_beatnote,
     intensity_rate,

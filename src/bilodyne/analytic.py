@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,9 @@ from .model import (
     LocalOscillator,
     MeasurementConfig,
     ModeLabel,
+    PhaseMode,
     PulseShape,
+    Scan,
     photon_flux,
     validate_measurement,
 )
@@ -61,12 +63,6 @@ class Spectrum:
             raise InvalidSpec("PSD must be non-negative everywhere")
         self.freqs_hz.setflags(write=False)
         self.psd.setflags(write=False)
-
-    def band_mean(self, f_lo: float, f_hi: float) -> float:
-        sel = (self.freqs_hz >= f_lo) & (self.freqs_hz <= f_hi)
-        if not np.any(sel):
-            raise InvalidSpec(f"no grid points in [{f_lo}, {f_hi}] Hz")
-        return float(self.psd[sel].mean())
 
 
 @dataclass(frozen=True)
@@ -136,11 +132,10 @@ def mean_diff_current(state: FieldState, lo: LocalOscillator, det: DetectorParam
     ref = correlators.reference_frequency(state, lo)
     t_offs, t_amps = correlators.tone_phasors(lo, ref)
     m_offs, m_amps = correlators.mode_phasors(state, ref)
-    t_arr = np.asarray(t, dtype=float)
-    lo_t = np.exp(-1j * np.multiply.outer(t_arr, t_offs)) @ t_amps
-    sig_t = np.exp(-1j * np.multiply.outer(t_arr, m_offs)) @ m_amps
+    lo_t = correlators.phasor_sum(t_offs, t_amps, t)
+    sig_t = correlators.phasor_sum(m_offs, m_amps, t)
     out = -2.0 * det.eta * det.charge * np.imag(lo_t * np.conj(sig_t))
-    return out if out.shape else float(out)
+    return out if np.shape(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -175,8 +170,8 @@ def autocorr_diff_current(
     ref = correlators.reference_frequency(state, lo)
     t_offs, t_amps = correlators.tone_phasors(lo, ref)
     m_offs, m_amps = correlators.mode_phasors(state, ref)
-    lo_t = np.exp(-1j * t_offs * t) @ t_amps
-    sig_t = np.exp(-1j * m_offs * t) @ m_amps
+    lo_t = correlators.phasor_sum(t_offs, t_amps, t)
+    sig_t = correlators.phasor_sum(m_offs, m_amps, t)
     total_intensity = abs(lo_t) ** 2 + abs(sig_t) ** 2 + correlators.fluctuation_flux(table)
     shot = det.eta * det.charge**2 * float(total_intensity)
     if table.is_zero():
@@ -323,48 +318,22 @@ class SensitivityRow:
     nf_db: float
 
 
-def sensitivity_table(
-    photon_energy_j: float,
-    *,
-    powers_w: tuple[float, ...] = (0.5e-9, 1.0e-9, 2.0e-9),
-    window_s: float = 1e-3,
-    eta: float = 0.7,
-) -> list[SensitivityRow]:
-    """Input/output SNR and noise figure versus optical power.
+def sensitivity_table(scan: Scan) -> list[SensitivityRow]:
+    """Input/output SNR and noise figure at each power of the scan.
 
-    Each row converts the optical power to a photon flux, builds the
-    phase-averaged coherent state and a strong bichromatic LO, and runs
-    the full snr_in / snr_out chain with rbw = 1 / window.
+    Each row runs the full snr_in / snr_out chain on the phase-averaged
+    form of that power's scan scene, with rbw = 1 / window.
     """
-    from .model import FieldMode, PhaseMode, build_field_state
-
-    if photon_energy_j <= 0:
-        raise InvalidSpec("photon energy must be positive")
-    rbw = 1.0 / window_s
-    det = DetectorParams(eta=eta)
+    rbw = 1.0 / scan.window_s
     rows = []
-    omega_s = 1.0e15  # placeholder optical carrier; SNRs do not depend on it
-    omega_het = TWO_PI * 20.0 * rbw
-    for p in powers_w:
-        flux = p / photon_energy_j
-        alpha = math.sqrt(2.0 * flux)
-        state = build_field_state(
-            [FieldMode(frequency=omega_s, amplitude=alpha)],
-            phase=PhaseMode.averaged_phase(),
-        )
-        lo = LocalOscillator.bichromatic(
-            amplitude=math.sqrt(200.0 * flux),
-            omega_1=omega_s + omega_het,
-            theta_1=0.0,
-            omega_2=omega_s - omega_het,
-            theta_2=0.0,
-        )
-        s_in = snr_in(state, det, rbw)
-        s_out = snr_out(state, lo, det, rbw)
+    for power, scene in zip(scan.powers_w, scan.scenes):
+        state = replace(scene.state, phase=PhaseMode.averaged_phase())
+        s_in = snr_in(state, scene.det, rbw)
+        s_out = snr_out(state, scene.lo, scene.det, rbw)
         rows.append(
             SensitivityRow(
-                power_w=p,
-                photon_flux=flux,
+                power_w=power,
+                photon_flux=power / scan.photon_energy_j,
                 snr_in_db=s_in,
                 snr_out_db=s_out,
                 nf_db=s_in - s_out,

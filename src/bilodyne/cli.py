@@ -37,7 +37,7 @@ from .analytic import (
 from .config import RunConfig
 from .errors import BilodyneError, ConfigViolation
 from .io import write_report_json, write_spectrum_csv, write_trace_bin
-from .model import TWO_PI, calibrate_photon_energy
+from .model import TWO_PI, Hypothesis
 from .montecarlo import run_experiment
 
 SCENARIOS = ("analytic", "simulate", "table1", "squeezed-compare")
@@ -54,15 +54,13 @@ def _report_payload(cfg: RunConfig) -> dict:
 
 
 def _run_analytic(cfg: RunConfig, out_dir: Path) -> int:
-    state = cfg.build_state()
-    lo = cfg.build_lo()
-    det = cfg.build_detector()
-    meas = cfg.build_measurement()
+    scene = cfg.build_scene()
+    state, lo, det, meas = scene.state, scene.lo, scene.det, scene.meas
     spectrum = psd_analytic(state, lo, det, meas)
     write_spectrum_csv(out_dir / "spectrum.csv", spectrum)
     payload = _report_payload(cfg)
     results: dict = {
-        "shot_floor": float(shot_floor_psd(lo, det, TWO_PI * cfg.values["lo.f_het_hz"])),
+        "shot_floor": float(shot_floor_psd(lo, det, TWO_PI * scene.f_het_hz)),
     }
     if not state.is_squeezed() and lo.is_bichromatic:
         s_in = snr_in(state, det, meas.rbw)
@@ -73,7 +71,7 @@ def _run_analytic(cfg: RunConfig, out_dir: Path) -> int:
             nf_db=noise_figure(state, lo, det, meas.rbw),
             output_power=output_signal_power(state, lo, det),
             shot_floor=results["shot_floor"],
-            beat_freq_hz=cfg.values["lo.f_het_hz"],
+            beat_freq_hz=scene.f_het_hz,
         )
         results.update(
             {
@@ -99,18 +97,18 @@ def _json_float(x: float):
 
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    params = cfg.scenario_params()
+    scenario = cfg.values["simulate.scenario"]
     report = run_experiment(
-        cfg.values["simulate.scenario"],
-        params,
+        scenario,
+        cfg.build_scan() if scenario == "sensitivity" else cfg.build_scene(),
         seed=cfg.values["measurement.seed"],
         keep_traces=cfg.values["output.write_trace"],
     )
     for name, spectrum in report.spectra.items():
         suffix = "" if len(report.spectra) == 1 else f"_{name}"
         write_spectrum_csv(out_dir / f"spectrum{suffix}.csv", spectrum)
-    for name, trace in report.traces.items():
-        write_trace_bin(out_dir / "trace.bin", trace)
+    if "difference_current" in report.traces:
+        write_trace_bin(out_dir / "trace.bin", report.traces["difference_current"])
     payload = _report_payload(cfg)
     payload["results"] = {
         "mc_scenario": report.scenario,
@@ -130,19 +128,8 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _run_table(cfg: RunConfig, out_dir: Path) -> int:
-    v = cfg.values
-    e_ph = calibrate_photon_energy(
-        v["scan.powers_nw"][0] * 1e-9,
-        v["scan.window_s"],
-        v["detector.eta"],
-        v["scan.anchor_snr_db"],
-    )
-    rows = sensitivity_table(
-        e_ph,
-        powers_w=tuple(p * 1e-9 for p in v["scan.powers_nw"]),
-        window_s=v["scan.window_s"],
-        eta=v["detector.eta"],
-    )
+    scan = cfg.build_scan()
+    rows = sensitivity_table(scan)
     lines = ["power_nw,snr_in_db,snr_out_db,nf_db"]
     for row in rows:
         lines.append(
@@ -151,7 +138,7 @@ def _run_table(cfg: RunConfig, out_dir: Path) -> int:
     (out_dir / "table.csv").write_text("\n".join(lines) + "\n")
     payload = _report_payload(cfg)
     payload["results"] = {
-        "photon_energy_j": e_ph,
+        "photon_energy_j": scan.photon_energy_j,
         "rows": [dataclasses.asdict(row) for row in rows],
     }
     write_report_json(out_dir / "report.json", payload)
@@ -161,12 +148,8 @@ def _run_table(cfg: RunConfig, out_dir: Path) -> int:
 def _run_squeezed_compare(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.values["squeeze.enabled"]:
         raise ConfigViolation("squeezed-compare needs squeeze.enabled = true")
-    state = cfg.build_state()
-    lo = cfg.build_lo()
-    det = cfg.build_detector()
-    meas = cfg.build_measurement()
-    from .model import Hypothesis
-
+    scene = cfg.build_scene()
+    state, lo, det, meas = scene.state, scene.lo, scene.det, scene.meas
     spectra = {}
     for hyp in (Hypothesis.ONE_FIELD, Hypothesis.THREE_FIELDS):
         variant = dataclasses.replace(state, hypothesis=hyp)
@@ -181,7 +164,7 @@ def _run_squeezed_compare(cfg: RunConfig, out_dir: Path) -> int:
         "max_abs_difference": float(abs(diff).max()),
         "min_psd_one_field": float(one.psd.min()),
         "min_psd_three_fields": float(three.psd.min()),
-        "shot_floor": float(shot_floor_psd(lo, det, TWO_PI * cfg.values["lo.f_het_hz"])),
+        "shot_floor": float(shot_floor_psd(lo, det, TWO_PI * scene.f_het_hz)),
     }
     write_report_json(out_dir / "report.json", payload)
     return 0

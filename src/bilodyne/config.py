@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, UnknownKey
+from .errors import ConfigViolation, ParseError, UnknownKey
 from .model import (
     TWO_PI,
     DetectorParams,
@@ -25,11 +25,13 @@ from .model import (
     ModeLabel,
     PhaseMode,
     PulseShape,
+    Scan,
+    Scene,
     SqueezePair,
     SqueezeSpec,
     build_field_state,
+    calibrate_photon_energy,
 )
-from .montecarlo import ScenarioParams
 
 
 def _parse_bool(text: str) -> bool:
@@ -94,7 +96,7 @@ _CHOICES = {
 
 def parse_config(path: Path | str) -> dict:
     """Read a config file into a fully-defaulted, validated value map."""
-    values = {key: default for key, (_, default) in SCHEMA.items()}
+    values = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -114,17 +116,28 @@ def parse_config(path: Path | str) -> dict:
             values[key] = converter(value)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+    return _with_defaults(values, path)
+
+
+def _with_defaults(settings: dict, where: Path | str) -> dict:
+    """The SCHEMA defaults overridden by settings, with the choices checked."""
+    values = {key: default for key, (_, default) in SCHEMA.items()}
+    values.update(settings)
     for key, choices in _CHOICES.items():
         if values[key] not in choices:
-            raise ParseError(f"{path}: {key} must be one of {choices}, got {values[key]!r}")
+            raise ParseError(f"{where}: {key} must be one of {choices}, got {values[key]!r}")
     if values["detector.pulse"] == "exponential" and values["detector.pulse_tau_s"] <= 0:
-        raise ParseError(f"{path}: exponential pulse needs detector.pulse_tau_s > 0")
+        raise ParseError(f"{where}: exponential pulse needs detector.pulse_tau_s > 0")
     return values
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed config plus the command-line scenario selection."""
+    """A parsed config plus the command-line scenario selection.
+
+    The build_* methods are the only place where config values become
+    model objects: every scenario runs the scenes built here.
+    """
 
     scenario: str
     values: dict
@@ -136,10 +149,25 @@ class RunConfig:
             values = dict(values, **{"measurement.seed": seed_override})
         return cls(scenario=scenario, values=values)
 
+    @classmethod
+    def defaults(cls, overrides: dict | None = None) -> "RunConfig":
+        """The SCHEMA defaults with typed overrides, checked like a parsed file."""
+        overrides = overrides or {}
+        for key in overrides:
+            if key not in SCHEMA:
+                raise UnknownKey(f"unknown key {key!r}")
+        return cls(scenario="simulate", values=_with_defaults(overrides, "overrides"))
+
+    def _flux(self, key: str) -> float:
+        flux = self.values[key]
+        if not (flux >= 0.0 and math.isfinite(flux)):
+            raise ConfigViolation(f"{key} must be finite and >= 0, got {flux!r}")
+        return flux
+
     def build_state(self) -> FieldState:
         v = self.values
         omega_s = TWO_PI * v["field.carrier_hz"]
-        alpha = math.sqrt(2.0 * v["field.signal_flux"])
+        alpha = math.sqrt(2.0 * self._flux("field.signal_flux"))
         modes = [FieldMode(frequency=omega_s, amplitude=alpha, label=ModeLabel.SIGNAL)]
         squeeze = None
         if v["squeeze.enabled"]:
@@ -173,7 +201,7 @@ class RunConfig:
     def build_lo(self) -> LocalOscillator:
         v = self.values
         omega_s = TWO_PI * v["field.carrier_hz"]
-        amplitude = math.sqrt(v["lo.flux"])
+        amplitude = math.sqrt(self._flux("lo.flux"))
         if v["lo.kind"] == "mono":
             return LocalOscillator.mono(amplitude, omega_s, v["lo.theta_1"])
         d = TWO_PI * v["lo.f_het_hz"]
@@ -204,27 +232,55 @@ class RunConfig:
             n_segments=v["measurement.n_segments"],
         )
 
-    def scenario_params(self) -> ScenarioParams:
+    def build_scene(self) -> Scene:
+        return Scene(
+            state=self.build_state(),
+            lo=self.build_lo(),
+            det=self.build_detector(),
+            meas=self.build_measurement(),
+            f_het_hz=self.values["lo.f_het_hz"],
+        )
+
+    def build_scan(self) -> Scan:
+        """The sensitivity scan: one scene per power in scan.powers_nw.
+
+        The photon energy is calibrated so that counting the detected
+        photons of the first power in scan.window_s gives
+        scan.anchor_snr_db of input SNR.  Each scene is this config's
+        scene with a coherent signal of that power at the LO mean phase,
+        a bichromatic LO of scan.lo_ratio times its flux at
+        scan.f_het_hz, and the scan.* record geometry; the carrier, the
+        LO tone phases and the detector stay.
+        """
         v = self.values
-        return ScenarioParams(
-            lo_flux=v["lo.flux"],
-            signal_flux=v["field.signal_flux"],
-            eta=v["detector.eta"],
-            f_het_hz=v["lo.f_het_hz"],
-            sample_rate_hz=v["measurement.sample_rate_hz"],
-            duration_s=v["measurement.duration_s"],
-            rbw_hz=v["measurement.rbw_hz"],
-            n_segments=v["measurement.n_segments"],
-            theta_s=v["field.theta_s"],
-            carrier_hz=v["field.carrier_hz"],
-            powers_w=tuple(p * 1e-9 for p in v["scan.powers_nw"]),
-            anchor_power_w=v["scan.powers_nw"][0] * 1e-9,
-            anchor_window_s=v["scan.window_s"],
-            anchor_snr_db=v["scan.anchor_snr_db"],
-            scan_lo_ratio=v["scan.lo_ratio"],
-            scan_f_het_hz=v["scan.f_het_hz"],
-            scan_sample_rate_hz=v["scan.sample_rate_hz"],
-            scan_rbw_hz=v["scan.rbw_hz"],
-            scan_duration_s=v["scan.duration_s"],
-            scan_count_windows=v["scan.count_windows"],
+        powers = tuple(p * 1e-9 for p in v["scan.powers_nw"])
+        if not powers or not all(p > 0.0 and math.isfinite(p) for p in powers):
+            raise ParseError(
+                f"scan.powers_nw must list positive finite powers, got {v['scan.powers_nw']!r}"
+            )
+        e_ph = calibrate_photon_energy(
+            powers[0], v["scan.window_s"], v["detector.eta"], v["scan.anchor_snr_db"]
+        )
+        geometry = {
+            "field.phase_averaged": False,
+            "field.theta_s": 0.5 * (v["lo.theta_1"] + v["lo.theta_2"]),
+            "squeeze.enabled": False,
+            "lo.kind": "bichromatic",
+            "lo.f_het_hz": v["scan.f_het_hz"],
+            "measurement.duration_s": v["scan.duration_s"],
+            "measurement.rbw_hz": v["scan.rbw_hz"],
+            "measurement.sample_rate_hz": v["scan.sample_rate_hz"],
+        }
+        ratio = self._flux("scan.lo_ratio")
+        scenes = []
+        for power in powers:
+            flux = power / e_ph
+            values = {**v, **geometry, "field.signal_flux": flux, "lo.flux": ratio * flux}
+            scenes.append(RunConfig(self.scenario, values).build_scene())
+        return Scan(
+            photon_energy_j=e_ph,
+            window_s=v["scan.window_s"],
+            count_windows=v["scan.count_windows"],
+            powers_w=powers,
+            scenes=tuple(scenes),
         )

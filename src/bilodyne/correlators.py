@@ -230,13 +230,14 @@ def mode_phasors(state: FieldState, ref: float) -> tuple[np.ndarray, np.ndarray]
     return offs, amps
 
 
-def phasor_sum(offsets: np.ndarray, amps: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k a_k e^{-i d_k t} over a time array, cheaply.
+def phasor_sum(offsets: np.ndarray, amps: np.ndarray, t) -> np.ndarray | complex:
+    """Evaluate sum_k a_k e^{-i d_k t} at a time or over a time array, cheaply.
 
     Zero offsets contribute constants and opposite-sign offset pairs
     share one complex exponential via conjugation; this matters when t
-    has ~1e8 entries in the emission sampler.
+    has ~1e8 entries in the emission sampler.  A scalar t gives a complex.
     """
+    t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape, dtype=complex)
     cache: dict[float, np.ndarray] = {}
     for off, amp in zip(offsets, amps):
@@ -255,7 +256,7 @@ def phasor_sum(offsets: np.ndarray, amps: np.ndarray, t: np.ndarray) -> np.ndarr
             phase = np.exp(-1j * off * t)
             cache[off] = phase
         out += amp * phase
-    return out
+    return out if out.shape else complex(out)
 
 
 def mean_field(state: FieldState, t) -> np.ndarray | complex:
@@ -335,8 +336,8 @@ def lambda_ij(
         return 0.0
     t_offs, t_amps, m_offs, normal, anomalous, sq_phase = _beat_terms(state, lo, table)
     t2 = t + iota
-    lo_t = np.exp(-1j * t_offs * t) @ t_amps
-    lo_t2 = np.exp(-1j * t_offs * t2) @ t_amps
+    lo_t = phasor_sum(t_offs, t_amps, t)
+    lo_t2 = phasor_sum(t_offs, t_amps, t2)
     u_t = np.exp(1j * m_offs * t)
     u_t2 = np.exp(1j * m_offs * t2)
     # <dE-(t) dE+(t2)> x E+(t) E-(t2), summed over mode pairs

@@ -110,9 +110,6 @@ class SqueezeSpec:
                             "a mode frequency may participate in at most one squeeze pair"
                         )
                 seen.append(freq)
-            if pair.freq_a != pair.freq_b:
-                continue
-        # degenerate pairs (freq_a == freq_b) are allowed: single-mode squeezing
 
 
 @dataclass(frozen=True)
@@ -275,15 +272,12 @@ class DetectorParams:
     eta: float
     charge: float = 1.0
     pulse: PulseShape = field(default_factory=PulseShape.delta)
-    load_resistance: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise InvalidSpec(f"quantum efficiency must be in (0, 1], got {self.eta!r}")
         if not (self.charge > 0.0 and math.isfinite(self.charge)):
             raise InvalidSpec(f"charge quantum must be positive, got {self.charge!r}")
-        if self.load_resistance != 1.0:
-            raise InvalidSpec("load resistance is fixed at 1; power formulas assume it")
 
 
 @dataclass(frozen=True)
@@ -307,6 +301,38 @@ class MeasurementConfig:
             raise InvalidSpec("segment count must be >= 1")
         if self.seed < 0:
             raise InvalidSpec("seed must be a non-negative integer")
+
+
+@dataclass(frozen=True)
+class Scene:
+    """One detection experiment: input field, LO, detector and measurement.
+
+    f_het_hz is the configured heterodyne frequency.  lo.omega_het / 2 pi
+    recovers it only to ~1e-7 relative, because the tones sit at optical
+    frequencies, and the line and floor masks on the Hz grid need it exact.
+    """
+
+    state: FieldState
+    lo: LocalOscillator
+    det: DetectorParams
+    meas: MeasurementConfig
+    f_het_hz: float
+
+
+@dataclass(frozen=True)
+class Scan:
+    """Sensitivity scan: scenes[k] is the fixed-phase scene at powers_w[k].
+
+    A scene's signal flux is powers_w[k] / photon_energy_j.  Input SNR
+    counts detected signal photons in window_s, over count_windows
+    windows; output SNR uses rbw = 1 / window_s.
+    """
+
+    photon_energy_j: float
+    window_s: float
+    count_windows: int
+    powers_w: tuple[float, ...]
+    scenes: tuple[Scene, ...]
 
 
 def _cis(phi: float) -> complex:
@@ -392,7 +418,9 @@ def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator | None = No
     For a bichromatic LO the beat frequency must clear the resolution
     bandwidth (Omega / 2 pi >= 10 * rbw) and the sample rate must cover
     it (sample_rate >= 10 * Omega / 2 pi).  Mono LO runs only need the
-    record to support the requested RBW.
+    record to support the requested RBW.  The tones carry Omega only to
+    about one ulp of an optical frequency, so a beat within that of a
+    limit is taken to meet it.
     """
     if cfg.rbw * cfg.duration < 1.0:
         raise ConfigViolation(
@@ -400,11 +428,12 @@ def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator | None = No
         )
     if lo is not None and lo.is_bichromatic:
         f_het = lo.omega_het / TWO_PI
-        if f_het < 10.0 * cfg.rbw:
+        f_tol = math.ulp(lo.omega_1) / TWO_PI
+        if f_het + f_tol < 10.0 * cfg.rbw:
             raise ConfigViolation(
                 f"heterodyne frequency {f_het:g} Hz must be >= 10x rbw ({cfg.rbw:g} Hz)"
             )
-        if cfg.sample_rate < 10.0 * f_het:
+        if cfg.sample_rate < 10.0 * (f_het - f_tol):
             raise ConfigViolation(
                 f"sample rate {cfg.sample_rate:g} Hz must be >= 10x heterodyne frequency ({f_het:g} Hz)"
             )

@@ -13,7 +13,7 @@ Squeezed input has no such rate picture and is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import signal as _signal
@@ -21,6 +21,7 @@ from scipy import stats as _stats
 
 from . import correlators
 from .analytic import Spectrum, SpectrumKind, shot_floor_psd, output_signal_power
+from .config import RunConfig
 from .errors import (
     ConfigViolation,
     InvalidSpec,
@@ -32,13 +33,12 @@ from .errors import (
 from .model import (
     TWO_PI,
     DetectorParams,
-    FieldMode,
     FieldState,
     LocalOscillator,
     MeasurementConfig,
     PhaseMode,
-    build_field_state,
-    calibrate_photon_energy,
+    Scan,
+    Scene,
     validate_measurement,
 )
 
@@ -234,13 +234,7 @@ def synthesize_current(
     return CurrentTrace(j1=j1, j2=j2, jdiff=j1 - j2, dt=dt, seed=times.seed)
 
 
-def estimate_psd(
-    trace: CurrentTrace,
-    cfg: MeasurementConfig,
-    *,
-    randomize_start: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Spectrum:
+def estimate_psd(trace: CurrentTrace, cfg: MeasurementConfig) -> Spectrum:
     """Welch PSD of the difference current (one-sided, density scaling).
 
     Hann window, 50 % overlap, per-segment constant detrend; segment
@@ -258,12 +252,8 @@ def estimate_psd(
     nperseg = int(round(trace.sample_rate / cfg.rbw))
     if nperseg < 8:
         raise ConfigViolation("rbw too coarse for this sample rate (segment < 8 samples)")
-    x = trace.jdiff
-    if randomize_start:
-        offset = int((rng or np.random.default_rng()).integers(0, nperseg))
-        x = x[offset:]
     freqs, psd = _signal.welch(
-        x,
+        trace.jdiff,
         fs=trace.sample_rate,
         window="hann",
         nperseg=nperseg,
@@ -406,65 +396,6 @@ class ExperimentReport:
         return all(c.passed for c in self.checks)
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
-    """Physical and measurement defaults for the packaged experiments.
-
-    The sensitivity scan is anchored by (anchor_power_w, anchor_window_s,
-    anchor_snr_db): the photon energy is calibrated so that counting the
-    detected photons of anchor_power_w in anchor_window_s gives exactly
-    anchor_snr_db of input SNR.
-    """
-
-    lo_flux: float = 1.0e6
-    signal_flux: float = 1.0e3
-    eta: float = 0.7
-    f_het_hz: float = 1.0e5
-    sample_rate_hz: float = 1.0e7
-    duration_s: float = 2.0
-    rbw_hz: float = 1.0e3
-    n_segments: int = 16
-    theta_s: float = 0.0
-    carrier_hz: float = 2.82e14
-    # sensitivity-scan block
-    powers_w: tuple[float, ...] = (0.5e-9, 1.0e-9, 2.0e-9)
-    anchor_power_w: float = 0.5e-9
-    anchor_window_s: float = 1.0e-3
-    anchor_snr_db: float = 62.68
-    scan_lo_ratio: float = 100.0
-    scan_f_het_hz: float = 2.0e6
-    scan_sample_rate_hz: float = 4.0e7
-    scan_rbw_hz: float = 2.0e5
-    scan_duration_s: float = 1.7e-4
-    scan_count_windows: int = 4
-
-
-def _heterodyne_setup(params: ScenarioParams, *, signal_flux: float, theta_s: float):
-    omega_s = TWO_PI * params.carrier_hz
-    omega_het = TWO_PI * params.f_het_hz
-    alpha = math.sqrt(2.0 * signal_flux)
-    state = build_field_state(
-        [FieldMode(frequency=omega_s, amplitude=alpha)],
-        phase=PhaseMode.fixed(theta_s),
-    )
-    lo = LocalOscillator.bichromatic(
-        amplitude=math.sqrt(params.lo_flux),
-        omega_1=omega_s + omega_het,
-        theta_1=0.0,
-        omega_2=omega_s - omega_het,
-        theta_2=0.0,
-    )
-    det = DetectorParams(eta=params.eta)
-    meas = MeasurementConfig(
-        duration=params.duration_s,
-        rbw=params.rbw_hz,
-        sample_rate=params.sample_rate_hz,
-        seed=0,
-        n_segments=params.n_segments,
-    )
-    return state, lo, det, meas
-
-
 def _binning_power_loss(f_hz: float, sample_rate: float) -> float:
     """Known power attenuation of a spectral line from charge binning.
 
@@ -478,45 +409,72 @@ def _binning_power_loss(f_hz: float, sample_rate: float) -> float:
     return (math.sin(x) / x) ** 2
 
 
-def _run_heterodyne_trace(state, lo, det, meas, seed: int):
-    times = sample_emission_times(state, lo, det, meas.duration, seed)
-    trace = synthesize_current(times, det, meas.sample_rate)
-    spec = estimate_psd(trace, meas)
+def _run_heterodyne_trace(scene: Scene, seed: int):
+    times = sample_emission_times(scene.state, scene.lo, scene.det, scene.meas.duration, seed)
+    trace = synthesize_current(times, scene.det, scene.meas.sample_rate)
+    spec = estimate_psd(trace, scene.meas)
     return times, trace, spec
+
+
+def _check_scene(scene: Scene) -> None:
+    """Refuse a scene the packaged checks cannot model, then validate its geometry.
+
+    The check targets assume a coherent signal at a fixed phase, a
+    bichromatic LO and delta pulses; the error names the config setting
+    that asks for anything else.
+    """
+    for refused, setting in (
+        (not scene.lo.is_bichromatic, "lo.kind = mono"),
+        (scene.state.phase.averaged, "field.phase_averaged = true"),
+        (scene.state.is_squeezed(), "squeeze.enabled = true"),
+        (not scene.det.pulse.is_delta, "detector.pulse = exponential"),
+    ):
+        if refused:
+            raise ConfigViolation(
+                f"{setting}: the Monte Carlo checks model only a coherent fixed-phase "
+                "signal, a bichromatic LO and delta pulses"
+            )
+    validate_measurement(scene.meas, scene.lo)
 
 
 def run_experiment(
     scenario: str,
-    params: ScenarioParams | None = None,
+    scene: Scene | Scan | None = None,
     *,
     seed: int = 20260815,
     keep_traces: bool = False,
 ) -> ExperimentReport:
     """Run a packaged Monte Carlo experiment and check it against theory.
 
+    scene is a Scene from RunConfig.build_scene, or for `sensitivity` a
+    Scan from RunConfig.build_scan; None runs the config defaults.
+
     Scenarios:
       shot-floor   vacuum signal; floor level (3 %) and flatness (95 %).
-      beatnote     coherent signal, fixed phase at the LO mean phase;
-                   line power within 5 % of theory, plus floor checks.
-      null-phase   signal phase in quadrature; no line above floor + 3 sigma.
+      beatnote     coherent signal; line power within 5 % of theory,
+                   plus floor checks.
+      null-phase   signal phase in quadrature to the LO mean phase; no
+                   line above floor + 3 sigma.
       sensitivity  empirical SNR_in/SNR_out/NF across the power scan;
                    NF within 0.3 dB of zero for each power.
       default      beatnote checks plus a Parseval consistency check and
                    a zero-lag arm cross-covariance check.
     """
-    params = params or ScenarioParams()
+    if scene is None:
+        cfg = RunConfig.defaults()
+        scene = cfg.build_scan() if scenario == "sensitivity" else cfg.build_scene()
     report = ExperimentReport(scenario=scenario, seed=seed)
     root = np.random.SeedSequence(seed)
     if scenario == "shot-floor":
-        _scenario_floor(report, params, root, signal=False, keep_traces=keep_traces)
+        _scenario_floor(report, scene, root, signal=False, keep_traces=keep_traces)
     elif scenario == "beatnote":
-        _scenario_floor(report, params, root, signal=True, keep_traces=keep_traces)
+        _scenario_floor(report, scene, root, signal=True, keep_traces=keep_traces)
     elif scenario == "default":
-        _scenario_floor(report, params, root, signal=True, extras=True, keep_traces=keep_traces)
+        _scenario_floor(report, scene, root, signal=True, extras=True, keep_traces=keep_traces)
     elif scenario == "null-phase":
-        _scenario_null_phase(report, params, root, keep_traces=keep_traces)
+        _scenario_null_phase(report, scene, root, keep_traces=keep_traces)
     elif scenario == "sensitivity":
-        _scenario_sensitivity(report, params, root)
+        _scenario_sensitivity(report, scene, root)
     else:
         raise InvalidSpec(f"unknown scenario {scenario!r}")
     return report
@@ -524,21 +482,23 @@ def run_experiment(
 
 def _scenario_floor(
     report: ExperimentReport,
-    params: ScenarioParams,
+    scene: Scene,
     root: np.random.SeedSequence,
     *,
     signal: bool,
     extras: bool = False,
     keep_traces: bool = False,
 ) -> None:
-    flux = params.signal_flux if signal else 0.0
-    state, lo, det, meas = _heterodyne_setup(params, signal_flux=flux, theta_s=params.theta_s)
-    validate_measurement(meas, lo)
+    _check_scene(scene)
+    if not signal:
+        vacuum = tuple(replace(m, amplitude=0.0) for m in scene.state.modes)
+        scene = replace(scene, state=replace(scene.state, modes=vacuum))
+    state, lo, det, meas, f_het = scene.state, scene.lo, scene.det, scene.meas, scene.f_het_hz
     seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
-    times, trace, spec = _run_heterodyne_trace(state, lo, det, meas, seed)
+    times, trace, spec = _run_heterodyne_trace(scene, seed)
 
-    floor_target = float(shot_floor_psd(lo, det, TWO_PI * params.f_het_hz))
-    floor_mean, floor_sigma, mask = floor_statistics(spec, params.f_het_hz)
+    floor_target = float(shot_floor_psd(lo, det, TWO_PI * f_het))
+    floor_mean, floor_sigma, mask = floor_statistics(spec, f_het)
     report.checks.append(
         CheckResult(
             name="shot_floor_level",
@@ -568,9 +528,9 @@ def _scenario_floor(
         }
     )
     if signal:
-        beat = extract_beatnote(spec, params.f_het_hz)
+        beat = extract_beatnote(spec, f_het)
         target = output_signal_power(state, lo, det) * _binning_power_loss(
-            params.f_het_hz, params.sample_rate_hz
+            f_het, meas.sample_rate
         )
         report.checks.append(
             CheckResult(
@@ -630,20 +590,20 @@ def _zero_lag_cross_z(state, lo, det, trace: CurrentTrace) -> float:
 
 def _scenario_null_phase(
     report: ExperimentReport,
-    params: ScenarioParams,
+    scene: Scene,
     root: np.random.SeedSequence,
     *,
     keep_traces: bool = False,
 ) -> None:
-    state, lo, det, meas = _heterodyne_setup(
-        params, signal_flux=params.signal_flux, theta_s=math.pi / 2.0
-    )
+    _check_scene(scene)
+    quadrature = PhaseMode.fixed(scene.lo.theta_bar + math.pi / 2.0)
+    scene = replace(scene, state=replace(scene.state, phase=quadrature))
     seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
-    _, trace, spec = _run_heterodyne_trace(state, lo, det, meas, seed)
+    _, trace, spec = _run_heterodyne_trace(scene, seed)
     if keep_traces:
         report.traces["difference_current"] = trace
-    floor_mean, floor_sigma, _ = floor_statistics(spec, params.f_het_hz)
-    beat = extract_beatnote(spec, params.f_het_hz)
+    floor_mean, floor_sigma, _ = floor_statistics(spec, scene.f_het_hz)
+    beat = extract_beatnote(spec, scene.f_het_hz)
     threshold = floor_mean + 3.0 * floor_sigma
     report.checks.append(
         CheckResult(
@@ -662,54 +622,43 @@ def _scenario_null_phase(
 
 def _scenario_sensitivity(
     report: ExperimentReport,
-    params: ScenarioParams,
+    scan: Scan,
     root: np.random.SeedSequence,
 ) -> None:
     """Empirical SNR chain across the power scan.
 
     Each power gets two runs sharing one seed branch: a fixed-phase
-    heterodyne run (theta_s = theta_bar) for the output side, and a
-    signal-only counting run for the input side.  The fixed-phase beat
-    power is halved to convert to the phase-averaged convention before
-    forming SNR_out = P / (floor * rbw_ref), rbw_ref = 1 / window.
+    heterodyne run of its scan scene (theta_s = theta_bar) for the
+    output side, and a signal-only counting run for the input side.
+    The fixed-phase beat power is halved to convert to the
+    phase-averaged convention before forming
+    SNR_out = P / (floor * rbw_ref), rbw_ref = 1 / window.
     """
-    e_ph = calibrate_photon_energy(
-        params.anchor_power_w, params.anchor_window_s, params.eta, params.anchor_snr_db
-    )
-    rbw_ref = 1.0 / params.anchor_window_s
+    for scene in scan.scenes:
+        _check_scene(scene)
+    window = scan.window_s
+    rbw_ref = 1.0 / window
     rows = []
-    for power, child in zip(params.powers_w, root.spawn(len(params.powers_w))):
-        flux = power / e_ph
-        scan = ScenarioParams(
-            lo_flux=params.scan_lo_ratio * flux,
-            signal_flux=flux,
-            eta=params.eta,
-            f_het_hz=params.scan_f_het_hz,
-            sample_rate_hz=params.scan_sample_rate_hz,
-            duration_s=params.scan_duration_s,
-            rbw_hz=params.scan_rbw_hz,
-            n_segments=params.n_segments,
-            carrier_hz=params.carrier_hz,
-        )
-        state, lo, det, meas = _heterodyne_setup(scan, signal_flux=flux, theta_s=0.0)
+    for power, scene, child in zip(scan.powers_w, scan.scenes, root.spawn(len(scan.scenes))):
+        flux = power / scan.photon_energy_j
+        f_het = scene.f_het_hz
         seed_het, seed_count = (int(s.generate_state(1, dtype=np.uint64)[0] >> 1) for s in child.spawn(2))
-        _, _, spec = _run_heterodyne_trace(state, lo, det, meas, seed_het)
-        beat = extract_beatnote(spec, scan.f_het_hz)
-        floor_mean, _, _ = floor_statistics(spec, scan.f_het_hz)
-        p_avg = 0.5 * beat.power / _binning_power_loss(scan.f_het_hz, scan.sample_rate_hz)
+        _, _, spec = _run_heterodyne_trace(scene, seed_het)
+        beat = extract_beatnote(spec, f_het)
+        floor_mean, _, _ = floor_statistics(spec, f_het)
+        p_avg = 0.5 * beat.power / _binning_power_loss(f_het, scene.meas.sample_rate)
         snr_out_emp = 10.0 * math.log10(p_avg / (floor_mean * rbw_ref))
 
         # input side: count detected signal photons without the LO
         rng = np.random.default_rng(seed_count)
-        window = params.anchor_window_s
-        count_duration = params.scan_count_windows * window
-        rate = det.eta * flux
+        count_duration = scan.count_windows * window
+        rate = scene.det.eta * flux
         counts_t = thinning_sample(
             lambda t: np.full(np.asarray(t).shape, rate), count_duration, rng, r_max=rate
         )
         per_window = np.bincount(
-            np.minimum((counts_t / window).astype(np.int64), params.scan_count_windows - 1),
-            minlength=params.scan_count_windows,
+            np.minimum((counts_t / window).astype(np.int64), scan.count_windows - 1),
+            minlength=scan.count_windows,
         )
         n_mean = float(per_window.mean())
         snr_in_emp = 10.0 * math.log10(n_mean)
@@ -733,4 +682,4 @@ def _scenario_sensitivity(
             )
         )
     report.scalars["rows"] = rows
-    report.scalars["photon_energy_j"] = e_ph
+    report.scalars["photon_energy_j"] = scan.photon_energy_j

@@ -15,9 +15,10 @@ import time
 import numpy as np
 
 from bilodyne.analytic import output_signal_power, psd_analytic, sensitivity_table
+from bilodyne.config import RunConfig
 from bilodyne.correlators import fock_oracle_moments, lambda_ij, second_moments
-from bilodyne.model import Hypothesis, calibrate_photon_energy
-from bilodyne.montecarlo import ScenarioParams, run_experiment
+from bilodyne.model import Hypothesis
+from bilodyne.montecarlo import run_experiment
 from tests.conftest import (
     ETA,
     LO_FLUX,
@@ -45,8 +46,9 @@ def _check(report, name):
 
 def test_sensitivity_table_reproduces_reference_rows():
     start = time.perf_counter()
-    e_ph = calibrate_photon_energy(0.5e-9, 1e-3, 0.7, 62.68)
-    rows = sensitivity_table(e_ph)
+    reference = {"scan.powers_nw": (0.5, 1.0, 2.0), "scan.window_s": 1e-3,
+                 "detector.eta": 0.7, "scan.anchor_snr_db": 62.68}
+    rows = sensitivity_table(RunConfig.defaults(reference).build_scan())
     elapsed = time.perf_counter() - start
     targets = (62.68, 65.69, 68.70)
     worst = 0.0
@@ -183,10 +185,10 @@ def test_statistical_properties_of_the_pipeline(default_run):
     report, _ = default_run
 
     # same seed, same bytes; different seed, different stream
-    params = dataclasses.replace(ScenarioParams(), duration_s=0.25)
-    rerun_a = run_experiment("shot-floor", params, seed=21)
-    rerun_b = run_experiment("shot-floor", params, seed=21)
-    rerun_c = run_experiment("shot-floor", params, seed=22)
+    scene = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
+    rerun_a = run_experiment("shot-floor", scene, seed=21)
+    rerun_b = run_experiment("shot-floor", scene, seed=21)
+    rerun_c = run_experiment("shot-floor", scene, seed=22)
     deterministic = np.array_equal(
         rerun_a.spectra["difference_current"].psd,
         rerun_b.spectra["difference_current"].psd,

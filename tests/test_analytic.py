@@ -25,6 +25,7 @@ from bilodyne.analytic import (
     snr_in,
     snr_out,
 )
+from bilodyne.config import RunConfig
 from bilodyne.correlators import excess_lines, lambda_ij
 from bilodyne.errors import ConfigViolation, InvalidSpec, Unsupported
 from bilodyne.model import (
@@ -300,15 +301,6 @@ class TestSpectrumContainer:
                 kind=SpectrumKind.ESTIMATED,
             )
 
-    def test_band_mean(self):
-        spec = Spectrum(
-            freqs_hz=np.arange(5, dtype=float),
-            psd=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-            rbw_hz=1.0,
-            kind=SpectrumKind.ANALYTIC,
-        )
-        assert spec.band_mean(1.0, 3.0) == pytest.approx(3.0)
-
 
 class TestDetectionReport:
     def test_consistency_enforced(self):
@@ -413,10 +405,23 @@ class TestSnrChain:
             snr_in(coherent_state(), standard_detector(), 0.0)
 
 
+REFERENCE_SCAN = {
+    "scan.powers_nw": (0.5, 1.0, 2.0),
+    "scan.window_s": 1e-3,
+    "detector.eta": 0.7,
+    "scan.anchor_snr_db": 62.68,
+}
+
+
+def reference_scan(**overrides):
+    values = dict(REFERENCE_SCAN)
+    values.update({f"scan.{key}": value for key, value in overrides.items()})
+    return RunConfig.defaults(values).build_scan()
+
+
 class TestSensitivityTable:
     def test_reference_rows(self):
-        e_ph = calibrate_photon_energy(0.5e-9, 1e-3, 0.7, 62.68)
-        rows = sensitivity_table(e_ph)
+        rows = sensitivity_table(reference_scan())
         assert [round(r.power_w * 1e9, 2) for r in rows] == [0.5, 1.0, 2.0]
         expected_snr = (62.68, 65.69, 68.70)
         for row, snr in zip(rows, expected_snr):
@@ -426,15 +431,27 @@ class TestSensitivityTable:
 
     def test_anchor_flux(self):
         e_ph = calibrate_photon_energy(0.5e-9, 1e-3, 0.7, 62.68)
-        rows = sensitivity_table(e_ph)
+        scan = reference_scan()
+        rows = sensitivity_table(scan)
+        assert scan.photon_energy_j == e_ph
         assert rows[0].photon_flux == pytest.approx(0.5e-9 / e_ph, rel=1e-12)
         assert rows[0].photon_flux == pytest.approx(2647902319.3859834, rel=1e-6)
 
     def test_rejects_nonpositive_energy(self):
+        # a zero counting window would calibrate a zero photon energy
         with pytest.raises(InvalidSpec):
-            sensitivity_table(0.0)
+            reference_scan(window_s=0.0)
 
     def test_row_consistency(self):
-        rows = sensitivity_table(2e-19, powers_w=(1e-9,))
+        rows = sensitivity_table(reference_scan(powers_nw=(1.0,)))
         assert isinstance(rows[0], SensitivityRow)
         assert rows[0].nf_db == rows[0].snr_in_db - rows[0].snr_out_db
+
+    def test_rows_independent_of_scan_lo(self):
+        # SNR_out is beat power over shot power: the LO flux and the beat
+        # frequency cancel, so the table describes any scan LO alike
+        base = sensitivity_table(reference_scan())
+        other = sensitivity_table(reference_scan(lo_ratio=1e4, f_het_hz=5e6))
+        for a, b in zip(base, other):
+            assert b.snr_out_db == pytest.approx(a.snr_out_db, abs=1e-12)
+            assert b.snr_in_db == a.snr_in_db

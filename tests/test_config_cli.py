@@ -4,15 +4,27 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bilodyne.analytic import psd_analytic
 from bilodyne.cli import main
-from bilodyne.config import RunConfig, parse_config
-from bilodyne.errors import ParseError, UnknownKey
+from bilodyne.config import _CHOICES, SCHEMA, RunConfig, parse_config
+from bilodyne.errors import BilodyneError, ParseError, UnknownKey
 from bilodyne.io import read_spectrum_csv, read_trace_bin
-from bilodyne.model import TWO_PI, Hypothesis, ModeLabel
+from bilodyne.model import (
+    TWO_PI,
+    Hypothesis,
+    ModeLabel,
+    PhaseMode,
+    calibrate_photon_energy,
+    photon_flux,
+)
+from bilodyne.montecarlo import ExperimentReport
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CFG = """
 field.signal_flux      = 1e3
@@ -146,14 +158,108 @@ class TestRunConfigBuilders:
         cfg = RunConfig.load("analytic", write_cfg(tmp_path, BASE_CFG), seed_override=7)
         assert cfg.values["measurement.seed"] == 7
 
-    def test_scenario_params_mapping(self, tmp_path):
-        text = BASE_CFG + "scan.powers_nw = 0.5, 4.0\nscan.count_windows = 8\n"
-        cfg = RunConfig.load("simulate", write_cfg(tmp_path, text))
-        params = cfg.scenario_params()
-        assert params.powers_w == (0.5e-9, 4.0e-9)
-        assert params.anchor_power_w == 0.5e-9
-        assert params.scan_count_windows == 8
-        assert params.lo_flux == 1e6
+    def test_scan_scenes(self, tmp_path):
+        text = BASE_CFG + (
+            "scan.powers_nw = 0.5, 4.0\nscan.count_windows = 8\n"
+            "lo.theta_1 = 0.3\nlo.theta_2 = 0.1\n"
+        )
+        scan = RunConfig.load("simulate", write_cfg(tmp_path, text)).build_scan()
+        assert scan.photon_energy_j == calibrate_photon_energy(0.5e-9, 1e-3, 0.7, 62.68)
+        assert scan.count_windows == 8
+        assert scan.window_s == 1e-3
+        assert scan.powers_w == (0.5e-9, 4.0e-9)
+        for power, scene in zip(scan.powers_w, scan.scenes):
+            flux = power / scan.photon_energy_j
+            assert photon_flux(scene.state) == pytest.approx(flux, rel=1e-12)
+            assert scene.lo.amplitude**2 == pytest.approx(100.0 * flux, rel=1e-12)
+            assert scene.lo.omega_het == pytest.approx(TWO_PI * 2e6, rel=1e-6)
+            assert (scene.lo.theta_1, scene.lo.theta_2) == (0.3, 0.1)
+            assert scene.state.phase == PhaseMode.fixed(scene.lo.theta_bar)
+            assert scene.f_het_hz == 2e6
+            assert (scene.meas.duration, scene.meas.rbw, scene.meas.sample_rate) == (
+                1.7e-4, 2e5, 4e7
+            )
+
+
+# keys the scene builders do not read: the Monte Carlo choice, the trace
+# switch, and the scan block (checked against build_scan instead)
+NON_SCENE_KEYS = {"simulate.scenario", "output.write_trace"}
+# settings under which a key is live (squeeze.* needs squeezing enabled,
+# the pulse time needs an exponential pulse)
+LIVE_WITH = {
+    "squeeze.r": {"squeeze.enabled": True},
+    "squeeze.phi": {"squeeze.enabled": True},
+    "squeeze.offset_hz": {"squeeze.enabled": True},
+    "squeeze.placement": {"squeeze.enabled": True},
+    "detector.pulse": {"detector.pulse_tau_s": 1e-7},
+    "detector.pulse_tau_s": {"detector.pulse": "exponential", "detector.pulse_tau_s": 1e-7},
+}
+
+
+def _other_value(key):
+    """A valid value for key that differs from its SCHEMA default."""
+    default = SCHEMA[key][1]
+    if key in _CHOICES:
+        return next(c for c in _CHOICES[key] if c != default)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, tuple):
+        return tuple(0.5 * x + 0.125 for x in default)
+    return 0.5 * default + 0.125
+
+
+def _changes_or_raises(key, build):
+    base = LIVE_WITH.get(key, {})
+    before = build(RunConfig.defaults(base))
+    changed = dict(base, **{key: _other_value(key)})
+    try:
+        after = build(RunConfig.defaults(changed))
+    except BilodyneError:
+        return True
+    return after != before
+
+
+class TestNoSilentKeys:
+    """Every config key reaches the scene it describes, or is refused."""
+
+    @pytest.mark.parametrize(
+        "key", sorted(k for k in SCHEMA if not k.startswith("scan.") and k not in NON_SCENE_KEYS)
+    )
+    def test_scene_key_is_read(self, key):
+        assert _changes_or_raises(key, RunConfig.build_scene)
+
+    @pytest.mark.parametrize("key", sorted(k for k in SCHEMA if k.startswith("scan.")))
+    def test_scan_key_is_read(self, key):
+        assert _changes_or_raises(key, RunConfig.build_scan)
+
+    @pytest.mark.parametrize(
+        "extra",
+        ["", "field.signal_flux = 2e3\nlo.theta_1 = 0.3\nmeasurement.rbw_hz = 2e3\n"],
+        ids=["default.cfg", "changed"],
+    )
+    def test_simulate_and_analytic_run_one_scene(self, tmp_path, monkeypatch, extra):
+        import bilodyne.cli as cli
+
+        seen = {}
+
+        def fake_run(scenario, scene, **kwargs):
+            seen["simulate"] = scene
+            return ExperimentReport(scenario=scenario, seed=kwargs["seed"])
+
+        def spy_psd(state, lo, det, meas):
+            seen["analytic"] = (state, lo, det, meas)
+            return psd_analytic(state, lo, det, meas)
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        monkeypatch.setattr(cli, "psd_analytic", spy_psd)
+        cfg = str(write_cfg(tmp_path, (CONFIGS / "default.cfg").read_text() + extra))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        sim = seen["simulate"]
+        assert (sim.state, sim.lo, sim.det, sim.meas) == seen["analytic"]
+        assert sim == RunConfig.load("analytic", cfg).build_scene()
 
 
 FAST_SIM_CFG = BASE_CFG + (
@@ -246,6 +352,25 @@ class TestCliRuns:
         failed = {c["name"]: c["passed"] for c in report["results"]["checks"]}
         assert failed["beatnote_power"] is False
 
+    def test_simulate_runs_the_lo_phases(self, tmp_path):
+        # the quadrature signal of the test above, matched by turning both
+        # LO tones to pi/2: the beat is back at its full matched power
+        text = BASE_CFG + (
+            "simulate.scenario = beatnote\n"
+            "measurement.duration_s = 0.5\n"
+            "field.theta_s = 1.5707963267948966\n"
+            "lo.theta_1 = 1.5707963267948966\n"
+            "lo.theta_2 = 1.5707963267948966\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) in (0, 2)
+        scalars = json.loads((out / "report.json").read_text())["results"]["scalars"]
+        x = math.pi * 1e5 / 1e7
+        matched = 2.0 * (0.7 * math.sqrt(2e3) * 1e3) ** 2 * (math.sin(x) / x) ** 2
+        assert scalars["beat_target"] == pytest.approx(matched, rel=1e-9)
+        assert scalars["beat_power"] > 0.5 * matched
+
     def test_simulate_writes_trace_when_asked(self, tmp_path):
         text = FAST_SIM_CFG.replace("0.5", "0.05") + "output.write_trace = true\n"
         cfg = write_cfg(tmp_path, text)
@@ -305,6 +430,48 @@ class TestCliErrors:
         cfg = write_cfg(tmp_path, BASE_CFG + "measurement.rbw_hz = 5e4\n")
         assert main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_null_phase_validates_geometry(self, tmp_path, capsys):
+        # the beat at 4 kHz does not clear 10 x rbw, as for shot-floor
+        text = BASE_CFG + "lo.f_het_hz = 4e3\nsimulate.scenario = null-phase\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "heterodyne frequency" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["table1"], ["simulate"]], ids=["table1", "simulate-sensitivity"]
+    )
+    def test_empty_power_list_exits_one(self, tmp_path, capsys, argv):
+        cfg = write_cfg(tmp_path, "simulate.scenario = sensitivity\nscan.powers_nw = ,\n")
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "scan.powers_nw" in err
+
+    @pytest.mark.parametrize("scenario", ["analytic", "simulate"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("key", ["field.signal_flux", "lo.flux"])
+    def test_bad_flux_exits_one(self, tmp_path, capsys, scenario, value, key):
+        cfg = write_cfg(tmp_path, f"{key} = {value}\n")
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "lo.kind = mono",
+            "field.phase_averaged = true",
+            "squeeze.enabled = true",
+            "detector.pulse = exponential",
+        ],
+    )
+    def test_unmodelled_simulate_setting_exits_one(self, tmp_path, capsys, setting):
+        text = BASE_CFG + setting + "\ndetector.pulse_tau_s = 1e-7\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and setting in err
 
     def test_unknown_scenario_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

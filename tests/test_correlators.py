@@ -229,6 +229,15 @@ class TestMeanFields:
         direct = (np.exp(-1j * np.multiply.outer(t, offsets)) * amps).sum(axis=1)
         np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=1e-12)
 
+    def test_phasor_sum_at_scalar_time(self):
+        offsets = np.array([0.0, 3e4, -3e4, 7e4])
+        amps = np.array([0.5, 1.0 + 2.0j, -0.3j, 0.8])
+        value = phasor_sum(offsets, amps, 2.5e-5)
+        assert isinstance(value, complex)
+        assert value == phasor_sum(offsets, amps, np.array([2.5e-5]))[0]
+        direct = complex((np.exp(-1j * offsets * 2.5e-5) * amps).sum())
+        assert value == pytest.approx(direct, rel=1e-12)
+
 
 class TestStrongLoGuard:
     def test_ratio_at_threshold_passes(self):

@@ -199,10 +199,6 @@ class TestDetectorAndMeasurement:
             DetectorParams(eta=1.2)
         DetectorParams(eta=1.0)
 
-    def test_unit_load_resistance_enforced(self):
-        with pytest.raises(InvalidSpec):
-            DetectorParams(eta=0.7, load_resistance=50.0)
-
     def test_exponential_pulse_requires_timescale(self):
         with pytest.raises(InvalidSpec):
             PulseShape.exponential(0.0)
@@ -233,6 +229,18 @@ class TestDetectorAndMeasurement:
     def test_default_geometry_validates(self):
         cfg = MeasurementConfig(duration=2.0, rbw=1e3, sample_rate=1e7)
         validate_measurement(cfg, standard_lo())
+
+    def test_beat_exactly_at_the_limit_validates(self):
+        # at f_het = 10 rbw the beat recovered from the optical tones is
+        # 1999999.98 Hz; that is within the tones' precision of the limit
+        d = TWO_PI * 2e6
+        lo = LocalOscillator.bichromatic(1e3, OMEGA_S + d, 0.0, OMEGA_S - d, 0.0)
+        assert lo.omega_het / TWO_PI < 2e6
+        for rbw, rate in ((2e5, 4e7), (1e5, 2e7)):
+            validate_measurement(MeasurementConfig(duration=1e-3, rbw=rbw, sample_rate=rate), lo)
+        for rbw, rate in ((2.0001e5, 4e7), (1e5, 1.9999e7)):
+            with pytest.raises(ConfigViolation):
+                validate_measurement(MeasurementConfig(1e-3, rbw=rbw, sample_rate=rate), lo)
 
 
 class TestPhaseMode:

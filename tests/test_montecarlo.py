@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bilodyne.analytic import mean_diff_current
+from bilodyne.config import RunConfig
 from bilodyne.errors import (
     ConfigViolation,
     InvalidSpec,
@@ -23,7 +23,6 @@ from bilodyne.montecarlo import (
     CurrentTrace,
     EmissionTimes,
     ExperimentReport,
-    ScenarioParams,
     estimate_psd,
     extract_beatnote,
     flatness_t_statistic,
@@ -312,13 +311,6 @@ class TestEstimatePsd:
         floor_mean, _, _ = floor_statistics(spec, 1e5)
         assert floor_mean == pytest.approx(2.0 * ETA * LO_FLUX, rel=0.03)
 
-    def test_randomized_start_still_estimates_floor(self):
-        trace = _cosine_trace(1.0, 1.2e4, 1e6, 0.1)
-        cfg = MeasurementConfig(duration=0.1, rbw=1e3, sample_rate=1e6, n_segments=16)
-        spec = estimate_psd(trace, cfg, randomize_start=True, rng=np.random.default_rng(0))
-        assert spec.kind is SpectrumKind.ESTIMATED
-        assert spec.rbw_hz == pytest.approx(1e3)
-
 
 class TestExtractBeatnote:
     def test_outside_grid_rejected(self):
@@ -419,33 +411,33 @@ class TestRunExperiment:
             run_experiment("nonsense")
 
     def test_short_shot_floor_run(self):
-        params = dataclasses.replace(ScenarioParams(), duration_s=0.5)
-        report = run_experiment("shot-floor", params, seed=4)
+        scene = RunConfig.defaults({"measurement.duration_s": 0.5}).build_scene()
+        report = run_experiment("shot-floor", scene, seed=4)
         assert report.passed
         names = [c.name for c in report.checks]
         assert names == ["shot_floor_level", "shot_floor_flatness_t"]
         assert "difference_current" in report.spectra
 
     def test_deterministic_spectra(self):
-        params = dataclasses.replace(ScenarioParams(), duration_s=0.25)
-        a = run_experiment("shot-floor", params, seed=21)
-        b = run_experiment("shot-floor", params, seed=21)
+        scene = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
+        a = run_experiment("shot-floor", scene, seed=21)
+        b = run_experiment("shot-floor", scene, seed=21)
         np.testing.assert_array_equal(
             a.spectra["difference_current"].psd, b.spectra["difference_current"].psd
         )
         assert [c.as_dict() for c in a.checks] == [c.as_dict() for c in b.checks]
 
     def test_seed_sensitivity(self):
-        params = dataclasses.replace(ScenarioParams(), duration_s=0.25)
-        a = run_experiment("shot-floor", params, seed=21)
-        b = run_experiment("shot-floor", params, seed=22)
+        scene = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
+        a = run_experiment("shot-floor", scene, seed=21)
+        b = run_experiment("shot-floor", scene, seed=22)
         assert not np.array_equal(
             a.spectra["difference_current"].psd, b.spectra["difference_current"].psd
         )
 
     def test_keep_traces(self):
-        params = dataclasses.replace(ScenarioParams(), duration_s=0.25)
-        report = run_experiment("shot-floor", params, seed=4, keep_traces=True)
+        scene = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
+        report = run_experiment("shot-floor", scene, seed=4, keep_traces=True)
         trace = report.traces["difference_current"]
         assert isinstance(trace, CurrentTrace)
         assert trace.duration == pytest.approx(0.25)
