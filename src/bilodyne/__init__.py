@@ -56,14 +56,13 @@ from .montecarlo import (
     BeatnoteEstimate,
     CheckResult,
     CurrentTrace,
-    EmissionTimes,
     ExperimentReport,
+    bin_means,
     estimate_psd,
     extract_beatnote,
     intensity_rate,
-    rate_bound,
+    lockin_power,
     run_experiment,
-    sample_emission_times,
+    sample_bin_counts,
     synthesize_current,
-    thinning_sample,
 )

@@ -164,6 +164,12 @@ class RunConfig:
             raise ConfigViolation(f"{key} must be finite and >= 0, got {flux!r}")
         return flux
 
+    def _finite(self, key: str) -> float:
+        value = self.values[key]
+        if not math.isfinite(value):
+            raise ConfigViolation(f"{key} must be finite, got {value!r}")
+        return value
+
     def build_state(self) -> FieldState:
         v = self.values
         omega_s = TWO_PI * v["field.carrier_hz"]
@@ -189,7 +195,7 @@ class RunConfig:
         phase = (
             PhaseMode.averaged_phase()
             if v["field.phase_averaged"]
-            else PhaseMode.fixed(v["field.theta_s"])
+            else PhaseMode.fixed(self._finite("field.theta_s"))
         )
         return build_field_state(
             modes,
@@ -202,15 +208,16 @@ class RunConfig:
         v = self.values
         omega_s = TWO_PI * v["field.carrier_hz"]
         amplitude = math.sqrt(self._flux("lo.flux"))
+        theta_1 = self._finite("lo.theta_1")
         if v["lo.kind"] == "mono":
-            return LocalOscillator.mono(amplitude, omega_s, v["lo.theta_1"])
+            return LocalOscillator.mono(amplitude, omega_s, theta_1)
         d = TWO_PI * v["lo.f_het_hz"]
         return LocalOscillator.bichromatic(
             amplitude=amplitude,
             omega_1=omega_s + d,
-            theta_1=v["lo.theta_1"],
+            theta_1=theta_1,
             omega_2=omega_s - d,
-            theta_2=v["lo.theta_2"],
+            theta_2=self._finite("lo.theta_2"),
         )
 
     def build_detector(self) -> DetectorParams:
@@ -225,9 +232,9 @@ class RunConfig:
     def build_measurement(self) -> MeasurementConfig:
         v = self.values
         return MeasurementConfig(
-            duration=v["measurement.duration_s"],
-            rbw=v["measurement.rbw_hz"],
-            sample_rate=v["measurement.sample_rate_hz"],
+            duration=self._finite("measurement.duration_s"),
+            rbw=self._finite("measurement.rbw_hz"),
+            sample_rate=self._finite("measurement.sample_rate_hz"),
             seed=v["measurement.seed"],
             n_segments=v["measurement.n_segments"],
         )
@@ -258,18 +265,19 @@ class RunConfig:
             raise ParseError(
                 f"scan.powers_nw must list positive finite powers, got {v['scan.powers_nw']!r}"
             )
-        e_ph = calibrate_photon_energy(
-            powers[0], v["scan.window_s"], v["detector.eta"], v["scan.anchor_snr_db"]
-        )
+        if v["scan.count_windows"] < 1:
+            raise ConfigViolation(f"scan.count_windows must be >= 1, got {v['scan.count_windows']}")
+        window, snr_db = self._finite("scan.window_s"), self._finite("scan.anchor_snr_db")
+        e_ph = calibrate_photon_energy(powers[0], window, v["detector.eta"], snr_db)
         geometry = {
             "field.phase_averaged": False,
             "field.theta_s": 0.5 * (v["lo.theta_1"] + v["lo.theta_2"]),
             "squeeze.enabled": False,
             "lo.kind": "bichromatic",
             "lo.f_het_hz": v["scan.f_het_hz"],
-            "measurement.duration_s": v["scan.duration_s"],
-            "measurement.rbw_hz": v["scan.rbw_hz"],
-            "measurement.sample_rate_hz": v["scan.sample_rate_hz"],
+            "measurement.duration_s": self._finite("scan.duration_s"),
+            "measurement.rbw_hz": self._finite("scan.rbw_hz"),
+            "measurement.sample_rate_hz": self._finite("scan.sample_rate_hz"),
         }
         ratio = self._flux("scan.lo_ratio")
         scenes = []
@@ -279,7 +287,7 @@ class RunConfig:
             scenes.append(RunConfig(self.scenario, values).build_scene())
         return Scan(
             photon_energy_j=e_ph,
-            window_s=v["scan.window_s"],
+            window_s=window,
             count_windows=v["scan.count_windows"],
             powers_w=powers,
             scenes=tuple(scenes),

@@ -36,10 +36,6 @@ class NonClassicalInput(BilodyneError):
     """The semiclassical rate picture does not apply to this state."""
 
 
-class RateUnbounded(BilodyneError):
-    """No finite upper bound available for the emission rate."""
-
-
 class ConfigViolation(BilodyneError):
     """Measurement configuration breaks a validity constraint."""
 

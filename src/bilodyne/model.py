@@ -291,12 +291,12 @@ class MeasurementConfig:
     n_segments: int = 16
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise InvalidSpec("measurement duration must be positive")
-        if self.rbw <= 0.0:
-            raise InvalidSpec("resolution bandwidth must be positive")
-        if self.sample_rate <= 0.0:
-            raise InvalidSpec("sample rate must be positive")
+        if not (self.duration > 0.0 and math.isfinite(self.duration)):
+            raise InvalidSpec("measurement duration must be positive and finite")
+        if not (self.rbw > 0.0 and math.isfinite(self.rbw)):
+            raise InvalidSpec("resolution bandwidth must be positive and finite")
+        if not (self.sample_rate > 0.0 and math.isfinite(self.sample_rate)):
+            raise InvalidSpec("sample rate must be positive and finite")
         if self.n_segments < 1:
             raise InvalidSpec("segment count must be >= 1")
         if self.seed < 0:
@@ -409,7 +409,13 @@ def calibrate_photon_energy(
         raise InvalidSpec("optical power and window must be positive")
     if not (0.0 < eta <= 1.0):
         raise InvalidSpec("quantum efficiency must be in (0, 1]")
-    return eta * optical_power_w * window_s / 10.0 ** (snr_in_db / 10.0)
+    try:
+        energy = eta * optical_power_w * window_s / 10.0 ** (snr_in_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        energy = math.nan
+    if not (energy > 0.0 and math.isfinite(energy)):
+        raise InvalidSpec(f"input SNR {snr_in_db!r} dB gives no positive finite photon energy")
+    return energy
 
 
 def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator | None = None) -> None:

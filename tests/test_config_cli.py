@@ -473,6 +473,40 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "error:" in err and setting in err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("measurement.duration_s = inf", "measurement.duration_s"),
+            ("measurement.duration_s = nan", "measurement.duration_s"),
+            ("measurement.sample_rate_hz = nan", "measurement.sample_rate_hz"),
+            ("measurement.rbw_hz = inf", "measurement.rbw_hz"),
+            ("lo.theta_1 = nan", "lo.theta_1"),
+            ("field.theta_s = inf", "field.theta_s"),
+        ],
+    )
+    def test_non_finite_scene_value_exits_one(self, tmp_path, capsys, setting, message):
+        cfg = write_cfg(tmp_path, BASE_CFG + setting + "\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
+    @pytest.mark.parametrize("argv", [["table1"], ["simulate"]], ids=["table1", "simulate"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("scan.window_s = nan", "scan.window_s"),
+            ("scan.anchor_snr_db = -inf", "scan.anchor_snr_db"),
+            ("scan.anchor_snr_db = 1e4", "input SNR 10000.0 dB"),
+            ("scan.duration_s = inf", "scan.duration_s"),
+            ("scan.count_windows = 0", "scan.count_windows"),
+        ],
+    )
+    def test_bad_scan_value_exits_one(self, tmp_path, capsys, argv, setting, message):
+        cfg = write_cfg(tmp_path, f"simulate.scenario = sensitivity\n{setting}\n")
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
     def test_unknown_scenario_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "x"])

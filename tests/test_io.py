@@ -31,7 +31,7 @@ def _trace() -> CurrentTrace:
     rng = np.random.default_rng(14)
     j1 = rng.standard_normal(1000)
     j2 = rng.standard_normal(1000)
-    return CurrentTrace(j1=j1, j2=j2, jdiff=j1 - j2, dt=1e-7, seed=14)
+    return CurrentTrace(j1=j1, j2=j2, jdiff=j1 - j2, dt=1e-7)
 
 
 class TestSpectrumCsv:

@@ -148,6 +148,11 @@ class TestCalibration:
         with pytest.raises(InvalidSpec):
             calibrate_photon_energy(0.5e-9, 1e-3, 1.5, 62.68)
 
+    @pytest.mark.parametrize("snr_db", [math.inf, -math.inf, math.nan, 1e4, -1e4])
+    def test_rejects_snr_without_a_finite_energy(self, snr_db):
+        with pytest.raises(InvalidSpec):
+            calibrate_photon_energy(0.5e-9, 1e-3, 0.7, snr_db)
+
 
 class TestLocalOscillator:
     def test_bichromatic_tone_split(self):
@@ -211,6 +216,11 @@ class TestDetectorAndMeasurement:
             MeasurementConfig(duration=0.0, rbw=1e3, sample_rate=1e7)
         with pytest.raises(InvalidSpec):
             MeasurementConfig(duration=2.0, rbw=0.0, sample_rate=1e7)
+        for bad in (math.inf, math.nan):
+            for field in ("duration", "rbw", "sample_rate"):
+                values = {"duration": 2.0, "rbw": 1e3, "sample_rate": 1e7, field: bad}
+                with pytest.raises(InvalidSpec):
+                    MeasurementConfig(**values)
         # Record too short to resolve the requested bandwidth.
         cfg = MeasurementConfig(duration=0.5, rbw=1.0, sample_rate=1e7)
         with pytest.raises(ConfigViolation):

@@ -13,7 +13,6 @@ from bilodyne.errors import (
     ConfigViolation,
     InvalidSpec,
     NonClassicalInput,
-    RateUnbounded,
     TooShort,
     Unresolved,
 )
@@ -21,18 +20,17 @@ from bilodyne.model import DetectorParams, Hypothesis, MeasurementConfig, PulseS
 from bilodyne.montecarlo import (
     CheckResult,
     CurrentTrace,
-    EmissionTimes,
     ExperimentReport,
+    bin_means,
     estimate_psd,
     extract_beatnote,
     flatness_t_statistic,
     floor_statistics,
     intensity_rate,
-    rate_bound,
+    lockin_power,
     run_experiment,
-    sample_emission_times,
+    sample_bin_counts,
     synthesize_current,
-    thinning_sample,
 )
 from bilodyne.analytic import Spectrum, SpectrumKind
 from tests.conftest import (
@@ -90,146 +88,120 @@ class TestIntensityRate:
         with pytest.raises(NonClassicalInput):
             intensity_rate(state, standard_lo(), standard_detector(), 1, 0.0)
         with pytest.raises(NonClassicalInput):
-            rate_bound(state, standard_lo(), standard_detector())
+            bin_means(state, standard_lo(), standard_detector(), 10, 1e-7)
 
 
-class TestRateBound:
-    def test_bounds_the_rate_everywhere(self):
-        state = coherent_state(theta_s=0.9)
-        lo = standard_lo(theta_1=0.2, theta_2=-0.5)
-        det = standard_detector()
-        bound = rate_bound(state, lo, det)
-        t = np.linspace(0.0, 1e-4, 20001)
-        for arm in (1, 2):
-            assert np.max(intensity_rate(state, lo, det, arm, t)) <= bound * (1 + 1e-12)
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-    def test_bound_is_tight_at_constructive_alignment(self):
-        # with all phases zero both tones and the signal line up at t = 0
-        state = coherent_state(theta_s=0.0)
-        lo = standard_lo()
-        det = standard_detector()
-        bound = rate_bound(state, lo, det)
-        peak = max(
-            float(np.max(intensity_rate(state, lo, det, arm, np.linspace(0, 2e-5, 40001))))
-            for arm in (1, 2)
+# the default scene, the scan's anchor scene, and the default scene
+# with the LO tones and the signal turned away from zero phase
+BIN_MEAN_SCENES = {
+    "default": lambda: RunConfig.defaults().build_scene(),
+    "scan": lambda: RunConfig.defaults().build_scan().scenes[0],
+    "rotated": lambda: RunConfig.defaults(
+        {"lo.theta_1": 0.7, "lo.theta_2": -0.4, "field.theta_s": 1.1}
+    ).build_scene(),
+}
+
+
+def _quadrature_bin_means(scene, arm: int, first: int, stop: int, dt: float) -> np.ndarray:
+    """16-node Gauss-Legendre integral of intensity_rate over bins first..stop-1."""
+    centres = (np.arange(first, stop) + 0.5) * dt
+    t = centres[:, None] + 0.5 * dt * _NODES[None, :]
+    rate = intensity_rate(scene.state, scene.lo, scene.det, arm, t.ravel()).reshape(t.shape)
+    return 0.5 * dt * (rate @ _WEIGHTS)
+
+
+class TestBinMeans:
+    @pytest.mark.parametrize("name", sorted(BIN_MEAN_SCENES))
+    def test_matches_quadrature_of_the_rate(self, name):
+        scene = BIN_MEAN_SCENES[name]()
+        n = int(round(scene.meas.duration * scene.meas.sample_rate))
+        dt = 1.0 / scene.meas.sample_rate
+        means = bin_means(scene.state, scene.lo, scene.det, n, dt)
+        for arm, mean in zip((1, 2), means):
+            assert mean.shape == (n,)
+            head = _quadrature_bin_means(scene, arm, 0, 3000, dt)
+            assert np.max(np.abs(mean[:3000] - head) / head) <= 1e-10
+            # near the record end (t = 2 s for the default geometry) the
+            # float phase D t limits both sides
+            tail = _quadrature_bin_means(scene, arm, n - 3000, n, dt)
+            assert np.max(np.abs(mean[n - 3000 :] - tail) / tail) <= 1e-7
+
+    def test_arm_sum_counts_every_photon(self):
+        # the beamsplitter conserves photons: both arms together detect
+        # eta (|E_lo|^2 + |M|^2), whose LO part averages to the LO flux
+        # over whole beat periods; the tones carry the beat only to ~1e-7
+        # relative, which leaves a fraction of a period over
+        state, lo, det = coherent_state(theta_s=0.4), standard_lo(), standard_detector()
+        dt, n = 1e-7, 100000  # 10 ms, 2000 periods of the LO-LO beat
+        m1, m2 = bin_means(state, lo, det, n, dt)
+        assert float(np.sum(m1 + m2)) == pytest.approx(
+            ETA * (LO_FLUX + SIGNAL_FLUX) * n * dt, rel=1e-6
         )
-        assert peak >= 0.95 * bound
 
-
-class TestThinningSample:
-    def test_constant_rate_poisson_count(self):
-        rng = np.random.default_rng(42)
-        rate, duration = 1e4, 20.0
-        times = thinning_sample(
-            lambda t: np.full(np.asarray(t).shape, rate), duration, rng, r_max=rate
-        )
-        expect = rate * duration
-        assert abs(times.size - expect) < 5.0 * math.sqrt(expect)
-        assert np.all(np.diff(times) >= 0.0)
-        assert times[0] >= 0.0 and times[-1] < duration
-
-    def test_step_rate_profile(self):
-        rng = np.random.default_rng(1)
-        duration = 20.0
-        rate_fn = lambda t: np.where(np.asarray(t) < duration / 2.0, 100.0, 900.0)
-        times = thinning_sample(rate_fn, duration, rng, r_max=900.0)
-        n_lo = int(np.sum(times < duration / 2.0))
-        n_hi = times.size - n_lo
-        assert abs(n_lo - 1000.0) < 5.0 * math.sqrt(1000.0)
-        assert abs(n_hi - 9000.0) < 5.0 * math.sqrt(9000.0)
-
-    def test_deterministic_given_rng_state(self):
-        make = lambda: thinning_sample(
-            lambda t: np.full(np.asarray(t).shape, 500.0),
-            2.0,
-            np.random.default_rng(7),
-            r_max=500.0,
-        )
-        np.testing.assert_array_equal(make(), make())
-
-    def test_zero_bound_gives_empty_stream(self):
-        times = thinning_sample(lambda t: np.zeros(np.asarray(t).shape), 1.0,
-                                np.random.default_rng(0), r_max=0.0)
-        assert times.size == 0
-
-    def test_non_finite_bound_rejected(self):
-        rng = np.random.default_rng(0)
-        for bad in (math.inf, math.nan, -1.0):
-            with pytest.raises(RateUnbounded):
-                thinning_sample(lambda t: np.ones(np.asarray(t).shape), 1.0, rng, r_max=bad)
-
-    def test_rate_above_bound_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(RateUnbounded):
-            thinning_sample(
-                lambda t: np.full(np.asarray(t).shape, 10.0), 5.0, rng, r_max=5.0
-            )
-
-    def test_nonpositive_duration_rejected(self):
+    def test_empty_grid_rejected(self):
+        args = (coherent_state(), standard_lo(), standard_detector())
         with pytest.raises(InvalidSpec):
-            thinning_sample(
-                lambda t: np.ones(np.asarray(t).shape), 0.0,
-                np.random.default_rng(0), r_max=1.0,
-            )
+            bin_means(*args, 0, 1e-7)
+        with pytest.raises(InvalidSpec):
+            bin_means(*args, 10, 0.0)
 
 
-class TestSampleEmissionTimes:
+class TestSampleBinCounts:
+    def _means(self, n: int = 100000):
+        return bin_means(coherent_state(), standard_lo(), standard_detector(), n, 1e-7)
+
     def test_deterministic_by_seed(self):
-        state = coherent_state()
-        lo = standard_lo()
-        det = standard_detector()
-        a = sample_emission_times(state, lo, det, 0.01, seed=5)
-        b = sample_emission_times(state, lo, det, 0.01, seed=5)
-        np.testing.assert_array_equal(a.times_1, b.times_1)
-        np.testing.assert_array_equal(a.times_2, b.times_2)
+        means = self._means()
+        a = sample_bin_counts(means, seed=5)
+        b = sample_bin_counts(means, seed=5)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_seed_changes_stream(self):
-        state = coherent_state()
-        lo = standard_lo()
-        det = standard_detector()
-        a = sample_emission_times(state, lo, det, 0.01, seed=5)
-        b = sample_emission_times(state, lo, det, 0.01, seed=6)
-        assert a.times_1.size != b.times_1.size or not np.array_equal(a.times_1, b.times_1)
+        means = self._means()
+        a = sample_bin_counts(means, seed=5)
+        b = sample_bin_counts(means, seed=6)
+        assert not np.array_equal(a[0], b[0])
 
     def test_arms_are_distinct_streams(self):
-        state = coherent_state()
-        times = sample_emission_times(state, standard_lo(), standard_detector(), 0.01, seed=5)
-        assert not np.array_equal(times.times_1, times.times_2)
+        counts = sample_bin_counts(self._means(), seed=5)
+        assert not np.array_equal(counts[0], counts[1])
         # both arms see roughly eta E^2 / 2 on average
         expect = ETA * (LO_FLUX + SIGNAL_FLUX) / 2.0 * 0.01
-        for n in times.counts:
-            assert abs(n - expect) < 6.0 * math.sqrt(expect)
+        for c in counts:
+            assert abs(int(c.sum()) - expect) < 6.0 * math.sqrt(expect)
 
-    def test_validation_of_time_arrays(self):
-        with pytest.raises(InvalidSpec):
-            EmissionTimes(
-                times_1=np.array([0.5, 0.2]),
-                times_2=np.array([]),
-                duration=1.0,
-                seed=0,
-                rate_bound=1.0,
-            )
-        with pytest.raises(InvalidSpec):
-            EmissionTimes(
-                times_1=np.array([0.5, 1.2]),
-                times_2=np.array([]),
-                duration=1.0,
-                seed=0,
-                rate_bound=1.0,
-            )
+    def test_totals_and_dispersion_match_the_means(self):
+        # a rate 1000x the default LO puts ~35 events in a bin, so the
+        # per-bin dispersion index var(c - mu) / mu is well defined
+        lo = standard_lo(flux=1e9)
+        means = bin_means(coherent_state(flux=1e6), lo, standard_detector(), 200000, 1e-7)
+        for mu, c in zip(means, sample_bin_counts(means, seed=13)):
+            total = float(mu.sum())
+            assert abs(int(c.sum()) - total) <= 4.0 * math.sqrt(total)
+            # E[(c - mu)^2 / mu] = 1 per bin, with variance 2 + 1 / mu
+            ratio = (c - mu) ** 2 / mu
+            se = math.sqrt(float(np.mean(2.0 + 1.0 / mu)) / mu.size)
+            assert abs(float(ratio.mean()) - 1.0) <= 4.0 * se
+
+    def test_zero_means_give_no_counts(self):
+        zero = (np.zeros(1000), np.zeros(1000))
+        counts = sample_bin_counts(zero, seed=1)
+        assert all(int(c.sum()) == 0 for c in counts)
 
 
 class TestSynthesizeCurrent:
-    def _times(self, n: int, duration: float, seed: int = 3) -> EmissionTimes:
+    def _counts(self, n: int, bins: int, seed: int = 3):
+        # n events in arm 1 and n // 2 in arm 2, spread over the bins
         rng = np.random.default_rng(seed)
-        t1 = np.sort(rng.uniform(0.0, duration, n))
-        t2 = np.sort(rng.uniform(0.0, duration, n // 2))
-        return EmissionTimes(times_1=t1, times_2=t2, duration=duration,
-                             seed=seed, rate_bound=0.0)
+        arm_1 = np.bincount(rng.integers(0, bins, n), minlength=bins)
+        arm_2 = np.bincount(rng.integers(0, bins, n // 2), minlength=bins)
+        return arm_1, arm_2
 
     def test_delta_pulses_conserve_charge_exactly(self):
-        times = self._times(5000, 0.01)
-        trace = synthesize_current(times, standard_detector(), 1e6)
+        trace = synthesize_current(self._counts(5000, 10000), standard_detector(), 1e6)
         assert float(trace.j1.sum()) * trace.dt == pytest.approx(5000.0, abs=1e-9)
         assert float(trace.j2.sum()) * trace.dt == pytest.approx(2500.0, abs=1e-9)
         np.testing.assert_array_equal(trace.jdiff, trace.j1 - trace.j2)
@@ -239,26 +211,26 @@ class TestSynthesizeCurrent:
         # the only residual is the sub-0.1% kernel discretization
         tau = 1e-5  # ten samples at 1 MHz
         det = DetectorParams(eta=ETA, pulse=PulseShape.exponential(tau))
-        rng = np.random.default_rng(3)
-        t1 = np.sort(rng.uniform(0.0, 0.005, 5000))
-        times = EmissionTimes(times_1=t1, times_2=np.empty(0), duration=0.01,
-                              seed=3, rate_bound=0.0)
-        trace = synthesize_current(times, det, 1e6)
+        arm_1, _ = self._counts(5000, 5000)
+        counts = (np.concatenate([arm_1, np.zeros(5000, dtype=arm_1.dtype)]), np.zeros(10000))
+        trace = synthesize_current(counts, det, 1e6)
         total = float(trace.j1.sum()) * trace.dt
         assert total == pytest.approx(5000.0, rel=1e-3)
         assert total <= 5000.0
 
     def test_trace_geometry(self):
-        times = self._times(100, 0.01)
-        trace = synthesize_current(times, standard_detector(), 1e6)
+        trace = synthesize_current(self._counts(100, 10000), standard_detector(), 1e6)
         assert trace.jdiff.size == 10000
         assert trace.duration == pytest.approx(0.01)
         assert trace.sample_rate == pytest.approx(1e6)
 
     def test_invalid_sample_rate(self):
-        times = self._times(10, 0.01)
         with pytest.raises(InvalidSpec):
-            synthesize_current(times, standard_detector(), 0.0)
+            synthesize_current(self._counts(10, 100), standard_detector(), 0.0)
+
+    def test_arms_must_share_the_grid(self):
+        with pytest.raises(InvalidSpec):
+            synthesize_current((np.ones(10), np.ones(9)), standard_detector(), 1e6)
 
 
 def _cosine_trace(amp: float, f_hz: float, fs: float, duration: float) -> CurrentTrace:
@@ -266,7 +238,7 @@ def _cosine_trace(amp: float, f_hz: float, fs: float, duration: float) -> Curren
     t = np.arange(n) / fs
     j = amp * np.cos(2.0 * math.pi * f_hz * t)
     zero = np.zeros(n)
-    return CurrentTrace(j1=j, j2=zero, jdiff=j, dt=1.0 / fs, seed=0)
+    return CurrentTrace(j1=j, j2=zero, jdiff=j, dt=1.0 / fs)
 
 
 class TestEstimatePsd:
@@ -304,12 +276,36 @@ class TestEstimatePsd:
         state = coherent_state(flux=0.0)
         lo = standard_lo()
         det = standard_detector()
-        times = sample_emission_times(state, lo, det, 0.25, seed=12)
-        trace = synthesize_current(times, det, 1e7)
+        means = bin_means(state, lo, det, 2500000, 1e-7)
+        trace = synthesize_current(sample_bin_counts(means, seed=12), det, 1e7)
         cfg = MeasurementConfig(duration=0.25, rbw=1e3, sample_rate=1e7, n_segments=16)
         spec = estimate_psd(trace, cfg)
         floor_mean, _, _ = floor_statistics(spec, 1e5)
         assert floor_mean == pytest.approx(2.0 * ETA * LO_FLUX, rel=0.03)
+
+
+class TestLockinPower:
+    def test_pure_tone_on_the_record_grid(self):
+        # 150000 samples are two whole blocks and a tail; 0.15 s holds
+        # 1800 periods of 12 kHz
+        amp, f0, fs = 3.0, 1.2e4, 1e6
+        trace = _cosine_trace(amp, f0, fs, 0.15)
+        assert lockin_power(trace.jdiff, f0, trace.dt) == pytest.approx(amp**2 / 2.0, rel=1e-9)
+
+    def test_matches_the_direct_sum(self):
+        x = np.random.default_rng(4).standard_normal(150001)
+        w = 2.0 * math.pi * 1.2e4 * 1e-6
+        direct = 2.0 * abs(np.sum(x * np.exp(-1j * w * np.arange(x.size)))) ** 2 / x.size**2
+        assert lockin_power(x, 1.2e4, 1e-6) == pytest.approx(direct, rel=1e-9)
+
+    def test_white_noise_adds_floor_over_duration(self):
+        # one-sided PSD S = 2 sigma^2 dt; the estimate averages S / T
+        rng = np.random.default_rng(6)
+        n, dt = 4096, 1e-6
+        values = [lockin_power(rng.standard_normal(n), 1.2e4, dt) for _ in range(300)]
+        floor = 2.0 * dt / (n * dt)
+        # each value is exponential about the floor: 300 give a 6 % standard error
+        assert float(np.mean(values)) == pytest.approx(floor, rel=0.25)
 
 
 class TestExtractBeatnote:
