@@ -34,6 +34,15 @@ from .model import (
 )
 
 
+# Largest record (duration * sample rate) and Welch segment or analytic
+# grid (sample rate / rbw) a config may ask for, in samples.  The
+# streamed Monte Carlo pass takes 0.12-0.16 us per sample on a 2-vCPU
+# VM, so MAX_RECORD_SAMPLES is a few minutes of it; the Welch sum over
+# segments of MAX_SEGMENT_SAMPLES peaks at ~150 MiB.
+MAX_RECORD_SAMPLES = 10**9
+MAX_SEGMENT_SAMPLES = 1 << 22
+
+
 def _parse_bool(text: str) -> bool:
     low = text.lower()
     if low in ("true", "yes", "1", "on"):
@@ -170,6 +179,29 @@ class RunConfig:
             raise ConfigViolation(f"{key} must be finite, got {value!r}")
         return value
 
+    def _record_geometry(self, group: str) -> tuple[float, float, float]:
+        """Duration, rbw and sample rate of the group.* keys, finite and within the bounds.
+
+        The bounds are checked before any array exists; the signs are
+        MeasurementConfig's to check.
+        """
+        duration, rbw, rate = (
+            self._finite(f"{group}.{key}") for key in ("duration_s", "rbw_hz", "sample_rate_hz")
+        )
+        if min(duration, rbw, rate) > 0.0:
+            samples, segment = duration * rate, rate / rbw
+            if not samples <= MAX_RECORD_SAMPLES:
+                raise ConfigViolation(
+                    f"{group}.duration_s * {group}.sample_rate_hz = {samples:g} samples, "
+                    f"more than MAX_RECORD_SAMPLES = {MAX_RECORD_SAMPLES:g}"
+                )
+            if not segment <= MAX_SEGMENT_SAMPLES:
+                raise ConfigViolation(
+                    f"{group}.sample_rate_hz / {group}.rbw_hz = {segment:g} samples per segment, "
+                    f"more than MAX_SEGMENT_SAMPLES = {MAX_SEGMENT_SAMPLES}"
+                )
+        return duration, rbw, rate
+
     def build_state(self) -> FieldState:
         v = self.values
         omega_s = TWO_PI * v["field.carrier_hz"]
@@ -231,10 +263,11 @@ class RunConfig:
 
     def build_measurement(self) -> MeasurementConfig:
         v = self.values
+        duration, rbw, rate = self._record_geometry("measurement")
         return MeasurementConfig(
-            duration=self._finite("measurement.duration_s"),
-            rbw=self._finite("measurement.rbw_hz"),
-            sample_rate=self._finite("measurement.sample_rate_hz"),
+            duration=duration,
+            rbw=rbw,
+            sample_rate=rate,
             seed=v["measurement.seed"],
             n_segments=v["measurement.n_segments"],
         )
@@ -269,15 +302,16 @@ class RunConfig:
             raise ConfigViolation(f"scan.count_windows must be >= 1, got {v['scan.count_windows']}")
         window, snr_db = self._finite("scan.window_s"), self._finite("scan.anchor_snr_db")
         e_ph = calibrate_photon_energy(powers[0], window, v["detector.eta"], snr_db)
+        duration, rbw, rate = self._record_geometry("scan")
         geometry = {
             "field.phase_averaged": False,
             "field.theta_s": 0.5 * (v["lo.theta_1"] + v["lo.theta_2"]),
             "squeeze.enabled": False,
             "lo.kind": "bichromatic",
             "lo.f_het_hz": v["scan.f_het_hz"],
-            "measurement.duration_s": self._finite("scan.duration_s"),
-            "measurement.rbw_hz": self._finite("scan.rbw_hz"),
-            "measurement.sample_rate_hz": self._finite("scan.sample_rate_hz"),
+            "measurement.duration_s": duration,
+            "measurement.rbw_hz": rbw,
+            "measurement.sample_rate_hz": rate,
         }
         ratio = self._flux("scan.lo_ratio")
         scenes = []

@@ -2,9 +2,11 @@
 
 The chain is: semiclassical emission rates -> closed-form mean count
 of every sample bin -> one Poisson draw per bin -> current traces ->
-Welch PSD -> beat and floor extraction.  Every stage is deterministic
-given the seed; the two detectors draw from independent child streams
-of one seed sequence.
+Welch PSD -> beat and floor extraction.  A record runs as one pass over
+blocks of _BLOCK samples, each block feeding running sums, so memory is
+O(_BLOCK + Welch segment) whatever the record length.  Every stage is
+deterministic given the seed; the two detectors draw from independent
+child streams of one seed sequence.
 
 Rates here are the semiclassical ones for coherent (or vacuum) input:
 eta/2 |E_lo(t) -+ i M(t)|^2 per arm, which is manifestly non-negative.
@@ -18,8 +20,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import signal as _signal
-from scipy import stats as _stats
+
+# numpy loads these submodules on first use; loading them here keeps that
+# cost in the import rather than in the first run (np.median loads numpy.ma)
+import numpy.fft
+import numpy.ma
+import numpy.random
 
 from . import correlators
 from .analytic import Spectrum, SpectrumKind, shot_floor_psd, output_signal_power
@@ -37,8 +43,8 @@ from .model import (
     validate_measurement,
 )
 
-# bins per block of the bin-mean and lock-in tables; 2^16 doubles is
-# 512 KiB per table
+# samples per block of the streamed pass and of its bin-mean and lock-in
+# tables; 2^16 doubles is 512 KiB per array
 _BLOCK = 1 << 16
 
 
@@ -116,16 +122,17 @@ def _beat_terms(phasors_a, phasors_b, terms: dict) -> None:
             terms[d] = terms.get(d, 0.0) + c
 
 
-def bin_means(state, lo, det, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact expected photoemission count of each bin [k dt, (k+1) dt), per arm.
+def _bin_mean_blocks(state, lo, det, n: int, dt: float):
+    """Iterator over (mean_1, mean_2) of bins [k dt, (k+1) dt), _BLOCK bins at a time.
 
     The arm rate eta/2 |sum_k a_k e^{-i d_k t}|^2 is a trigonometric
     polynomial, so its integral over the bin centred at t_c is
     eta/2 sum_{k,l} a_k a_l* sinc(D_kl dt/2) e^{-i D_kl t_c} dt with
     D_kl = d_k - d_l.  The arms share the LO and signal self terms and
-    differ only in the sign of the LO-signal cross terms.  Bins are
-    filled in blocks of _BLOCK: each distinct D has one cos/sin table
-    over a block, which a block rescales by its start phase e^{-i D t0}.
+    differ only in the sign of the LO-signal cross terms.  Each distinct
+    D has one cos/sin table over a block, which a block rescales by its
+    start phase e^{-i D t0}.  The arguments and the state are checked
+    at the call, before the first block.
     """
     if n < 1 or not dt > 0.0:
         raise InvalidSpec(f"need at least one bin of positive width, got n={n}, dt={dt!r}")
@@ -153,14 +160,29 @@ def bin_means(state, lo, det, n: int, dt: float) -> tuple[np.ndarray, np.ndarray
             out += w.imag * sin_t[:m]
         return out
 
-    mean_1, mean_2 = np.empty(n), np.empty(n)
-    for start in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - start)
-        shared = block(common, start * dt, m)
-        beat = block(cross, start * dt, m)
-        np.add(shared, beat, out=mean_1[start : start + m])
-        np.subtract(shared, beat, out=mean_2[start : start + m])
-    return mean_1, mean_2
+    def blocks():
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            shared = block(common, start * dt, m)
+            beat = block(cross, start * dt, m)
+            yield shared + beat, shared - beat
+
+    return blocks()
+
+
+def bin_means(state, lo, det, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact expected photoemission count of each bin [k dt, (k+1) dt), per arm.
+
+    The whole record of the blocks the streamed pass draws from; see
+    _bin_mean_blocks for the closed form.
+    """
+    arms = zip(*_bin_mean_blocks(state, lo, det, n, dt))
+    return tuple(np.concatenate(blocks) for blocks in arms)
+
+
+def _arm_rngs(seed: int) -> list[np.random.Generator]:
+    """The two arms' generators, independent child streams of one seed sequence."""
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2)]
 
 
 def sample_bin_counts(means, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -168,19 +190,21 @@ def sample_bin_counts(means, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
     Counts of an inhomogeneous Poisson process in disjoint bins are
     independent Poisson variables with the bins' integrated rates as
-    means.  Each arm draws from its own child stream of the seed.
+    means.  Each arm draws from its own child stream of the seed, one
+    bin after the other, so drawing a record block by block from the
+    same generators gives the same counts.
     """
-    children = np.random.SeedSequence(seed).spawn(2)
-    return tuple(np.random.default_rng(c).poisson(m) for c, m in zip(children, means))
+    return tuple(rng.poisson(m) for rng, m in zip(_arm_rngs(seed), means))
 
 
 def synthesize_current(counts, det: DetectorParams, sample_rate: float) -> CurrentTrace:
     """Turn the per-bin counts of both arms into sampled currents and their difference.
 
     Delta pulses deposit charge/dt in their bin, conserving charge
-    exactly.  Exponential pulses convolve the count train with the
-    sampled pulse, conserving charge to 0.1 % once tau covers a few
-    samples (the test suite pins this).
+    exactly, and a block of bins is synthesized on its own.  Exponential
+    pulses convolve the count train with the sampled pulse, conserving
+    charge to 0.1 % once tau covers a few samples (the test suite pins
+    this); their tails cross blocks, so they need the whole record.
     """
     if sample_rate <= 0:
         raise InvalidSpec("sample rate must be positive")
@@ -192,13 +216,84 @@ def synthesize_current(counts, det: DetectorParams, sample_rate: float) -> Curre
     def one_arm(c: np.ndarray) -> np.ndarray:
         if det.pulse.is_delta:
             return c * (det.charge * sample_rate)
+        # imported here: no packaged scenario reaches this branch, and
+        # scipy stays off the import path of the command line
+        from scipy.signal import fftconvolve
+
         tau = det.pulse.tau
         m = max(1, int(math.ceil(20.0 * tau * sample_rate)))
         kernel = (det.charge / tau) * np.exp(-(np.arange(m) + 0.5) * dt / tau)
-        return _signal.fftconvolve(c.astype(float), kernel)[:n]
+        return fftconvolve(c.astype(float), kernel)[:n]
 
     j1, j2 = (one_arm(c) for c in counts)
     return CurrentTrace(j1=j1, j2=j2, jdiff=j1 - j2, dt=dt)
+
+
+def _segment_length(duration: float, sample_rate: float, cfg: MeasurementConfig) -> int:
+    """Welch segment length sample_rate / rbw, once the record is known to hold the average.
+
+    Raises TooShort when the record cannot hold cfg.n_segments
+    non-overlapping segments.
+    """
+    if cfg.n_segments < 8:
+        raise ConfigViolation("PSD estimation needs at least 8 averaging segments")
+    if duration < cfg.n_segments / cfg.rbw - 1e-12:
+        raise TooShort(
+            f"record of {duration:g} s cannot average {cfg.n_segments} "
+            f"segments at rbw {cfg.rbw:g} Hz"
+        )
+    nperseg = int(round(sample_rate / cfg.rbw))
+    if nperseg < 8:
+        raise ConfigViolation("rbw too coarse for this sample rate (segment < 8 samples)")
+    return nperseg
+
+
+class _Welch:
+    """Running Welch sum (Welch 1967) over samples that arrive in chunks of any size.
+
+    Hann window (periodic), segments of nperseg samples every
+    nperseg - nperseg // 2, each with its mean removed, one-sided density
+    scaling: the estimate scipy.signal.welch makes of the concatenated
+    chunks with window="hann", noverlap=nperseg // 2 and
+    detrend="constant".  The samples from the start of the first
+    incomplete segment on are held over to the next chunk.
+    """
+
+    def __init__(self, nperseg: int, fs: float):
+        self.nperseg, self.hop, self.fs = nperseg, nperseg - nperseg // 2, fs
+        self.window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1))[:-1]
+        self.batch = max(1, _BLOCK // nperseg)  # segments per rfft call
+        self.total = np.zeros(nperseg // 2 + 1)
+        self.segments = 0
+        self.held: list[np.ndarray] = []
+        self.held_size = 0
+
+    def add(self, x: np.ndarray) -> None:
+        self.held.append(x)
+        self.held_size += x.size
+        if self.held_size < self.nperseg:
+            return
+        buf = self.held[0] if len(self.held) == 1 else np.concatenate(self.held)
+        segs = np.lib.stride_tricks.sliding_window_view(buf, self.nperseg)[:: self.hop]
+        for first in range(0, len(segs), self.batch):
+            part = segs[first : first + self.batch]
+            part = part - part.mean(axis=1, keepdims=True)
+            part *= self.window
+            spec = np.fft.rfft(part, axis=1)
+            self.total += (spec.real**2 + spec.imag**2).sum(axis=0)
+        self.segments += len(segs)
+        rest = buf[len(segs) * self.hop :].copy()
+        self.held, self.held_size = [rest], rest.size
+
+    def spectrum(self) -> Spectrum:
+        psd = self.total / (self.segments * self.fs * float((self.window * self.window).sum()))
+        psd[1 : None if self.nperseg % 2 else -1] *= 2.0
+        return Spectrum(
+            freqs_hz=np.fft.rfftfreq(self.nperseg, 1.0 / self.fs),
+            psd=psd,
+            rbw_hz=self.fs / self.nperseg,
+            kind=SpectrumKind.ESTIMATED,
+        )
 
 
 def estimate_psd(trace: CurrentTrace, cfg: MeasurementConfig) -> Spectrum:
@@ -209,32 +304,9 @@ def estimate_psd(trace: CurrentTrace, cfg: MeasurementConfig) -> Spectrum:
     resolution bandwidth.  Raises TooShort when the record cannot hold
     cfg.n_segments non-overlapping segments.
     """
-    if cfg.n_segments < 8:
-        raise ConfigViolation("PSD estimation needs at least 8 averaging segments")
-    if trace.duration < cfg.n_segments / cfg.rbw - 1e-12:
-        raise TooShort(
-            f"record of {trace.duration:g} s cannot average {cfg.n_segments} "
-            f"segments at rbw {cfg.rbw:g} Hz"
-        )
-    nperseg = int(round(trace.sample_rate / cfg.rbw))
-    if nperseg < 8:
-        raise ConfigViolation("rbw too coarse for this sample rate (segment < 8 samples)")
-    freqs, psd = _signal.welch(
-        trace.jdiff,
-        fs=trace.sample_rate,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend="constant",
-        scaling="density",
-        return_onesided=True,
-    )
-    return Spectrum(
-        freqs_hz=freqs,
-        psd=psd,
-        rbw_hz=trace.sample_rate / nperseg,
-        kind=SpectrumKind.ESTIMATED,
-    )
+    welch = _Welch(_segment_length(trace.duration, trace.sample_rate, cfg), trace.sample_rate)
+    welch.add(trace.jdiff)
+    return welch.spectrum()
 
 
 @dataclass(frozen=True)
@@ -282,23 +354,63 @@ def extract_beatnote(spectrum: Spectrum, f_beat_hz: float) -> BeatnoteEstimate:
     )
 
 
+class _Lockin:
+    """Running sum of x[n] e^{-i w n dt} over the samples fed so far.
+
+    Each block of at most _BLOCK samples is a product with one cos/sin
+    table, rotated by the phase w n dt of its first sample, so no
+    full-length complex temporary is made.
+    """
+
+    def __init__(self, f_hz: float, dt: float, n: int):
+        self.w = TWO_PI * f_hz * dt
+        phase = self.w * np.arange(min(n, _BLOCK))  # tables no longer than the record
+        self.cos, self.sin = np.cos(phase), np.sin(phase)
+        self.total = 0j
+        self.n = 0
+
+    def add(self, x: np.ndarray) -> None:
+        for start in range(0, x.size, _BLOCK):
+            part = x[start : start + _BLOCK]
+            m = part.size
+            row = complex(part @ self.cos[:m], -(part @ self.sin[:m]))
+            self.total += row * cmath.exp(-1j * self.w * self.n)
+            self.n += m
+
+    def power(self) -> float:
+        return float(2.0 * abs(self.total) ** 2 / self.n**2)
+
+
 def lockin_power(x: np.ndarray, f_hz: float, dt: float) -> float:
     """Full-record lock-in power 2 |sum_n x[n] e^{-i w n dt}|^2 / N^2 of a line at f_hz.
 
     White noise of one-sided PSD S adds S / (N dt) on average, which the
-    caller subtracts.  Blocks of _BLOCK samples are the rows of a matrix
-    times one cos/sin table, each row sum then rotated by its block's
-    start phase, so no full-length complex temporary is made.
+    caller subtracts.
     """
-    n = x.size
-    w = TWO_PI * f_hz * dt
-    rows = n // _BLOCK
-    head = x[: rows * _BLOCK].reshape(rows, _BLOCK)
-    phase = w * np.arange(_BLOCK)
-    row_sums = head @ np.cos(phase) - 1j * (head @ np.sin(phase))
-    total = np.dot(row_sums, np.exp(-1j * w * _BLOCK * np.arange(rows)))
-    total += np.dot(x[rows * _BLOCK :], np.exp(-1j * w * np.arange(rows * _BLOCK, n)))
-    return float(2.0 * abs(total) ** 2 / n**2)
+    lockin = _Lockin(f_hz, dt, x.size)
+    lockin.add(x)
+    return lockin.power()
+
+
+class _Moments:
+    """Running count, mean and sum of squared deviations of the values fed so far.
+
+    Blocks merge by the pairwise update of Chan, Golub & LeVeque (1979).
+    """
+
+    def __init__(self):
+        self.n, self.mean, self.m2 = 0, 0.0, 0.0
+
+    def add(self, x: np.ndarray) -> None:
+        m, mean = x.size, float(x.mean())
+        dev = x - mean
+        delta, total = mean - self.mean, self.n + m
+        self.m2 += float(dev @ dev) + delta * delta * self.n * m / total
+        self.mean += delta * m / total
+        self.n = total
+
+    def var(self, ddof: int = 0) -> float:
+        return self.m2 / (self.n - ddof)
 
 
 def floor_statistics(
@@ -334,10 +446,17 @@ def flatness_t_statistic(spectrum: Spectrum, mask: np.ndarray, decimate: int = 3
     y = spectrum.psd[mask][::decimate]
     if f.size < 10:
         raise Unresolved("too few floor bins for a slope test")
-    res = _stats.linregress(f, y)
+    fd, yd = f - f.mean(), y - y.mean()
+    sxx = float(fd @ fd)
+    slope = float(fd @ yd) / sxx
+    resid = yd - slope * fd
     dof = f.size - 2
-    t_crit = float(_stats.t.ppf(0.975, dof))
-    t_stat = float(res.slope / res.stderr) if res.stderr > 0 else 0.0
+    stderr = math.sqrt(float(resid @ resid) / dof / sxx)
+    # imported here so that scipy stays off the import path of the command line
+    from scipy.special import stdtrit
+
+    t_crit = float(stdtrit(dof, 0.975))
+    t_stat = slope / stderr if stderr > 0 else 0.0
     return t_stat, t_crit
 
 
@@ -395,14 +514,68 @@ def _binning_power_loss(f_hz: float, sample_rate: float) -> float:
     return (math.sin(x) / x) ** 2
 
 
-def _simulate_trace(scene: Scene, seed: int):
-    """Bin means, per-arm event totals and current trace of one record."""
-    meas = scene.meas
+@dataclass(frozen=True)
+class _Record:
+    """The statistics of one simulated record, and its trace when kept."""
+
+    spectrum: Spectrum
+    totals: tuple[int, int]  # photoemissions per arm
+    duration: float
+    lockin: float  # lock-in power at f_het, see lockin_power
+    variance: float  # of the difference current
+    cross_z: float  # z-score of the zero-lag arm covariance
+    trace: CurrentTrace | None
+
+
+def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record:
+    """Simulate one record of a validated delta-pulse scene in one pass of _BLOCK-bin blocks.
+
+    Each block gets its bin means, one Poisson draw per bin and arm and
+    its currents, which feed the Welch sum, the lock-in sum at f_het, the
+    variance of the difference current and the zero-lag covariance of
+    the arms.  The deterministic beat lives in both arm means with
+    opposite signs, so the covariance is taken after subtracting each
+    bin's exact mean current (its mean count times charge / dt): the
+    remaining shot fluctuations must be uncorrelated.  The whole trace
+    is kept, 24 bytes per sample, only when keep_trace asks for it.
+    """
+    meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))
-    means = bin_means(scene.state, scene.lo, scene.det, n, 1.0 / meas.sample_rate)
-    counts = sample_bin_counts(means, seed)
-    totals = tuple(int(c.sum()) for c in counts)
-    return means, totals, synthesize_current(counts, scene.det, meas.sample_rate)
+    dt = 1.0 / meas.sample_rate
+    fs = 1.0 / dt  # the kept trace's sample_rate, so its estimate_psd has this grid
+    welch = _Welch(_segment_length(n * dt, fs, meas), fs)
+    lockin = _Lockin(scene.f_het_hz, dt, n)
+    variance, cross = _Moments(), _Moments()
+    to_current = -det.charge / dt
+    totals, start = [0, 0], 0
+    whole = [np.empty(n) for _ in range(3)] if keep_trace else []  # j1, j2, jdiff
+    rngs = _arm_rngs(seed)
+    for means in _bin_mean_blocks(scene.state, scene.lo, det, n, dt):
+        counts = tuple(rng.poisson(m) for rng, m in zip(rngs, means))
+        totals = [total + int(c.sum()) for total, c in zip(totals, counts)]
+        block = synthesize_current(counts, det, meas.sample_rate)
+        welch.add(block.jdiff)
+        lockin.add(block.jdiff)
+        variance.add(block.jdiff)
+        d1 = np.multiply(means[0], to_current)
+        d1 += block.j1
+        d2 = np.multiply(means[1], to_current)
+        d2 += block.j2
+        d1 *= d2
+        cross.add(d1)
+        for out, part in zip(whole, (block.j1, block.j2, block.jdiff)):
+            out[start : start + part.size] = part
+        start += block.jdiff.size
+    se = math.sqrt(cross.var(ddof=1) / n)
+    return _Record(
+        spectrum=welch.spectrum(),
+        totals=tuple(totals),
+        duration=n * dt,
+        lockin=lockin.power(),
+        variance=variance.var(),
+        cross_z=cross.mean / se if se > 0 else 0.0,
+        trace=CurrentTrace(*whole, dt=dt) if keep_trace else None,
+    )
 
 
 def _check_scene(scene: Scene) -> None:
@@ -484,11 +657,8 @@ def _scenario_floor(
         scene = replace(scene, state=replace(scene.state, modes=vacuum))
     state, lo, det, meas, f_het = scene.state, scene.lo, scene.det, scene.meas, scene.f_het_hz
     seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
-    means, totals, trace = _simulate_trace(scene, seed)
-    # checked before Welch so the bin means are not held through it
-    z_cross = _zero_lag_cross_z(trace, means, det) if extras else None
-    del means
-    spec = estimate_psd(trace, meas)
+    record = _stream_record(scene, seed, keep_traces)
+    spec = record.spectrum
 
     floor_target = float(shot_floor_psd(lo, det, TWO_PI * f_het))
     floor_mean, floor_sigma, mask = floor_statistics(spec, f_het)
@@ -516,12 +686,12 @@ def _scenario_floor(
             "floor_mean": floor_mean,
             "floor_sigma": floor_sigma,
             "floor_target": floor_target,
-            "counts_1": totals[0],
-            "counts_2": totals[1],
+            "counts_1": record.totals[0],
+            "counts_2": record.totals[1],
         }
     )
     if signal:
-        power = lockin_power(trace.jdiff, f_het, trace.dt) - floor_mean / trace.duration
+        power = record.lockin - floor_mean / record.duration
         target = output_signal_power(state, lo, det) * _binning_power_loss(
             f_het, meas.sample_rate
         )
@@ -537,7 +707,7 @@ def _scenario_floor(
         report.scalars["beat_power"] = power
         report.scalars["beat_target"] = target
     if extras:
-        var = float(np.var(trace.jdiff))
+        var = record.variance
         integrated = float(np.trapezoid(spec.psd, spec.freqs_hz))
         report.checks.append(
             CheckResult(
@@ -551,35 +721,15 @@ def _scenario_floor(
         report.checks.append(
             CheckResult(
                 name="arm_cross_covariance_z",
-                value=z_cross,
+                value=record.cross_z,
                 target=0.0,
                 tolerance=3.0,
-                passed=abs(z_cross) <= 3.0,
+                passed=abs(record.cross_z) <= 3.0,
             )
         )
     report.spectra["difference_current"] = spec
     if keep_traces:
-        report.traces["difference_current"] = trace
-
-
-def _zero_lag_cross_z(trace: CurrentTrace, means, det: DetectorParams) -> float:
-    """z-score of the zero-lag covariance between the two arm currents.
-
-    The deterministic beat lives in both means with opposite signs, so
-    the exact mean current of each bin (its mean count times charge/dt)
-    is subtracted before testing that the remaining shot fluctuations
-    are uncorrelated.
-    """
-    n = trace.jdiff.size
-    to_current = -det.charge / trace.dt
-    d1 = np.multiply(means[0], to_current)
-    d1 += trace.j1
-    d2 = np.multiply(means[1], to_current)
-    d2 += trace.j2
-    d1 *= d2
-    cov = float(np.mean(d1))
-    se = float(np.std(d1, ddof=1) / math.sqrt(n))
-    return cov / se if se > 0 else 0.0
+        report.traces["difference_current"] = record.trace
 
 
 def _scenario_null_phase(
@@ -593,10 +743,10 @@ def _scenario_null_phase(
     quadrature = PhaseMode.fixed(scene.lo.theta_bar + math.pi / 2.0)
     scene = replace(scene, state=replace(scene.state, phase=quadrature))
     seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
-    _, _, trace = _simulate_trace(scene, seed)
-    spec = estimate_psd(trace, scene.meas)
+    record = _stream_record(scene, seed, keep_traces)
+    spec = record.spectrum
     if keep_traces:
-        report.traces["difference_current"] = trace
+        report.traces["difference_current"] = record.trace
     floor_mean, floor_sigma, _ = floor_statistics(spec, scene.f_het_hz)
     beat = extract_beatnote(spec, scene.f_het_hz)
     threshold = floor_mean + 3.0 * floor_sigma
@@ -638,7 +788,7 @@ def _scenario_sensitivity(
         flux = power / scan.photon_energy_j
         f_het = scene.f_het_hz
         seed_het, seed_count = (int(s.generate_state(1, dtype=np.uint64)[0] >> 1) for s in child.spawn(2))
-        spec = estimate_psd(_simulate_trace(scene, seed_het)[2], scene.meas)
+        spec = _stream_record(scene, seed_het).spectrum
         beat = extract_beatnote(spec, f_het)
         floor_mean, _, _ = floor_statistics(spec, f_het)
         p_avg = 0.5 * beat.power / _binning_power_loss(f_het, scene.meas.sample_rate)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +451,23 @@ class TestCliErrors:
         assert "error:" in err and "scan.powers_nw" in err
 
     @pytest.mark.parametrize("scenario", ["analytic", "simulate"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("measurement.sample_rate_hz = 1e300", "MAX_RECORD_SAMPLES"),
+            ("measurement.duration_s = 1e9", "MAX_RECORD_SAMPLES"),
+            ("measurement.rbw_hz = 1e-300", "MAX_SEGMENT_SAMPLES"),
+            ("measurement.rbw_hz = 1", "MAX_SEGMENT_SAMPLES"),
+        ],
+    )
+    def test_oversized_record_exits_one(self, tmp_path, capsys, scenario, setting, message):
+        # refused by the config layer, before any array is allocated
+        cfg = write_cfg(tmp_path, BASE_CFG + setting + "\n")
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and setting.split()[0] in err
+
+    @pytest.mark.parametrize("scenario", ["analytic", "simulate"])
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("key", ["field.signal_flux", "lo.flux"])
     def test_bad_flux_exits_one(self, tmp_path, capsys, scenario, value, key):
@@ -499,6 +518,8 @@ class TestCliErrors:
             ("scan.anchor_snr_db = 1e4", "input SNR 10000.0 dB"),
             ("scan.duration_s = inf", "scan.duration_s"),
             ("scan.count_windows = 0", "scan.count_windows"),
+            ("scan.sample_rate_hz = 1e300", "scan.sample_rate_hz"),
+            ("scan.rbw_hz = 1e-3", "scan.rbw_hz"),
         ],
     )
     def test_bad_scan_value_exits_one(self, tmp_path, capsys, argv, setting, message):
@@ -511,3 +532,17 @@ class TestCliErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "x"])
         assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only on the paths that need it (the Fock oracle,
+    # the slope test's t quantile, exponential pulses), not at start-up
+    import bilodyne
+
+    src = str(Path(bilodyne.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bilodyne.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

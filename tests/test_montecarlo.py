@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from bilodyne.montecarlo import (
 )
 from bilodyne.analytic import Spectrum, SpectrumKind
 from tests.conftest import (
+    DEFAULT_SEED,
     ETA,
     LO_FLUX,
     SIGNAL_FLUX,
@@ -437,3 +439,63 @@ class TestRunExperiment:
         trace = report.traces["difference_current"]
         assert isinstance(trace, CurrentTrace)
         assert trace.duration == pytest.approx(0.25)
+
+
+class TestStreamedRun:
+    """The one-pass run against the same record held whole."""
+
+    SCENE = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
+
+    def test_matches_the_whole_record(self):
+        scene = self.SCENE
+        report = run_experiment("default", scene, seed=DEFAULT_SEED, keep_traces=True)
+        # the record's seed, drawn from the run's seed as _scenario_floor draws it
+        root = np.random.SeedSequence(DEFAULT_SEED)
+        seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
+        dt = 1.0 / scene.meas.sample_rate
+        n = int(round(scene.meas.duration * scene.meas.sample_rate))
+        means = bin_means(scene.state, scene.lo, scene.det, n, dt)
+        counts = sample_bin_counts(means, seed)
+        assert report.scalars["counts_1"] == int(counts[0].sum())
+        assert report.scalars["counts_2"] == int(counts[1].sum())
+
+        whole = synthesize_current(counts, scene.det, scene.meas.sample_rate)
+        kept = report.traces["difference_current"]
+        assert kept.jdiff.tobytes() == whole.jdiff.tobytes()
+        assert kept.dt == whole.dt
+
+        from scipy import signal
+
+        nperseg = int(round(scene.meas.sample_rate / scene.meas.rbw))
+        freqs, psd = signal.welch(
+            whole.jdiff, fs=whole.sample_rate, window="hann", nperseg=nperseg,
+            noverlap=nperseg // 2, detrend="constant", scaling="density",
+        )
+        spec = report.spectra["difference_current"]
+        np.testing.assert_array_equal(spec.freqs_hz, freqs)
+        assert np.max(np.abs(spec.psd - psd) / psd) <= 1e-12
+
+        checks = {c.name: c.value for c in report.checks}
+        w = 2.0 * math.pi * scene.f_het_hz * dt
+        direct = 2.0 * abs(np.dot(whole.jdiff, np.exp(-1j * w * np.arange(n)))) ** 2 / n**2
+        floor = report.scalars["floor_mean"]
+        assert checks["beatnote_power"] == pytest.approx(direct - floor / whole.duration, rel=1e-12)
+        integrated = float(np.trapezoid(psd, freqs))
+        assert checks["parseval_ratio"] == pytest.approx(
+            integrated / float(np.var(whole.jdiff)), rel=1e-12
+        )
+        to_current = scene.det.charge / dt
+        product = (whole.j1 - means[0] * to_current) * (whole.j2 - means[1] * to_current)
+        z = product.mean() / (product.std(ddof=1) / math.sqrt(n))
+        assert checks["arm_cross_covariance_z"] == pytest.approx(z, rel=1e-12)
+
+    def test_memory_stays_within_blocks(self):
+        # the whole 2.5e6-sample record would take 20 MB per array;
+        # the streamed pass holds a few blocks of 2^16 samples
+        tracemalloc.start()
+        try:
+            run_experiment("default", self.SCENE, seed=DEFAULT_SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
