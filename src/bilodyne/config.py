@@ -34,13 +34,17 @@ from .model import (
 )
 
 
-# Largest record (duration * sample rate) and Welch segment or analytic
-# grid (sample rate / rbw) a config may ask for, in samples.  The
+# Largest record (duration * sample rate, or scan.count_windows of the
+# counting run) and Welch segment or analytic grid (sample rate / rbw) a
+# config may ask for, in samples.  The
 # streamed Monte Carlo pass takes 0.12-0.16 us per sample on a 2-vCPU
 # VM, so MAX_RECORD_SAMPLES is a few minutes of it; the Welch sum over
 # segments of MAX_SEGMENT_SAMPLES peaks at ~150 MiB.
 MAX_RECORD_SAMPLES = 10**9
 MAX_SEGMENT_SAMPLES = 1 << 22
+# Largest photon flux of a scene, in photons/s (and largest scan.lo_ratio):
+# ~2e11 W at 1 um, and far from float overflow in products of two fluxes
+MAX_PHOTON_FLUX = 1e30
 
 
 def _parse_bool(text: str) -> bool:
@@ -169,8 +173,10 @@ class RunConfig:
 
     def _flux(self, key: str) -> float:
         flux = self.values[key]
-        if not (flux >= 0.0 and math.isfinite(flux)):
-            raise ConfigViolation(f"{key} must be finite and >= 0, got {flux!r}")
+        if not 0.0 <= flux <= MAX_PHOTON_FLUX:
+            raise ConfigViolation(
+                f"{key} must be in [0, MAX_PHOTON_FLUX = {MAX_PHOTON_FLUX:g}], got {flux!r}"
+            )
         return flux
 
     def _finite(self, key: str) -> float:
@@ -298,8 +304,11 @@ class RunConfig:
             raise ParseError(
                 f"scan.powers_nw must list positive finite powers, got {v['scan.powers_nw']!r}"
             )
-        if v["scan.count_windows"] < 1:
-            raise ConfigViolation(f"scan.count_windows must be >= 1, got {v['scan.count_windows']}")
+        if not 1 <= v["scan.count_windows"] <= MAX_RECORD_SAMPLES:
+            raise ConfigViolation(
+                f"scan.count_windows must be in [1, MAX_RECORD_SAMPLES = {MAX_RECORD_SAMPLES:g}], "
+                f"got {v['scan.count_windows']}"
+            )
         window, snr_db = self._finite("scan.window_s"), self._finite("scan.anchor_snr_db")
         e_ph = calibrate_photon_energy(powers[0], window, v["detector.eta"], snr_db)
         duration, rbw, rate = self._record_geometry("scan")
@@ -317,6 +326,12 @@ class RunConfig:
         scenes = []
         for power in powers:
             flux = power / e_ph
+            if not max(ratio, 1.0) * flux <= MAX_PHOTON_FLUX:
+                raise ConfigViolation(
+                    f"scan.powers_nw: {power * 1e9:g} nW is {flux:g} photons/s at the photon "
+                    "energy calibrated from scan.window_s, scan.anchor_snr_db and detector.eta; it or "
+                    f"scan.lo_ratio times it is above MAX_PHOTON_FLUX = {MAX_PHOTON_FLUX:g}"
+                )
             values = {**v, **geometry, "field.signal_flux": flux, "lo.flux": ratio * flux}
             scenes.append(RunConfig(self.scenario, values).build_scene())
         return Scan(

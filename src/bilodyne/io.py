@@ -55,7 +55,8 @@ def write_trace_bin(path: Path | str, trace: CurrentTrace) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(trace.jdiff, dtype="<f8").tobytes())
+        # through the array's buffer: tobytes() would copy the whole record
+        fh.write(memoryview(np.ascontiguousarray(trace.jdiff, dtype="<f8")))
 
 
 def read_trace_bin(path: Path | str) -> tuple[float, np.ndarray]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigViolation, InvalidSpec, Unsupported
@@ -27,6 +28,8 @@ TWO_PI = 2.0 * math.pi
 # separations are >= 1e4 rad/s.  1e-13 relative (~1e2 rad/s absolute)
 # sits safely between the two.
 FREQ_RTOL = 1e-13
+# largest squeeze parameter whose population sinh(r)^2 is a finite float
+MAX_SQUEEZE_R = math.asinh(math.sqrt(sys.float_info.max))
 
 
 class ModeLabel(str, enum.Enum):
@@ -90,8 +93,11 @@ class SqueezePair:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.r < 0.0 or not math.isfinite(self.r):
-            raise InvalidSpec(f"squeeze parameter must be >= 0, got {self.r!r}")
+        if not 0.0 <= self.r <= MAX_SQUEEZE_R:
+            raise InvalidSpec(
+                f"squeeze parameter must be in [0, {MAX_SQUEEZE_R:.6g}], where the pair's "
+                f"population sinh(r)^2 is a finite float, got {self.r!r}"
+            )
 
 
 @dataclass(frozen=True)

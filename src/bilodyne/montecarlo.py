@@ -8,6 +8,13 @@ O(_BLOCK + Welch segment) whatever the record length.  Every stage is
 deterministic given the seed; the two detectors draw from independent
 child streams of one seed sequence.
 
+A record of more than one block runs on two threads: a worker makes the
+bin means and draws the counts up to _READ_AHEAD blocks ahead, and the
+calling thread synthesizes the currents and feeds the running sums.
+Only the worker draws, block after block, and the sums are fed in block
+order, so the results are bit for bit those of a serial pass; memory is
+O(_READ_AHEAD + 1 blocks + segment).  A one-block record runs serially.
+
 Rates here are the semiclassical ones for coherent (or vacuum) input:
 eta/2 |E_lo(t) -+ i M(t)|^2 per arm, which is manifestly non-negative.
 Squeezed input has no such rate picture and is refused.
@@ -16,7 +23,10 @@ Squeezed input has no such rate picture and is refused.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,6 +56,12 @@ from .model import (
 # samples per block of the streamed pass and of its bin-mean and lock-in
 # tables; 2^16 doubles is 512 KiB per array
 _BLOCK = 1 << 16
+# blocks the drawing thread of the streamed pass may run ahead of the
+# calling thread: depth 1 leaves it waiting on the caller, 3 gains nothing
+_READ_AHEAD = 2
+# numpy draws a Poisson count only for a mean below ~9.2e18 (int64); a
+# run whose bins or counting windows could ask more is refused first
+_MAX_POISSON_MEAN = 1e18
 
 
 @dataclass(frozen=True)
@@ -527,6 +543,24 @@ class _Record:
     trace: CurrentTrace | None
 
 
+def _draws(mean_blocks, rngs):
+    """(means, counts) of each block of means, one Poisson draw per bin and arm, in block order."""
+    for means in mean_blocks:
+        yield means, tuple(rng.poisson(m) for rng, m in zip(rngs, means))
+
+
+def _read_ahead(pool: ThreadPoolExecutor, items):
+    """The items of an iterator, each taken on pool's one thread up to _READ_AHEAD items early.
+
+    The worker's error is raised here, in place of its item.  Shutting
+    the pool down waits for the items still pending.
+    """
+    pending = deque(pool.submit(next, items, None) for _ in range(_READ_AHEAD))
+    while (item := pending.popleft().result()) is not None:
+        pending.append(pool.submit(next, items, None))
+        yield item
+
+
 def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record:
     """Simulate one record of a validated delta-pulse scene in one pass of _BLOCK-bin blocks.
 
@@ -538,6 +572,15 @@ def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record
     bin's exact mean current (its mean count times charge / dt): the
     remaining shot fluctuations must be uncorrelated.  The whole trace
     is kept, 24 bytes per sample, only when keep_trace asks for it.
+
+    A record of more than one block runs on two threads.  A worker
+    thread makes the bin means and draws both arms' counts, up to
+    _READ_AHEAD blocks ahead; the calling thread synthesizes the
+    currents and feeds every running sum and the kept trace, in block
+    order.  Only the worker touches the two generators, block after
+    block, so the counts, and every sum fed in the same order, are those
+    of a serial pass; memory is O(_READ_AHEAD + 1 blocks + segment).  A
+    record of one block has nothing to overlap and runs serially.
     """
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))
@@ -549,23 +592,25 @@ def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record
     to_current = -det.charge / dt
     totals, start = [0, 0], 0
     whole = [np.empty(n) for _ in range(3)] if keep_trace else []  # j1, j2, jdiff
-    rngs = _arm_rngs(seed)
-    for means in _bin_mean_blocks(scene.state, scene.lo, det, n, dt):
-        counts = tuple(rng.poisson(m) for rng, m in zip(rngs, means))
-        totals = [total + int(c.sum()) for total, c in zip(totals, counts)]
-        block = synthesize_current(counts, det, meas.sample_rate)
-        welch.add(block.jdiff)
-        lockin.add(block.jdiff)
-        variance.add(block.jdiff)
-        d1 = np.multiply(means[0], to_current)
-        d1 += block.j1
-        d2 = np.multiply(means[1], to_current)
-        d2 += block.j2
-        d1 *= d2
-        cross.add(d1)
-        for out, part in zip(whole, (block.j1, block.j2, block.jdiff)):
-            out[start : start + part.size] = part
-        start += block.jdiff.size
+    draws = _draws(_bin_mean_blocks(scene.state, scene.lo, det, n, dt), _arm_rngs(seed))
+    with contextlib.ExitStack() as stack:
+        if n > _BLOCK:
+            draws = _read_ahead(stack.enter_context(ThreadPoolExecutor(1)), draws)
+        for means, counts in draws:
+            totals = [total + int(c.sum()) for total, c in zip(totals, counts)]
+            block = synthesize_current(counts, det, meas.sample_rate)
+            welch.add(block.jdiff)
+            lockin.add(block.jdiff)
+            variance.add(block.jdiff)
+            d1 = np.multiply(means[0], to_current)
+            d1 += block.j1
+            d2 = np.multiply(means[1], to_current)
+            d2 += block.j2
+            d1 *= d2
+            cross.add(d1)
+            for out, part in zip(whole, (block.j1, block.j2, block.jdiff)):
+                out[start : start + part.size] = part
+            start += block.jdiff.size
     se = math.sqrt(cross.var(ddof=1) / n)
     return _Record(
         spectrum=welch.spectrum(),
@@ -597,6 +642,15 @@ def _check_scene(scene: Scene) -> None:
                 "signal, a bichromatic LO and delta pulses"
             )
     validate_measurement(scene.meas, scene.lo)
+    # no bin of either arm expects more than eta/2 (sum of |amplitudes|)^2 dt
+    amps = np.concatenate([a for _, a in _arm_phasors(scene.state, scene.lo)])
+    peak = 0.5 * scene.det.eta * float(np.abs(amps).sum()) ** 2 / scene.meas.sample_rate
+    if not peak <= _MAX_POISSON_MEAN:
+        raise ConfigViolation(
+            f"a sample bin may expect {peak:g} photoemissions, more than the "
+            f"{_MAX_POISSON_MEAN:g} a Poisson draw takes: lower field.signal_flux or lo.flux "
+            "(scan.powers_nw or scan.lo_ratio for the scan)"
+        )
 
 
 def run_experiment(
@@ -708,6 +762,10 @@ def _scenario_floor(
         report.scalars["beat_target"] = target
     if extras:
         var = record.variance
+        if not var > 0.0:
+            raise Unresolved(
+                "the difference current is constant, so the Parseval ratio is undefined"
+            )
         integrated = float(np.trapezoid(spec.psd, spec.freqs_hz))
         report.checks.append(
             CheckResult(
@@ -779,8 +837,13 @@ def _scenario_sensitivity(
     phase-averaged convention before forming
     SNR_out = P / (floor * rbw_ref), rbw_ref = 1 / window.
     """
-    for scene in scan.scenes:
+    for power, scene in zip(scan.powers_w, scan.scenes):
         _check_scene(scene)
+        if not scene.det.eta * power / scan.photon_energy_j * scan.window_s <= _MAX_POISSON_MEAN:
+            raise ConfigViolation(
+                f"the counting run at {power * 1e9:g} nW expects more than {_MAX_POISSON_MEAN:g} "
+                "photoemissions per window: lower scan.powers_nw or scan.window_s"
+            )
     window = scan.window_s
     rbw_ref = 1.0 / window
     rows = []
@@ -792,11 +855,21 @@ def _scenario_sensitivity(
         beat = extract_beatnote(spec, f_het)
         floor_mean, _, _ = floor_statistics(spec, f_het)
         p_avg = 0.5 * beat.power / _binning_power_loss(f_het, scene.meas.sample_rate)
-        snr_out_emp = 10.0 * math.log10(p_avg / (floor_mean * rbw_ref))
 
-        # input side: count detected signal photons without the LO
+        # input side: count detected signal photons without the LO, _BLOCK windows at a time
         rng = np.random.default_rng(seed_count)
-        n_mean = float(rng.poisson(scene.det.eta * flux * window, scan.count_windows).mean())
+        lam, windows = scene.det.eta * flux * window, scan.count_windows
+        n_mean = sum(
+            float(rng.poisson(lam, min(_BLOCK, windows - k)).sum(dtype=float))
+            for k in range(0, windows, _BLOCK)
+        ) / windows
+        if not (p_avg > 0.0 and floor_mean > 0.0 and n_mean > 0.0):
+            raise Unresolved(
+                f"at {power * 1e9:g} nW the measured beat power ({p_avg:g}), floor "
+                f"({floor_mean:g}) or mean count ({n_mean:g}) is not positive, so its SNR in dB "
+                "is undefined"
+            )
+        snr_out_emp = 10.0 * math.log10(p_avg / (floor_mean * rbw_ref))
         snr_in_emp = 10.0 * math.log10(n_mean)
         nf_emp = snr_in_emp - snr_out_emp
         rows.append(

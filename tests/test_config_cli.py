@@ -528,6 +528,30 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "error:" in err and message in err
 
+    @pytest.mark.parametrize(
+        "argv, setting, message",
+        [
+            (["simulate"], "field.signal_flux = 1e28", "Poisson draw"),
+            (["simulate"], "lo.flux = 1e31", "MAX_PHOTON_FLUX"),
+            (["analytic"], "field.signal_flux = 1e300", "MAX_PHOTON_FLUX"),
+            (["simulate"], "detector.eta = 1e-302", "Parseval ratio"),
+            (["table1"], "scan.window_s = 4e-170", "MAX_PHOTON_FLUX"),
+            (["simulate"], "simulate.scenario = sensitivity\nscan.count_windows = 10000000000",
+             "scan.count_windows"),
+            (["simulate"], "simulate.scenario = sensitivity\nscan.powers_nw = 0.5, 1e-9", "SNR"),
+            (["simulate"], "simulate.scenario = sensitivity\nscan.powers_nw = 0.5, 1e-6", "SNR"),
+            (["analytic"], "squeeze.enabled = true\nsqueeze.r = 711", "squeeze parameter"),
+        ],
+    )
+    def test_value_out_of_numeric_range_exits_one(self, tmp_path, capsys, argv, setting, message):
+        # each of these ended in a traceback (overflow, a Poisson mean numpy
+        # refuses, a division by zero, the log of zero) before it was refused
+        text = "measurement.duration_s = 0.01\nmeasurement.rbw_hz = 2e3\n" + setting + "\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_unknown_scenario_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--config", "x"])

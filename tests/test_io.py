@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ class TestTraceBin:
         raw = path.read_bytes()
         assert raw[:8] == TRACE_MAGIC
         assert len(raw) == 32 + 8 * 1000
+
+    def test_write_makes_no_copy_of_the_record(self, tmp_path):
+        n = 1_000_000
+        samples = np.arange(n, dtype=float)
+        trace = CurrentTrace(j1=samples, j2=samples, jdiff=samples, dt=1e-7)
+        path = tmp_path / "trace.bin"
+        tracemalloc.start()
+        try:
+            write_trace_bin(path, trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a copy of the samples would take 8 n bytes
+        assert peak < n
+        np.testing.assert_array_equal(read_trace_bin(path)[1], samples)
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "trace.bin"

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bilodyne import montecarlo
 from bilodyne.analytic import mean_diff_current
 from bilodyne.config import RunConfig
 from bilodyne.errors import (
@@ -499,3 +503,106 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+def test_counting_run_in_blocks_matches_one_draw():
+    # the sensitivity run's input side draws its counting windows _BLOCK at a time
+    scan = RunConfig.defaults({"scan.powers_nw": (0.5,), "scan.count_windows": 70_000}).build_scan()
+    report = run_experiment("sensitivity", scan, seed=DEFAULT_SEED)
+    (child,) = np.random.SeedSequence(DEFAULT_SEED).spawn(1)
+    _, count = child.spawn(2)
+    rng = np.random.default_rng(int(count.generate_state(1, dtype=np.uint64)[0] >> 1))
+    flux = scan.powers_w[0] / scan.photon_energy_j
+    n_mean = rng.poisson(scan.scenes[0].det.eta * flux * scan.window_s, 70_000).mean()
+    assert report.scalars["rows"][0]["snr_in_db"] == 10.0 * math.log10(n_mean)
+
+
+def _raised_by(run, timeout: float = 60.0):
+    """The exception run() raises, from a thread joined with a timeout, so that a hang fails."""
+    caught = []
+
+    def target():
+        try:
+            run()
+        except BaseException as exc:  # handed to the test, which checks it
+            caught.append(exc)
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"the run did not end within {timeout} s"
+    return caught[0] if caught else None
+
+
+class TestTwoThreadPass:
+    """The streamed pass's drawing thread: its errors, an early exit, and the serial path."""
+
+    # 5e5 samples: 8 blocks, so the pass runs on two threads
+    SCENE = RunConfig.defaults({"measurement.duration_s": 0.05}).build_scene()
+
+    def test_drawing_error_is_raised_and_the_thread_ends(self, monkeypatch):
+        error = InvalidSpec("third block")
+        real = montecarlo._bin_mean_blocks
+
+        def two_blocks_then_fail(*args):
+            blocks = real(*args)
+            yield next(blocks)
+            yield next(blocks)
+            raise error
+
+        monkeypatch.setattr(montecarlo, "_bin_mean_blocks", two_blocks_then_fail)
+        before = threading.active_count()
+        raised = _raised_by(lambda: run_experiment("default", self.SCENE, seed=DEFAULT_SEED))
+        assert raised is error
+        assert threading.active_count() == before
+
+    def test_consumer_error_is_raised_and_the_thread_ends(self, monkeypatch):
+        error = InvalidSpec("third Welch block")
+        calls = itertools.count(1)
+        real_add = montecarlo._Welch.add
+
+        def add(welch, x):
+            if next(calls) == 3:
+                raise error
+            real_add(welch, x)
+
+        monkeypatch.setattr(montecarlo._Welch, "add", add)
+        before = threading.active_count()
+        raised = _raised_by(lambda: run_experiment("default", self.SCENE, seed=DEFAULT_SEED))
+        assert raised is error
+        assert threading.active_count() == before
+
+    def test_frequent_thread_switches_change_no_count(self):
+        scene = self.SCENE
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_experiment("default", scene, seed=DEFAULT_SEED, keep_traces=True)
+        finally:
+            sys.setswitchinterval(interval)
+        seed = int(np.random.SeedSequence(DEFAULT_SEED).generate_state(1, dtype=np.uint64)[0] >> 1)
+        n = int(round(scene.meas.duration * scene.meas.sample_rate))
+        means = bin_means(scene.state, scene.lo, scene.det, n, 1.0 / scene.meas.sample_rate)
+        counts = sample_bin_counts(means, seed)
+        totals = report.scalars["counts_1"], report.scalars["counts_2"]
+        assert totals == tuple(int(c.sum()) for c in counts)
+        whole = synthesize_current(counts, scene.det, scene.meas.sample_rate)
+        assert report.traces["difference_current"].jdiff.tobytes() == whole.jdiff.tobytes()
+
+    def test_only_a_record_of_several_blocks_starts_a_thread(self, monkeypatch):
+        seen = []
+        real = montecarlo.synthesize_current
+
+        def counting_threads(*args):
+            seen.append(threading.active_count())
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "synthesize_current", counting_threads)
+        before = threading.active_count()
+        # three scan records of 6,800 samples, one block each
+        run_experiment("sensitivity", RunConfig.defaults().build_scan(), seed=DEFAULT_SEED)
+        assert seen == [before] * 3
+        seen.clear()
+        run_experiment("shot-floor", self.SCENE, seed=DEFAULT_SEED)
+        assert len(seen) == 8 and set(seen) == {before + 1}
+        assert threading.active_count() == before
