@@ -9,9 +9,8 @@ and standard deviation of its statistic: value / target where the
 target is non-zero, else the value itself.  Beside the lock-in
 `beatnote_power` it prints the +-2-bin Welch line estimate of the same
 records (`extract_beatnote`) judged against the same target and
-tolerance.  One seed takes ~60 MiB and 4.3 s on a 2-vCPU VM with
-OPENBLAS_NUM_THREADS=1 (7.2 s without; see README), so 100 seeds take
-about seven minutes.  Not part of the test suite.
+tolerance.  One seed takes ~60 MiB and about 4.2 s on a 2-vCPU VM,
+so 100 seeds take about seven minutes.  Not part of the test suite.
 """
 
 from __future__ import annotations

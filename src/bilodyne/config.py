@@ -42,7 +42,7 @@ from .model import (
 # segments of MAX_SEGMENT_SAMPLES peaks at ~150 MiB.
 MAX_RECORD_SAMPLES = 10**9
 MAX_SEGMENT_SAMPLES = 1 << 22
-# Largest photon flux of a scene, in photons/s (and largest scan.lo_ratio):
+# Largest photon flux of a scene, in photons/s:
 # ~2e11 W at 1 um, and far from float overflow in products of two fluxes
 MAX_PHOTON_FLUX = 1e30
 
@@ -322,18 +322,17 @@ class RunConfig:
             "measurement.rbw_hz": rbw,
             "measurement.sample_rate_hz": rate,
         }
-        ratio = self._flux("scan.lo_ratio")
+        ratio = self._finite("scan.lo_ratio")
+        if ratio < 0.0:
+            raise ConfigViolation(f"scan.lo_ratio must be >= 0, got {ratio!r}")
         scenes = []
         for power in powers:
             flux = power / e_ph
-            if not max(ratio, 1.0) * flux <= MAX_PHOTON_FLUX:
-                raise ConfigViolation(
-                    f"scan.powers_nw: {power * 1e9:g} nW is {flux:g} photons/s at the photon "
-                    "energy calibrated from scan.window_s, scan.anchor_snr_db and detector.eta; it or "
-                    f"scan.lo_ratio times it is above MAX_PHOTON_FLUX = {MAX_PHOTON_FLUX:g}"
-                )
             values = {**v, **geometry, "field.signal_flux": flux, "lo.flux": ratio * flux}
-            scenes.append(RunConfig(self.scenario, values).build_scene())
+            try:
+                scenes.append(RunConfig(self.scenario, values).build_scene())
+            except ConfigViolation as exc:
+                raise ConfigViolation(f"scan.powers_nw = {power * 1e9:g} nW: {exc}") from exc
         return Scan(
             photon_energy_j=e_ph,
             window_s=window,

@@ -375,7 +375,9 @@ class _Lockin:
 
     Each block of at most _BLOCK samples is a product with one cos/sin
     table, rotated by the phase w n dt of its first sample, so no
-    full-length complex temporary is made.
+    full-length complex temporary is made.  The products are summed by
+    einsum, which calls no BLAS: a BLAS dot splits long vectors over
+    threads of its own, and its last bits depend on their number.
     """
 
     def __init__(self, f_hz: float, dt: float, n: int):
@@ -389,7 +391,8 @@ class _Lockin:
         for start in range(0, x.size, _BLOCK):
             part = x[start : start + _BLOCK]
             m = part.size
-            row = complex(part @ self.cos[:m], -(part @ self.sin[:m]))
+            re, im = (np.einsum("i,i->", part, table[:m]) for table in (self.cos, self.sin))
+            row = complex(re, -im)
             self.total += row * cmath.exp(-1j * self.w * self.n)
             self.n += m
 
@@ -411,7 +414,8 @@ def lockin_power(x: np.ndarray, f_hz: float, dt: float) -> float:
 class _Moments:
     """Running count, mean and sum of squared deviations of the values fed so far.
 
-    Blocks merge by the pairwise update of Chan, Golub & LeVeque (1979).
+    Blocks merge by the pairwise update of Chan, Golub & LeVeque (1979);
+    within a block the squares are summed by einsum, as in _Lockin.
     """
 
     def __init__(self):
@@ -421,7 +425,7 @@ class _Moments:
         m, mean = x.size, float(x.mean())
         dev = x - mean
         delta, total = mean - self.mean, self.n + m
-        self.m2 += float(dev @ dev) + delta * delta * self.n * m / total
+        self.m2 += float(np.einsum("i,i->", dev, dev)) + delta * delta * self.n * m / total
         self.mean += delta * m / total
         self.n = total
 
@@ -463,11 +467,12 @@ def flatness_t_statistic(spectrum: Spectrum, mask: np.ndarray, decimate: int = 3
     if f.size < 10:
         raise Unresolved("too few floor bins for a slope test")
     fd, yd = f - f.mean(), y - y.mean()
-    sxx = float(fd @ fd)
-    slope = float(fd @ yd) / sxx
+    # einsum rather than BLAS dots, as in _Lockin
+    sxx = float(np.einsum("i,i->", fd, fd))
+    slope = float(np.einsum("i,i->", fd, yd)) / sxx
     resid = yd - slope * fd
     dof = f.size - 2
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx)
+    stderr = math.sqrt(float(np.einsum("i,i->", resid, resid)) / dof / sxx)
     # imported here so that scipy stays off the import path of the command line
     from scipy.special import stdtrit
 

@@ -520,6 +520,9 @@ class TestCliErrors:
             ("scan.count_windows = 0", "scan.count_windows"),
             ("scan.sample_rate_hz = 1e300", "scan.sample_rate_hz"),
             ("scan.rbw_hz = 1e-3", "scan.rbw_hz"),
+            ("scan.lo_ratio = -1", "scan.lo_ratio"),
+            ("scan.lo_ratio = inf", "scan.lo_ratio"),
+            ("scan.lo_ratio = 1e40", "scan.powers_nw = 0.5 nW: lo.flux"),
         ],
     )
     def test_bad_scan_value_exits_one(self, tmp_path, capsys, argv, setting, message):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,6 +506,26 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_report_does_not_depend_on_the_blas_thread_count(self):
+        # a BLAS dot product splits a long vector over the thread count read
+        # when numpy loads, which changes its last bits; the sums call no BLAS
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "from bilodyne.config import RunConfig; from bilodyne.montecarlo import run_experiment; "
+            "scene = RunConfig.defaults({'measurement.duration_s': 0.25}).build_scene(); "
+            f"report = run_experiment('default', scene, seed={DEFAULT_SEED}); "
+            "print([c.value.hex() for c in report.checks])"
+        )
+        values = {
+            threads: subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, **{f"{lib}_NUM_THREADS": threads for lib in ("OPENBLAS", "OMP", "MKL")}},
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert values["1"] == values["2"] != ""
 
 
 def test_counting_run_in_blocks_matches_one_draw():
