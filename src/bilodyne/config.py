@@ -45,6 +45,10 @@ MAX_SEGMENT_SAMPLES = 1 << 22
 # Largest photon flux of a scene, in photons/s:
 # ~2e11 W at 1 um, and far from float overflow in products of two fluxes
 MAX_PHOTON_FLUX = 1e30
+# Largest squeeze.r: the pair's fluctuation flux sinh(r)^2 stays within
+# MAX_PHOTON_FLUX (r ~ 35.2), far from the r ~ 177 where products of two
+# of its populations overflow
+MAX_CONFIG_SQUEEZE_R = math.asinh(math.sqrt(MAX_PHOTON_FLUX))
 
 
 def _parse_bool(text: str) -> bool:
@@ -220,12 +224,19 @@ class RunConfig:
             lower = ModeLabel.IMAGE2 if v["squeeze.placement"] == "image" else ModeLabel.SIDEBAND
             modes.append(FieldMode(frequency=omega_s + d, amplitude=0.0, label=upper))
             modes.append(FieldMode(frequency=omega_s - d, amplitude=0.0, label=lower))
+            r = v["squeeze.r"]
+            if not 0.0 <= r <= MAX_CONFIG_SQUEEZE_R:
+                raise ConfigViolation(
+                    f"squeeze.r must be in [0, {MAX_CONFIG_SQUEEZE_R:.6g}], where the squeeze "
+                    "parameter's fluctuation flux sinh(r)^2 is within MAX_PHOTON_FLUX = "
+                    f"{MAX_PHOTON_FLUX:g}, got {r!r}"
+                )
             squeeze = SqueezeSpec(
                 pairs=(
                     SqueezePair(
                         freq_a=omega_s + d,
                         freq_b=omega_s - d,
-                        r=v["squeeze.r"],
+                        r=r,
                         phi=v["squeeze.phi"],
                     ),
                 )

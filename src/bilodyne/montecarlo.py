@@ -149,6 +149,11 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     D has one cos/sin table over a block, which a block rescales by its
     start phase e^{-i D t0}.  The arguments and the state are checked
     at the call, before the first block.
+
+    The blocks' arrays are a ring of _READ_AHEAD + 1 buffer pairs taken
+    in turn: a block's means stay valid until _READ_AHEAD more blocks
+    have been made, which is as far as the streamed pass's worker runs
+    ahead of the block its caller is summing.
     """
     if n < 1 or not dt > 0.0:
         raise InvalidSpec(f"need at least one bin of positive width, got n={n}, dt={dt!r}")
@@ -159,11 +164,15 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     _beat_terms(lo_ph, sig_ph, cross)
     _beat_terms(sig_ph, lo_ph, cross)
     scale = 0.5 * det.eta * dt
-    tau = (np.arange(min(n, _BLOCK)) + 0.5) * dt
+    size = min(n, _BLOCK)
+    tau = (np.arange(size) + 0.5) * dt
     tables = {d: (np.cos(d * tau), np.sin(d * tau)) for d in common.keys() | cross.keys() if d}
+    shared, beat, term = (np.empty(size) for _ in range(3))
+    ring = [(np.empty(size), np.empty(size)) for _ in range(_READ_AHEAD + 1)]
 
-    def block(terms: dict, t0: float, m: int) -> np.ndarray:
-        out = np.zeros(m)
+    def block(terms: dict, t0: float, out: np.ndarray) -> np.ndarray:
+        m = out.size
+        out.fill(0.0)
         for d, c in terms.items():
             # the bin integral of e^{-i D t} is dt sinc(D dt / 2) e^{-i D t_c}, and
             # Re(w e^{-i D tau}) = Re(w) cos(D tau) + Im(w) sin(D tau)
@@ -172,16 +181,17 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
                 out += w.real
                 continue
             cos_t, sin_t = tables[d]
-            out += w.real * cos_t[:m]
-            out += w.imag * sin_t[:m]
+            out += np.multiply(w.real, cos_t[:m], out=term[:m])
+            out += np.multiply(w.imag, sin_t[:m], out=term[:m])
         return out
 
     def blocks():
-        for start in range(0, n, _BLOCK):
+        for k, start in enumerate(range(0, n, _BLOCK)):
             m = min(_BLOCK, n - start)
-            shared = block(common, start * dt, m)
-            beat = block(cross, start * dt, m)
-            yield shared + beat, shared - beat
+            s = block(common, start * dt, shared[:m])
+            b = block(cross, start * dt, beat[:m])
+            arm_1, arm_2 = ring[k % len(ring)]
+            yield np.add(s, b, out=arm_1[:m]), np.subtract(s, b, out=arm_2[:m])
 
     return blocks()
 
@@ -189,11 +199,16 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
 def bin_means(state, lo, det, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact expected photoemission count of each bin [k dt, (k+1) dt), per arm.
 
-    The whole record of the blocks the streamed pass draws from; see
-    _bin_mean_blocks for the closed form.
+    The whole record of the blocks the streamed pass draws from, each
+    copied out before the next is made; see _bin_mean_blocks for the
+    closed form.
     """
-    arms = zip(*_bin_mean_blocks(state, lo, det, n, dt))
-    return tuple(np.concatenate(blocks) for blocks in arms)
+    blocks = _bin_mean_blocks(state, lo, det, n, dt)  # checks n and dt first
+    arms = np.empty(n), np.empty(n)
+    for start, means in zip(range(0, n, _BLOCK), blocks):
+        for whole, part in zip(arms, means):
+            whole[start : start + part.size] = part
+    return arms
 
 
 def _arm_rngs(seed: int) -> list[np.random.Generator]:
@@ -217,10 +232,11 @@ def synthesize_current(counts, det: DetectorParams, sample_rate: float) -> Curre
     """Turn the per-bin counts of both arms into sampled currents and their difference.
 
     Delta pulses deposit charge/dt in their bin, conserving charge
-    exactly, and a block of bins is synthesized on its own.  Exponential
-    pulses convolve the count train with the sampled pulse, conserving
-    charge to 0.1 % once tau covers a few samples (the test suite pins
-    this); their tails cross blocks, so they need the whole record.
+    exactly; the streamed pass forms the same currents block by block
+    in its own buffers.  Exponential pulses convolve the count train
+    with the sampled pulse, conserving charge to 0.1 % once tau covers
+    a few samples (the test suite pins this); their tails cross blocks,
+    so they need the whole record.
     """
     if sample_rate <= 0:
         raise InvalidSpec("sample rate must be positive")
@@ -271,8 +287,10 @@ class _Welch:
     nperseg - nperseg // 2, each with its mean removed, one-sided density
     scaling: the estimate scipy.signal.welch makes of the concatenated
     chunks with window="hann", noverlap=nperseg // 2 and
-    detrend="constant".  The samples from the start of the first
-    incomplete segment on are held over to the next chunk.
+    detrend="constant".  Each chunk is copied behind the samples held
+    over from the start of the first incomplete segment, so the caller
+    may overwrite it once add returns; the segments are transformed
+    batch by batch in arrays made once.
     """
 
     def __init__(self, nperseg: int, fs: float):
@@ -281,25 +299,42 @@ class _Welch:
         self.batch = max(1, _BLOCK // nperseg)  # segments per rfft call
         self.total = np.zeros(nperseg // 2 + 1)
         self.segments = 0
-        self.held: list[np.ndarray] = []
+        # the held samples, fewer than nperseg, then the next chunk
+        self.held = np.empty(0)
         self.held_size = 0
+        self.means = np.empty((self.batch, 1))
+        self.detrended = np.empty((self.batch, nperseg))
+        self.spec = np.empty((self.batch, self.total.size), dtype=complex)
+        self.power = np.empty((self.batch, self.total.size))
+        self.imag_power = np.empty((self.batch, self.total.size))
+        self.power_sum = np.empty(self.total.size)
 
     def add(self, x: np.ndarray) -> None:
-        self.held.append(x)
-        self.held_size += x.size
-        if self.held_size < self.nperseg:
+        start, end = self.held_size, self.held_size + x.size
+        if end > self.held.size:
+            # room for chunks of this size up to _BLOCK: every streamed block fits after the first
+            grown = np.empty(max(end, self.nperseg + min(x.size, _BLOCK)))
+            grown[:start] = self.held[:start]
+            self.held = grown
+        self.held[start:end] = x
+        self.held_size = end
+        if end < self.nperseg:
             return
-        buf = self.held[0] if len(self.held) == 1 else np.concatenate(self.held)
-        segs = np.lib.stride_tricks.sliding_window_view(buf, self.nperseg)[:: self.hop]
+        segs = np.lib.stride_tricks.sliding_window_view(self.held[:end], self.nperseg)[:: self.hop]
         for first in range(0, len(segs), self.batch):
             part = segs[first : first + self.batch]
-            part = part - part.mean(axis=1, keepdims=True)
+            k = len(part)
+            means = part.mean(axis=1, keepdims=True, out=self.means[:k])
+            part = np.subtract(part, means, out=self.detrended[:k])
             part *= self.window
-            spec = np.fft.rfft(part, axis=1)
-            self.total += (spec.real**2 + spec.imag**2).sum(axis=0)
+            spec = np.fft.rfft(part, axis=1, out=self.spec[:k])
+            power = np.multiply(spec.real, spec.real, out=self.power[:k])
+            power += np.multiply(spec.imag, spec.imag, out=self.imag_power[:k])
+            self.total += power.sum(axis=0, out=self.power_sum)
         self.segments += len(segs)
-        rest = buf[len(segs) * self.hop :].copy()
-        self.held, self.held_size = [rest], rest.size
+        done = len(segs) * self.hop
+        self.held_size = end - done
+        self.held[: self.held_size] = self.held[done:end]
 
     def spectrum(self) -> Spectrum:
         psd = self.total / (self.segments * self.fs * float((self.window * self.window).sum()))
@@ -415,15 +450,19 @@ class _Moments:
     """Running count, mean and sum of squared deviations of the values fed so far.
 
     Blocks merge by the pairwise update of Chan, Golub & LeVeque (1979);
-    within a block the squares are summed by einsum, as in _Lockin.
+    within a block the squares are summed by einsum, as in _Lockin.  The
+    deviations go to one array, which grows to the largest block.
     """
 
     def __init__(self):
         self.n, self.mean, self.m2 = 0, 0.0, 0.0
+        self.dev = np.empty(0)
 
     def add(self, x: np.ndarray) -> None:
         m, mean = x.size, float(x.mean())
-        dev = x - mean
+        if m > self.dev.size:
+            self.dev = np.empty(m)
+        dev = np.subtract(x, mean, out=self.dev[:m])
         delta, total = mean - self.mean, self.n + m
         self.m2 += float(np.einsum("i,i->", dev, dev)) + delta * delta * self.n * m / total
         self.mean += delta * m / total
@@ -460,7 +499,8 @@ def flatness_t_statistic(spectrum: Spectrum, mask: np.ndarray, decimate: int = 3
 
     Uses every decimate-th unmasked bin so neighbouring-bin correlation
     from the Hann overlap does not understate the standard error.
-    Returns (t_statistic, t_critical_95).
+    Returns (t_statistic, t_critical_95), the critical value from
+    student_t_quantile.
     """
     f = spectrum.freqs_hz[mask][::decimate]
     y = spectrum.psd[mask][::decimate]
@@ -473,12 +513,63 @@ def flatness_t_statistic(spectrum: Spectrum, mask: np.ndarray, decimate: int = 3
     resid = yd - slope * fd
     dof = f.size - 2
     stderr = math.sqrt(float(np.einsum("i,i->", resid, resid)) / dof / sxx)
-    # imported here so that scipy stays off the import path of the command line
-    from scipy.special import stdtrit
-
-    t_crit = float(stdtrit(dof, 0.975))
     t_stat = slope / stderr if stderr > 0 else 0.0
-    return t_stat, t_crit
+    return t_stat, student_t_quantile(0.975, dof)
+
+
+def _t_upper_tail(t: float, dof: int) -> float:
+    """P(T > t) of Student's t with an integer dof, by the finite series of A&S 26.7.3-4."""
+    theta = math.atan(t / math.sqrt(dof))
+    c2 = math.cos(theta) ** 2
+    terms = [1.0]
+    if dof % 2:
+        for k in range(1, (dof - 1) // 2):
+            terms.append(terms[-1] * c2 * (2 * k) / (2 * k + 1))
+        inner = math.sin(theta) * math.cos(theta) * math.fsum(terms) if dof > 1 else 0.0
+        inside = 2.0 / math.pi * (theta + inner)
+    else:
+        for k in range(1, dof // 2):
+            terms.append(terms[-1] * c2 * (2 * k - 1) / (2 * k))
+        inside = math.sin(theta) * math.fsum(terms)
+    return 0.5 * (1.0 - inside)  # inside is P(|T| < t)
+
+
+def student_t_quantile(p: float, dof: int) -> float:
+    """The p quantile of Student's t with an integer dof >= 1, for 1/2 <= p < 1.
+
+    From the normal quantile z, the Cornish-Fisher expansion in 1/dof
+    to fourth order (A&S 26.7.5) is taken as it is for dof >= 500; below
+    that, Newton steps on the exact upper tail of _t_upper_tail refine
+    it.  Only the standard library is used.  At p = 0.975 the result is
+    within 3e-14 relative of scipy.special.stdtrit for every dof from 8
+    to 10^6 (the test suite pins 1e-12); towards p = 1 the tail,
+    formed as 1 - P(|T| < t), loses the digits of 1 - p.
+    """
+    if not (0.5 <= p < 1.0 and dof >= 1):
+        raise InvalidSpec(f"need 1/2 <= p < 1 and dof >= 1, got p={p!r}, dof={dof!r}")
+    # imported here: statistics is not needed before the first slope test
+    from statistics import NormalDist
+
+    z = NormalDist().inv_cdf(p)
+    z2 = z * z
+    g = (
+        (z2 + 1.0) * z / 4.0,
+        ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0,
+        (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) * z / 384.0,
+        ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) * z / 92160.0,
+    )
+    t = z + sum(gk / dof ** (k + 1) for k, gk in enumerate(g))
+    if dof >= 500:
+        return t
+    # the density's normalisation in lgamma; its rounding slows Newton, it does not move the root
+    log_norm = math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(dof * math.pi)
+    for _ in range(50):
+        density = math.exp(log_norm - (dof + 1) / 2 * math.log1p(t * t / dof))
+        step = (_t_upper_tail(t, dof) - (1.0 - p)) / density
+        t += step
+        if abs(step) <= 4e-16 * abs(t):
+            break
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +671,22 @@ def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record
 
     A record of more than one block runs on two threads.  A worker
     thread makes the bin means and draws both arms' counts, up to
-    _READ_AHEAD blocks ahead; the calling thread synthesizes the
-    currents and feeds every running sum and the kept trace, in block
-    order.  Only the worker touches the two generators, block after
-    block, so the counts, and every sum fed in the same order, are those
-    of a serial pass; memory is O(_READ_AHEAD + 1 blocks + segment).  A
-    record of one block has nothing to overlap and runs serially.
+    _READ_AHEAD blocks ahead; the calling thread forms the currents and
+    feeds every running sum and the kept trace, in block order.  Only
+    the worker touches the two generators, block after block, so the
+    counts, and every sum fed in the same order, are those of a serial
+    pass.  A record of one block has nothing to overlap and runs
+    serially.
+
+    No block-sized array is made per block but the counts, which
+    rng.poisson returns new.  The bin means go into a ring of
+    _READ_AHEAD + 1 buffer pairs, so a block's means live until the
+    worker has made _READ_AHEAD more blocks, by when the caller is done
+    with them.  The currents j1, j2 and jdiff and the two factors of
+    the arm product are one set of block buffers on the calling thread,
+    overwritten by every block; the sums keep nothing of a block but
+    the Welch sum's copy of its incomplete segment.  Memory is
+    therefore O(_READ_AHEAD + 1 blocks + segment).
     """
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))
@@ -595,6 +696,8 @@ def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record
     lockin = _Lockin(scene.f_het_hz, dt, n)
     variance, cross = _Moments(), _Moments()
     to_current = -det.charge / dt
+    to_pulses = det.charge * meas.sample_rate  # a delta pulse's charge spread over its bin
+    buffers = np.empty((5, min(n, _BLOCK)))  # j1, j2, jdiff and the arm product's two factors
     totals, start = [0, 0], 0
     whole = [np.empty(n) for _ in range(3)] if keep_trace else []  # j1, j2, jdiff
     draws = _draws(_bin_mean_blocks(scene.state, scene.lo, det, n, dt), _arm_rngs(seed))
@@ -602,20 +705,24 @@ def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record
         if n > _BLOCK:
             draws = _read_ahead(stack.enter_context(ThreadPoolExecutor(1)), draws)
         for means, counts in draws:
+            m = counts[0].size
             totals = [total + int(c.sum()) for total, c in zip(totals, counts)]
-            block = synthesize_current(counts, det, meas.sample_rate)
-            welch.add(block.jdiff)
-            lockin.add(block.jdiff)
-            variance.add(block.jdiff)
-            d1 = np.multiply(means[0], to_current)
-            d1 += block.j1
-            d2 = np.multiply(means[1], to_current)
-            d2 += block.j2
+            j1, j2, jdiff, d1, d2 = buffers[:, :m]
+            np.multiply(counts[0], to_pulses, out=j1)
+            np.multiply(counts[1], to_pulses, out=j2)
+            np.subtract(j1, j2, out=jdiff)
+            welch.add(jdiff)
+            lockin.add(jdiff)
+            variance.add(jdiff)
+            np.multiply(means[0], to_current, out=d1)
+            d1 += j1
+            np.multiply(means[1], to_current, out=d2)
+            d2 += j2
             d1 *= d2
             cross.add(d1)
-            for out, part in zip(whole, (block.j1, block.j2, block.jdiff)):
-                out[start : start + part.size] = part
-            start += block.jdiff.size
+            for out, part in zip(whole, (j1, j2, jdiff)):
+                out[start : start + m] = part
+            start += m
     se = math.sqrt(cross.var(ddof=1) / n)
     return _Record(
         spectrum=welch.spectrum(),

@@ -14,7 +14,7 @@ import pytest
 from bilodyne.analytic import psd_analytic
 from bilodyne.cli import main
 from bilodyne.config import _CHOICES, SCHEMA, RunConfig, parse_config
-from bilodyne.errors import BilodyneError, ParseError, UnknownKey
+from bilodyne.errors import BilodyneError, ConfigViolation, ParseError, UnknownKey
 from bilodyne.io import read_spectrum_csv, read_trace_bin
 from bilodyne.model import (
     TWO_PI,
@@ -119,6 +119,15 @@ class TestRunConfigBuilders:
         assert labels == [ModeLabel.SIGNAL, ModeLabel.IMAGE1, ModeLabel.IMAGE2]
         assert state.is_squeezed()
         assert state.squeeze.pairs[0].r == 0.5
+
+    @pytest.mark.parametrize("r", [-0.1, 35.3, 200.0, math.inf, math.nan])
+    def test_squeeze_beyond_the_flux_bound_is_refused(self, r):
+        # sinh(r)^2 above MAX_PHOTON_FLUX; from r ~ 177 the moment table
+        # overflowed with numpy warnings before the strong-LO check refused it
+        cfg = RunConfig.defaults({"squeeze.enabled": True, "squeeze.r": r})
+        with pytest.raises(ConfigViolation, match="squeeze.r"):
+            cfg.build_state()
+        assert RunConfig.defaults({"squeeze.enabled": True, "squeeze.r": 35.2}).build_state()
 
     def test_squeezed_state_sideband_placement(self, tmp_path):
         text = BASE_CFG + "squeeze.enabled = true\nsqueeze.placement = sideband\n"
@@ -561,15 +570,20 @@ class TestCliErrors:
         assert exc.value.code == 2
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is imported only on the paths that need it (the Fock oracle,
-    # the slope test's t quantile, exponential pulses), not at start-up
+    # exponential pulses), neither at start-up nor by a default simulate run
     import bilodyne
 
     src = str(Path(bilodyne.__file__).resolve().parents[1])
+    cfg = write_cfg(tmp_path, "measurement.duration_s = 0.25\n")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    listing = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import bilodyne.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"import sys; sys.path.insert(0, {src!r}); import bilodyne.cli; {listing}; "
+        f"print(bilodyne.cli.main({argv!r})); {listing}"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2:] == ["0", "[]"]

@@ -14,6 +14,7 @@ import io
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -162,3 +163,23 @@ def test_oversized_geometry_is_refused_before_any_array(run, segment, excess):
     assert code == 1
     assert err.startswith("error: ") and "MAX_" in err
     assert peak < 2**20
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    scenario=st.sampled_from(["analytic", "squeezed-compare"]),
+    r=st.one_of(
+        st.floats(0.0, 800.0),
+        st.sampled_from([35.2, 35.3, 100.0, 177.0, 178.0, 200.0, 355.5, 355.6, 356.0, 711.0]),
+    ),
+)
+def test_any_squeeze_ends_without_a_runtime_warning(scenario, r):
+    # a squeeze that overflows the moment table must be refused, not
+    # warned about on its way to another error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(scenario, _config_text(scenario, "squeezed.cfg", {"squeeze.r": repr(r)}))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ")

@@ -614,13 +614,13 @@ class TestTwoThreadPass:
 
     def test_only_a_record_of_several_blocks_starts_a_thread(self, monkeypatch):
         seen = []
-        real = montecarlo.synthesize_current
+        real = montecarlo._Welch.add
 
-        def counting_threads(*args):
+        def counting_threads(welch, x):  # called once per block
             seen.append(threading.active_count())
-            return real(*args)
+            return real(welch, x)
 
-        monkeypatch.setattr(montecarlo, "synthesize_current", counting_threads)
+        monkeypatch.setattr(montecarlo._Welch, "add", counting_threads)
         before = threading.active_count()
         # three scan records of 6,800 samples, one block each
         run_experiment("sensitivity", RunConfig.defaults().build_scan(), seed=DEFAULT_SEED)

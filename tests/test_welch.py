@@ -1,6 +1,7 @@
-"""The streamed Welch sum and the slope test against their scipy references.
+"""The streamed Welch sum, the slope test and its t quantile against their scipy references.
 
-scipy is imported here only: the package computes both in numpy.
+scipy is imported here only: the package computes the first two in
+numpy and the quantile with the standard library.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import signal, stats
+from scipy import signal, special, stats
 
 from bilodyne.analytic import Spectrum, SpectrumKind
 from bilodyne.model import MeasurementConfig
@@ -20,6 +21,7 @@ from bilodyne.montecarlo import (
     _Welch,
     estimate_psd,
     flatness_t_statistic,
+    student_t_quantile,
 )
 
 FS = 1.0e6
@@ -88,6 +90,24 @@ class TestWelchAgainstScipy:
         assert welch.segments == (n - nperseg) // hop + 1
         assert np.max(np.abs(welch.spectrum().psd - ref) / ref) <= 1e-12
 
+    @pytest.mark.parametrize("nperseg, n", [(1000, 3 * _BLOCK + 12345), (70_001, 300_000)])
+    def test_chunks_from_one_reused_buffer(self, nperseg, n):
+        # the streamed pass overwrites its current buffer with every block, so
+        # _Welch must hold over no chunk by reference, however short it is
+        x = _record(n, seed=7)
+        _, ref = _scipy_welch(x, nperseg)
+        hop = nperseg - nperseg // 2
+        sizes = (1, nperseg - 1, 3 * hop + 7, _BLOCK, 2, 2 * _BLOCK + 3, nperseg + 1)
+        buffer = np.empty(max(sizes))
+        welch = _Welch(nperseg, FS)
+        for chunk in _chunks(x, sizes):
+            part = buffer[: chunk.size]
+            part[:] = chunk
+            welch.add(part)
+            buffer.fill(np.nan)
+        assert welch.segments == (n - nperseg) // hop + 1
+        assert np.max(np.abs(welch.spectrum().psd - ref) / ref) <= 1e-12
+
     def test_estimate_psd_is_the_one_chunk_sum(self):
         x = _record(150_000)
         trace = CurrentTrace(j1=x, j2=np.zeros_like(x), jdiff=x, dt=1.0 / FS)
@@ -110,5 +130,25 @@ class TestFlatnessAgainstScipy:
         fit = stats.linregress(f[mask][::3], psd[mask][::3])
         ref_t = fit.slope / fit.stderr
         ref_crit = stats.t.ppf(0.975, f[mask][::3].size - 2)
-        assert t_crit == ref_crit
+        assert abs(t_crit - ref_crit) <= 1e-12 * ref_crit
         assert abs(t_stat - ref_t) <= 1e-12 * max(1.0, abs(ref_t))
+
+
+# log-spaced integer dof from 8 to 10^6, across the switch from Newton
+# steps to the Cornish-Fisher expansion at 500
+DOFS = sorted({int(round(d)) for d in np.logspace(np.log10(8), 6, 60)} | {499, 500})
+
+
+@pytest.mark.parametrize("dof", DOFS)
+def test_t_quantile_matches_stdtrit(dof):
+    ref = float(special.stdtrit(dof, 0.975))
+    assert abs(student_t_quantile(0.975, dof) - ref) <= 1e-12 * ref
+
+
+def test_t_quantile_has_closed_forms_at_small_dof():
+    # t_p = tan(pi (p - 1/2)) at dof 1 and (2p - 1) sqrt(2 / (1 - (2p - 1)^2)) at dof 2
+    for p in (0.5, 0.75, 0.975):
+        a = 2.0 * p - 1.0
+        exact = math.tan(math.pi * (p - 0.5)), a * math.sqrt(2.0 / (1.0 - a * a))
+        for dof, ref in zip((1, 2), exact):
+            assert student_t_quantile(p, dof) == pytest.approx(ref, rel=1e-13, abs=1e-15)
