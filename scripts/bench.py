@@ -6,12 +6,12 @@
 Runs `analytic`, `table1` and `squeezed-compare` on their shipped
 configs, and `simulate` in each of the five Monte Carlo scenarios
 (`default.cfg` with `simulate.scenario` set, `sensitivity.cfg` for the
-scan), each in --repeats fresh interpreters one after the other.  A
+scan), each in REPEATS = 5 fresh interpreters one after the other.  A
 run times `bilodyne.cli.main` alone; the import is timed apart as
 set-up.  Per scenario the file holds the median wall and set-up time,
 the median `ru_maxrss`, minor page faults and system time, and every
 run's wall time.  It also holds one wall time of the tier-1 suite
-(`python -m pytest -q` in the checkout, unless --no-tier1), the
+(`python -m pytest -q` in the checkout), the
 Python, numpy and scipy versions, the CPU and the commit measured
 (`git describe --dirty`).
 
@@ -40,6 +40,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MC_SCENARIOS = ("default", "shot-floor", "beatnote", "null-phase", "sensitivity")
+# fresh processes per scenario: medians of at least three runs, and five
+# because a shared 2-vCPU VM moves single runs by a fifth
+REPEATS = 5
 
 # one run in a fresh interpreter: import, then one timed cli.main call
 CHILD = """
@@ -129,13 +132,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="fresh processes per scenario (>= 3)"
-    )
-    parser.add_argument("--no-tier1", action="store_true", help="skip the tier-1 wall time")
     args = parser.parse_args(argv)
-    if args.repeats < 3:
-        parser.error("--repeats must be at least 3")
     repo = args.repo.resolve()
     env = dict(os.environ)
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -143,13 +140,13 @@ def main(argv=None) -> int:
         "label": args.label,
         **_versions(repo, env),
         "env": {"OPENBLAS_NUM_THREADS": env["OPENBLAS_NUM_THREADS"]},
-        "repeats": args.repeats,
+        "repeats": REPEATS,
     }
     scenarios = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, cli_args in _scenarios(repo, tmp).items():
-            runs = [_run(repo, cli_args, tmp / "out", env) for _ in range(args.repeats)]
+            runs = [_run(repo, cli_args, tmp / "out", env) for _ in range(REPEATS)]
             scenarios[name] = {
                 "exit": sorted({r["rc"] for r in runs}),
                 "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
@@ -163,9 +160,8 @@ def main(argv=None) -> int:
             print(f"{name:28s} wall {row['wall_s']:7.3f} s  "
                   f"rss {row['maxrss_mib']:6.1f} MiB  faults {row['minflt']}")
     result["scenarios"] = scenarios
-    if not args.no_tier1:
-        result["tier1"] = _tier1(repo, env)
-        print(f"tier-1 {result['tier1']['wall_s']} s: {result['tier1']['summary']}")
+    result["tier1"] = _tier1(repo, env)
+    print(f"tier-1 {result['tier1']['wall_s']} s: {result['tier1']['summary']}")
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {path}")
