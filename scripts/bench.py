@@ -6,7 +6,9 @@
 Runs `analytic`, `table1` and `squeezed-compare` on their shipped
 configs, and `simulate` in each of the five Monte Carlo scenarios
 (`default.cfg` with `simulate.scenario` set, `sensitivity.cfg` for the
-scan), each in REPEATS = 5 fresh interpreters one after the other.  A
+scan), plus `simulate default +trace` (`output.write_trace = true`, so
+`trace.bin` is written), each in REPEATS = 5 fresh interpreters one
+after the other.  A
 run times `bilodyne.cli.main` alone; the import is timed apart as
 set-up.  Per scenario the file holds the median wall and set-up time,
 the median `ru_maxrss`, minor page faults and system time, and every
@@ -71,11 +73,14 @@ def _scenarios(repo: Path, tmp: Path) -> dict[str, list[str]]:
         "table1": ["table1", "--config", str(configs / "sensitivity.cfg")],
         "squeezed-compare": ["squeezed-compare", "--config", str(configs / "squeezed.cfg")],
     }
-    for scenario in MC_SCENARIOS:
+    # each Monte Carlo scenario, then `default` writing trace.bin
+    variants = [(s, "") for s in MC_SCENARIOS] + [("default", "output.write_trace = true\n")]
+    for scenario, extra in variants:
         base = "sensitivity.cfg" if scenario == "sensitivity" else "default.cfg"
-        cfg = tmp / f"{scenario}.cfg"
-        cfg.write_text((configs / base).read_text() + f"\nsimulate.scenario = {scenario}\n")
-        runs[f"simulate {scenario}"] = ["simulate", "--config", str(cfg)]
+        name = scenario + (" +trace" if extra else "")
+        cfg = tmp / f"{name.replace(' +', '-')}.cfg"
+        cfg.write_text((configs / base).read_text() + f"\nsimulate.scenario = {scenario}\n{extra}")
+        runs[f"simulate {name}"] = ["simulate", "--config", str(cfg)]
     return runs
 
 

@@ -55,14 +55,8 @@ from .model import (
 from .montecarlo import (
     BeatnoteEstimate,
     CheckResult,
-    CurrentTrace,
     ExperimentReport,
-    bin_means,
-    estimate_psd,
     extract_beatnote,
     intensity_rate,
-    lockin_power,
     run_experiment,
-    sample_bin_counts,
-    synthesize_current,
 )

@@ -17,6 +17,7 @@ seed are byte-identical except the report timestamp.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -36,7 +37,7 @@ from .analytic import (
 )
 from .config import RunConfig
 from .errors import BilodyneError, ConfigViolation
-from .io import write_report_json, write_spectrum_csv, write_trace_bin
+from .io import TraceWriter, write_report_json, write_spectrum_csv
 from .model import TWO_PI, Hypothesis
 from .montecarlo import run_experiment
 
@@ -98,17 +99,18 @@ def _json_float(x: float):
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> int:
     scenario = cfg.values["simulate.scenario"]
-    report = run_experiment(
-        scenario,
-        cfg.build_scan() if scenario == "sensitivity" else cfg.build_scene(),
-        seed=cfg.values["measurement.seed"],
-        keep_traces=cfg.values["output.write_trace"],
-    )
+    trace = TraceWriter(out_dir / "trace.bin") if cfg.values["output.write_trace"] else None
+    # trace.bin is written during the run and appears only if the run completes
+    with trace or contextlib.nullcontext():
+        report = run_experiment(
+            scenario,
+            cfg.build_scan() if scenario == "sensitivity" else cfg.build_scene(),
+            seed=cfg.values["measurement.seed"],
+            trace=trace,
+        )
     for name, spectrum in report.spectra.items():
         suffix = "" if len(report.spectra) == 1 else f"_{name}"
         write_spectrum_csv(out_dir / f"spectrum{suffix}.csv", spectrum)
-    if "difference_current" in report.traces:
-        write_trace_bin(out_dir / "trace.bin", report.traces["difference_current"])
     payload = _report_payload(cfg)
     payload["results"] = {
         "mc_scenario": report.scenario,

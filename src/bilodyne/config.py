@@ -15,6 +15,8 @@ from pathlib import Path
 
 from .errors import ConfigViolation, ParseError, UnknownKey
 from .model import (
+    MAX_PHOTON_FLUX,
+    MAX_SQUEEZE_R,
     TWO_PI,
     DetectorParams,
     FieldMode,
@@ -38,17 +40,11 @@ from .model import (
 # counting run) and Welch segment or analytic grid (sample rate / rbw) a
 # config may ask for, in samples.  The
 # streamed Monte Carlo pass takes 0.12-0.16 us per sample on a 2-vCPU
-# VM, so MAX_RECORD_SAMPLES is a few minutes of it; the Welch sum over
-# segments of MAX_SEGMENT_SAMPLES peaks at ~150 MiB.
+# VM, so MAX_RECORD_SAMPLES is a few minutes of it.  A run with segments
+# of MAX_SEGMENT_SAMPLES peaks at ~310 MiB of RSS (simulate shot-floor,
+# 7 s record), most of it the Welch sum's segment-sized arrays.
 MAX_RECORD_SAMPLES = 10**9
 MAX_SEGMENT_SAMPLES = 1 << 22
-# Largest photon flux of a scene, in photons/s:
-# ~2e11 W at 1 um, and far from float overflow in products of two fluxes
-MAX_PHOTON_FLUX = 1e30
-# Largest squeeze.r: the pair's fluctuation flux sinh(r)^2 stays within
-# MAX_PHOTON_FLUX (r ~ 35.2), far from the r ~ 177 where products of two
-# of its populations overflow
-MAX_CONFIG_SQUEEZE_R = math.asinh(math.sqrt(MAX_PHOTON_FLUX))
 
 
 def _parse_bool(text: str) -> bool:
@@ -225,9 +221,9 @@ class RunConfig:
             modes.append(FieldMode(frequency=omega_s + d, amplitude=0.0, label=upper))
             modes.append(FieldMode(frequency=omega_s - d, amplitude=0.0, label=lower))
             r = v["squeeze.r"]
-            if not 0.0 <= r <= MAX_CONFIG_SQUEEZE_R:
+            if not 0.0 <= r <= MAX_SQUEEZE_R:
                 raise ConfigViolation(
-                    f"squeeze.r must be in [0, {MAX_CONFIG_SQUEEZE_R:.6g}], where the squeeze "
+                    f"squeeze.r must be in [0, {MAX_SQUEEZE_R:.6g}], where the squeeze "
                     "parameter's fluctuation flux sinh(r)^2 is within MAX_PHOTON_FLUX = "
                     f"{MAX_PHOTON_FLUX:g}, got {r!r}"
                 )

@@ -16,6 +16,7 @@ followed by length float64 samples of the difference current.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -23,18 +24,29 @@ import numpy as np
 
 from .analytic import Spectrum
 from .errors import ParseError
-from .montecarlo import CurrentTrace
 
 TRACE_MAGIC = b"BLDTRC01"
 TRACE_VERSION = 1
 _HEADER = struct.Struct("<8sIIdQ")
+# spectrum rows formatted per write: ~6 MiB of row strings
+_CSV_ROWS = 1 << 16
 
 
 def write_spectrum_csv(path: Path | str, spectrum: Spectrum) -> None:
-    lines = ["freq_hz,psd"]
-    for f, p in zip(spectrum.freqs_hz, spectrum.psd):
-        lines.append(f"{f:.17g},{p:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One "freq_hz,psd" header line, then one row per bin.
+
+    The rows are formatted and written _CSV_ROWS at a time, the header
+    with the first of them, so a long spectrum never holds all its row
+    strings and a short one takes one write.
+    """
+    freqs, psd = spectrum.freqs_hz, spectrum.psd
+    with open(path, "w") as fh:
+        head = "freq_hz,psd\n"
+        for start in range(0, max(freqs.size, 1), _CSV_ROWS):
+            part = slice(start, start + _CSV_ROWS)
+            rows = zip(freqs[part], psd[part])
+            fh.write(head + "".join(f"{f:.17g},{p:.17g}\n" for f, p in rows))
+            head = ""
 
 
 def read_spectrum_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
@@ -49,14 +61,40 @@ def write_report_json(path: Path | str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_trace_bin(path: Path | str, trace: CurrentTrace) -> None:
-    header = _HEADER.pack(
-        TRACE_MAGIC, TRACE_VERSION, 0, trace.dt, trace.jdiff.size
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        # through the array's buffer: tobytes() would copy the whole record
-        fh.write(memoryview(np.ascontiguousarray(trace.jdiff, dtype="<f8")))
+class TraceWriter:
+    """A trace file written block by block while the record is made.
+
+    start(dt, length) writes the header, then write(samples) appends
+    each block in record order.  Used as a context manager: the file is
+    written under a ".part" name and takes its own name only when the
+    with block ends without an error, so a failed run leaves no trace
+    file.  A writer never started writes nothing.
+    """
+
+    def __init__(self, path: Path | str):
+        self.path = Path(path)
+        self._part = self.path.with_name(self.path.name + ".part")
+        self._fh = None
+
+    def start(self, dt: float, length: int) -> None:
+        self._fh = open(self._part, "wb")
+        self._fh.write(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, 0, dt, length))
+
+    def write(self, samples: np.ndarray) -> None:
+        # through the array's buffer: tobytes() would copy the block
+        self._fh.write(memoryview(np.ascontiguousarray(samples, dtype="<f8")))
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if self._fh is None:
+            return
+        self._fh.close()
+        if kind is None:
+            os.replace(self._part, self.path)
+        else:
+            self._part.unlink(missing_ok=True)
 
 
 def read_trace_bin(path: Path | str) -> tuple[float, np.ndarray]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigViolation, InvalidSpec, Unsupported
@@ -28,8 +27,13 @@ TWO_PI = 2.0 * math.pi
 # separations are >= 1e4 rad/s.  1e-13 relative (~1e2 rad/s absolute)
 # sits safely between the two.
 FREQ_RTOL = 1e-13
-# largest squeeze parameter whose population sinh(r)^2 is a finite float
-MAX_SQUEEZE_R = math.asinh(math.sqrt(sys.float_info.max))
+# Largest photon flux of a scene, in photons/s:
+# ~2e11 W at 1 um, and far from float overflow in products of two fluxes
+MAX_PHOTON_FLUX = 1e30
+# Largest squeeze parameter: the pair's population sinh(r)^2 stays within
+# MAX_PHOTON_FLUX (r ~ 35.2), far from the r ~ 177 where products of two
+# populations overflow
+MAX_SQUEEZE_R = math.asinh(math.sqrt(MAX_PHOTON_FLUX))
 
 
 class ModeLabel(str, enum.Enum):
@@ -96,7 +100,8 @@ class SqueezePair:
         if not 0.0 <= self.r <= MAX_SQUEEZE_R:
             raise InvalidSpec(
                 f"squeeze parameter must be in [0, {MAX_SQUEEZE_R:.6g}], where the pair's "
-                f"population sinh(r)^2 is a finite float, got {self.r!r}"
+                f"population sinh(r)^2 is within MAX_PHOTON_FLUX = {MAX_PHOTON_FLUX:g}, "
+                f"got {self.r!r}"
             )
 
 

@@ -1,19 +1,21 @@
 """Stochastic photoemission simulation of balanced detection.
 
 The chain is: semiclassical emission rates -> closed-form mean count
-of every sample bin -> one Poisson draw per bin -> current traces ->
-Welch PSD -> beat and floor extraction.  A record runs as one pass over
-blocks of _BLOCK samples, each block feeding running sums, so memory is
-O(_BLOCK + Welch segment) whatever the record length.  Every stage is
-deterministic given the seed; the two detectors draw from independent
-child streams of one seed sequence.
+of every sample bin -> one Poisson draw per bin -> currents -> Welch
+PSD -> beat and floor extraction.  A record runs as one pass over
+blocks of _BLOCK samples, each block feeding running sums and, when a
+trace is asked for, the trace file, so memory is O(_BLOCK + Welch
+segment) whatever the record length.  Every stage is deterministic
+given the seed; the two detectors draw from independent child streams
+of one seed sequence.
 
 A record of more than one block runs on two threads: a worker makes the
 bin means and draws the counts up to _READ_AHEAD blocks ahead, and the
-calling thread synthesizes the currents and feeds the running sums.
-Only the worker draws, block after block, and the sums are fed in block
-order, so the results are bit for bit those of a serial pass; memory is
-O(_READ_AHEAD + 1 blocks + segment).  A one-block record runs serially.
+calling thread forms the currents, feeds the running sums and writes
+the trace.  Only the worker draws, block after block, and the sums and
+the trace are fed in block order, so the results are bit for bit those
+of a serial pass; memory is O(_READ_AHEAD + 1 blocks + segment).  A
+one-block record runs serially.
 
 Rates here are the semiclassical ones for coherent (or vacuum) input:
 eta/2 |E_lo(t) -+ i M(t)|^2 per arm, which is manifestly non-negative.
@@ -41,6 +43,7 @@ from . import correlators
 from .analytic import Spectrum, SpectrumKind, shot_floor_psd, output_signal_power
 from .config import RunConfig
 from .errors import ConfigViolation, InvalidSpec, NonClassicalInput, TooShort, Unresolved
+from .io import TraceWriter
 from .model import (
     TWO_PI,
     DetectorParams,
@@ -64,32 +67,6 @@ _READ_AHEAD = 2
 _MAX_POISSON_MEAN = 1e18
 
 
-@dataclass(frozen=True)
-class CurrentTrace:
-    """Sampled currents of the two arms and their difference."""
-
-    j1: np.ndarray
-    j2: np.ndarray
-    jdiff: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        if not (self.j1.shape == self.j2.shape == self.jdiff.shape):
-            raise InvalidSpec("current arrays must share one grid")
-        if self.dt <= 0:
-            raise InvalidSpec("sample interval must be positive")
-        for a in (self.j1, self.j2, self.jdiff):
-            a.setflags(write=False)
-
-    @property
-    def duration(self) -> float:
-        return self.jdiff.size * self.dt
-
-    @property
-    def sample_rate(self) -> float:
-        return 1.0 / self.dt
-
-
 def _arm_phasors(state: FieldState, lo: LocalOscillator):
     """(offsets, amplitudes) of the LO and the signal in arm 1's E_lo - i M; arm 2 negates M."""
     if state.is_squeezed():
@@ -110,7 +87,7 @@ def intensity_rate(
     """Expected photoemission rate of one detector arm at time t.
 
     eta/2 |E_lo(t) -+ i M(t)|^2 evaluated in the rotating frame (exact
-    at any t); the tests' reference for bin_means.  Raises
+    at any t); the tests' reference for _bin_mean_blocks.  Raises
     NonClassicalInput for squeezed states, whose emission statistics
     are not an inhomogeneous Poisson process.
     """
@@ -196,69 +173,9 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     return blocks()
 
 
-def bin_means(state, lo, det, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact expected photoemission count of each bin [k dt, (k+1) dt), per arm.
-
-    The whole record of the blocks the streamed pass draws from, each
-    copied out before the next is made; see _bin_mean_blocks for the
-    closed form.
-    """
-    blocks = _bin_mean_blocks(state, lo, det, n, dt)  # checks n and dt first
-    arms = np.empty(n), np.empty(n)
-    for start, means in zip(range(0, n, _BLOCK), blocks):
-        for whole, part in zip(arms, means):
-            whole[start : start + part.size] = part
-    return arms
-
-
 def _arm_rngs(seed: int) -> list[np.random.Generator]:
     """The two arms' generators, independent child streams of one seed sequence."""
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2)]
-
-
-def sample_bin_counts(means, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Photoemission counts of every bin of both arms, one Poisson draw per bin.
-
-    Counts of an inhomogeneous Poisson process in disjoint bins are
-    independent Poisson variables with the bins' integrated rates as
-    means.  Each arm draws from its own child stream of the seed, one
-    bin after the other, so drawing a record block by block from the
-    same generators gives the same counts.
-    """
-    return tuple(rng.poisson(m) for rng, m in zip(_arm_rngs(seed), means))
-
-
-def synthesize_current(counts, det: DetectorParams, sample_rate: float) -> CurrentTrace:
-    """Turn the per-bin counts of both arms into sampled currents and their difference.
-
-    Delta pulses deposit charge/dt in their bin, conserving charge
-    exactly; the streamed pass forms the same currents block by block
-    in its own buffers.  Exponential pulses convolve the count train
-    with the sampled pulse, conserving charge to 0.1 % once tau covers
-    a few samples (the test suite pins this); their tails cross blocks,
-    so they need the whole record.
-    """
-    if sample_rate <= 0:
-        raise InvalidSpec("sample rate must be positive")
-    if counts[0].shape != counts[1].shape:
-        raise InvalidSpec("both arms need the same bin grid")
-    dt = 1.0 / sample_rate
-    n = counts[0].size
-
-    def one_arm(c: np.ndarray) -> np.ndarray:
-        if det.pulse.is_delta:
-            return c * (det.charge * sample_rate)
-        # imported here: no packaged scenario reaches this branch, and
-        # scipy stays off the import path of the command line
-        from scipy.signal import fftconvolve
-
-        tau = det.pulse.tau
-        m = max(1, int(math.ceil(20.0 * tau * sample_rate)))
-        kernel = (det.charge / tau) * np.exp(-(np.arange(m) + 0.5) * dt / tau)
-        return fftconvolve(c.astype(float), kernel)[:n]
-
-    j1, j2 = (one_arm(c) for c in counts)
-    return CurrentTrace(j1=j1, j2=j2, jdiff=j1 - j2, dt=dt)
 
 
 def _segment_length(duration: float, sample_rate: float, cfg: MeasurementConfig) -> int:
@@ -347,19 +264,6 @@ class _Welch:
         )
 
 
-def estimate_psd(trace: CurrentTrace, cfg: MeasurementConfig) -> Spectrum:
-    """Welch PSD of the difference current (one-sided, density scaling).
-
-    Hann window, 50 % overlap, per-segment constant detrend; segment
-    length is sample_rate / rbw so the grid spacing equals the
-    resolution bandwidth.  Raises TooShort when the record cannot hold
-    cfg.n_segments non-overlapping segments.
-    """
-    welch = _Welch(_segment_length(trace.duration, trace.sample_rate, cfg), trace.sample_rate)
-    welch.add(trace.jdiff)
-    return welch.spectrum()
-
-
 @dataclass(frozen=True)
 class BeatnoteEstimate:
     """Integrated line power after local floor subtraction."""
@@ -432,18 +336,12 @@ class _Lockin:
             self.n += m
 
     def power(self) -> float:
+        """Lock-in power 2 |total|^2 / n^2 of a line at f_hz.
+
+        White noise of one-sided PSD S adds S / (n dt) on average, which
+        the caller subtracts.
+        """
         return float(2.0 * abs(self.total) ** 2 / self.n**2)
-
-
-def lockin_power(x: np.ndarray, f_hz: float, dt: float) -> float:
-    """Full-record lock-in power 2 |sum_n x[n] e^{-i w n dt}|^2 / N^2 of a line at f_hz.
-
-    White noise of one-sided PSD S adds S / (N dt) on average, which the
-    caller subtracts.
-    """
-    lockin = _Lockin(f_hz, dt, x.size)
-    lockin.add(x)
-    return lockin.power()
 
 
 class _Moments:
@@ -587,6 +485,11 @@ class CheckResult:
     tolerance: float
     passed: bool
 
+    @classmethod
+    def within(cls, name: str, value: float, target: float, tolerance: float) -> "CheckResult":
+        """The check |value - target| <= tolerance."""
+        return cls(name, value, target, tolerance, abs(value - target) <= tolerance)
+
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -606,7 +509,6 @@ class ExperimentReport:
     checks: list[CheckResult] = field(default_factory=list)
     scalars: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
-    traces: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -628,15 +530,14 @@ def _binning_power_loss(f_hz: float, sample_rate: float) -> float:
 
 @dataclass(frozen=True)
 class _Record:
-    """The statistics of one simulated record, and its trace when kept."""
+    """The statistics of one simulated record."""
 
     spectrum: Spectrum
     totals: tuple[int, int]  # photoemissions per arm
     duration: float
-    lockin: float  # lock-in power at f_het, see lockin_power
+    lockin: float  # lock-in power at f_het, see _Lockin.power
     variance: float  # of the difference current
     cross_z: float  # z-score of the zero-lag arm covariance
-    trace: CurrentTrace | None
 
 
 def _draws(mean_blocks, rngs):
@@ -657,7 +558,7 @@ def _read_ahead(pool: ThreadPoolExecutor, items):
         yield item
 
 
-def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record:
+def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) -> _Record:
     """Simulate one record of a validated delta-pulse scene in one pass of _BLOCK-bin blocks.
 
     Each block gets its bin means, one Poisson draw per bin and arm and
@@ -666,13 +567,14 @@ def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record
     the arms.  The deterministic beat lives in both arm means with
     opposite signs, so the covariance is taken after subtracting each
     bin's exact mean current (its mean count times charge / dt): the
-    remaining shot fluctuations must be uncorrelated.  The whole trace
-    is kept, 24 bytes per sample, only when keep_trace asks for it.
+    remaining shot fluctuations must be uncorrelated.  When a trace
+    writer is given, its header goes out before the first block and
+    each block's difference current after it.
 
     A record of more than one block runs on two threads.  A worker
     thread makes the bin means and draws both arms' counts, up to
-    _READ_AHEAD blocks ahead; the calling thread forms the currents and
-    feeds every running sum and the kept trace, in block order.  Only
+    _READ_AHEAD blocks ahead; the calling thread forms the currents,
+    feeds every running sum and writes the trace, in block order.  Only
     the worker touches the two generators, block after block, so the
     counts, and every sum fed in the same order, are those of a serial
     pass.  A record of one block has nothing to overlap and runs
@@ -691,16 +593,17 @@ def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))
     dt = 1.0 / meas.sample_rate
-    fs = 1.0 / dt  # the kept trace's sample_rate, so its estimate_psd has this grid
+    fs = 1.0 / dt  # the trace's rate, which may differ from meas.sample_rate in the last bit
     welch = _Welch(_segment_length(n * dt, fs, meas), fs)
     lockin = _Lockin(scene.f_het_hz, dt, n)
     variance, cross = _Moments(), _Moments()
     to_current = -det.charge / dt
     to_pulses = det.charge * meas.sample_rate  # a delta pulse's charge spread over its bin
     buffers = np.empty((5, min(n, _BLOCK)))  # j1, j2, jdiff and the arm product's two factors
-    totals, start = [0, 0], 0
-    whole = [np.empty(n) for _ in range(3)] if keep_trace else []  # j1, j2, jdiff
+    totals = [0, 0]
     draws = _draws(_bin_mean_blocks(scene.state, scene.lo, det, n, dt), _arm_rngs(seed))
+    if trace is not None:
+        trace.start(dt, n)
     with contextlib.ExitStack() as stack:
         if n > _BLOCK:
             draws = _read_ahead(stack.enter_context(ThreadPoolExecutor(1)), draws)
@@ -720,9 +623,8 @@ def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record
             d2 += j2
             d1 *= d2
             cross.add(d1)
-            for out, part in zip(whole, (j1, j2, jdiff)):
-                out[start : start + m] = part
-            start += m
+            if trace is not None:
+                trace.write(jdiff)
     se = math.sqrt(cross.var(ddof=1) / n)
     return _Record(
         spectrum=welch.spectrum(),
@@ -731,7 +633,6 @@ def _stream_record(scene: Scene, seed: int, keep_trace: bool = False) -> _Record
         lockin=lockin.power(),
         variance=variance.var(),
         cross_z=cross.mean / se if se > 0 else 0.0,
-        trace=CurrentTrace(*whole, dt=dt) if keep_trace else None,
     )
 
 
@@ -770,12 +671,14 @@ def run_experiment(
     scene: Scene | Scan | None = None,
     *,
     seed: int = 20260815,
-    keep_traces: bool = False,
+    trace: TraceWriter | None = None,
 ) -> ExperimentReport:
     """Run a packaged Monte Carlo experiment and check it against theory.
 
     scene is a Scene from RunConfig.build_scene, or for `sensitivity` a
     Scan from RunConfig.build_scan; None runs the config defaults.
+    trace, when given, receives the difference current of the record of
+    every scenario but `sensitivity`, block by block as it is made.
 
     Scenarios:
       shot-floor   vacuum signal; floor level (3 %) and flatness (95 %).
@@ -794,13 +697,13 @@ def run_experiment(
     report = ExperimentReport(scenario=scenario, seed=seed)
     root = np.random.SeedSequence(seed)
     if scenario == "shot-floor":
-        _scenario_floor(report, scene, root, signal=False, keep_traces=keep_traces)
+        _scenario_floor(report, scene, root, signal=False, trace=trace)
     elif scenario == "beatnote":
-        _scenario_floor(report, scene, root, signal=True, keep_traces=keep_traces)
+        _scenario_floor(report, scene, root, signal=True, trace=trace)
     elif scenario == "default":
-        _scenario_floor(report, scene, root, signal=True, extras=True, keep_traces=keep_traces)
+        _scenario_floor(report, scene, root, signal=True, extras=True, trace=trace)
     elif scenario == "null-phase":
-        _scenario_null_phase(report, scene, root, keep_traces=keep_traces)
+        _scenario_null_phase(report, scene, root, trace=trace)
     elif scenario == "sensitivity":
         _scenario_sensitivity(report, scene, root)
     else:
@@ -815,7 +718,7 @@ def _scenario_floor(
     *,
     signal: bool,
     extras: bool = False,
-    keep_traces: bool = False,
+    trace: TraceWriter | None = None,
 ) -> None:
     _check_scene(scene)
     if not signal:
@@ -823,30 +726,16 @@ def _scenario_floor(
         scene = replace(scene, state=replace(scene.state, modes=vacuum))
     state, lo, det, meas, f_het = scene.state, scene.lo, scene.det, scene.meas, scene.f_het_hz
     seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
-    record = _stream_record(scene, seed, keep_traces)
+    record = _stream_record(scene, seed, trace)
     spec = record.spectrum
 
     floor_target = float(shot_floor_psd(lo, det, TWO_PI * f_het))
     floor_mean, floor_sigma, mask = floor_statistics(spec, f_het)
     report.checks.append(
-        CheckResult(
-            name="shot_floor_level",
-            value=floor_mean,
-            target=floor_target,
-            tolerance=0.03 * floor_target,
-            passed=abs(floor_mean - floor_target) <= 0.03 * floor_target,
-        )
+        CheckResult.within("shot_floor_level", floor_mean, floor_target, 0.03 * floor_target)
     )
     t_stat, t_crit = flatness_t_statistic(spec, mask)
-    report.checks.append(
-        CheckResult(
-            name="shot_floor_flatness_t",
-            value=t_stat,
-            target=0.0,
-            tolerance=t_crit,
-            passed=abs(t_stat) <= t_crit,
-        )
-    )
+    report.checks.append(CheckResult.within("shot_floor_flatness_t", t_stat, 0.0, t_crit))
     report.scalars.update(
         {
             "floor_mean": floor_mean,
@@ -861,15 +750,7 @@ def _scenario_floor(
         target = output_signal_power(state, lo, det) * _binning_power_loss(
             f_het, meas.sample_rate
         )
-        report.checks.append(
-            CheckResult(
-                name="beatnote_power",
-                value=power,
-                target=target,
-                tolerance=0.05 * target,
-                passed=abs(power - target) <= 0.05 * target,
-            )
-        )
+        report.checks.append(CheckResult.within("beatnote_power", power, target, 0.05 * target))
         report.scalars["beat_power"] = power
         report.scalars["beat_target"] = target
     if extras:
@@ -879,27 +760,9 @@ def _scenario_floor(
                 "the difference current is constant, so the Parseval ratio is undefined"
             )
         integrated = float(np.trapezoid(spec.psd, spec.freqs_hz))
-        report.checks.append(
-            CheckResult(
-                name="parseval_ratio",
-                value=integrated / var,
-                target=1.0,
-                tolerance=0.02,
-                passed=abs(integrated / var - 1.0) <= 0.02,
-            )
-        )
-        report.checks.append(
-            CheckResult(
-                name="arm_cross_covariance_z",
-                value=record.cross_z,
-                target=0.0,
-                tolerance=3.0,
-                passed=abs(record.cross_z) <= 3.0,
-            )
-        )
+        report.checks.append(CheckResult.within("parseval_ratio", integrated / var, 1.0, 0.02))
+        report.checks.append(CheckResult.within("arm_cross_covariance_z", record.cross_z, 0.0, 3.0))
     report.spectra["difference_current"] = spec
-    if keep_traces:
-        report.traces["difference_current"] = record.trace
 
 
 def _scenario_null_phase(
@@ -907,16 +770,14 @@ def _scenario_null_phase(
     scene: Scene,
     root: np.random.SeedSequence,
     *,
-    keep_traces: bool = False,
+    trace: TraceWriter | None = None,
 ) -> None:
     _check_scene(scene)
     quadrature = PhaseMode.fixed(scene.lo.theta_bar + math.pi / 2.0)
     scene = replace(scene, state=replace(scene.state, phase=quadrature))
     seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
-    record = _stream_record(scene, seed, keep_traces)
+    record = _stream_record(scene, seed, trace)
     spec = record.spectrum
-    if keep_traces:
-        report.traces["difference_current"] = record.trace
     floor_mean, floor_sigma, _ = floor_statistics(spec, scene.f_het_hz)
     beat = extract_beatnote(spec, scene.f_het_hz)
     threshold = floor_mean + 3.0 * floor_sigma
@@ -993,14 +854,7 @@ def _scenario_sensitivity(
                 "nf_db": nf_emp,
             }
         )
-        report.checks.append(
-            CheckResult(
-                name=f"noise_figure_{power * 1e9:.1f}nW",
-                value=nf_emp,
-                target=0.0,
-                tolerance=0.3,
-                passed=abs(nf_emp) <= 0.3,
-            )
-        )
+        name = f"noise_figure_{power * 1e9:.1f}nW"
+        report.checks.append(CheckResult.within(name, nf_emp, 0.0, 0.3))
     report.scalars["rows"] = rows
     report.scalars["photon_energy_j"] = scan.photon_energy_j

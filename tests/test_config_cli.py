@@ -391,6 +391,20 @@ class TestCliRuns:
         assert dt == pytest.approx(1e-7)
         assert samples.size == 500000
 
+    def test_simulate_that_fails_after_the_pass_leaves_no_trace(self, tmp_path):
+        # so faint a detector that no photon is counted: the whole trace is
+        # written, then the Parseval check finds a constant current
+        text = (
+            FAST_SIM_CFG.replace("0.5", "0.05")
+            .replace("shot-floor", "default")
+            .replace("0.7", "1e-302")
+            + "output.write_trace = true\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+
     def test_seed_override_lands_in_report(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG)
         out = tmp_path / "out"

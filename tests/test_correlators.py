@@ -9,6 +9,7 @@ powers) and the two must agree to numerical precision.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from bilodyne.correlators import (
 )
 from bilodyne.errors import InvalidSpec, TruncationInsufficient, UnknownMode, WeakLO
 from bilodyne.model import (
+    MAX_PHOTON_FLUX,
+    MAX_SQUEEZE_R,
     FieldMode,
     Hypothesis,
     LocalOscillator,
@@ -118,6 +121,14 @@ class TestSecondMoments:
         assert table.anomalous[1, 2] == pytest.approx(expected_anom, rel=1e-12)
         assert table.anomalous[2, 1] == pytest.approx(expected_anom, rel=1e-12)
         assert fluctuation_flux(table) == pytest.approx(s2, rel=1e-12)
+
+    def test_largest_squeeze_raises_no_runtime_warning(self):
+        # at MAX_SQUEEZE_R the populations are ~MAX_PHOTON_FLUX, far from overflow
+        state = squeezed_state(Hypothesis.ONE_FIELD, r=MAX_SQUEEZE_R)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = second_moments(state)
+        assert fluctuation_flux(table) == pytest.approx(MAX_PHOTON_FLUX, rel=1e-9)
 
     def test_pair_referencing_missing_mode_raises(self):
         # Pair frequencies are only resolved against the mode list when

@@ -8,17 +8,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bilodyne import io
 from bilodyne.analytic import Spectrum, SpectrumKind
 from bilodyne.errors import ParseError
 from bilodyne.io import (
     TRACE_MAGIC,
+    TraceWriter,
     read_spectrum_csv,
     read_trace_bin,
     write_report_json,
     write_spectrum_csv,
-    write_trace_bin,
 )
-from bilodyne.montecarlo import CurrentTrace
 
 
 def _spectrum() -> Spectrum:
@@ -28,11 +28,20 @@ def _spectrum() -> Spectrum:
     return Spectrum(freqs_hz=freqs, psd=psd, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
 
 
-def _trace() -> CurrentTrace:
+DT = 1e-7
+
+
+def _samples() -> np.ndarray:
     rng = np.random.default_rng(14)
-    j1 = rng.standard_normal(1000)
-    j2 = rng.standard_normal(1000)
-    return CurrentTrace(j1=j1, j2=j2, jdiff=j1 - j2, dt=1e-7)
+    return rng.standard_normal(1000) - rng.standard_normal(1000)
+
+
+def write_trace_bin(path, samples: np.ndarray, blocks: int = 3) -> None:
+    """The samples written to a trace file in a few blocks, as a run writes them."""
+    with TraceWriter(path) as trace:
+        trace.start(DT, samples.size)
+        for part in np.array_split(samples, blocks):
+            trace.write(part)
 
 
 class TestSpectrumCsv:
@@ -55,6 +64,19 @@ class TestSpectrumCsv:
         write_spectrum_csv(b, _spectrum())
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rows_written_in_chunks_are_the_rows_of_one_join(self, tmp_path):
+        # two whole chunks of _CSV_ROWS rows and a part of a third
+        n = 2 * io._CSV_ROWS + 5
+        rng = np.random.default_rng(15)
+        spec = Spectrum(
+            freqs_hz=np.arange(float(n)), psd=rng.exponential(size=n) * 1e-3, rbw_hz=1.0,
+            kind=SpectrumKind.ESTIMATED,
+        )
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, spec)
+        rows = [f"{f:.17g},{p:.17g}" for f, p in zip(spec.freqs_hz, spec.psd)]
+        assert path.read_text() == "\n".join(["freq_hz,psd", *rows]) + "\n"
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("time,volts\n0,1\n")
@@ -75,16 +97,15 @@ class TestReportJson:
 
 class TestTraceBin:
     def test_round_trip_is_exact(self, tmp_path):
-        trace = _trace()
         path = tmp_path / "trace.bin"
-        write_trace_bin(path, trace)
+        write_trace_bin(path, _samples())
         dt, samples = read_trace_bin(path)
-        assert dt == trace.dt
-        np.testing.assert_array_equal(samples, trace.jdiff)
+        assert dt == DT
+        np.testing.assert_array_equal(samples, _samples())
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "trace.bin"
-        write_trace_bin(path, _trace())
+        write_trace_bin(path, _samples())
         raw = path.read_bytes()
         assert raw[:8] == TRACE_MAGIC
         assert len(raw) == 32 + 8 * 1000
@@ -92,17 +113,38 @@ class TestTraceBin:
     def test_write_makes_no_copy_of_the_record(self, tmp_path):
         n = 1_000_000
         samples = np.arange(n, dtype=float)
-        trace = CurrentTrace(j1=samples, j2=samples, jdiff=samples, dt=1e-7)
         path = tmp_path / "trace.bin"
         tracemalloc.start()
         try:
-            write_trace_bin(path, trace)
+            write_trace_bin(path, samples, blocks=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # a copy of the samples would take 8 n bytes
         assert peak < n
         np.testing.assert_array_equal(read_trace_bin(path)[1], samples)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "trace.bin"
+        with pytest.raises(RuntimeError):
+            with TraceWriter(path) as trace:
+                trace.start(DT, 1000)
+                trace.write(_samples()[:500])
+                raise RuntimeError("the run failed half way")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_appears_only_when_the_writer_closes(self, tmp_path):
+        path = tmp_path / "trace.bin"
+        with TraceWriter(path) as trace:
+            trace.start(DT, 1000)
+            trace.write(_samples())
+            assert not path.exists()
+        assert path.exists() and list(tmp_path.iterdir()) == [path]
+
+    def test_writer_never_started_writes_nothing(self, tmp_path):
+        with TraceWriter(tmp_path / "trace.bin"):
+            pass
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "trace.bin"
@@ -112,7 +154,7 @@ class TestTraceBin:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "trace.bin"
-        write_trace_bin(path, _trace())
+        write_trace_bin(path, _samples())
         raw = bytearray(path.read_bytes())
         raw[:8] = b"NOTATRAC"
         path.write_bytes(bytes(raw))
@@ -121,7 +163,7 @@ class TestTraceBin:
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "trace.bin"
-        write_trace_bin(path, _trace())
+        write_trace_bin(path, _samples())
         raw = bytearray(path.read_bytes())
         raw[8] = 9
         path.write_bytes(bytes(raw))
@@ -130,7 +172,7 @@ class TestTraceBin:
 
     def test_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "trace.bin"
-        write_trace_bin(path, _trace())
+        write_trace_bin(path, _samples())
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParseError):
             read_trace_bin(path)

@@ -8,6 +8,7 @@ import pytest
 
 from bilodyne.errors import ConfigViolation, InvalidSpec, Unsupported
 from bilodyne.model import (
+    MAX_SQUEEZE_R,
     TWO_PI,
     DetectorParams,
     FieldMode,
@@ -83,6 +84,12 @@ class TestBuildFieldState:
     def test_negative_squeeze_strength_rejected(self):
         with pytest.raises(InvalidSpec):
             SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, -0.1, 0.0)
+
+    def test_squeeze_beyond_the_flux_bound_rejected(self):
+        # sinh(35.3)^2 ~ 1.1e30 photons/s, above MAX_PHOTON_FLUX
+        with pytest.raises(InvalidSpec, match="MAX_PHOTON_FLUX"):
+            SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 35.3, 0.0)
+        assert SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, MAX_SQUEEZE_R, 0.0)
 
 
 class TestPhotonFlux:

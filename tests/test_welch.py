@@ -17,9 +17,8 @@ from bilodyne.analytic import Spectrum, SpectrumKind
 from bilodyne.model import MeasurementConfig
 from bilodyne.montecarlo import (
     _BLOCK,
-    CurrentTrace,
+    _segment_length,
     _Welch,
-    estimate_psd,
     flatness_t_statistic,
     student_t_quantile,
 )
@@ -108,12 +107,13 @@ class TestWelchAgainstScipy:
         assert welch.segments == (n - nperseg) // hop + 1
         assert np.max(np.abs(welch.spectrum().psd - ref) / ref) <= 1e-12
 
-    def test_estimate_psd_is_the_one_chunk_sum(self):
+    def test_one_chunk_at_the_configured_segment_length(self):
         x = _record(150_000)
-        trace = CurrentTrace(j1=x, j2=np.zeros_like(x), jdiff=x, dt=1.0 / FS)
         cfg = MeasurementConfig(duration=0.15, rbw=1e3, sample_rate=FS, n_segments=16)
         freqs, ref = _scipy_welch(x, 1000)
-        spec = estimate_psd(trace, cfg)
+        welch = _Welch(_segment_length(x.size / FS, FS, cfg), FS)
+        welch.add(x)
+        spec = welch.spectrum()
         np.testing.assert_array_equal(spec.freqs_hz, freqs)
         assert np.max(np.abs(spec.psd - ref) / ref) <= 1e-12
 
