@@ -39,10 +39,12 @@ from .model import (
 # Largest record (duration * sample rate, or scan.count_windows of the
 # counting run) and Welch segment or analytic grid (sample rate / rbw) a
 # config may ask for, in samples.  The
-# streamed Monte Carlo pass takes 0.12-0.16 us per sample on a 2-vCPU
-# VM, so MAX_RECORD_SAMPLES is a few minutes of it.  A run with segments
-# of MAX_SEGMENT_SAMPLES peaks at ~310 MiB of RSS (simulate shot-floor,
-# 7 s record), most of it the Welch sum's segment-sized arrays.
+# streamed Monte Carlo pass takes ~0.05 us per sample on a 2-vCPU VM at
+# default.cfg's ~0.035 photoemissions per sample and arm, 0.12-0.2 us at 100
+# times its LO flux, so MAX_RECORD_SAMPLES is one to three minutes of it.
+# A run with segments of MAX_SEGMENT_SAMPLES peaks at ~280 MiB of RSS
+# (simulate shot-floor, 7 s record), most of it the Welch sum's
+# segment-sized arrays.
 MAX_RECORD_SAMPLES = 10**9
 MAX_SEGMENT_SAMPLES = 1 << 22
 

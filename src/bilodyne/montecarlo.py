@@ -1,11 +1,12 @@
 """Stochastic photoemission simulation of balanced detection.
 
 The chain is: semiclassical emission rates -> closed-form mean count
-of every sample bin -> one Poisson draw per bin -> currents -> Welch
-PSD -> beat and floor extraction.  A record runs as one pass over
-blocks of _BLOCK samples, each block feeding running sums and, when a
-trace is asked for, the trace file, so memory is O(_BLOCK + Welch
-segment) whatever the record length.  Every stage is deterministic
+of every sample bin -> Poisson counts per bin (a block of sparse bins
+as one Poisson process, a denser one by one draw per bin) -> currents
+-> Welch PSD -> beat and floor extraction.  A record runs as one pass
+over blocks of _BLOCK samples, each block feeding running sums and,
+when a trace is asked for, the trace file, so memory is O(_BLOCK +
+Welch segment) whatever the record length.  Every stage is deterministic
 given the seed; the two detectors draw from independent child streams
 of one seed sequence.
 
@@ -65,6 +66,13 @@ _READ_AHEAD = 2
 # numpy draws a Poisson count only for a mean below ~9.2e18 (int64); a
 # run whose bins or counting windows could ask more is refused first
 _MAX_POISSON_MEAN = 1e18
+# mean expected count per bin up to which _arm_counts draws a block as
+# one Poisson process rather than one draw per bin.  On a 2-vCPU VM, blocks of
+# 2^16 bins shaped as default.cfg's cost both ways the same at ~0.25 per
+# bin (sparse 0.5 ms against dense 1.7 ms per arm at default.cfg's 0.035,
+# 4.3 against 2.5 ms at 1); any value from ~0.04 to ~2,000 takes default.cfg
+# sparse and every sensitivity.cfg scan block (~2,300 per bin) dense
+_SPARSE_MEAN_PER_BIN = 0.25
 
 
 def _arm_phasors(state: FieldState, lo: LocalOscillator):
@@ -207,7 +215,13 @@ class _Welch:
     detrend="constant".  Each chunk is copied behind the samples held
     over from the start of the first incomplete segment, so the caller
     may overwrite it once add returns; the segments are transformed
-    batch by batch in arrays made once.
+    batch by batch in arrays made once.  The squares of the spectra's
+    imaginary parts go to the detrended segments' memory, free once they
+    are transformed, and a batch of one segment is added as it is.  At
+    one segment per batch (nperseg > _BLOCK / 2) the sum so holds about
+    five segments of doubles besides the rfft's own: the window, the
+    held samples, the detrended segment and the complex spectrum take
+    one each, the power and the running total half each.
     """
 
     def __init__(self, nperseg: int, fs: float):
@@ -223,8 +237,7 @@ class _Welch:
         self.detrended = np.empty((self.batch, nperseg))
         self.spec = np.empty((self.batch, self.total.size), dtype=complex)
         self.power = np.empty((self.batch, self.total.size))
-        self.imag_power = np.empty((self.batch, self.total.size))
-        self.power_sum = np.empty(self.total.size)
+        self.power_sum = np.empty(self.total.size) if self.batch > 1 else None
 
     def add(self, x: np.ndarray) -> None:
         start, end = self.held_size, self.held_size + x.size
@@ -246,8 +259,9 @@ class _Welch:
             part *= self.window
             spec = np.fft.rfft(part, axis=1, out=self.spec[:k])
             power = np.multiply(spec.real, spec.real, out=self.power[:k])
-            power += np.multiply(spec.imag, spec.imag, out=self.imag_power[:k])
-            self.total += power.sum(axis=0, out=self.power_sum)
+            imag_power = self.detrended.reshape(-1)[: power.size].reshape(power.shape)
+            power += np.multiply(spec.imag, spec.imag, out=imag_power)
+            self.total += power[0] if k == 1 else power.sum(axis=0, out=self.power_sum)
         self.segments += len(segs)
         done = len(segs) * self.hop
         self.held_size = end - done
@@ -540,10 +554,35 @@ class _Record:
     cross_z: float  # z-score of the zero-lag arm covariance
 
 
+def _arm_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
+    """Poisson counts of one arm's block of bins with the given means.
+
+    A sparse block, whose bins expect at most _SPARSE_MEAN_PER_BIN counts
+    on average, is drawn as a Poisson process (Devroye 1986, ch. VI): a
+    Poisson total, then that many points uniform on [0, total), each
+    counted in bin i when it lies in [cum[i-1], cum[i]) of the cumulative
+    means.  Given the total the counts are multinomial with probabilities
+    mean / total, so they are independent Poisson variables, as one draw
+    per bin makes them, at a cost of O(bins + events).  A bin of zero
+    mean has an empty interval and gets no count, and a point lies below
+    the total, so every index is in the block.  A denser block takes one
+    draw per bin.
+    """
+    m = means.size
+    if not means.sum() <= _SPARSE_MEAN_PER_BIN * m:
+        return rng.poisson(means)
+    cum = np.cumsum(means)
+    total = cum[-1]
+    u = rng.random(rng.poisson(total))
+    u *= total
+    u.sort()  # the searches then walk the bins in order
+    return np.bincount(np.searchsorted(cum, u, side="right"), minlength=m)
+
+
 def _draws(mean_blocks, rngs):
-    """(means, counts) of each block of means, one Poisson draw per bin and arm, in block order."""
+    """(means, counts) of each block of means, _arm_counts of each arm, in block order."""
     for means in mean_blocks:
-        yield means, tuple(rng.poisson(m) for rng, m in zip(rngs, means))
+        yield means, tuple(_arm_counts(rng, m) for rng, m in zip(rngs, means))
 
 
 def _read_ahead(pool: ThreadPoolExecutor, items):
@@ -561,7 +600,7 @@ def _read_ahead(pool: ThreadPoolExecutor, items):
 def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) -> _Record:
     """Simulate one record of a validated delta-pulse scene in one pass of _BLOCK-bin blocks.
 
-    Each block gets its bin means, one Poisson draw per bin and arm and
+    Each block gets its bin means, each arm's counts from _arm_counts and
     its currents, which feed the Welch sum, the lock-in sum at f_het, the
     variance of the difference current and the zero-lag covariance of
     the arms.  The deterministic beat lives in both arm means with
@@ -580,15 +619,16 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     pass.  A record of one block has nothing to overlap and runs
     serially.
 
-    No block-sized array is made per block but the counts, which
-    rng.poisson returns new.  The bin means go into a ring of
-    _READ_AHEAD + 1 buffer pairs, so a block's means live until the
-    worker has made _READ_AHEAD more blocks, by when the caller is done
-    with them.  The currents j1, j2 and jdiff and the two factors of
-    the arm product are one set of block buffers on the calling thread,
-    overwritten by every block; the sums keep nothing of a block but
-    the Welch sum's copy of its incomplete segment.  Memory is
-    therefore O(_READ_AHEAD + 1 blocks + segment).
+    No block-sized array is made per block but the counts and, for a
+    sparse block, the cumulative means, which numpy returns new.  The
+    bin means go into a ring of _READ_AHEAD + 1 buffer pairs, so a
+    block's means live until the worker has made _READ_AHEAD more
+    blocks, by when the caller is done with them.  The currents j1, j2
+    and jdiff and the two factors of the arm product are one set of
+    block buffers on the calling thread, overwritten by every block; the
+    sums keep nothing of a block but the Welch sum's copy of its
+    incomplete segment.  Memory is therefore O(_READ_AHEAD + 1 blocks +
+    segment).
     """
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))

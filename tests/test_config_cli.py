@@ -585,8 +585,8 @@ class TestCliErrors:
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy is imported only on the paths that need it (the Fock oracle,
-    # exponential pulses), neither at start-up nor by a default simulate run
+    # scipy is imported only on the path that needs it (the Fock oracle),
+    # neither at start-up nor by a default simulate run
     import bilodyne
 
     src = str(Path(bilodyne.__file__).resolve().parents[1])
@@ -600,4 +600,9 @@ def test_cli_import_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     lines = out.stdout.strip().splitlines()
     assert lines[0] == "[]"
-    assert lines[-2:] == ["0", "[]"]
+    assert lines[-1] == "[]"
+    # a 0.25 s record's lock-in line scatters by ~9 %, so the 5 % beatnote
+    # gate may go either way: the run must reach a verdict and report it
+    assert lines[-2] in ("0", "2")
+    results = json.loads((tmp_path / "o" / "report.json").read_text())["results"]
+    assert results["passed"] is (lines[-2] == "0")
