@@ -544,7 +544,8 @@ class TestRunExperiment:
         assert names == ["shot_floor_level", "shot_floor_flatness_t"]
         assert "difference_current" in report.spectra
         # the level passes at every seed; the slope test's t understates its
-        # standard error (ROADMAP item 2), so its verdict is left to the sweep
+        # standard error (Welch bins 2 f_het apart are correlated), so its
+        # verdict is left to scripts/seed_sweep.py
         assert report.checks[0].passed
 
     def test_deterministic_spectra(self):
