@@ -256,7 +256,7 @@ class _Points:
 class TestArmCounts:
     """The two ways _arm_counts draws a block: a Poisson process, or one draw per bin."""
 
-    def _default_means(self, n: int = 4 * _BLOCK) -> np.ndarray:
+    def _default_means(self, n: int = 4 * _BLOCK) -> tuple[np.ndarray, np.ndarray]:
         scene = RunConfig.defaults().build_scene()
         return bin_means(scene.state, scene.lo, scene.det, n, 1.0 / scene.meas.sample_rate)
 
@@ -270,7 +270,7 @@ class TestArmCounts:
 
     def test_sparse_totals_and_dispersion_match_the_means(self):
         # the default scene's ~0.035 expected per bin, with the LO beat taking
-        # the bins near its nodes down to ~1e-5
+        # the bins near its nodes down to ~3e-5
         means = self._default_means()
         for mu, c in zip(means, sample_bin_counts(means, seed=13)):
             total = float(mu.sum())
