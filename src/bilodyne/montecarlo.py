@@ -11,12 +11,13 @@ given the seed; the two detectors draw from independent child streams
 of one seed sequence.
 
 A record of more than one block runs on two threads: a worker makes the
-bin means and draws the counts up to _READ_AHEAD blocks ahead, and the
-calling thread forms the currents, feeds the running sums and writes
-the trace.  Only the worker draws, block after block, and the sums and
-the trace are fed in block order, so the results are bit for bit those
-of a serial pass; memory is O(_READ_AHEAD + 1 blocks + segment).  A
-one-block record runs serially.
+bin means, draws the counts, forms the currents and feeds the count-only
+sums (arm totals, zero-lag covariance) up to _READ_AHEAD blocks ahead,
+and the calling thread feeds the Welch, lock-in and variance sums with
+the difference current and writes the trace.  Only the worker draws,
+block after block, and each sum is fed by one thread in block order, so
+the results are bit for bit those of a serial pass.  A one-block record
+runs serially.
 
 Rates here are the semiclassical ones for coherent (or vacuum) input:
 eta/2 |E_lo(t) -+ i M(t)|^2 per arm, which is manifestly non-negative.
@@ -135,10 +136,9 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     start phase e^{-i D t0}.  The arguments and the state are checked
     at the call, before the first block.
 
-    The blocks' arrays are a ring of _READ_AHEAD + 1 buffer pairs taken
-    in turn: a block's means stay valid until _READ_AHEAD more blocks
-    have been made, which is as far as the streamed pass's worker runs
-    ahead of the block its caller is summing.
+    Every block is written into the same pair of arrays, so a block's
+    means stay valid only until the next block is made: the streamed
+    pass reads them on its drawing thread, before it asks for the next.
     """
     if n < 1 or not dt > 0.0:
         raise InvalidSpec(f"need at least one bin of positive width, got n={n}, dt={dt!r}")
@@ -152,8 +152,7 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     size = min(n, _BLOCK)
     tau = (np.arange(size) + 0.5) * dt
     tables = {d: (np.cos(d * tau), np.sin(d * tau)) for d in common.keys() | cross.keys() if d}
-    shared, beat, term = (np.empty(size) for _ in range(3))
-    ring = [(np.empty(size), np.empty(size)) for _ in range(_READ_AHEAD + 1)]
+    shared, beat, term, arm_1, arm_2 = (np.empty(size) for _ in range(5))
 
     def block(terms: dict, t0: float, out: np.ndarray) -> np.ndarray:
         m = out.size
@@ -171,11 +170,10 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
         return out
 
     def blocks():
-        for k, start in enumerate(range(0, n, _BLOCK)):
+        for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
             s = block(common, start * dt, shared[:m])
             b = block(cross, start * dt, beat[:m])
-            arm_1, arm_2 = ring[k % len(ring)]
             yield np.add(s, b, out=arm_1[:m]), np.subtract(s, b, out=arm_2[:m])
 
     return blocks()
@@ -579,10 +577,40 @@ def _arm_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
     return np.bincount(np.searchsorted(cum, u, side="right"), minlength=m)
 
 
-def _draws(mean_blocks, rngs):
-    """(means, counts) of each block of means, _arm_counts of each arm, in block order."""
-    for means in mean_blocks:
-        yield means, tuple(_arm_counts(rng, m) for rng, m in zip(rngs, means))
+def _block_currents(mean_blocks, rngs, to_pulses: float, to_current: float, totals: list, cross: _Moments):
+    """The difference current of each block of means, in block order: the drawing half of the pass.
+
+    Each arm's counts come from _arm_counts with that arm's generator;
+    they are added to totals, made into the delta-pulse currents j1 and
+    j2 (count times to_pulses), and the zero-lag product of the arms'
+    fluctuations (j - mean times to_current) is fed to cross.  Only the
+    difference current j1 - j2 is yielded.  Its arrays are a ring of
+    _READ_AHEAD + 1 buffers taken in turn, so a block's current stays
+    valid until _READ_AHEAD more blocks have been made, which is as far
+    as _read_ahead runs ahead of the block its caller is summing; every
+    other array is one buffer, overwritten by the next block.
+    """
+    ring = currents = None
+    for k, means in enumerate(mean_blocks):
+        m = means[0].size
+        if ring is None:  # the first block is the largest
+            ring = np.empty((_READ_AHEAD + 1, m))
+            currents = np.empty((4, m))  # j1, j2 and the arm product's two factors
+        counts = [_arm_counts(rng, mu) for rng, mu in zip(rngs, means)]
+        for arm, c in enumerate(counts):
+            totals[arm] += int(c.sum())
+        j1, j2, d1, d2 = currents[:, :m]
+        jdiff = ring[k % len(ring), :m]
+        np.multiply(counts[0], to_pulses, out=j1)
+        np.multiply(counts[1], to_pulses, out=j2)
+        np.subtract(j1, j2, out=jdiff)
+        np.multiply(means[0], to_current, out=d1)
+        d1 += j1
+        np.multiply(means[1], to_current, out=d2)
+        d2 += j2
+        d1 *= d2
+        cross.add(d1)
+        yield jdiff
 
 
 def _read_ahead(pool: ThreadPoolExecutor, items):
@@ -611,24 +639,22 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     each block's difference current after it.
 
     A record of more than one block runs on two threads.  A worker
-    thread makes the bin means and draws both arms' counts, up to
-    _READ_AHEAD blocks ahead; the calling thread forms the currents,
-    feeds every running sum and writes the trace, in block order.  Only
-    the worker touches the two generators, block after block, so the
-    counts, and every sum fed in the same order, are those of a serial
-    pass.  A record of one block has nothing to overlap and runs
-    serially.
+    thread runs _block_currents up to _READ_AHEAD blocks ahead: it makes
+    the bin means, draws both arms' counts, forms the currents and
+    feeds the arm totals and the covariance sum.  The calling thread
+    feeds the Welch, lock-in and variance sums with each block's
+    difference current and writes the trace.  Every sum is fed by one
+    thread only, in block order, and only the worker touches the two
+    generators, so the counts and every sum are those of a serial pass.
+    A record of one block has nothing to overlap and runs serially.
 
-    No block-sized array is made per block but the counts and, for a
-    sparse block, the cumulative means, which numpy returns new.  The
-    bin means go into a ring of _READ_AHEAD + 1 buffer pairs, so a
-    block's means live until the worker has made _READ_AHEAD more
-    blocks, by when the caller is done with them.  The currents j1, j2
-    and jdiff and the two factors of the arm product are one set of
-    block buffers on the calling thread, overwritten by every block; the
-    sums keep nothing of a block but the Welch sum's copy of its
-    incomplete segment.  Memory is therefore O(_READ_AHEAD + 1 blocks +
-    segment).
+    No block-sized array is made per block but the counts.  The bin
+    means, the arm currents and the product's factors are one set of
+    block buffers on the worker, and the difference current a ring of
+    _READ_AHEAD + 1 (see _block_currents); the sums keep nothing of a
+    block but the Welch sum's copy of its incomplete segment.  Memory is
+    therefore a fixed number of blocks plus a segment, whatever the
+    record length.
     """
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))
@@ -639,30 +665,20 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     variance, cross = _Moments(), _Moments()
     to_current = -det.charge / dt
     to_pulses = det.charge * meas.sample_rate  # a delta pulse's charge spread over its bin
-    buffers = np.empty((5, min(n, _BLOCK)))  # j1, j2, jdiff and the arm product's two factors
     totals = [0, 0]
-    draws = _draws(_bin_mean_blocks(scene.state, scene.lo, det, n, dt), _arm_rngs(seed))
+    currents = _block_currents(
+        _bin_mean_blocks(scene.state, scene.lo, det, n, dt), _arm_rngs(seed),
+        to_pulses, to_current, totals, cross,
+    )
     if trace is not None:
         trace.start(dt, n)
     with contextlib.ExitStack() as stack:
         if n > _BLOCK:
-            draws = _read_ahead(stack.enter_context(ThreadPoolExecutor(1)), draws)
-        for means, counts in draws:
-            m = counts[0].size
-            totals = [total + int(c.sum()) for total, c in zip(totals, counts)]
-            j1, j2, jdiff, d1, d2 = buffers[:, :m]
-            np.multiply(counts[0], to_pulses, out=j1)
-            np.multiply(counts[1], to_pulses, out=j2)
-            np.subtract(j1, j2, out=jdiff)
+            currents = _read_ahead(stack.enter_context(ThreadPoolExecutor(1)), currents)
+        for jdiff in currents:
             welch.add(jdiff)
             lockin.add(jdiff)
             variance.add(jdiff)
-            np.multiply(means[0], to_current, out=d1)
-            d1 += j1
-            np.multiply(means[1], to_current, out=d2)
-            d2 += j2
-            d1 *= d2
-            cross.add(d1)
             if trace is not None:
                 trace.write(jdiff)
     se = math.sqrt(cross.var(ddof=1) / n)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -34,8 +35,9 @@ from bilodyne.montecarlo import (
     _arm_counts,
     _arm_rngs,
     _bin_mean_blocks,
-    _draws,
+    _block_currents,
     _Lockin,
+    _Moments,
     _segment_length,
     _Welch,
     extract_beatnote,
@@ -68,16 +70,22 @@ def bin_means(state, lo, det, n: int, dt: float) -> tuple[np.ndarray, np.ndarray
 
 
 def sample_bin_counts(means, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both arms' counts of a whole record, drawn as the streamed pass draws them.
+    """Both arms' counts of a whole record, drawn by the streamed pass's worker generator.
 
-    Each arm draws _BLOCK bins at a time through _arm_counts from its own
-    stream.  How a block is drawn depends on its mean count, so only the
-    pass's blocks reproduce its counts.
+    _block_currents yields only the difference current, so each arm's
+    counts are read from a run of unit pulses with the other arm's means
+    set to zero: each arm draws from its own stream, so the other arm's
+    means change none of its counts.  How a block is drawn depends on
+    its means, so only the pass's blocks reproduce its counts.
     """
-    return tuple(
-        np.concatenate([_arm_counts(rng, mu[s : s + _BLOCK]) for s in range(0, mu.size, _BLOCK)])
-        for rng, mu in zip(_arm_rngs(seed), means)
-    )
+    zero = np.zeros(means[0].size)
+    arms = []
+    for alone, sign in (((means[0], zero), 1.0), ((zero, means[1]), -1.0)):
+        blocks = (tuple(mu[s : s + _BLOCK] for mu in alone) for s in range(0, zero.size, _BLOCK))
+        # each block's current is copied before the next overwrites its buffer
+        currents = _block_currents(blocks, _arm_rngs(seed), 1.0, 0.0, [0, 0], _Moments())
+        arms.append(np.concatenate([sign * jdiff for jdiff in currents]).astype(np.int64))
+    return tuple(arms)
 
 
 def _record_seed(seed: int) -> int:
@@ -330,15 +338,18 @@ class TestArmCounts:
         np.testing.assert_array_equal(c, np.random.default_rng(9).poisson(mu))
 
     def test_each_arm_draws_from_its_own_child_stream(self):
-        # the arms' counts are those of the two children of the seed, each
-        # drawing its own block; identical means keep the arms' paths alike
+        # the worker's difference current and totals are those of the two
+        # children of the seed, each drawing its own block; identical means
+        # keep the arms' paths alike
         block = self._default_means(_BLOCK)[0]
         for mu in (block, block * (1.0 / float(block.mean()))):
-            _, counts = next(_draws(iter([(mu, mu)]), _arm_rngs(21)))
+            totals = [0, 0]
+            (jdiff,) = _block_currents(iter([(mu, mu)]), _arm_rngs(21), 1.0, 0.0, totals, _Moments())
             children = np.random.SeedSequence(21).spawn(2)
-            for c, child in zip(counts, children):
-                np.testing.assert_array_equal(c, _arm_counts(np.random.default_rng(child), mu))
-            assert not np.array_equal(counts[0], counts[1])
+            counts = [_arm_counts(np.random.default_rng(child), mu) for child in children]
+            np.testing.assert_array_equal(jdiff, counts[0] - counts[1])
+            assert totals == [int(c.sum()) for c in counts]
+            assert np.any(jdiff)
 
 
 class TestStreamedCurrent:
@@ -759,6 +770,34 @@ class TestTwoThreadPass:
         # charge * fs is a whole number here, so both forms of the current are exact
         expected = scene.det.charge * scene.meas.sample_rate * (counts[0] - counts[1])
         assert kept.tobytes() == expected.tobytes()
+
+    def test_threaded_pass_equals_the_serial_one(self, monkeypatch):
+        # the worker feeds the totals and the covariance sum, the caller the
+        # rest; with threads switching often, and the caller late to each
+        # block so that the worker runs ahead as far as it may, every field
+        # of the record must be that of the same pass run serially
+        real_add = montecarlo._Welch.add
+
+        def late_add(welch, x):
+            time.sleep(0.01)
+            real_add(welch, x)
+
+        monkeypatch.setattr(montecarlo._Welch, "add", late_add)
+        seed = _record_seed(DEFAULT_SEED)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = montecarlo._stream_record(self.SCENE, seed)
+            monkeypatch.setattr(montecarlo, "_read_ahead", lambda pool, items: items)
+            serial = montecarlo._stream_record(self.SCENE, seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.spectrum.freqs_hz.tobytes() == serial.spectrum.freqs_hz.tobytes()
+        assert threaded.spectrum.psd.tobytes() == serial.spectrum.psd.tobytes()
+        assert threaded.totals == serial.totals
+        assert (threaded.duration, threaded.lockin, threaded.variance, threaded.cross_z) == (
+            serial.duration, serial.lockin, serial.variance, serial.cross_z
+        )
 
     def test_only_a_record_of_several_blocks_starts_a_thread(self, monkeypatch):
         seen = []
