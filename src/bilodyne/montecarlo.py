@@ -1,9 +1,9 @@
 """Stochastic photoemission simulation of balanced detection.
 
 The chain is: semiclassical emission rates -> closed-form mean count
-of every sample bin -> Poisson counts per bin (a block of sparse bins
-as one Poisson process, a denser one by one draw per bin) -> currents
--> Welch PSD -> beat and floor extraction.  A record runs as one pass
+of every sample bin -> Poisson counts per bin (a sparse block thinned
+from a homogeneous process, a denser one by one draw per bin) ->
+currents -> Welch PSD -> beat and floor extraction.  A record runs as one pass
 over blocks of _BLOCK samples, each block feeding running sums and,
 when a trace is asked for, the trace file, so memory is O(_BLOCK +
 Welch segment) whatever the record length.  Every stage is deterministic
@@ -67,13 +67,14 @@ _READ_AHEAD = 2
 # numpy draws a Poisson count only for a mean below ~9.2e18 (int64); a
 # run whose bins or counting windows could ask more is refused first
 _MAX_POISSON_MEAN = 1e18
-# mean expected count per bin up to which _arm_counts draws a block as
-# one Poisson process rather than one draw per bin.  On a 2-vCPU VM, blocks of
-# 2^16 bins shaped as default.cfg's cost both ways the same at ~0.25 per
-# bin (sparse 0.5 ms against dense 1.7 ms per arm at default.cfg's 0.035,
-# 4.3 against 2.5 ms at 1); any value from ~0.04 to ~2,000 takes default.cfg
-# sparse and every sensitivity.cfg scan block (~2,300 per bin) dense
-_SPARSE_MEAN_PER_BIN = 0.25
+# largest expected count of any bin in a block up to which _arm_counts
+# draws the block by thinning rather than one draw per bin.  On a 2-vCPU
+# VM, 2^16-bin blocks shaped as default.cfg's (mean half the peak) cost
+# both ways about the same at a peak of 1-2 per bin (thinning 1.2-2.3 ms
+# against 1.8-2.6 ms per arm at 1; 0.12 against 1.1 ms at default.cfg's
+# 0.073), and a flat block at ~3; any value from 0.073 to ~2,300 thins
+# every default.cfg block and draws every sensitivity.cfg scan block dense
+_THIN_PEAK_MEAN = 1.0
 
 
 def _arm_phasors(state: FieldState, lo: LocalOscillator):
@@ -555,26 +556,25 @@ class _Record:
 def _arm_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
     """Poisson counts of one arm's block of bins with the given means.
 
-    A sparse block, whose bins expect at most _SPARSE_MEAN_PER_BIN counts
-    on average, is drawn as a Poisson process (Devroye 1986, ch. VI): a
-    Poisson total, then that many points uniform on [0, total), each
-    counted in bin i when it lies in [cum[i-1], cum[i]) of the cumulative
-    means.  Given the total the counts are multinomial with probabilities
-    mean / total, so they are independent Poisson variables, as one draw
-    per bin makes them, at a cost of O(bins + events).  A bin of zero
-    mean has an empty interval and gets no count, and a point lies below
-    the total, so every index is in the block.  A denser block takes one
-    draw per bin.
+    A sparse block, whose largest mean lam is at most _THIN_PEAK_MEAN, is
+    drawn by thinning (Lewis & Shedler 1979) on the bins: a homogeneous
+    process of lam per bin puts a Poisson(lam m) number of candidates in
+    uniformly chosen bins, and a candidate in bin i is kept with
+    probability means[i] / lam, when u lam < means[i] for a uniform u on
+    [0, 1).  The kept candidates of a bin are then Poisson with its mean,
+    independent of the other bins, as one draw per bin makes them, at a
+    cost of O(candidates) = O(lam m).  A bin of zero mean keeps none.
+    The rule reads the peak because it sets the candidate count, which
+    _THIN_PEAK_MEAN bounds before anything is allocated.  A denser block
+    takes one draw per bin.
     """
     m = means.size
-    if not means.sum() <= _SPARSE_MEAN_PER_BIN * m:
+    lam = means.max()
+    if not lam <= _THIN_PEAK_MEAN:
         return rng.poisson(means)
-    cum = np.cumsum(means)
-    total = cum[-1]
-    u = rng.random(rng.poisson(total))
-    u *= total
-    u.sort()  # the searches then walk the bins in order
-    return np.bincount(np.searchsorted(cum, u, side="right"), minlength=m)
+    idx = rng.integers(0, m, rng.poisson(lam * m))
+    keep = rng.random(idx.size) * lam < means[idx]
+    return np.bincount(idx[keep], minlength=m)
 
 
 def _block_currents(mean_blocks, rngs, to_pulses: float, to_current: float, totals: list, cross: _Moments):

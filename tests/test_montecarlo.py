@@ -29,7 +29,7 @@ from bilodyne.io import TraceWriter, read_trace_bin
 from bilodyne.model import Hypothesis, MeasurementConfig
 from bilodyne.montecarlo import (
     _BLOCK,
-    _SPARSE_MEAN_PER_BIN,
+    _THIN_PEAK_MEAN,
     CheckResult,
     ExperimentReport,
     _arm_counts,
@@ -248,21 +248,32 @@ class TestSampleBinCounts:
         assert all(int(c.sum()) == 0 for c in counts)
 
 
-class _Points:
-    """A generator stand-in for _arm_counts' sparse path: the given uniforms, all of them."""
+class _Candidates:
+    """A generator stand-in for _arm_counts' thinning path: the given candidates' bins and uniforms.
 
-    def __init__(self, uniforms):
+    It records the arguments of its calls, in order.
+    """
+
+    def __init__(self, bins, uniforms):
+        self.bins = np.array(bins, dtype=np.int64)
         self.uniforms = np.array(uniforms, dtype=float)
+        self.calls = []
 
     def poisson(self, lam):
-        return self.uniforms.size
+        self.calls.append(("poisson", lam))
+        return self.bins.size
 
-    def random(self, k):
-        return self.uniforms[:k].copy()
+    def integers(self, low, high, size):
+        self.calls.append(("integers", low, high, size))
+        return self.bins[:size].copy()
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.uniforms[:size].copy()
 
 
 class TestArmCounts:
-    """The two ways _arm_counts draws a block: a Poisson process, or one draw per bin."""
+    """The two ways _arm_counts draws a block: thinning, or one draw per bin."""
 
     def _default_means(self, n: int = 4 * _BLOCK) -> tuple[np.ndarray, np.ndarray]:
         scene = RunConfig.defaults().build_scene()
@@ -270,11 +281,11 @@ class TestArmCounts:
 
     def test_default_scene_takes_the_sparse_path_and_the_scan_the_dense(self):
         for mu in self._default_means(_BLOCK):
-            assert 0.03 < float(mu.mean()) <= _SPARSE_MEAN_PER_BIN
+            assert float(mu.mean()) > 0.03 and float(mu.max()) <= _THIN_PEAK_MEAN
         scene = RunConfig.defaults().build_scan().scenes[0]
         n = int(round(scene.meas.duration * scene.meas.sample_rate))
         for mu in bin_means(scene.state, scene.lo, scene.det, n, 1.0 / scene.meas.sample_rate):
-            assert float(mu.min()) > _SPARSE_MEAN_PER_BIN
+            assert float(mu.min()) > _THIN_PEAK_MEAN
 
     def test_sparse_totals_and_dispersion_match_the_means(self):
         # the default scene's ~0.035 expected per bin, with the LO beat taking
@@ -315,32 +326,42 @@ class TestArmCounts:
             assert not np.any(c[mu == 0.0])
             assert int(c.sum()) > 0
 
-    def test_a_point_on_a_boundary_belongs_to_the_bin_above(self):
-        # bin i holds the points in [cum[i-1], cum[i]): the lowest point, 0,
-        # skips the empty bins before the first mean, a point on a boundary
-        # goes to the next bin with a mean, and the highest uniform stays
-        # below the total, so no index reaches the empty bins at the end
-        mu = np.zeros(16)
-        mu[[1, 5, 9]] = 0.5, 1.0, 0.5  # cumulative means 0.5, 1.5, 2 = total
+    def test_a_candidate_is_kept_only_below_its_bins_mean(self):
+        # the peak 0.25 sets the candidate count; a candidate in bin i is kept
+        # when u * 0.25 < mu[i]: just below a mean it is kept, on it dropped,
+        # and a bin of zero mean keeps none, not even at u = 0
+        mu = np.zeros(8)
+        mu[[2, 5]] = 0.25, 0.125
         top = float(np.nextafter(1.0, 0.0))  # the largest value Generator.random gives
-        c = _arm_counts(_Points([0.0, 0.25, 0.75, top]), mu)
-        expected = np.zeros(16, dtype=np.int64)
-        expected[[1, 5, 9]] = 1, 1, 2
-        np.testing.assert_array_equal(c, expected)
+        below_half = float(np.nextafter(0.5, 0.0))
+        rng = _Candidates(bins=[2, 5, 5, 0, 7], uniforms=[top, 0.5, below_half, 0.0, 0.0])
+        c = _arm_counts(rng, mu)
+        np.testing.assert_array_equal(c, [0, 0, 1, 0, 0, 1, 0, 0])
+        assert rng.calls == [("poisson", 2.0), ("integers", 0, 8, 5), ("random", 5)]
+
+    def test_one_dense_bin_sends_its_block_to_the_dense_path(self):
+        # a block of small average but one bin far above the crossover: the
+        # peak sets the candidate count, so the block takes one draw per bin
+        mu = self._default_means(_BLOCK)[0].copy()
+        mu[4321] = 40.0 * _THIN_PEAK_MEAN
+        assert float(mu.mean()) < 0.04
+        c = _arm_counts(np.random.default_rng(9), mu)
+        np.testing.assert_array_equal(c, np.random.default_rng(9).poisson(mu))
 
     @pytest.mark.parametrize(
-        "per_bin", [1.0001 * _SPARSE_MEAN_PER_BIN, 1.0, 2340.0], ids=["crossover", "one", "scan"]
+        "peak", [1.0001 * _THIN_PEAK_MEAN, 2.0, 2340.0], ids=["crossover", "two", "scan"]
     )
-    def test_dense_path_is_one_poisson_draw_per_bin(self, per_bin):
+    def test_dense_path_is_one_poisson_draw_per_bin(self, peak):
         mu = self._default_means(_BLOCK)[0]
-        mu = mu * (per_bin / float(mu.mean()))
+        mu = mu * (peak / float(mu.max()))
         c = _arm_counts(np.random.default_rng(9), mu)
         np.testing.assert_array_equal(c, np.random.default_rng(9).poisson(mu))
 
     def test_each_arm_draws_from_its_own_child_stream(self):
         # the worker's difference current and totals are those of the two
         # children of the seed, each drawing its own block; identical means
-        # keep the arms' paths alike
+        # keep the arms' paths alike: thinning for the default block, one
+        # draw per bin for that block scaled to one count per bin on average
         block = self._default_means(_BLOCK)[0]
         for mu in (block, block * (1.0 / float(block.mean()))):
             totals = [0, 0]
