@@ -226,6 +226,8 @@ class _Welch:
     def __init__(self, nperseg: int, fs: float):
         self.nperseg, self.hop, self.fs = nperseg, nperseg - nperseg // 2, fs
         self.window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1))[:-1]
+        # summed here, while its segment-sized square is the only temporary
+        self.window_power = float((self.window * self.window).sum())
         self.batch = max(1, _BLOCK // nperseg)  # segments per rfft call
         self.total = np.zeros(nperseg // 2 + 1)
         self.segments = 0
@@ -267,7 +269,7 @@ class _Welch:
         self.held[: self.held_size] = self.held[done:end]
 
     def spectrum(self) -> Spectrum:
-        psd = self.total / (self.segments * self.fs * float((self.window * self.window).sum()))
+        psd = self.total / (self.segments * self.fs * self.window_power)
         psd[1 : None if self.nperseg % 2 else -1] *= 2.0
         return Spectrum(
             freqs_hz=np.fft.rfftfreq(self.nperseg, 1.0 / self.fs),
