@@ -9,8 +9,8 @@ and standard deviation of its statistic: value / target where the
 target is non-zero, else the value itself.  Beside the lock-in
 `beatnote_power` it prints the +-2-bin Welch line estimate of the same
 records (`extract_beatnote`) judged against the same target and
-tolerance.  One seed takes ~60 MiB and about 2.3 s on a 2-vCPU VM (a
-`default` run takes ~0.9-1.0 s), so 100 seeds take about four minutes.
+tolerance.  One seed takes ~60 MiB and about 1.8 s on a 2-vCPU VM (a
+`default` run takes ~0.8 s), so 100 seeds take about three minutes.
 Not part of the test suite.
 """
 

@@ -3,9 +3,9 @@
 The chain is: semiclassical emission rates -> closed-form mean count
 of every sample bin -> Poisson counts per bin (a sparse block thinned
 from a homogeneous process, a denser one by one draw per bin) ->
-currents -> Welch PSD -> beat and floor extraction.  A record runs as one pass
-over blocks of _BLOCK samples, each block feeding running sums and,
-when a trace is asked for, the trace file, so memory is O(_BLOCK +
+currents -> Welch PSD -> beat and floor extraction.  A record runs as
+one pass over blocks of _BLOCK samples, each block feeding running sums
+and, when a trace is asked for, the trace file, so memory is O(_BLOCK +
 Welch segment) whatever the record length.  Every stage is deterministic
 given the seed; the two detectors draw from independent child streams
 of one seed sequence.
@@ -579,7 +579,9 @@ def _arm_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
     return np.bincount(idx[keep], minlength=m)
 
 
-def _block_currents(mean_blocks, rngs, to_pulses: float, to_current: float, totals: list, cross: _Moments):
+def _block_currents(
+    mean_blocks, rngs, to_pulses: float, to_current: float, totals: list, cross: _Moments
+):
     """The difference current of each block of means, in block order: the drawing half of the pass.
 
     Each arm's counts come from _arm_counts with that arm's generator;
@@ -592,10 +594,9 @@ def _block_currents(mean_blocks, rngs, to_pulses: float, to_current: float, tota
     as _read_ahead runs ahead of the block its caller is summing; every
     other array is one buffer, overwritten by the next block.
     """
-    ring = currents = None
     for k, means in enumerate(mean_blocks):
         m = means[0].size
-        if ring is None:  # the first block is the largest
+        if k == 0:  # the first block is the largest
             ring = np.empty((_READ_AHEAD + 1, m))
             currents = np.empty((4, m))  # j1, j2 and the arm product's two factors
         counts = [_arm_counts(rng, mu) for rng, mu in zip(rngs, means)]
@@ -640,23 +641,20 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     writer is given, its header goes out before the first block and
     each block's difference current after it.
 
-    A record of more than one block runs on two threads.  A worker
-    thread runs _block_currents up to _READ_AHEAD blocks ahead: it makes
-    the bin means, draws both arms' counts, forms the currents and
-    feeds the arm totals and the covariance sum.  The calling thread
-    feeds the Welch, lock-in and variance sums with each block's
+    A record of more than one block runs on two threads: a worker runs
+    _block_currents up to _READ_AHEAD blocks ahead, drawing the counts
+    and feeding the arm totals and the covariance sum, and the calling
+    thread feeds the Welch, lock-in and variance sums with each block's
     difference current and writes the trace.  Every sum is fed by one
     thread only, in block order, and only the worker touches the two
     generators, so the counts and every sum are those of a serial pass.
     A record of one block has nothing to overlap and runs serially.
 
-    No block-sized array is made per block but the counts.  The bin
-    means, the arm currents and the product's factors are one set of
-    block buffers on the worker, and the difference current a ring of
-    _READ_AHEAD + 1 (see _block_currents); the sums keep nothing of a
-    block but the Welch sum's copy of its incomplete segment.  Memory is
-    therefore a fixed number of blocks plus a segment, whatever the
-    record length.
+    No block-sized array is made per block but the counts and the
+    thinning candidates: the bin means and _block_currents' currents
+    live in buffers made once, and the sums keep nothing of a block but
+    the Welch sum's copy of its incomplete segment.  Memory is therefore
+    a fixed number of blocks plus a segment, whatever the record length.
     """
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))

@@ -365,7 +365,8 @@ class TestArmCounts:
         block = self._default_means(_BLOCK)[0]
         for mu in (block, block * (1.0 / float(block.mean()))):
             totals = [0, 0]
-            (jdiff,) = _block_currents(iter([(mu, mu)]), _arm_rngs(21), 1.0, 0.0, totals, _Moments())
+            currents = _block_currents(iter([(mu, mu)]), _arm_rngs(21), 1.0, 0.0, totals, _Moments())
+            (jdiff,) = currents
             children = np.random.SeedSequence(21).spawn(2)
             counts = [_arm_counts(np.random.default_rng(child), mu) for child in children]
             np.testing.assert_array_equal(jdiff, counts[0] - counts[1])
