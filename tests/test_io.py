@@ -83,6 +83,61 @@ class TestSpectrumCsv:
         with pytest.raises(ParseError):
             read_spectrum_csv(path)
 
+    def test_rows_match_per_row_formatting_at_the_float_edges(self, tmp_path):
+        edges = [
+            5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3,
+            1000.0000000000001, 9007199254740993.0,
+        ]
+        rng = np.random.default_rng(16)
+        spread = 10.0 ** rng.uniform(-300, 300, 2000)
+        freqs = np.unique(np.concatenate([edges, np.negative(edges), spread, -spread]))
+        freqs = np.insert(freqs, np.searchsorted(freqs, 0.0), -0.0)
+        psd = np.resize(np.concatenate([[-0.0, 0.0], edges, spread]), freqs.size)
+        spec = Spectrum(freqs_hz=freqs, psd=psd, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, spec)
+        rows = [f"{f:.17g},{p:.17g}" for f, p in zip(spec.freqs_hz, spec.psd)]
+        assert path.read_text() == "\n".join(["freq_hz,psd", *rows]) + "\n"
+        # -0.0 stays signed in both columns
+        assert any(r.startswith("-0,") for r in rows) and any(r.endswith(",-0") for r in rows)
+
+    def test_memory_is_bounded_by_one_chunk(self, tmp_path):
+        def peak(n: int) -> int:
+            spec = Spectrum(
+                freqs_hz=np.arange(float(n)) + 0.1, psd=np.full(n, 1 / 3), rbw_hz=1.0,
+                kind=SpectrumKind.ESTIMATED,
+            )
+            tracemalloc.start()
+            try:
+                write_spectrum_csv(tmp_path / "spec.csv", spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(io._CSV_ROWS), peak(4 * io._CSV_ROWS)
+        assert four <= 1.15 * one
+
+    def test_header_only_file_reads_as_an_empty_spectrum(self, tmp_path):
+        empty = np.empty(0)
+        spec = Spectrum(freqs_hz=empty, psd=empty, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, spec)
+        assert path.read_text() == "freq_hz,psd\n"
+        freqs, psd = read_spectrum_csv(path)
+        assert freqs.shape == psd.shape == (0,)
+
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("freq_hz,psd\n0,1\n1,lots\n")
+        with pytest.raises(ParseError):
+            read_spectrum_csv(path)
+
+    def test_row_of_three_cells_rejected(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("freq_hz,psd\n0,1\n1,2,3\n")
+        with pytest.raises(ParseError):
+            read_spectrum_csv(path)
+
 
 class TestReportJson:
     def test_sorted_and_readable(self, tmp_path):
