@@ -53,7 +53,7 @@ class Spectrum:
     def __post_init__(self):
         if self.freqs_hz.shape != self.psd.shape or self.freqs_hz.ndim != 1:
             raise InvalidSpec("frequency grid and PSD must be 1-d arrays of equal length")
-        if self.freqs_hz.size >= 2 and not np.all(np.diff(self.freqs_hz) > 0):
+        if self.freqs_hz.size >= 2 and not np.all(self.freqs_hz[1:] > self.freqs_hz[:-1]):
             raise InvalidSpec("frequency grid must be strictly increasing")
         if self.rbw_hz <= 0:
             raise InvalidSpec("resolution bandwidth must be positive")

@@ -271,8 +271,11 @@ class _Welch:
     def spectrum(self) -> Spectrum:
         psd = self.total / (self.segments * self.fs * self.window_power)
         psd[1 : None if self.nperseg % 2 else -1] *= 2.0
+        # np.fft.rfftfreq's own grid, made as one float array
+        freqs = np.arange(self.total.size, dtype=float)
+        freqs *= 1.0 / (self.nperseg * (1.0 / self.fs))
         return Spectrum(
-            freqs_hz=np.fft.rfftfreq(self.nperseg, 1.0 / self.fs),
+            freqs_hz=freqs,
             psd=psd,
             rbw_hz=self.fs / self.nperseg,
             kind=SpectrumKind.ESTIMATED,
