@@ -36,9 +36,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 # numpy loads these submodules on first use; loading them here keeps that
-# cost in the import rather than in the first run (np.median loads numpy.ma)
+# cost in the import rather than in the first run
 import numpy.fft
-import numpy.ma
 import numpy.random
 
 from . import correlators
@@ -293,6 +292,21 @@ class BeatnoteEstimate:
     peak_psd: float
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a non-empty float array, bit for bit, without importing numpy.ma.
+
+    The same partition as np.median (the middle index or two, and the
+    last for NaNs), then the mean of the middle value or two; NaN when
+    the partition puts a NaN last.
+    """
+    mid = x.size // 2
+    kth = [mid, -1] if x.size % 2 else [mid - 1, mid, -1]
+    part = np.partition(x, kth)
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[kth[0] : mid + 1]))
+
+
 def extract_beatnote(spectrum: Spectrum, f_beat_hz: float) -> BeatnoteEstimate:
     """Integrate the spectral line at f_beat_hz above its local floor.
 
@@ -315,7 +329,7 @@ def extract_beatnote(spectrum: Spectrum, f_beat_hz: float) -> BeatnoteEstimate:
     flank = (np.abs(f - f_beat_hz) > 2.0 * rbw) & (np.abs(f - f_beat_hz) <= 8.0 * rbw)
     if not np.any(flank):
         raise Unresolved("no flanking bins available to estimate the local floor")
-    floor = float(np.median(spectrum.psd[flank]))
+    floor = _median(spectrum.psd[flank])
     floor_sigma = float(np.std(spectrum.psd[flank], ddof=1)) if flank.sum() > 1 else 0.0
     power = float(np.sum(spectrum.psd[in_band] - floor) * df)
     return BeatnoteEstimate(

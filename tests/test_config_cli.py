@@ -606,3 +606,26 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert lines[-2] in ("0", "2")
     results = json.loads((tmp_path / "o" / "report.json").read_text())["results"]
     assert results["passed"] is (lines[-2] == "0")
+
+
+def test_cli_and_a_scan_load_no_numpy_ma(tmp_path):
+    # the beatnote floor's median is taken without np.median, whose first
+    # call imports numpy.ma (10-12 ms of start-up)
+    import bilodyne
+
+    src = str(Path(bilodyne.__file__).resolve().parents[1])
+    cfg = write_cfg(tmp_path, "simulate.scenario = sensitivity\nscan.powers_nw = 0.5\n")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    loaded = "print('numpy.ma' in sys.modules)"
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bilodyne.cli; {loaded}; "
+        f"print(bilodyne.cli.main({argv!r})); {loaded}"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-2] in ("0", "2")
+    assert lines[-1] == "False"
+    # the one row's output SNR comes from the beatnote above its median floor
+    (row,) = json.loads((tmp_path / "o" / "report.json").read_text())["results"]["scalars"]["rows"]
+    assert math.isfinite(row["snr_out_db"])

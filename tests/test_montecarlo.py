@@ -37,6 +37,7 @@ from bilodyne.montecarlo import (
     _bin_mean_blocks,
     _block_currents,
     _Lockin,
+    _median,
     _Moments,
     _segment_length,
     _Welch,
@@ -507,6 +508,45 @@ class TestExtractBeatnote:
         beat = extract_beatnote(spec, 50.0)
         assert beat.power == pytest.approx(0.0, abs=1e-12)
         assert beat.floor == pytest.approx(1.0)
+
+
+class TestMedian:
+    """The floor median is np.median bit for bit, without numpy.ma."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0],
+            [2.0, 1.0, 5.0],
+            [4.0, 1.0],
+            [4.0, 1.0, 3.0, 2.0],
+            [2.0, 2.0, 2.0, 1.0],
+            [1.0, 2.0, 2.0, 2.0, 3.0],
+            [1e308, 1e308],
+            [1.0, np.nan, 2.0],
+            [np.nan, 1.0],
+            [-0.0, 0.0],
+            [0.0, -0.0],
+            [-0.0, 0.0, -0.0],
+            [-0.0, -0.0, 0.0, 0.0],
+            [-0.0],
+            [5e-324, 5e-324, 0.0],
+            [-np.inf, np.inf, 1.0],
+        ],
+    )
+    def test_bitwise_equal_to_np_median(self, values):
+        x = np.array(values)
+        with np.errstate(all="ignore"):
+            got, expected = _median(x), np.median(x)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_random_draws_with_ties_zeros_and_nans(self):
+        rng = np.random.default_rng(19)
+        pool = np.array([-0.0, 0.0, 1.0, 1.5, 2.0, 1e-300, np.nan])
+        for size in range(1, 40):
+            for _ in range(10):
+                for x in (rng.choice(pool, size), rng.exponential(size=size)):
+                    assert np.float64(_median(x)).tobytes() == np.float64(np.median(x)).tobytes()
 
 
 class TestFloorStatistics:
