@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilodyne import io
 from bilodyne.analytic import Spectrum, SpectrumKind
@@ -34,6 +40,26 @@ DT = 1e-7
 def _samples() -> np.ndarray:
     rng = np.random.default_rng(14)
     return rng.standard_normal(1000) - rng.standard_normal(1000)
+
+
+def _unchecked(freqs, psd) -> SimpleNamespace:
+    """The two arrays the writer reads, without Spectrum's checks (which refuse NaN PSDs)."""
+    return SimpleNamespace(freqs_hz=np.asarray(freqs, dtype=float), psd=np.asarray(psd, dtype=float))
+
+
+def _written(path, spec) -> str:
+    write_spectrum_csv(path, spec)
+    return Path(path).read_text()
+
+
+def _per_row(spec) -> str:
+    """The file the per-row f"{f:.17g},{p:.17g}" rows make."""
+    rows = [f"{f:.17g},{p:.17g}" for f, p in zip(spec.freqs_hz, spec.psd)]
+    return "\n".join(["freq_hz,psd", *rows]) + "\n"
+
+
+def _runs(values, lengths) -> np.ndarray:
+    return np.repeat(np.asarray(values, dtype=float), lengths)
 
 
 def write_trace_bin(path, samples: np.ndarray, blocks: int = 3) -> None:
@@ -117,6 +143,25 @@ class TestSpectrumCsv:
         one, four = peak(io._CSV_ROWS), peak(4 * io._CSV_ROWS)
         assert four <= 1.15 * one
 
+    @pytest.mark.parametrize("distinct", [False, True], ids=["one-run", "all-distinct"])
+    def test_integral_grid_memory_is_bounded_by_one_chunk(self, tmp_path, distinct):
+        # the analytic grid rbw * arange(n): with one PSD run its column goes
+        # through %d; with every value distinct the chunk takes the one-% path
+        def peak(n: int) -> int:
+            psd = np.arange(n) / 3.0 + 1.0 if distinct else np.full(n, 1 / 3)
+            spec = Spectrum(
+                freqs_hz=np.arange(float(n)), psd=psd, rbw_hz=1.0, kind=SpectrumKind.ANALYTIC,
+            )
+            tracemalloc.start()
+            try:
+                write_spectrum_csv(tmp_path / "spec.csv", spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(io._CSV_ROWS), peak(4 * io._CSV_ROWS)
+        assert four <= 1.15 * one
+
     def test_header_only_file_reads_as_an_empty_spectrum(self, tmp_path):
         empty = np.empty(0)
         spec = Spectrum(freqs_hz=empty, psd=empty, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
@@ -137,6 +182,98 @@ class TestSpectrumCsv:
         path.write_text("freq_hz,psd\n0,1\n1,2,3\n")
         with pytest.raises(ParseError):
             read_spectrum_csv(path)
+
+
+class TestSpectrumCsvRuns:
+    """Chunks with runs of equal PSD values write the per-row bytes too."""
+
+    def test_signed_zeros_stay_separate_runs(self, tmp_path):
+        spec = _unchecked(np.arange(12.0), _runs([-0.0, 0.0, -0.0, 0.0], [3, 3, 1, 5]))
+        text = _written(tmp_path / "spec.csv", spec)
+        assert text == _per_row(spec)
+        assert text.splitlines()[1:5] == ["0,-0", "1,-0", "2,-0", "3,0"]
+
+    def test_nan_and_infinite_runs(self, tmp_path):
+        psd = _runs([np.nan, np.inf, -np.inf, 1.0, np.nan], [4, 4, 4, 4, 4])
+        spec = _unchecked(np.arange(20.0), psd)
+        assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
+
+    def test_subnormal_runs(self, tmp_path):
+        psd = _runs([5e-324, 2.225073858507201e-308, 1e-310, 5e-324], [3, 5, 2, 6])
+        spec = _unchecked(np.arange(16.0) * 0.1, psd)
+        text = _written(tmp_path / "spec.csv", spec)
+        assert text == _per_row(spec)
+        assert "0,4.9406564584124654e-324" in text
+
+    @pytest.mark.parametrize("top", [1e16 - 2, 1e16, 1e17])
+    def test_integral_frequencies_near_the_bound(self, tmp_path, top):
+        # below 1e16 the column goes through %d, at or above it through %.17g
+        freqs = top - 2.0 * np.arange(10.0)[::-1]
+        spec = _unchecked(freqs, np.full(10, 2.5))
+        text = _written(tmp_path / "spec.csv", spec)
+        assert text == _per_row(spec)
+        assert text.splitlines()[-1] == f"{top:.17g},2.5"
+
+    def test_negative_integral_frequencies(self, tmp_path):
+        spec = _unchecked(np.arange(-8.0, 8.0), np.full(16, 3.0))
+        text = _written(tmp_path / "spec.csv", spec)
+        assert text == _per_row(spec)
+        assert text.splitlines()[1] == "-8,3"
+
+    def test_negative_zero_frequency_keeps_its_sign(self, tmp_path):
+        spec = _unchecked([-0.0, 1.0, 2.0, 3.0], np.full(4, 1.0))
+        text = _written(tmp_path / "spec.csv", spec)
+        assert text == _per_row(spec)
+        assert text.splitlines()[1] == "-0,1"
+
+    def test_run_across_a_chunk_boundary(self, tmp_path):
+        n = io._CSV_ROWS + 100
+        psd = _runs([1 / 3, 0.1, 2 / 3], [io._CSV_ROWS - 50, 100, 50])
+        spec = Spectrum(
+            freqs_hz=np.arange(float(n)) * 2.0, psd=psd, rbw_hz=2.0, kind=SpectrumKind.ANALYTIC,
+        )
+        assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
+
+    def test_all_distinct_chunk(self, tmp_path):
+        rng = np.random.default_rng(17)
+        spec = _unchecked(np.arange(300.0), rng.exponential(size=300))
+        assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
+
+    def test_chunks_on_either_side_of_the_crossover(self, tmp_path):
+        # one chunk of runs of two rows (run by run), one of runs of one row
+        rows = 2 * io._CSV_ROWS_PER_RUN * 8
+        psd = np.concatenate([_runs(np.arange(8.0), io._CSV_ROWS_PER_RUN), np.arange(rows // 2) + 0.5])
+        spec = _unchecked(np.arange(float(rows)), psd)
+        with mock.patch.object(io, "_CSV_ROWS", rows // 2):
+            assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([0.0, -0.0, 5e-324, np.nan, np.inf, -np.inf]),
+                ),
+                st.integers(1, 12),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        grid=st.one_of(
+            st.tuples(st.integers(-(10**17), 10**17), st.integers(-(10**15), 10**15)),
+            st.tuples(st.floats(allow_nan=True, allow_infinity=True), st.floats(-1e300, 1e300)),
+        ),
+        chunk=st.integers(1, 40),
+    )
+    def test_rows_match_per_row_formatting(self, runs, grid, chunk):
+        psd = _runs(*zip(*runs))
+        start, step = grid
+        with np.errstate(all="ignore"):
+            freqs = float(start) + float(step) * np.arange(psd.size)
+        spec = _unchecked(freqs, psd)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(io, "_CSV_ROWS", chunk):
+            assert _written(Path(tmp) / "spec.csv", spec) == _per_row(spec)
 
 
 class TestReportJson:
