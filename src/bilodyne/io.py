@@ -32,11 +32,12 @@ _HEADER = struct.Struct("<8sIIdQ")
 # spectrum rows formatted per write; a full chunk peaks at ~8.6 MiB (tracemalloc),
 # ~6.7 MiB when formatted run by run
 _CSV_ROWS = 1 << 16
-# a chunk is formatted run by run when its runs of equal PSD values are at
-# least this long on average.  Against the one-% path, run formatting took
-# 0.6-0.85x the time at 0.3 runs per row, 1.0-1.03x at 0.5 and 1.07x at 0.6
-# on a float grid (0.83-1.03x at 0.5-0.6 on an integral one), and 1.5-1.7x
-# with every value distinct (5,001- and 65,536-row chunks, 2-vCPU VM)
+# a chunk is formatted run by run when its runs of bit-equal PSD values
+# average at least this many rows.  Median time of run by run over the one-%
+# path, 5,001- and 65,536-row chunks on a 2-vCPU VM: 0.16-0.26x (integral
+# grid) and 0.55x (float grid) for one run, 0.5-0.8x at 0.3 runs per row,
+# 0.8x / 1.03-1.07x at 0.5, 0.9-1.0x / 0.9-1.1x at 0.6, and 1.4-1.5x with
+# every value distinct.  The two cross over at about one run per two rows.
 _CSV_ROWS_PER_RUN = 2
 
 
@@ -55,9 +56,11 @@ def write_spectrum_csv(path: Path | str, spectrum: Spectrum) -> None:
       with %d, which writes what %.17g writes for it.
     - Otherwise (a Welch estimate, whose values are all distinct), the
       frequencies and PSD values are interleaved into one list of floats
-      and formatted by one % operation, which is faster for short runs:
-      the two ways cross over at about one run per two rows.
+      and formatted by one % operation.  With every value distinct that
+      takes about 0.7x the time of run-by-run formatting; the two cross
+      over at about one run per two rows.
     """
+    # runs and integral frequencies are found on the float64 bits
     freqs = np.asarray(spectrum.freqs_hz, dtype=np.float64)
     psd = np.asarray(spectrum.psd, dtype=np.float64)
     with open(path, "w") as fh:

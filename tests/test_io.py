@@ -146,7 +146,9 @@ class TestSpectrumCsv:
     @pytest.mark.parametrize("distinct", [False, True], ids=["one-run", "all-distinct"])
     def test_integral_grid_memory_is_bounded_by_one_chunk(self, tmp_path, distinct):
         # the analytic grid rbw * arange(n): with one PSD run its column goes
-        # through %d; with every value distinct the chunk takes the one-% path
+        # through %d; with every value distinct the chunk takes the one-% path.
+        # Chunks of 2^13 rows keep tracemalloc's cost down; a chunk's values
+        # kept alive into the next would still double the peak.
         def peak(n: int) -> int:
             psd = np.arange(n) / 3.0 + 1.0 if distinct else np.full(n, 1 / 3)
             spec = Spectrum(
@@ -159,7 +161,9 @@ class TestSpectrumCsv:
             finally:
                 tracemalloc.stop()
 
-        one, four = peak(io._CSV_ROWS), peak(4 * io._CSV_ROWS)
+        rows = 1 << 13
+        with mock.patch.object(io, "_CSV_ROWS", rows):
+            one, four = peak(rows), peak(4 * rows)
         assert four <= 1.15 * one
 
     def test_header_only_file_reads_as_an_empty_spectrum(self, tmp_path):
@@ -232,6 +236,11 @@ class TestSpectrumCsvRuns:
         spec = Spectrum(
             freqs_hz=np.arange(float(n)) * 2.0, psd=psd, rbw_hz=2.0, kind=SpectrumKind.ANALYTIC,
         )
+        assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
+
+    def test_float32_psd_written_as_its_float64_values(self, tmp_path):
+        psd = np.array([0.1, 0.1, 0.1, 0.25, 0.25], dtype=np.float32)
+        spec = Spectrum(freqs_hz=np.arange(5.0), psd=psd, rbw_hz=1.0, kind=SpectrumKind.ANALYTIC)
         assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
 
     def test_all_distinct_chunk(self, tmp_path):
