@@ -243,13 +243,8 @@ class TestSpectrumCsvRuns:
         spec = Spectrum(freqs_hz=np.arange(5.0), psd=psd, rbw_hz=1.0, kind=SpectrumKind.ANALYTIC)
         assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
 
-    def test_all_distinct_chunk(self, tmp_path):
-        rng = np.random.default_rng(17)
-        spec = _unchecked(np.arange(300.0), rng.exponential(size=300))
-        assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
-
     def test_chunks_on_either_side_of_the_crossover(self, tmp_path):
-        # one chunk of runs of two rows (run by run), one of runs of one row
+        # one chunk of runs of two rows (run by run), one all distinct (one %)
         rows = 2 * io._CSV_ROWS_PER_RUN * 8
         psd = np.concatenate([_runs(np.arange(8.0), io._CSV_ROWS_PER_RUN), np.arange(rows // 2) + 0.5])
         spec = _unchecked(np.arange(float(rows)), psd)
