@@ -1,14 +1,15 @@
 """Stochastic photoemission simulation of balanced detection.
 
 The chain is: semiclassical emission rates -> closed-form mean count
-of every sample bin -> Poisson counts per bin (a sparse block thinned
-from a homogeneous process, a denser one by one draw per bin) ->
-currents -> Welch PSD -> beat and floor extraction.  A record runs as
-one pass over blocks of _BLOCK samples, each block feeding running sums
-and, when a trace is asked for, the trace file, so memory is O(_BLOCK +
-Welch segment) whatever the record length.  Every stage is deterministic
-given the seed; the two detectors draw from independent child streams
-of one seed sequence.
+of every sample bin (one einsum per block, from cos/sin tables of _SUB
+samples) -> Poisson counts per bin (a sparse block thinned from a
+homogeneous process, a denser one by one draw per bin) -> currents ->
+Welch PSD -> beat and floor extraction.  A record runs as one pass over
+blocks of _BLOCK samples, each block feeding running sums and, when a
+trace is asked for, the trace file, with one buffer per live quantity
+made once, so memory is O(_BLOCK + Welch segment) whatever the record
+length.  Every stage is deterministic given the seed; the two detectors
+draw from independent child streams of one seed sequence.
 
 A record of more than one block runs on two threads: a worker makes the
 bin means, draws the counts, forms the currents and feeds the count-only
@@ -57,9 +58,12 @@ from .model import (
     validate_measurement,
 )
 
-# samples per block of the streamed pass and of its bin-mean and lock-in
-# tables; 2^16 doubles is 512 KiB per array
+# samples per block of the streamed pass; 2^16 doubles is 512 KiB per array
 _BLOCK = 1 << 16
+# samples per row of the bin-mean and lock-in cos/sin tables, and per
+# sub-block that one rotation of their coefficients covers: a divisor of
+# _BLOCK whose table rows stay in cache (2^12 doubles is 32 KiB)
+_SUB = 1 << 12
 # blocks the drawing thread of the streamed pass may run ahead of the
 # calling thread: depth 1 leaves it waiting on the caller, 3 gains nothing
 _READ_AHEAD = 2
@@ -132,9 +136,11 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     eta/2 sum_{k,l} a_k a_l* sinc(D_kl dt/2) e^{-i D_kl t_c} dt with
     D_kl = d_k - d_l.  The arms share the LO and signal self terms and
     differ only in the sign of the LO-signal cross terms.  Each distinct
-    D has one cos/sin table over a block, which a block rescales by its
-    start phase e^{-i D t0}.  The arguments and the state are checked
-    at the call, before the first block.
+    D has one cos and one sin row in a table over _SUB bins; a block is
+    filled by one einsum of that table with the coefficients of each of
+    its sub-blocks of _SUB bins, rotated by the sub-block's start phase
+    e^{-i D t0}.  The arguments and the state are checked at the call,
+    before the first block.
 
     Every block is written into the same pair of arrays, so a block's
     means stay valid only until the next block is made: the streamed
@@ -148,33 +154,33 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     _beat_terms(sig_ph, sig_ph, common)
     _beat_terms(lo_ph, sig_ph, cross)
     _beat_terms(sig_ph, lo_ph, cross)
-    scale = 0.5 * det.eta * dt
-    size = min(n, _BLOCK)
-    tau = (np.arange(size) + 0.5) * dt
-    tables = {d: (np.cos(d * tau), np.sin(d * tau)) for d in common.keys() | cross.keys() if d}
-    shared, beat, term, arm_1, arm_2 = (np.empty(size) for _ in range(5))
-
-    def block(terms: dict, t0: float, out: np.ndarray) -> np.ndarray:
-        m = out.size
-        out.fill(0.0)
-        for d, c in terms.items():
-            # the bin integral of e^{-i D t} is dt sinc(D dt / 2) e^{-i D t_c}, and
-            # Re(w e^{-i D tau}) = Re(w) cos(D tau) + Im(w) sin(D tau)
-            w = scale * float(np.sinc(d * dt / TWO_PI)) * c * cmath.exp(-1j * d * t0)
-            if d == 0.0:
-                out += w.real
-                continue
-            cos_t, sin_t = tables[d]
-            out += np.multiply(w.real, cos_t[:m], out=term[:m])
-            out += np.multiply(w.imag, sin_t[:m], out=term[:m])
-        return out
+    beats = np.array(sorted(common.keys() | cross.keys()))
+    # the bin integral of e^{-i D t} is dt sinc(D dt / 2) e^{-i D t_c}; arm 1 adds
+    # the cross terms to the common ones, arm 2 subtracts them
+    weights = 0.5 * det.eta * dt * np.sinc(beats * dt / TWO_PI)
+    c, x = (np.array([terms.get(d, 0.0) for d in beats.tolist()]) for terms in (common, cross))
+    arms = np.stack([c + x, c - x]) * weights
+    # Re(w e^{-i D tau}) = Re(w) cos(D tau) + Im(w) sin(D tau); D = 0 has cos 1 and sin 0
+    tau = (np.arange(min(n, _SUB)) + 0.5) * dt
+    phase = np.multiply.outer(beats, tau)
+    table = np.concatenate([np.cos(phase), np.sin(phase)])
+    # a sub-block's start phase is its block's e^{-i D t0}, then its offset's in the block
+    offsets = np.exp(-1j * np.multiply.outer(np.arange(0, min(n, _BLOCK), _SUB) * dt, beats))
+    means = np.empty((2, min(n, _BLOCK)))
 
     def blocks():
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            s = block(common, start * dt, shared[:m])
-            b = block(cross, start * dt, beat[:m])
-            yield np.add(s, b, out=arm_1[:m]), np.subtract(s, b, out=arm_2[:m])
+            w = (arms * np.exp(-1j * beats * (start * dt))) * offsets[:, None, :]
+            coef = np.concatenate([w.real, w.imag], axis=2)  # (sub-block, arm, table row)
+            out = means[:, :m]
+            subs, rest = divmod(m, _SUB)
+            if subs:
+                full = out[:, : subs * _SUB].reshape(2, subs, _SUB)
+                np.einsum("sak,kj->asj", coef[:subs], table, out=full)
+            if rest:
+                np.einsum("ak,kj->aj", coef[subs], table[:, :rest], out=out[:, subs * _SUB :])
+            yield out[0], out[1]
 
     return blocks()
 
@@ -213,13 +219,14 @@ class _Welch:
     detrend="constant".  Each chunk is copied behind the samples held
     over from the start of the first incomplete segment, so the caller
     may overwrite it once add returns; the segments are transformed
-    batch by batch in arrays made once.  The squares of the spectra's
-    imaginary parts go to the detrended segments' memory, free once they
-    are transformed, and a batch of one segment is added as it is.  At
-    one segment per batch (nperseg > _BLOCK / 2) the sum so holds about
-    five segments of doubles besides the rfft's own: the window, the
-    held samples, the detrended segment and the complex spectrum take
-    one each, the power and the running total half each.
+    batch by batch in arrays made once.  Each spectrum's real and
+    imaginary parts are squared in place and their sum, the power, goes
+    to the real parts' memory, so no power array is made; a batch of one
+    segment is added as it is.  At one segment per batch (nperseg >
+    _BLOCK / 2) the sum so holds about four and a half segments of
+    doubles besides the rfft's own: the window, the held samples, the
+    detrended segment and the complex spectrum take one each, the
+    running total half.
     """
 
     def __init__(self, nperseg: int, fs: float):
@@ -236,7 +243,6 @@ class _Welch:
         self.means = np.empty((self.batch, 1))
         self.detrended = np.empty((self.batch, nperseg))
         self.spec = np.empty((self.batch, self.total.size), dtype=complex)
-        self.power = np.empty((self.batch, self.total.size))
         self.power_sum = np.empty(self.total.size) if self.batch > 1 else None
 
     def add(self, x: np.ndarray) -> None:
@@ -258,9 +264,10 @@ class _Welch:
             part = np.subtract(part, means, out=self.detrended[:k])
             part *= self.window
             spec = np.fft.rfft(part, axis=1, out=self.spec[:k])
-            power = np.multiply(spec.real, spec.real, out=self.power[:k])
-            imag_power = self.detrended.reshape(-1)[: power.size].reshape(power.shape)
-            power += np.multiply(spec.imag, spec.imag, out=imag_power)
+            # each part squared in place, then the power in the real parts' memory
+            power, imag = spec.real, spec.imag
+            np.multiply(power, power, out=power)
+            power += np.multiply(imag, imag, out=imag)
             self.total += power[0] if k == 1 else power.sum(axis=0, out=self.power_sum)
         self.segments += len(segs)
         done = len(segs) * self.hop
@@ -344,27 +351,31 @@ def extract_beatnote(spectrum: Spectrum, f_beat_hz: float) -> BeatnoteEstimate:
 class _Lockin:
     """Running sum of x[n] e^{-i w n dt} over the samples fed so far.
 
-    Each block of at most _BLOCK samples is a product with one cos/sin
-    table, rotated by the phase w n dt of its first sample, so no
-    full-length complex temporary is made.  The products are summed by
-    einsum, which calls no BLAS: a BLAS dot splits long vectors over
-    threads of its own, and its last bits depend on their number.
+    Each sub-block of at most _SUB samples is a product with one stacked
+    cos/sin table, rotated by the phase w n dt of its first sample, so no
+    full-length complex temporary is made.  The products of a chunk's
+    sub-blocks are summed by one einsum, which calls no BLAS: a BLAS dot
+    splits long vectors over threads of its own, and its last bits
+    depend on their number.
     """
 
     def __init__(self, f_hz: float, dt: float, n: int):
         self.w = TWO_PI * f_hz * dt
-        phase = self.w * np.arange(min(n, _BLOCK))  # tables no longer than the record
-        self.cos, self.sin = np.cos(phase), np.sin(phase)
+        phase = self.w * np.arange(min(n, _SUB))  # a table no longer than the record
+        self.table = np.stack([np.cos(phase), np.sin(phase)])
         self.total = 0j
         self.n = 0
 
     def add(self, x: np.ndarray) -> None:
-        for start in range(0, x.size, _BLOCK):
-            part = x[start : start + _BLOCK]
-            m = part.size
-            re, im = (np.einsum("i,i->", part, table[:m]) for table in (self.cos, self.sin))
-            row = complex(re, -im)
-            self.total += row * cmath.exp(-1j * self.w * self.n)
+        sub = self.table.shape[1]
+        whole = x.size - x.size % sub
+        sums = np.einsum("sj,kj->sk", x[:whole].reshape(-1, sub), self.table).tolist()
+        sizes = [sub] * len(sums)
+        if whole < x.size:
+            sums.append(np.einsum("j,kj->k", x[whole:], self.table[:, : x.size - whole]).tolist())
+            sizes.append(x.size - whole)
+        for (re, im), m in zip(sums, sizes):
+            self.total += complex(re, -im) * cmath.exp(-1j * self.w * self.n)
             self.n += m
 
     def power(self) -> float:
@@ -608,28 +619,32 @@ def _block_currents(
     difference current j1 - j2 is yielded.  Its arrays are a ring of
     _READ_AHEAD + 1 buffers taken in turn, so a block's current stays
     valid until _READ_AHEAD more blocks have been made, which is as far
-    as _read_ahead runs ahead of the block its caller is summing; every
-    other array is one buffer, overwritten by the next block.
+    as _read_ahead runs ahead of the block its caller is summing.  The
+    product's two factors are formed in one scratch pair, overwritten
+    by the next block, and j2 in the block's ring buffer, which j1 - j2
+    then replaces; j1 is made twice rather than held in a third array.
+    The means are only read: one array may serve both arms.
     """
     for k, means in enumerate(mean_blocks):
         m = means[0].size
         if k == 0:  # the first block is the largest
             ring = np.empty((_READ_AHEAD + 1, m))
-            currents = np.empty((4, m))  # j1, j2 and the arm product's two factors
-        counts = [_arm_counts(rng, mu) for rng, mu in zip(rngs, means)]
-        for arm, c in enumerate(counts):
-            totals[arm] += int(c.sum())
-        j1, j2, d1, d2 = currents[:, :m]
+            scratch = np.empty((2, m))
+        c1, c2 = (_arm_counts(rng, mu) for rng, mu in zip(rngs, means))
+        totals[0] += int(c1.sum())
+        totals[1] += int(c2.sum())
+        a, b = scratch[:, :m]
         jdiff = ring[k % len(ring), :m]
-        np.multiply(counts[0], to_pulses, out=j1)
-        np.multiply(counts[1], to_pulses, out=j2)
-        np.subtract(j1, j2, out=jdiff)
-        np.multiply(means[0], to_current, out=d1)
-        d1 += j1
-        np.multiply(means[1], to_current, out=d2)
-        d2 += j2
-        d1 *= d2
-        cross.add(d1)
+        # the product's factors j - mean current, with j2 left in jdiff's buffer
+        np.multiply(c1, to_pulses, out=a)
+        np.multiply(means[0], to_current, out=b)
+        b += a
+        np.multiply(means[1], to_current, out=a)
+        a += np.multiply(c2, to_pulses, out=jdiff)
+        b *= a
+        cross.add(b)
+        np.subtract(np.multiply(c1, to_pulses, out=a), jdiff, out=jdiff)  # j1 again, less j2
+        del c1, c2  # else held while the next block's counts are drawn
         yield jdiff
 
 
@@ -668,10 +683,15 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     A record of one block has nothing to overlap and runs serially.
 
     No block-sized array is made per block but the counts and the
-    thinning candidates: the bin means and _block_currents' currents
-    live in buffers made once, and the sums keep nothing of a block but
-    the Welch sum's copy of its incomplete segment.  Memory is therefore
-    a fixed number of blocks plus a segment, whatever the record length.
+    thinning candidates, and each block's counts are freed before the
+    next block's are drawn.  One buffer holds each live quantity: the
+    bin means' pair, the ring of difference currents and the scratch
+    pair of the arm product's factors are made once, the bin-mean and
+    lock-in tables span _SUB samples, not a block, and the sums keep
+    nothing of a block but the Welch sum's copy of its incomplete
+    segment.  Memory is therefore a fixed number of blocks plus a
+    segment, whatever the record length; a default.cfg record peaks at
+    about 15 blocks of doubles (7.5 MiB), its Welch sum's ~3.5 included.
     """
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))

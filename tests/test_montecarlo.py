@@ -70,6 +70,11 @@ def bin_means(state, lo, det, n: int, dt: float) -> tuple[np.ndarray, np.ndarray
     return arms
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.setflags(write=False)
+    return view
+
+
 def sample_bin_counts(means, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Both arms' counts of a whole record, drawn by the streamed pass's worker generator.
 
@@ -77,12 +82,15 @@ def sample_bin_counts(means, seed: int) -> tuple[np.ndarray, np.ndarray]:
     counts are read from a run of unit pulses with the other arm's means
     set to zero: each arm draws from its own stream, so the other arm's
     means change none of its counts.  How a block is drawn depends on
-    its means, so only the pass's blocks reproduce its counts.
+    its means, so only the pass's blocks reproduce its counts.  The
+    blocks are read-only views, so a write into the means raises.
     """
     zero = np.zeros(means[0].size)
     arms = []
     for alone, sign in (((means[0], zero), 1.0), ((zero, means[1]), -1.0)):
-        blocks = (tuple(mu[s : s + _BLOCK] for mu in alone) for s in range(0, zero.size, _BLOCK))
+        blocks = (
+            tuple(_read_only(mu[s : s + _BLOCK]) for mu in alone) for s in range(0, zero.size, _BLOCK)
+        )
         # each block's current is copied before the next overwrites its buffer
         currents = _block_currents(blocks, _arm_rngs(seed), 1.0, 0.0, [0, 0], _Moments())
         arms.append(np.concatenate([sign * jdiff for jdiff in currents]).astype(np.int64))
@@ -180,6 +188,11 @@ class TestBinMeans:
             assert mean.shape == (n,)
             head = _quadrature_bin_means(scene, arm, 0, 3000, dt)
             assert np.max(np.abs(mean[:3000] - head) / head) <= 1e-10
+            if n >= _BLOCK + 1500:
+                # across the first block's end, which also ends a sub-table;
+                # the scan's one block has its sub-table seam in the tail
+                seam = _quadrature_bin_means(scene, arm, _BLOCK - 1500, _BLOCK + 1500, dt)
+                assert np.max(np.abs(mean[_BLOCK - 1500 : _BLOCK + 1500] - seam) / seam) <= 1e-10
             # near the record end (t = 2 s for the default geometry) the
             # float phase D t limits both sides
             tail = _quadrature_bin_means(scene, arm, n - 3000, n, dt)
@@ -715,6 +728,21 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_memory_is_pinned_in_blocks(self):
+        # what the pass holds, in 2^16-sample float64 arrays: the bin means
+        # (2), the difference current's ring (3), the arm product's factors
+        # (2), the counts (2), the moment sums' deviations (2) and ~3.5 of
+        # the Welch sum's segments, spectra and held samples; ~15 in all,
+        # where block-long tables and work arrays took ~28
+        block = 8 * _BLOCK
+        tracemalloc.start()
+        try:
+            run_experiment("default", self.SCENE, seed=DEFAULT_SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * block
 
     def test_memory_stays_within_blocks_with_a_trace(self, tmp_path):
         # each block's difference current goes to the file as it is made
