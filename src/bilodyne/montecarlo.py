@@ -369,14 +369,14 @@ class _Lockin:
     def add(self, x: np.ndarray) -> None:
         sub = self.table.shape[1]
         whole = x.size - x.size % sub
-        sums = np.einsum("sj,kj->sk", x[:whole].reshape(-1, sub), self.table).tolist()
-        sizes = [sub] * len(sums)
+        parts = [x[:whole].reshape(-1, sub)]
         if whole < x.size:
-            sums.append(np.einsum("j,kj->k", x[whole:], self.table[:, : x.size - whole]).tolist())
-            sizes.append(x.size - whole)
-        for (re, im), m in zip(sums, sizes):
-            self.total += complex(re, -im) * cmath.exp(-1j * self.w * self.n)
-            self.n += m
+            parts.append(x[whole:].reshape(1, -1))
+        for part in parts:
+            m = part.shape[1]
+            for re, im in np.einsum("sj,kj->sk", part, self.table[:, :m]).tolist():
+                self.total += complex(re, -im) * cmath.exp(-1j * self.w * self.n)
+                self.n += m
 
     def power(self) -> float:
         """Lock-in power 2 |total|^2 / n^2 of a line at f_hz.
