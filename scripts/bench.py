@@ -21,7 +21,7 @@ Python, numpy and scipy versions, the CPU and the commit measured
 tests); the file goes to the root of the checkout this script is in,
 so two checkouts can be measured into one place.  OPENBLAS_NUM_THREADS
 is set to 1 unless it is set already; the file records its value.
-Each Monte Carlo run of `default.cfg` takes ~0.8 s and ~54 MiB, so the
+Each Monte Carlo run of `default.cfg` takes ~0.8 s and ~46 MiB, so the
 whole bench takes about a minute on a 2-vCPU VM.  Not part of the
 test suite.
 """
