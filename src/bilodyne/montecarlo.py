@@ -583,7 +583,7 @@ class _Record:
     cross_z: float  # z-score of the zero-lag arm covariance
 
 
-def _arm_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
+def _arm_counts(rng: np.random.Generator, means: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Poisson counts of one arm's block of bins with the given means.
 
     A sparse block, whose largest mean lam is at most _THIN_PEAK_MEAN, is
@@ -597,6 +597,11 @@ def _arm_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
     The rule reads the peak because it sets the candidate count, which
     _THIN_PEAK_MEAN bounds before anything is allocated.  A denser block
     takes one draw per bin.
+
+    A thinned block's counts are made in out[:m], an int64 buffer the
+    caller keeps from block to block; a dense block's come in the new
+    array of its draw.  A block-sized array made and freed per block
+    would have the allocator return its pages and fault them in again.
     """
     m = means.size
     lam = means.max()
@@ -604,7 +609,10 @@ def _arm_counts(rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
         return rng.poisson(means)
     idx = rng.integers(0, m, rng.poisson(lam * m))
     keep = rng.random(idx.size) * lam < means[idx]
-    return np.bincount(idx[keep], minlength=m)
+    counts = out[:m]
+    counts.fill(0)
+    np.add.at(counts, idx[keep], 1)
+    return counts
 
 
 def _block_currents(
@@ -612,8 +620,8 @@ def _block_currents(
 ):
     """The difference current of each block of means, in block order: the drawing half of the pass.
 
-    Each arm's counts come from _arm_counts with that arm's generator;
-    they are added to totals, made into the delta-pulse currents j1 and
+    Each arm's counts come from _arm_counts with that arm's generator
+    and its row of a counts buffer pair; they are added to totals, made into the delta-pulse currents j1 and
     j2 (count times to_pulses), and the zero-lag product of the arms'
     fluctuations (j - mean times to_current) is fed to cross.  Only the
     difference current j1 - j2 is yielded.  Its arrays are a ring of
@@ -630,7 +638,8 @@ def _block_currents(
         if k == 0:  # the first block is the largest
             ring = np.empty((_READ_AHEAD + 1, m))
             scratch = np.empty((2, m))
-        c1, c2 = (_arm_counts(rng, mu) for rng, mu in zip(rngs, means))
+            counts = np.empty((2, m), dtype=np.int64)
+        c1, c2 = (_arm_counts(*arm) for arm in zip(rngs, means, counts))
         totals[0] += int(c1.sum())
         totals[1] += int(c2.sum())
         a, b = scratch[:, :m]
@@ -644,7 +653,6 @@ def _block_currents(
         b *= a
         cross.add(b)
         np.subtract(np.multiply(c1, to_pulses, out=a), jdiff, out=jdiff)  # j1 again, less j2
-        del c1, c2  # else held while the next block's counts are drawn
         yield jdiff
 
 
@@ -682,16 +690,16 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     generators, so the counts and every sum are those of a serial pass.
     A record of one block has nothing to overlap and runs serially.
 
-    No block-sized array is made per block but the counts and the
-    thinning candidates, and each block's counts are freed before the
-    next block's are drawn.  One buffer holds each live quantity: the
-    bin means' pair, the ring of difference currents and the scratch
-    pair of the arm product's factors are made once, the bin-mean and
-    lock-in tables span _SUB samples, not a block, and the sums keep
-    nothing of a block but the Welch sum's copy of its incomplete
-    segment.  Memory is therefore a fixed number of blocks plus a
-    segment, whatever the record length; a default.cfg record peaks at
-    about 15 blocks of doubles (7.5 MiB), its Welch sum's ~3.5 included.
+    No block-sized array is made per block but a dense block's counts;
+    a thinned block's candidates are a few per hundred bins.  One buffer
+    holds each live quantity: the bin means' pair, the counts' pair,
+    the ring of difference currents and the scratch pair of the arm
+    product's factors are made once, the bin-mean and lock-in tables
+    span _SUB samples, not a block, and the sums keep nothing of a block
+    but the Welch sum's copy of its incomplete segment.  Memory is
+    therefore a fixed number of blocks plus a segment, whatever the
+    record length; a default.cfg record peaks at about 15 blocks of
+    doubles (7.5 MiB), its Welch sum's ~3.5 included.
     """
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))

@@ -319,9 +319,9 @@ class TestArmCounts:
         # its mean, whose span is over five hundredfold
         mu = self._default_means(_BLOCK)[0][: 50 * (_BLOCK // 50)]
         counts = np.zeros(mu.size, dtype=np.int64)
-        rng = np.random.default_rng(17)
+        rng, out = np.random.default_rng(17), np.empty(mu.size, dtype=np.int64)
         for _ in range(100):
-            counts += _arm_counts(rng, mu)
+            counts += _arm_counts(rng, mu, out)
         expect = 100.0 * mu.reshape(-1, 50).sum(axis=0)
         got = counts.reshape(-1, 50).sum(axis=0)
         assert expect.max() > 500.0 * expect.min()
@@ -333,9 +333,9 @@ class TestArmCounts:
         mu[1000:3000] = 0.0  # inside the block
         mu[-700:] = 0.0  # at its end
         mu[:5] = 0.0  # at its start
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            c = _arm_counts(rng, mu)
+        rng, out = np.random.default_rng(3), np.empty(mu.size, dtype=np.int64)
+        for _ in range(20):  # each block's counts made in the same buffer
+            c = _arm_counts(rng, mu, out)
             assert c.shape == mu.shape
             assert not np.any(c[mu == 0.0])
             assert int(c.sum()) > 0
@@ -349,7 +349,7 @@ class TestArmCounts:
         top = float(np.nextafter(1.0, 0.0))  # the largest value Generator.random gives
         below_half = float(np.nextafter(0.5, 0.0))
         rng = _Candidates(bins=[2, 5, 5, 0, 7], uniforms=[top, 0.5, below_half, 0.0, 0.0])
-        c = _arm_counts(rng, mu)
+        c = _arm_counts(rng, mu, np.full(8, -1, dtype=np.int64))
         np.testing.assert_array_equal(c, [0, 0, 1, 0, 0, 1, 0, 0])
         assert rng.calls == [("poisson", 2.0), ("integers", 0, 8, 5), ("random", 5)]
 
@@ -359,7 +359,7 @@ class TestArmCounts:
         mu = self._default_means(_BLOCK)[0].copy()
         mu[4321] = 40.0 * _THIN_PEAK_MEAN
         assert float(mu.mean()) < 0.04
-        c = _arm_counts(np.random.default_rng(9), mu)
+        c = _arm_counts(np.random.default_rng(9), mu, np.empty(mu.size, dtype=np.int64))
         np.testing.assert_array_equal(c, np.random.default_rng(9).poisson(mu))
 
     @pytest.mark.parametrize(
@@ -368,7 +368,7 @@ class TestArmCounts:
     def test_dense_path_is_one_poisson_draw_per_bin(self, peak):
         mu = self._default_means(_BLOCK)[0]
         mu = mu * (peak / float(mu.max()))
-        c = _arm_counts(np.random.default_rng(9), mu)
+        c = _arm_counts(np.random.default_rng(9), mu, np.empty(mu.size, dtype=np.int64))
         np.testing.assert_array_equal(c, np.random.default_rng(9).poisson(mu))
 
     def test_each_arm_draws_from_its_own_child_stream(self):
@@ -382,7 +382,10 @@ class TestArmCounts:
             currents = _block_currents(iter([(mu, mu)]), _arm_rngs(21), 1.0, 0.0, totals, _Moments())
             (jdiff,) = currents
             children = np.random.SeedSequence(21).spawn(2)
-            counts = [_arm_counts(np.random.default_rng(child), mu) for child in children]
+            counts = [
+                _arm_counts(np.random.default_rng(child), mu, np.empty(mu.size, dtype=np.int64))
+                for child in children
+            ]
             np.testing.assert_array_equal(jdiff, counts[0] - counts[1])
             assert totals == [int(c.sum()) for c in counts]
             assert np.any(jdiff)
