@@ -621,9 +621,10 @@ def _block_currents(
     """The difference current of each block of means, in block order: the drawing half of the pass.
 
     Each arm's counts come from _arm_counts with that arm's generator
-    and its row of a counts buffer pair; they are added to totals, made into the delta-pulse currents j1 and
-    j2 (count times to_pulses), and the zero-lag product of the arms'
-    fluctuations (j - mean times to_current) is fed to cross.  Only the
+    and its row of a counts buffer pair; they are added to totals, made
+    into the delta-pulse currents j1 and j2 (count times to_pulses), and
+    the zero-lag product of the arms' fluctuations (j - mean times
+    to_current) is fed to cross.  Only the
     difference current j1 - j2 is yielded.  Its arrays are a ring of
     _READ_AHEAD + 1 buffers taken in turn, so a block's current stays
     valid until _READ_AHEAD more blocks have been made, which is as far
@@ -691,15 +692,16 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     A record of one block has nothing to overlap and runs serially.
 
     No block-sized array is made per block but a dense block's counts;
-    a thinned block's candidates are a few per hundred bins.  One buffer
-    holds each live quantity: the bin means' pair, the counts' pair,
-    the ring of difference currents and the scratch pair of the arm
-    product's factors are made once, the bin-mean and lock-in tables
-    span _SUB samples, not a block, and the sums keep nothing of a block
-    but the Welch sum's copy of its incomplete segment.  Memory is
-    therefore a fixed number of blocks plus a segment, whatever the
-    record length; a default.cfg record peaks at about 15 blocks of
-    doubles (7.5 MiB), its Welch sum's ~3.5 included.
+    a thinned block's candidates number its peak mean per bin, at most
+    one (0.073 on default.cfg).  One buffer holds each live quantity:
+    the bin means' pair, the counts' pair, the ring of difference
+    currents and the scratch pair of the arm product's factors are made
+    once, the bin-mean and lock-in tables span _SUB samples, not a
+    block, and the sums keep nothing of a block but the Welch sum's copy
+    of its incomplete segment.  Memory is therefore a fixed number of
+    blocks plus a segment, whatever the record length; a default.cfg
+    record peaks at about 15 blocks of doubles (7.5 MiB), its Welch
+    sum's ~3.5 included.
     """
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))

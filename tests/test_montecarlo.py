@@ -89,7 +89,8 @@ def sample_bin_counts(means, seed: int) -> tuple[np.ndarray, np.ndarray]:
     arms = []
     for alone, sign in (((means[0], zero), 1.0), ((zero, means[1]), -1.0)):
         blocks = (
-            tuple(_read_only(mu[s : s + _BLOCK]) for mu in alone) for s in range(0, zero.size, _BLOCK)
+            tuple(_read_only(mu[s : s + _BLOCK]) for mu in alone)
+            for s in range(0, zero.size, _BLOCK)
         )
         # each block's current is copied before the next overwrites its buffer
         currents = _block_currents(blocks, _arm_rngs(seed), 1.0, 0.0, [0, 0], _Moments())
