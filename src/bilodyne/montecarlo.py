@@ -624,15 +624,15 @@ def _block_currents(
     and its row of a counts buffer pair; they are added to totals, made
     into the delta-pulse currents j1 and j2 (count times to_pulses), and
     the zero-lag product of the arms' fluctuations (j - mean times
-    to_current) is fed to cross.  Only the
-    difference current j1 - j2 is yielded.  Its arrays are a ring of
-    _READ_AHEAD + 1 buffers taken in turn, so a block's current stays
-    valid until _READ_AHEAD more blocks have been made, which is as far
-    as _read_ahead runs ahead of the block its caller is summing.  The
-    product's two factors are formed in one scratch pair, overwritten
-    by the next block, and j2 in the block's ring buffer, which j1 - j2
-    then replaces; j1 is made twice rather than held in a third array.
-    The means are only read: one array may serve both arms.
+    to_current) is fed to cross.  Only the difference current j1 - j2 is
+    yielded.  Its arrays are a ring of _READ_AHEAD + 1 buffers taken in
+    turn, so a block's current stays valid until _READ_AHEAD more blocks
+    have been made, which is as far as _read_ahead runs ahead of the
+    block its caller is summing.  The product's two factors are formed
+    in one scratch pair, overwritten by the next block, and j2 in the
+    block's ring buffer, which j1 - j2 then replaces; j1 is made twice
+    rather than held in a third array.  The means are only read: one
+    array may serve both arms.
     """
     for k, means in enumerate(mean_blocks):
         m = means[0].size
