@@ -14,8 +14,10 @@ set-up.  Per scenario the file holds the median wall and set-up time,
 the median `ru_maxrss`, minor page faults and system time, and every
 run's wall time.  It also holds one wall time of the tier-1 suite
 (`python -m pytest -q` in the checkout), the
-Python, numpy and scipy versions, the CPU and the commit measured
-(`git describe --dirty`).
+Python, numpy and scipy versions, the CPU, the commit measured
+(`git describe --dirty`) and `src_lines`, the line count of every
+`*.py` under the checkout's `src/`, so that two bench files give the
+net change in source lines between their checkouts.
 
 --repo names the checkout to measure (its `src/`, `configs/` and
 tests); the file goes to the root of the checkout this script is in,
@@ -133,6 +135,11 @@ def _versions(repo: Path, env: dict) -> dict:
     }
 
 
+def _src_lines(repo: Path) -> int:
+    """Lines of every *.py file under the checkout's src/."""
+    return sum(len(path.read_bytes().splitlines()) for path in (repo / "src").rglob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
@@ -144,6 +151,7 @@ def main(argv=None) -> int:
     result = {
         "label": args.label,
         **_versions(repo, env),
+        "src_lines": _src_lines(repo),
         "env": {"OPENBLAS_NUM_THREADS": env["OPENBLAS_NUM_THREADS"]},
         "repeats": REPEATS,
     }

@@ -8,13 +8,10 @@ stochastic photoemission Monte Carlo.
 __version__ = "0.1.0"
 
 from .analytic import (
-    CurrentAutocorrelation,
     DetectionReport,
     SensitivityRow,
     Spectrum,
     SpectrumKind,
-    autocorr_diff_current,
-    mean_diff_current,
     noise_figure,
     output_signal_power,
     psd_analytic,
@@ -57,6 +54,5 @@ from .montecarlo import (
     CheckResult,
     ExperimentReport,
     extract_beatnote,
-    intensity_rate,
     run_experiment,
 )

@@ -112,80 +112,6 @@ def shot_floor_psd(lo: LocalOscillator, det: DetectorParams, omega) -> np.ndarra
     return 2.0 * det.eta * np.abs(k) ** 2 * lo.amplitude**2
 
 
-def _require_delta_fixed(state: FieldState, det: DetectorParams, what: str) -> None:
-    if not det.pulse.is_delta:
-        raise Unsupported(f"{what} is implemented for delta pulses only")
-    if state.phase.averaged:
-        raise Unsupported(f"{what} needs a fixed signal phase")
-
-
-def mean_diff_current(state: FieldState, lo: LocalOscillator, det: DetectorParams, t):
-    """Mean difference photocurrent <J_->(t) for delta pulses, fixed phase.
-
-    Evaluated in the rotating frame, so only beat phases enter and the
-    result stays accurate at arbitrary times.  A monochromatic LO gives
-    a single beat at |w_l - w_s|; the bichromatic LO gives the
-    phase-sensitive 2 eta e alpha E_l cos(theta_s - theta_bar) envelope
-    on the heterodyne beat.
-    """
-    _require_delta_fixed(state, det, "mean_diff_current")
-    ref = correlators.reference_frequency(state, lo)
-    t_offs, t_amps = correlators.tone_phasors(lo, ref)
-    m_offs, m_amps = correlators.mode_phasors(state, ref)
-    lo_t = correlators.phasor_sum(t_offs, t_amps, t)
-    sig_t = correlators.phasor_sum(m_offs, m_amps, t)
-    out = -2.0 * det.eta * det.charge * np.imag(lo_t * np.conj(sig_t))
-    return out if np.shape(out) else float(out)
-
-
-@dataclass(frozen=True)
-class CurrentAutocorrelation:
-    """Autocorrelation of the difference current at one (t, tau) point.
-
-    With delta pulses the shot contribution is a delta spike in tau;
-    its weight is reported separately from the smooth excess part.
-    """
-
-    shot_impulse: float
-    smooth: float
-
-
-def autocorr_diff_current(
-    state: FieldState,
-    lo: LocalOscillator,
-    det: DetectorParams,
-    t: float,
-    tau: float,
-) -> CurrentAutocorrelation:
-    """Two-time fluctuation autocorrelation of J_- for delta pulses.
-
-    shot_impulse carries eta e^2 <I_1 + I_2>(t), the weight of the
-    delta(tau) term; smooth carries the strong-LO excess term, which is
-    zero for coherent input and picks up the squeeze-pair beats
-    otherwise.
-    """
-    if not det.pulse.is_delta:
-        raise Unsupported("autocorr_diff_current is implemented for delta pulses only")
-    table = correlators.hypothesis_moments(state)
-    ref = correlators.reference_frequency(state, lo)
-    t_offs, t_amps = correlators.tone_phasors(lo, ref)
-    m_offs, m_amps = correlators.mode_phasors(state, ref)
-    lo_t = correlators.phasor_sum(t_offs, t_amps, t)
-    sig_t = correlators.phasor_sum(m_offs, m_amps, t)
-    total_intensity = abs(lo_t) ** 2 + abs(sig_t) ** 2 + correlators.fluctuation_flux(table)
-    shot = det.eta * det.charge**2 * float(total_intensity)
-    if table.is_zero():
-        smooth = 0.0
-    else:
-        smooth = (
-            4.0
-            * det.eta**2
-            * det.charge**2
-            * correlators.lambda_ij(state, lo, 1, 1, t, tau)
-        )
-    return CurrentAutocorrelation(shot_impulse=shot, smooth=smooth)
-
-
 def psd_analytic(
     state: FieldState,
     lo: LocalOscillator,

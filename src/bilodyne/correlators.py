@@ -4,7 +4,9 @@ All beat-frequency algebra is done with mode/tone frequencies measured
 relative to a common optical reference.  Beats are then exact float
 differences of small offsets, immune to the catastrophic cancellation
 that absolute optical frequencies (~1e15 rad/s) would cause at times of
-order seconds.
+order seconds.  collect_beats is the one beat rule: the sampler's bin
+means and excess_lines both collect their products of phasor sums with
+it.
 
 Moment conventions, with d = fluctuation operator (a - <a>):
     normal[m, n]    = <d_m^dag d_n>      (Hermitian, real diagonal)
@@ -18,6 +20,7 @@ the Schmidt-basis convention of exp(xi a^dag b^dag - xi* a b)|00>.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -230,33 +233,31 @@ def mode_phasors(state: FieldState, ref: float) -> tuple[np.ndarray, np.ndarray]
     return offs, amps
 
 
-def phasor_sum(offsets: np.ndarray, amps: np.ndarray, t) -> np.ndarray | complex:
-    """Evaluate sum_k a_k e^{-i d_k t} at a time or over a time array, cheaply.
+def collect_beats(terms, tol: float = 0.0) -> dict[float, complex]:
+    """The one beat rule: the terms (f, c) of sum c e^{-i f t}, summed by |f|.
 
-    Zero offsets contribute constants and opposite-sign offset pairs
-    share one complex exponential via conjugation; this matters when t
-    has ~1e8 entries in the emission sampler.  A scalar t gives a complex.
+    A term at f < 0 is conjugated onto -f, which keeps its real part,
+    the only part a caller reads.  Terms at one |f| are summed in their
+    order.  With tol > 0 the frequencies are then grouped in ascending
+    order: a group starts at its smallest frequency and takes every one
+    within tol above it.  Its terms are summed at that smallest
+    frequency, or at 0.0 when it lies within tol of 0.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape, dtype=complex)
-    cache: dict[float, np.ndarray] = {}
-    for off, amp in zip(offsets, amps):
-        off = float(off)
-        if amp == 0:
-            continue
-        if off == 0.0:
-            out += amp
-            continue
-        if off in cache:
-            phase = cache[off]
-        elif -off in cache:
-            phase = np.conj(cache[-off])
-            cache[off] = phase
-        else:
-            phase = np.exp(-1j * off * t)
-            cache[off] = phase
-        out += amp * phase
-    return out if out.shape else complex(out)
+    beats: dict[float, complex] = {}
+    for f, c in terms:
+        f, c = float(f), complex(c)
+        if f < 0.0:
+            f, c = -f, c.conjugate()
+        beats[f] = beats.get(f, 0.0) + c
+    if tol <= 0.0:
+        return beats
+    merged: dict[float, complex] = {}
+    head = -math.inf
+    for f in sorted(beats):
+        if f - head > tol:
+            head, key = f, (0.0 if f <= tol else f)
+        merged[key] = merged.get(key, 0.0) + beats[f]
+    return merged
 
 
 def mean_field(state: FieldState, t) -> np.ndarray | complex:
@@ -336,8 +337,8 @@ def lambda_ij(
         return 0.0
     t_offs, t_amps, m_offs, normal, anomalous, sq_phase = _beat_terms(state, lo, table)
     t2 = t + iota
-    lo_t = phasor_sum(t_offs, t_amps, t)
-    lo_t2 = phasor_sum(t_offs, t_amps, t2)
+    lo_t = t_amps @ np.exp(-1j * t_offs * t)
+    lo_t2 = t_amps @ np.exp(-1j * t_offs * t2)
     u_t = np.exp(1j * m_offs * t)
     u_t2 = np.exp(1j * m_offs * t2)
     # <dE-(t) dE+(t2)> x E+(t) E-(t2), summed over mode pairs
@@ -375,55 +376,20 @@ def excess_lines(
     scale = max(1.0, float(np.max(np.abs(m_offs)) if m_offs.size else 1.0),
                 float(np.max(np.abs(t_offs))))
     tol = 1e-9 * scale
-    entries: list[tuple[float, complex]] = []
-
-    n_tones = len(t_offs)
-    n_modes = len(m_offs)
-    for p in range(n_tones):
-        for q in range(n_tones):
-            for m in range(n_modes):
-                for n_ in range(n_modes):
-                    # population beat: (d_m - d_p) + (d_q - d_n) = 0
-                    if normal[m, n_] != 0 and abs(
-                        (m_offs[m] - t_offs[p]) + (t_offs[q] - m_offs[n_])
-                    ) <= tol:
-                        c = 0.5 * t_amps[p] * np.conj(t_amps[q]) * normal[m, n_]
-                        nu = t_offs[q] - m_offs[n_]
-                        entries.append((nu, c))
-                        entries.append((-nu, np.conj(c)))
-                    # squeeze beat: d_m + d_n = d_p + d_q
-                    if (
-                        not state.phase.averaged
-                        and anomalous[m, n_] != 0
-                        and abs((m_offs[m] - t_offs[p]) + (m_offs[n_] - t_offs[q])) <= tol
-                    ):
-                        c = 0.5 * sq_phase * t_amps[p] * t_amps[q] * np.conj(anomalous[m, n_])
-                        nu = m_offs[n_] - t_offs[q]
-                        entries.append((nu, c))
-                        entries.append((-nu, np.conj(c)))
-    if not entries:
-        return []
-    entries.sort(key=lambda e: e[0])
-    clustered: list[tuple[float, complex]] = []
-    for nu, c in entries:
-        if clustered and abs(nu - clustered[-1][0]) <= tol:
-            prev_nu, prev_c = clustered[-1]
-            clustered[-1] = (prev_nu, prev_c + c)
-        else:
-            clustered.append((nu, c))
-    # fold two-sided lines onto non-negative frequencies
-    folded: dict[float, float] = {}
-    for nu, c in clustered:
-        if nu < -tol:
-            continue
-        key = 0.0 if abs(nu) <= tol else nu
-        if key == 0.0:
-            folded[key] = folded.get(key, 0.0) + c.real
-        else:
-            partner = 0.0
-            for nu2, c2 in clustered:
-                if abs(nu2 + key) <= tol:
-                    partner = c2
-                    break
-            folded[key] = folded.get(key, 0.0) + (c + partner).real
-    return sorted(folded.items())
+    terms = []
+    tones, modes = range(len(t_offs)), range(len(m_offs))
+    for p, q, m, n_ in itertools.product(tones, tones, modes, modes):
+        # population beat: (d_m - d_p) + (d_q - d_n) = 0
+        if normal[m, n_] != 0 and abs((m_offs[m] - t_offs[p]) + (t_offs[q] - m_offs[n_])) <= tol:
+            c = 0.5 * t_amps[p] * np.conj(t_amps[q]) * normal[m, n_]
+            terms.append((t_offs[q] - m_offs[n_], c))
+        # squeeze beat: d_m + d_n = d_p + d_q
+        if (
+            not state.phase.averaged
+            and anomalous[m, n_] != 0
+            and abs((m_offs[m] - t_offs[p]) + (m_offs[n_] - t_offs[q])) <= tol
+        ):
+            c = 0.5 * sq_phase * t_amps[p] * t_amps[q] * np.conj(anomalous[m, n_])
+            terms.append((m_offs[n_] - t_offs[q], c))
+    # a line is a term at nu plus its conjugate at -nu: power 2 Re c
+    return sorted((nu, 2.0 * c.real) for nu, c in collect_beats(terms, tol).items())

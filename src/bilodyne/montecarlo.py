@@ -48,7 +48,6 @@ from .errors import ConfigViolation, InvalidSpec, NonClassicalInput, TooShort, U
 from .io import TraceWriter
 from .model import (
     TWO_PI,
-    DetectorParams,
     FieldState,
     LocalOscillator,
     MeasurementConfig,
@@ -90,44 +89,6 @@ def _arm_phasors(state: FieldState, lo: LocalOscillator):
     return (t_offs, t_amps), (m_offs, -1j * m_amps)
 
 
-def intensity_rate(
-    state: FieldState,
-    lo: LocalOscillator,
-    det: DetectorParams,
-    detector: int,
-    t,
-):
-    """Expected photoemission rate of one detector arm at time t.
-
-    eta/2 |E_lo(t) -+ i M(t)|^2 evaluated in the rotating frame (exact
-    at any t); the tests' reference for _bin_mean_blocks.  Raises
-    NonClassicalInput for squeezed states, whose emission statistics
-    are not an inhomogeneous Poisson process.
-    """
-    if detector not in (1, 2):
-        raise InvalidSpec("detector index must be 1 or 2")
-    (t_offs, t_amps), (m_offs, m_amps) = _arm_phasors(state, lo)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    offsets = np.concatenate([t_offs, m_offs])
-    amps = np.concatenate([t_amps, m_amps if detector == 1 else -m_amps])
-    out = 0.5 * det.eta * np.abs(correlators.phasor_sum(offsets, amps, t_arr)) ** 2
-    return out if np.ndim(t) else float(out[0])
-
-
-def _beat_terms(phasors_a, phasors_b, terms: dict) -> None:
-    """Add each pair a_k b_l* e^{-i (d_k - d_l) t} to terms, keyed by |d_k - d_l|.
-
-    Only real parts count in a rate, and conjugation keeps them, so a
-    pair at a negative frequency is conjugated onto the positive one.
-    """
-    for d_a, a in zip(*phasors_a):
-        for d_b, b in zip(*phasors_b):
-            d, c = float(d_a - d_b), complex(a * np.conj(b))
-            if d < 0.0:
-                d, c = -d, c.conjugate()
-            terms[d] = terms.get(d, 0.0) + c
-
-
 def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     """Iterator over (mean_1, mean_2) of bins [k dt, (k+1) dt), _BLOCK bins at a time.
 
@@ -149,11 +110,17 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     if n < 1 or not dt > 0.0:
         raise InvalidSpec(f"need at least one bin of positive width, got n={n}, dt={dt!r}")
     lo_ph, sig_ph = _arm_phasors(state, lo)
-    common, cross = {}, {}
-    _beat_terms(lo_ph, lo_ph, common)
-    _beat_terms(sig_ph, sig_ph, common)
-    _beat_terms(lo_ph, sig_ph, cross)
-    _beat_terms(sig_ph, lo_ph, cross)
+
+    def collect(*pairs):  # the products a_k b_l* e^{-i (d_k - d_l) t} of each pair of sums
+        return correlators.collect_beats(
+            (d_a - d_b, a * np.conj(b))
+            for ph_a, ph_b in pairs
+            for d_a, a in zip(*ph_a)
+            for d_b, b in zip(*ph_b)
+        )
+
+    common = collect((lo_ph, lo_ph), (sig_ph, sig_ph))
+    cross = collect((lo_ph, sig_ph), (sig_ph, lo_ph))
     beats = np.array(sorted(common.keys() | cross.keys()))
     # the bin integral of e^{-i D t} is dt sinc(D dt / 2) e^{-i D t_c}; arm 1 adds
     # the cross terms to the common ones, arm 2 subtracts them
@@ -391,19 +358,18 @@ class _Moments:
     """Running count, mean and sum of squared deviations of the values fed so far.
 
     Blocks merge by the pairwise update of Chan, Golub & LeVeque (1979);
-    within a block the squares are summed by einsum, as in _Lockin.  The
-    deviations go to one array, which grows to the largest block.
+    within a block the squares are summed by einsum, as in _Lockin.  add
+    takes each block's deviations from its mean in the block's own
+    memory, so a caller hands over a block it reads no more.
     """
 
     def __init__(self):
         self.n, self.mean, self.m2 = 0, 0.0, 0.0
-        self.dev = np.empty(0)
 
     def add(self, x: np.ndarray) -> None:
+        """Merge the block x into the sums, overwriting x with its deviations from its mean."""
         m, mean = x.size, float(x.mean())
-        if m > self.dev.size:
-            self.dev = np.empty(m)
-        dev = np.subtract(x, mean, out=self.dev[:m])
+        dev = np.subtract(x, mean, out=x)
         delta, total = mean - self.mean, self.n + m
         self.m2 += float(np.einsum("i,i->", dev, dev)) + delta * delta * self.n * m / total
         self.mean += delta * m / total
@@ -698,10 +664,11 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     currents and the scratch pair of the arm product's factors are made
     once, the bin-mean and lock-in tables span _SUB samples, not a
     block, and the sums keep nothing of a block but the Welch sum's copy
-    of its incomplete segment.  Memory is therefore a fixed number of
-    blocks plus a segment, whatever the record length; a default.cfg
-    record peaks at about 15 blocks of doubles (7.5 MiB), its Welch
-    sum's ~3.5 included.
+    of its incomplete segment; the moment sums take their deviations in
+    the block they are handed, its last use.  Memory is therefore a
+    fixed number of blocks plus a segment, whatever the record length; a
+    default.cfg record peaks at about 13 blocks of doubles (6.6 MiB),
+    its Welch sum's ~3.5 included.
     """
     meas, det = scene.meas, scene.det
     n = int(round(meas.duration * meas.sample_rate))
@@ -725,9 +692,9 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
         for jdiff in currents:
             welch.add(jdiff)
             lockin.add(jdiff)
-            variance.add(jdiff)
             if trace is not None:
                 trace.write(jdiff)
+            variance.add(jdiff)  # the block's last use: it becomes its deviations
     se = math.sqrt(cross.var(ddof=1) / n)
     return _Record(
         spectrum=welch.spectrum(),

@@ -9,13 +9,10 @@ import pytest
 from scipy.integrate import quad
 
 from bilodyne.analytic import (
-    CurrentAutocorrelation,
     DetectionReport,
     SensitivityRow,
     Spectrum,
     SpectrumKind,
-    autocorr_diff_current,
-    mean_diff_current,
     noise_figure,
     output_signal_power,
     psd_analytic,
@@ -26,7 +23,7 @@ from bilodyne.analytic import (
     snr_out,
 )
 from bilodyne.config import RunConfig
-from bilodyne.correlators import excess_lines, lambda_ij
+from bilodyne.correlators import excess_lines
 from bilodyne.errors import ConfigViolation, InvalidSpec, Unsupported
 from bilodyne.model import (
     TWO_PI,
@@ -39,7 +36,6 @@ from tests.conftest import (
     ETA,
     LO_FLUX,
     OMEGA_HET,
-    OMEGA_S,
     SIGNAL_FLUX,
     coherent_state,
     mono_lo,
@@ -100,99 +96,6 @@ class TestShotFloor:
         floor = shot_floor_psd(standard_lo(), det, w)
         expected = 2.0 * ETA * LO_FLUX / (1.0 + (w * tau) ** 2)
         np.testing.assert_allclose(floor, expected, rtol=1e-12)
-
-
-class TestMeanDiffCurrent:
-    def test_matched_phase_beat_amplitude(self):
-        state = coherent_state(theta_s=0.0)
-        t = np.linspace(0.0, TWO_PI / OMEGA_HET, 4096, endpoint=False)
-        j = mean_diff_current(state, standard_lo(), standard_detector(), t)
-        expected = 2.0 * ETA * ALPHA * E_LO
-        assert np.max(np.abs(j)) == pytest.approx(expected, rel=1e-5)
-        assert expected == pytest.approx(62609.903369994114, rel=1e-12)
-
-    def test_quadrature_phase_cancels_exactly(self):
-        # At theta_s - theta_bar = pi/2 the two tone beats are equal and
-        # opposite at every instant, not merely on average.
-        state = coherent_state(theta_s=math.pi / 2.0)
-        t = np.linspace(0.0, 5.0 * TWO_PI / OMEGA_HET, 2000)
-        j = mean_diff_current(state, standard_lo(), standard_detector(), t)
-        assert np.max(np.abs(j)) < 1e-9 * 2.0 * ETA * ALPHA * E_LO
-
-    def test_phase_envelope(self):
-        theta = 0.7
-        state = coherent_state(theta_s=theta)
-        t = np.linspace(0.0, TWO_PI / OMEGA_HET, 4096, endpoint=False)
-        j = mean_diff_current(state, standard_lo(), standard_detector(), t)
-        expected = 2.0 * ETA * ALPHA * E_LO * abs(math.cos(theta))
-        assert np.max(np.abs(j)) == pytest.approx(expected, rel=1e-5)
-
-    def test_mono_lo_beat(self):
-        state = coherent_state()
-        lo = mono_lo(omega=OMEGA_S + OMEGA_HET)
-        t = np.linspace(0.0, TWO_PI / OMEGA_HET, 4096, endpoint=False)
-        j = mean_diff_current(state, lo, standard_detector(), t)
-        expected = math.sqrt(2.0) * ETA * ALPHA * E_LO
-        assert np.max(np.abs(j)) == pytest.approx(expected, rel=1e-5)
-
-    def test_requires_delta_pulse_and_fixed_phase(self):
-        det = DetectorParams(eta=ETA, pulse=PulseShape.exponential(1e-6))
-        with pytest.raises(Unsupported):
-            mean_diff_current(coherent_state(), standard_lo(), det, 0.0)
-        with pytest.raises(Unsupported):
-            mean_diff_current(
-                coherent_state(averaged=True), standard_lo(), standard_detector(), 0.0
-            )
-
-
-class TestAutocorrelation:
-    def test_coherent_input_has_no_smooth_part(self):
-        state = coherent_state()
-        for t in (0.0, 1.3e-5, 2.9e-5):
-            ac = autocorr_diff_current(state, standard_lo(), standard_detector(), t, 1e-5)
-            assert ac.smooth == 0.0
-            assert ac.shot_impulse > 0.0
-
-    def test_shot_weight_tracks_instantaneous_intensity(self):
-        state = coherent_state()
-        lo = standard_lo()
-        det = standard_detector()
-        # at t = 0 the two LO tones add in phase: |E(0)|^2 = 2 E_l^2
-        ac0 = autocorr_diff_current(state, lo, det, 0.0, 0.0)
-        assert ac0.shot_impulse == pytest.approx(
-            ETA * (2.0 * LO_FLUX + SIGNAL_FLUX), rel=1e-6
-        )
-        t = np.linspace(0.0, TWO_PI / OMEGA_HET, 512, endpoint=False)
-        avg = np.mean(
-            [autocorr_diff_current(state, lo, det, tk, 0.0).shot_impulse for tk in t]
-        )
-        assert avg == pytest.approx(ETA * (LO_FLUX + SIGNAL_FLUX), rel=1e-6)
-
-    def test_smooth_part_matches_correlator(self):
-        state = squeezed_state(Hypothesis.ONE_FIELD)
-        lo = standard_lo()
-        det = standard_detector()
-        t, tau = 1.1e-5, 0.4e-5
-        ac = autocorr_diff_current(state, lo, det, t, tau)
-        assert ac.smooth == pytest.approx(
-            4.0 * ETA**2 * lambda_ij(state, lo, 1, 1, t, tau), rel=1e-12
-        )
-
-    def test_squeezed_populations_raise_shot_weight(self):
-        state = squeezed_state(Hypothesis.ONE_FIELD, r=2.0)
-        coh = coherent_state()
-        lo = standard_lo()
-        det = standard_detector()
-        extra = (
-            autocorr_diff_current(state, lo, det, 0.0, 0.0).shot_impulse
-            - autocorr_diff_current(coh, lo, det, 0.0, 0.0).shot_impulse
-        )
-        assert extra == pytest.approx(ETA * math.sinh(2.0) ** 2, rel=1e-6)
-
-    def test_delta_pulse_only(self):
-        det = DetectorParams(eta=ETA, pulse=PulseShape.exponential(1e-6))
-        with pytest.raises(Unsupported):
-            autocorr_diff_current(coherent_state(), standard_lo(), det, 0.0, 0.0)
 
 
 class TestAnalyticPsd:

@@ -8,14 +8,20 @@ powers) and the two must agree to numerical precision.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bilodyne.config import RunConfig
 from bilodyne.correlators import (
     MomentTable,
+    collect_beats,
     excess_lines,
     fluctuation_flux,
     fock_oracle_moments,
@@ -24,7 +30,6 @@ from bilodyne.correlators import (
     lo_field,
     mean_field,
     mode_phasors,
-    phasor_sum,
     require_strong_lo,
     second_moments,
     tone_phasors,
@@ -51,6 +56,8 @@ from tests.conftest import (
     squeezed_state,
     standard_lo,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def line_power_closed_form(r: float, theta: float) -> float:
@@ -230,25 +237,6 @@ class TestMeanFields:
         expected = per_tone * (np.exp(0.2j) + np.exp(-0.2j))
         assert value == pytest.approx(expected, rel=1e-12)
 
-    def test_phasor_sum_matches_direct_evaluation(self):
-        rng = np.random.default_rng(7)
-        offsets = np.concatenate([[0.0], rng.uniform(1e3, 1e5, 3)])
-        offsets = np.concatenate([offsets, -offsets[1:3]])
-        amps = rng.normal(size=offsets.size) + 1j * rng.normal(size=offsets.size)
-        t = rng.uniform(0.0, 1e-3, 500)
-        fast = phasor_sum(offsets, amps, t)
-        direct = (np.exp(-1j * np.multiply.outer(t, offsets)) * amps).sum(axis=1)
-        np.testing.assert_allclose(fast, direct, rtol=1e-12, atol=1e-12)
-
-    def test_phasor_sum_at_scalar_time(self):
-        offsets = np.array([0.0, 3e4, -3e4, 7e4])
-        amps = np.array([0.5, 1.0 + 2.0j, -0.3j, 0.8])
-        value = phasor_sum(offsets, amps, 2.5e-5)
-        assert isinstance(value, complex)
-        assert value == phasor_sum(offsets, amps, np.array([2.5e-5]))[0]
-        direct = complex((np.exp(-1j * offsets * 2.5e-5) * amps).sum())
-        assert value == pytest.approx(direct, rel=1e-12)
-
 
 class TestStrongLoGuard:
     def test_ratio_at_threshold_passes(self):
@@ -425,6 +413,75 @@ class TestExcessLines:
             rebuilt = sum(p * math.cos(nu * iota) for nu, p in lines)
             assert abs(avg - rebuilt) < 1e-3 * scale
 
+    # excess_lines of configs/squeezed.cfg (one-field, theta_s = 0) as the
+    # earlier sort-cluster-fold code gave them: (hypothesis, phase
+    # averaged) -> [(angular frequency, power)]
+    MATCHED = [(628318.5, 859140.9142295223), (1884955.5, 859140.9142295223)]
+    POPULATION = [(628318.5, 271540.3174076218), (1884955.5, 271540.3174076218)]
+
+    @pytest.mark.parametrize(
+        "hypothesis, averaged, expected",
+        [
+            (Hypothesis.ONE_FIELD, False, MATCHED),
+            (Hypothesis.ONE_FIELD, True, POPULATION),
+            (Hypothesis.THREE_FIELDS, False, POPULATION),
+            (Hypothesis.THREE_FIELDS, True, POPULATION),
+        ],
+        ids=["one-field-fixed", "one-field-averaged", "three-fields-fixed", "three-fields-averaged"],
+    )
+    def test_squeezed_cfg_lines_are_frozen(self, hypothesis, averaged, expected):
+        scene = RunConfig.load("squeezed-compare", CONFIGS / "squeezed.cfg").build_scene()
+        phase = PhaseMode.averaged_phase() if averaged else scene.state.phase
+        state = dataclasses.replace(scene.state, hypothesis=hypothesis, phase=phase)
+        lines = excess_lines(state, scene.lo)
+        assert [nu for nu, _ in lines] == [nu for nu, _ in expected]
+        for (_, power), (_, want) in zip(lines, expected):
+            assert abs(power - want) <= 1e-12 * abs(want)
+
+
+class TestCollectBeats:
+    # integer offsets, so that differences collide, go negative and hit zero
+    PHASORS = st.lists(
+        st.tuples(
+            st.integers(-6, 6),
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=PHASORS, b=PHASORS, t=st.floats(-20.0, 20.0))
+    def test_rebuilds_the_real_part_of_a_product(self, a, b, t):
+        # sum_f Re(c_f e^{-i f t}) over the collected products a_k b_l* is
+        # Re(a(t) b(t)*), whatever the signs of the differences d_k - d_l
+        beats = collect_beats(
+            (d_a - d_b, c_a * c_b.conjugate()) for d_a, c_a in a for d_b, c_b in b
+        )
+        assert all(f >= 0.0 for f in beats)
+        rebuilt = sum((c * np.exp(-1j * f * t)).real for f, c in beats.items())
+        a_t = sum(c * np.exp(-1j * d * t) for d, c in a)
+        b_t = sum(c * np.exp(-1j * d * t) for d, c in b)
+        scale = sum(abs(c_a) * abs(c_b) for _, c_a in a for _, c_b in b)
+        assert abs(rebuilt - (a_t * np.conj(b_t)).real) <= 1e-12 * scale
+
+    def test_exact_keys_conjugate_negative_frequencies(self):
+        beats = collect_beats([(2.0, 1 + 1j), (-2.0, 3 + 1j), (0.0, 0.5j), (-0.0, 1.0)])
+        assert beats == {2.0: 4 + 0j, 0.0: 1 + 0.5j}
+
+    def test_keys_within_tol_merge_into_the_smaller(self):
+        beats = collect_beats([(5.0 + 4e-10, 1.0), (5.0, 2j), (-(5.0 + 8e-10), 3.0)], tol=1e-9)
+        assert list(beats) == [5.0]
+        assert beats[5.0] == 4 + 2j
+
+    def test_a_group_within_tol_of_zero_lands_at_zero(self):
+        beats = collect_beats([(5e-10, 1.0), (-9e-10, 1j), (1.0, 2.0)], tol=1e-9)
+        assert beats == {0.0: 1 - 1j, 1.0: 2 + 0j}
+
+    def test_keys_further_apart_stay_separate(self):
+        beats = collect_beats([(1.0, 1.0), (1.0 + 3e-9, 2.0), (-(1.0 + 6e-9), 4.0)], tol=1e-9)
+        assert beats == {1.0: 1 + 0j, 1.0 + 3e-9: 2 + 0j, 1.0 + 6e-9: 4 + 0j}
+
 
 class TestPhasorDecompositions:
     def test_tone_phasors_reproduce_lo_field(self):
@@ -432,7 +489,7 @@ class TestPhasorDecompositions:
         ref = lo.carrier()
         offs, amps = tone_phasors(lo, ref)
         t = np.linspace(0.0, 1e-4, 50)
-        rotating = phasor_sum(offs, amps, t)
+        rotating = np.exp(-1j * np.multiply.outer(t, offs)) @ amps
         absolute = lo_field(lo, t) * np.exp(1j * ref * t)
         # The absolute-frequency route loses precision at optical scale;
         # agreement is limited by that rounding, not the decomposition.
@@ -443,6 +500,6 @@ class TestPhasorDecompositions:
         ref = OMEGA_S
         offs, amps = mode_phasors(state, ref)
         t = np.linspace(0.0, 1e-4, 50)
-        rotating = phasor_sum(offs, amps, t)
+        rotating = np.exp(-1j * np.multiply.outer(t, offs)) @ amps
         absolute = mean_field(state, t) * np.exp(1j * ref * t)
         np.testing.assert_allclose(rotating, absolute, rtol=2e-4)

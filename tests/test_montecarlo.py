@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilodyne import montecarlo
-from bilodyne.analytic import mean_diff_current
+from bilodyne import correlators, montecarlo
 from bilodyne.config import RunConfig
 from bilodyne.errors import (
     ConfigViolation,
@@ -26,13 +25,14 @@ from bilodyne.errors import (
     Unresolved,
 )
 from bilodyne.io import TraceWriter, read_trace_bin
-from bilodyne.model import Hypothesis, MeasurementConfig
+from bilodyne.model import TWO_PI, Hypothesis, MeasurementConfig
 from bilodyne.montecarlo import (
     _BLOCK,
     _THIN_PEAK_MEAN,
     CheckResult,
     ExperimentReport,
     _arm_counts,
+    _arm_phasors,
     _arm_rngs,
     _bin_mean_blocks,
     _block_currents,
@@ -44,7 +44,6 @@ from bilodyne.montecarlo import (
     extract_beatnote,
     flatness_t_statistic,
     floor_statistics,
-    intensity_rate,
     run_experiment,
 )
 from bilodyne.analytic import Spectrum, SpectrumKind
@@ -52,12 +51,31 @@ from tests.conftest import (
     DEFAULT_SEED,
     ETA,
     LO_FLUX,
+    OMEGA_HET,
+    OMEGA_S,
     SIGNAL_FLUX,
     coherent_state,
+    mono_lo,
     squeezed_state,
     standard_detector,
     standard_lo,
 )
+
+ALPHA = math.sqrt(2.0 * SIGNAL_FLUX)
+E_LO = math.sqrt(LO_FLUX)
+
+
+def intensity_rate(state, lo, det, arm: int, t) -> np.ndarray:
+    """Photoemission rate eta/2 |E_lo(t) -+ i M(t)|^2 of one arm over the times t.
+
+    Evaluated in the rotating frame, so exact at any t: the reference
+    that the bin means are checked against by quadrature.
+    """
+    (t_offs, t_amps), (m_offs, m_amps) = _arm_phasors(state, lo)
+    offsets = np.concatenate([t_offs, m_offs])
+    amps = np.concatenate([t_amps, m_amps if arm == 1 else -m_amps])
+    field = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), offsets)) @ amps
+    return 0.5 * det.eta * np.abs(field) ** 2
 
 
 def bin_means(state, lo, det, n: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -111,6 +129,8 @@ def _traced_run(tmp_path, scenario: str, scene, seed: int):
 
 
 class TestIntensityRate:
+    """The quadrature's reference rate itself."""
+
     def test_rates_are_nonnegative(self):
         state = coherent_state(theta_s=0.4)
         lo = standard_lo()
@@ -132,29 +152,6 @@ class TestIntensityRate:
         ) ** 2
         expected = ETA * (lo_intensity + SIGNAL_FLUX)
         np.testing.assert_allclose(total, expected, rtol=1e-4)
-
-    def test_arm_difference_is_mean_current(self):
-        state = coherent_state(theta_s=0.3)
-        lo = standard_lo()
-        det = standard_detector()
-        t = np.linspace(0.0, 5e-5, 173)
-        diff = det.charge * (
-            intensity_rate(state, lo, det, 1, t) - intensity_rate(state, lo, det, 2, t)
-        )
-        np.testing.assert_allclose(
-            diff, mean_diff_current(state, lo, det, t), rtol=1e-10, atol=1e-6
-        )
-
-    def test_invalid_arm_index(self):
-        with pytest.raises(InvalidSpec):
-            intensity_rate(coherent_state(), standard_lo(), standard_detector(), 3, 0.0)
-
-    def test_squeezed_input_rejected(self):
-        state = squeezed_state(Hypothesis.ONE_FIELD)
-        with pytest.raises(NonClassicalInput):
-            intensity_rate(state, standard_lo(), standard_detector(), 1, 0.0)
-        with pytest.raises(NonClassicalInput):
-            bin_means(state, standard_lo(), standard_detector(), 10, 1e-7)
 
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -217,6 +214,50 @@ class TestBinMeans:
             bin_means(*args, 0, 1e-7)
         with pytest.raises(InvalidSpec):
             bin_means(*args, 10, 0.0)
+
+    def test_squeezed_input_rejected(self):
+        state = squeezed_state(Hypothesis.ONE_FIELD)
+        with pytest.raises(NonClassicalInput):
+            bin_means(state, standard_lo(), standard_detector(), 10, 1e-7)
+
+
+def _beat_amplitude(state, lo, n: int = 100) -> float:
+    """Amplitude of the beat in the arms' mean count difference, per second, at the LO offset.
+
+    The n bins span one period of the offset Omega, so projecting the
+    difference onto e^{-i Omega t_c} over them keeps the beat alone;
+    dividing by dt sinc(Omega dt / 2) undoes the bin integral.
+    """
+    omega = abs(correlators.tone_phasors(lo, OMEGA_S)[0][0])
+    dt = TWO_PI / (omega * n)
+    m1, m2 = bin_means(state, lo, standard_detector(), n, dt)
+    t_c = (np.arange(n) + 0.5) * dt
+    projection = 2.0 / n * abs(np.sum((m1 - m2) * np.exp(-1j * omega * t_c)))
+    return float(projection / (dt * np.sinc(omega * dt / TWO_PI)))
+
+
+class TestBeatAmplitude:
+    """The mean difference current's beat, read off one beat period of bin means (unit charge)."""
+
+    @pytest.mark.parametrize("theta_s", [0.0, 0.7])
+    def test_follows_the_signal_phase(self, theta_s):
+        # the bichromatic LO's beat is 2 eta alpha E_l cos(theta_s - theta_bar), theta_bar = 0 here
+        expected = 2.0 * ETA * ALPHA * E_LO * abs(math.cos(theta_s))
+        assert _beat_amplitude(coherent_state(theta_s=theta_s), standard_lo()) == pytest.approx(
+            expected, rel=1e-9
+        )
+
+    def test_quadrature_phase_cancels(self):
+        # at theta_s - theta_bar = pi/2 the two tones' beats are equal and opposite
+        amplitude = _beat_amplitude(coherent_state(theta_s=math.pi / 2.0), standard_lo())
+        assert amplitude < 1e-9 * 2.0 * ETA * ALPHA * E_LO
+
+    def test_mono_lo_offset_by_the_beat(self):
+        # one tone at omega_s + Omega carries the whole LO flux: sqrt(2) eta alpha E_l
+        lo = mono_lo(omega=OMEGA_S + OMEGA_HET)
+        assert _beat_amplitude(coherent_state(), lo) == pytest.approx(
+            math.sqrt(2.0) * ETA * ALPHA * E_LO, rel=1e-9
+        )
 
 
 class TestSampleBinCounts:
@@ -736,9 +777,9 @@ class TestStreamedRun:
     def test_memory_is_pinned_in_blocks(self):
         # what the pass holds, in 2^16-sample float64 arrays: the bin means
         # (2), the difference current's ring (3), the arm product's factors
-        # (2), the counts (2), the moment sums' deviations (2) and ~3.5 of
-        # the Welch sum's segments, spectra and held samples; ~15 in all,
-        # where block-long tables and work arrays took ~28
+        # (2), the counts (2) and ~3.5 of the Welch sum's segments, spectra
+        # and held samples; ~13 in all, where block-long tables and work
+        # arrays took ~28
         block = 8 * _BLOCK
         tracemalloc.start()
         try:
