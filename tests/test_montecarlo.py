@@ -531,6 +531,24 @@ class TestLockinPower:
         assert float(np.mean(values)) == pytest.approx(floor, rel=0.25)
 
 
+class TestMoments:
+    def test_merged_blocks_match_the_whole_record_and_are_overwritten(self):
+        # blocks of unequal sizes about a large mean, as the streamed pass feeds them
+        rng = np.random.default_rng(8)
+        blocks = [1e3 + rng.standard_normal(n) for n in (7, 4096, 1, 65536, 300)]
+        whole = np.concatenate(blocks)
+        moments = _Moments()
+        for x in blocks:
+            before = x.copy()
+            moments.add(x)
+            # add takes the block's deviations from its own mean in place
+            np.testing.assert_array_equal(x, before - float(before.mean()))
+        assert moments.n == whole.size
+        assert moments.mean == pytest.approx(float(whole.mean()), rel=1e-14)
+        assert moments.var() == pytest.approx(float(np.var(whole)), rel=1e-10)
+        assert moments.var(ddof=1) == pytest.approx(float(np.var(whole, ddof=1)), rel=1e-10)
+
+
 class TestExtractBeatnote:
     def test_outside_grid_rejected(self):
         spec = Spectrum(
