@@ -8,7 +8,6 @@ stochastic photoemission Monte Carlo.
 __version__ = "0.1.0"
 
 from .analytic import (
-    DetectionReport,
     SensitivityRow,
     Spectrum,
     SpectrumKind,
@@ -27,7 +26,6 @@ from .correlators import (
     fock_oracle_moments,
     hypothesis_moments,
     lambda_ij,
-    mean_field,
     second_moments,
 )
 from .model import (

@@ -65,39 +65,17 @@ class Spectrum:
         self.psd.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    """Scalar summary of a detection run.  nf_db is snr_in_db - snr_out_db."""
+def pulse_transfer(pulse: PulseShape, omega):
+    """Fourier transform K(w) of the single-emission current pulse of charge e = 1.
 
-    snr_in_db: float
-    snr_out_db: float
-    nf_db: float
-    output_power: float
-    shot_floor: float
-    beat_freq_hz: float | None = None
-
-    def __post_init__(self):
-        expected = self.snr_in_db - self.snr_out_db
-        same = (
-            expected == self.nf_db
-            or (math.isnan(expected) and math.isnan(self.nf_db))
-            or math.isclose(expected, self.nf_db, rel_tol=0.0, abs_tol=1e-12)
-        )
-        if not same:
-            raise InvalidSpec("nf_db must equal snr_in_db - snr_out_db")
-
-
-def pulse_transfer(pulse: PulseShape, omega, charge: float = 1.0):
-    """Fourier transform K(w) of the single-emission current pulse.
-
-    Delta pulses give the flat K = e; an exponential pulse of decay tau
-    gives e / (1 - i w tau), i.e. |K|^2 = e^2 / (1 + w^2 tau^2).
+    Delta pulses give the flat K = 1; an exponential pulse of decay tau
+    gives 1 / (1 - i w tau), i.e. |K|^2 = 1 / (1 + w^2 tau^2).
     """
     w = np.asarray(omega, dtype=float)
     if pulse.is_delta:
-        out = np.full(w.shape, charge, dtype=complex)
+        out = np.full(w.shape, 1.0, dtype=complex)
     else:
-        out = charge / (1.0 - 1j * w * pulse.tau)
+        out = 1.0 / (1.0 - 1j * w * pulse.tau)
     return out if out.shape else complex(out)
 
 
@@ -108,7 +86,7 @@ def shot_floor_psd(lo: LocalOscillator, det: DetectorParams, omega) -> np.ndarra
     E_l^2 alone, identical for mono and bichromatic oscillators of the
     same total amplitude.
     """
-    k = pulse_transfer(det.pulse, omega, det.charge)
+    k = pulse_transfer(det.pulse, omega)
     return 2.0 * det.eta * np.abs(k) ** 2 * lo.amplitude**2
 
 
@@ -137,7 +115,7 @@ def psd_analytic(
     omega = TWO_PI * freqs_hz
     psd = np.asarray(shot_floor_psd(lo, det, omega), dtype=float).copy()
     lines = correlators.excess_lines(state, lo)
-    k2 = np.abs(pulse_transfer(det.pulse, np.array([w for w, _ in lines]), det.charge)) ** 2
+    k2 = np.abs(pulse_transfer(det.pulse, np.array([w for w, _ in lines]))) ** 2
     for (w_line, power), k2_line in zip(lines, k2):
         f_line = w_line / TWO_PI
         if f_line > freqs_hz[-1] + cfg.rbw / 2.0 or power == 0.0:
@@ -170,15 +148,15 @@ def output_signal_power(state: FieldState, lo: LocalOscillator, det: DetectorPar
     """Mean power of the heterodyne beat in the difference current.
 
     With a fixed signal phase the beat amplitude is
-    2 eta e alpha E_l cos(theta_s - theta_bar), giving time-averaged
-    power 2 (eta e alpha E_l)^2 cos^2(theta_s - theta_bar); averaging
-    uniformly over theta_s leaves (eta e alpha E_l)^2.  A non-delta
-    pulse filters the beat by |K(Omega)|^2 / e^2.
+    2 eta alpha E_l cos(theta_s - theta_bar), giving time-averaged
+    power 2 (eta alpha E_l)^2 cos^2(theta_s - theta_bar); averaging
+    uniformly over theta_s leaves (eta alpha E_l)^2.  A non-delta
+    pulse filters the beat by |K(Omega)|^2.
     """
     if not lo.is_bichromatic:
         raise Unsupported("output_signal_power is defined for the bichromatic LO")
     alpha = _single_signal_amplitude(state)
-    k_beat = pulse_transfer(det.pulse, lo.omega_het, det.charge)
+    k_beat = pulse_transfer(det.pulse, lo.omega_het)
     base = (det.eta * alpha * lo.amplitude) ** 2 * abs(k_beat) ** 2
     if state.phase.averaged:
         return base
@@ -225,12 +203,8 @@ def noise_figure(
     det: DetectorParams,
     rbw_hz: float = 1.0,
 ) -> float:
-    """Noise figure in dB, snr_in - snr_out.  NaN when both are undefined."""
-    s_in = snr_in(state, det, rbw_hz)
-    s_out = snr_out(state, lo, det, rbw_hz)
-    if math.isinf(s_in) and math.isinf(s_out):
-        return math.nan
-    return s_in - s_out
+    """Noise figure in dB, snr_in - snr_out: NaN for zero signal, where both are -inf."""
+    return snr_in(state, det, rbw_hz) - snr_out(state, lo, det, rbw_hz)
 
 
 @dataclass(frozen=True)

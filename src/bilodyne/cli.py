@@ -26,7 +26,6 @@ from pathlib import Path
 
 from . import __version__
 from .analytic import (
-    DetectionReport,
     noise_figure,
     output_signal_power,
     psd_analytic,
@@ -64,23 +63,13 @@ def _run_analytic(cfg: RunConfig, out_dir: Path) -> int:
         "shot_floor": float(shot_floor_psd(lo, det, TWO_PI * scene.f_het_hz)),
     }
     if not state.is_squeezed() and lo.is_bichromatic:
-        s_in = snr_in(state, det, meas.rbw)
-        s_out = snr_out(state, lo, det, meas.rbw)
-        report = DetectionReport(
-            snr_in_db=s_in,
-            snr_out_db=s_out,
-            nf_db=noise_figure(state, lo, det, meas.rbw),
-            output_power=output_signal_power(state, lo, det),
-            shot_floor=results["shot_floor"],
-            beat_freq_hz=scene.f_het_hz,
-        )
         results.update(
             {
-                "snr_in_db": _json_float(report.snr_in_db),
-                "snr_out_db": _json_float(report.snr_out_db),
-                "nf_db": _json_float(report.nf_db),
-                "output_power": report.output_power,
-                "beat_freq_hz": report.beat_freq_hz,
+                "snr_in_db": _json_float(snr_in(state, det, meas.rbw)),
+                "snr_out_db": _json_float(snr_out(state, lo, det, meas.rbw)),
+                "nf_db": _json_float(noise_figure(state, lo, det, meas.rbw)),
+                "output_power": output_signal_power(state, lo, det),
+                "beat_freq_hz": scene.f_het_hz,
             }
         )
     payload["results"] = results

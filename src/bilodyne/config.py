@@ -157,6 +157,12 @@ class RunConfig:
     scenario: str
     values: dict
 
+    def __post_init__(self):
+        # measurement.seed, after any --seed: it seeds the Monte Carlo, not a scene
+        seed = self.values["measurement.seed"]
+        if seed < 0:
+            raise ConfigViolation(f"measurement.seed must be a non-negative integer, got {seed}")
+
     @classmethod
     def load(cls, scenario: str, path: Path | str, seed_override: int | None = None) -> "RunConfig":
         values = parse_config(path)
@@ -277,14 +283,12 @@ class RunConfig:
         return DetectorParams(eta=v["detector.eta"], pulse=pulse)
 
     def build_measurement(self) -> MeasurementConfig:
-        v = self.values
         duration, rbw, rate = self._record_geometry("measurement")
         return MeasurementConfig(
             duration=duration,
             rbw=rbw,
             sample_rate=rate,
-            seed=v["measurement.seed"],
-            n_segments=v["measurement.n_segments"],
+            n_segments=self.values["measurement.n_segments"],
         )
 
     def build_scene(self) -> Scene:

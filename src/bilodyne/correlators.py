@@ -73,10 +73,6 @@ class MomentTable:
         if np.any(np.abs(self.anomalous) ** 2 > bound + slack):
             raise InvalidSpec("anomalous moment violates the uncertainty bound")
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.frequencies)
-
     def is_zero(self) -> bool:
         return not (np.any(self.normal) or np.any(self.anomalous))
 
@@ -88,13 +84,8 @@ def _match_mode(freqs: tuple[float, ...], target: float) -> int:
     raise UnknownMode(f"no mode at frequency {target!r} (rad/s) in the state")
 
 
-def second_moments(state: FieldState) -> MomentTable:
-    """Fluctuation moments of the prepared state (hypothesis-independent).
-
-    Coherent and vacuum modes contribute nothing; each squeeze pair adds
-    its thermal populations and anomalous entry.  Raises UnknownMode if
-    a pair references a frequency absent from the mode list.
-    """
+def _moment_matrices(state: FieldState) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """Mode frequencies and the normal and anomalous matrices of second_moments."""
     freqs = tuple(m.frequency for m in state.modes)
     n = len(freqs)
     normal = np.zeros((n, n), dtype=complex)
@@ -110,7 +101,17 @@ def second_moments(state: FieldState) -> MomentTable:
             m = cmath.exp(1j * pair.phi) * ch * sh
             anomalous[ia, ib] = m
             anomalous[ib, ia] = m
-    return MomentTable(frequencies=freqs, normal=normal, anomalous=anomalous)
+    return freqs, normal, anomalous
+
+
+def second_moments(state: FieldState) -> MomentTable:
+    """Fluctuation moments of the prepared state (hypothesis-independent).
+
+    Coherent and vacuum modes contribute nothing; each squeeze pair adds
+    its thermal populations and anomalous entry.  Raises UnknownMode if
+    a pair references a frequency absent from the mode list.
+    """
+    return MomentTable(*_moment_matrices(state))
 
 
 def mode_field_index(label: ModeLabel) -> int:
@@ -126,19 +127,15 @@ def hypothesis_moments(state: FieldState) -> MomentTable:
     """State moments as seen by the detection model.
 
     Under THREE_FIELDS, modes in different field groups belong to
-    statistically independent fields, so their cross moments are zeroed
-    unless the state explicitly keeps cross-field correlations.
+    statistically independent fields, so their cross moments are zeroed.
     """
-    table = second_moments(state)
-    if state.hypothesis is Hypothesis.ONE_FIELD or state.cross_field_correlations:
-        return table
-    groups = np.array([mode_field_index(m.label) for m in state.modes])
-    same = groups[:, None] == groups[None, :]
-    return MomentTable(
-        frequencies=table.frequencies,
-        normal=np.where(same, table.normal, 0.0),
-        anomalous=np.where(same, table.anomalous, 0.0),
-    )
+    freqs, normal, anomalous = _moment_matrices(state)
+    if state.hypothesis is Hypothesis.THREE_FIELDS:
+        groups = np.array([mode_field_index(m.label) for m in state.modes])
+        split = groups[:, None] != groups[None, :]
+        normal[split] = 0.0
+        anomalous[split] = 0.0
+    return MomentTable(frequencies=freqs, normal=normal, anomalous=anomalous)
 
 
 def fock_oracle_moments(r: float, phi: float, n_trunc: int) -> dict:
@@ -260,27 +257,6 @@ def collect_beats(terms, tol: float = 0.0) -> dict[float, complex]:
     return merged
 
 
-def mean_field(state: FieldState, t) -> np.ndarray | complex:
-    """Mean positive-frequency field (i/sqrt 2) sum_k alpha_k e^{-i w_k t + i theta_s}.
-
-    Uses absolute optical frequencies; at times beyond ~1e-6 s the
-    absolute phase loses float precision, so prefer the rotating-frame
-    decompositions for long-time work.
-    """
-    offs, amps = mode_phasors(state, 0.0)
-    t_arr = np.asarray(t, dtype=float)
-    out = np.exp(-1j * np.multiply.outer(t_arr, offs)) @ amps
-    return out if out.shape else complex(out)
-
-
-def lo_field(lo: LocalOscillator, t) -> np.ndarray | complex:
-    """Positive-frequency LO field sum_p L_p e^{-i w_p t} at absolute frequencies."""
-    offs, amps = tone_phasors(lo, 0.0)
-    t_arr = np.asarray(t, dtype=float)
-    out = np.exp(-1j * np.multiply.outer(t_arr, offs)) @ amps
-    return out if out.shape else complex(out)
-
-
 def fluctuation_flux(table: MomentTable) -> float:
     """Photon flux carried by fluctuation populations, sum_m N_mm / 2."""
     return float(np.diag(table.normal).real.sum()) / 2.0
@@ -297,16 +273,18 @@ def require_strong_lo(state: FieldState, lo: LocalOscillator, table: MomentTable
         )
 
 
-def _beat_terms(
-    state: FieldState,
-    lo: LocalOscillator,
-    table: MomentTable,
-):
-    """Shared phasor ingredients for lambda_ij and the line spectrum.
+def _fluctuations(state: FieldState, lo: LocalOscillator):
+    """The fluctuation set-up of lambda_ij and excess_lines in the rotating frame.
 
-    Returns (tone offsets, tone amps, mode offsets, normal, anomalous,
-    squeeze phase factor e^{-2 i theta_s}).
+    Builds the hypothesis's moment table and refuses a weak LO.  Returns
+    None when the state has no fluctuations, else (tone offsets, tone
+    amps, mode offsets, normal, anomalous, squeeze phase factor
+    e^{-2 i theta_s}).
     """
+    table = hypothesis_moments(state)
+    require_strong_lo(state, lo, table)
+    if table.is_zero():
+        return None
     ref = reference_frequency(state, lo)
     t_offs, t_amps = tone_phasors(lo, ref)
     m_offs = np.array([f - ref for f in table.frequencies])
@@ -331,11 +309,10 @@ def lambda_ij(
     """
     if i not in (1, 2) or j not in (1, 2):
         raise InvalidSpec("detector indices must be 1 or 2")
-    table = hypothesis_moments(state)
-    require_strong_lo(state, lo, table)
-    if table.is_zero():
+    setup = _fluctuations(state, lo)
+    if setup is None:
         return 0.0
-    t_offs, t_amps, m_offs, normal, anomalous, sq_phase = _beat_terms(state, lo, table)
+    t_offs, t_amps, m_offs, normal, anomalous, sq_phase = setup
     t2 = t + iota
     lo_t = t_amps @ np.exp(-1j * t_offs * t)
     lo_t2 = t_amps @ np.exp(-1j * t_offs * t2)
@@ -351,12 +328,7 @@ def lambda_ij(
     return float(sign * 0.5 * (term_n + term_a).real)
 
 
-def excess_lines(
-    state: FieldState,
-    lo: LocalOscillator,
-    *,
-    check_strong_lo: bool = True,
-) -> list[tuple[float, float]]:
+def excess_lines(state: FieldState, lo: LocalOscillator) -> list[tuple[float, float]]:
     """Discrete beat lines of the beyond-shot photocurrent noise.
 
     Returns [(angular frequency >= 0, one-sided line power)] for the
@@ -367,12 +339,10 @@ def excess_lines(
     Phase averaging wipes out the anomalous (squeeze-angle sensitive)
     contributions; the population terms survive it.
     """
-    table = hypothesis_moments(state)
-    if check_strong_lo:
-        require_strong_lo(state, lo, table)
-    if table.is_zero():
+    setup = _fluctuations(state, lo)
+    if setup is None:
         return []
-    t_offs, t_amps, m_offs, normal, anomalous, sq_phase = _beat_terms(state, lo, table)
+    t_offs, t_amps, m_offs, normal, anomalous, sq_phase = setup
     scale = max(1.0, float(np.max(np.abs(m_offs)) if m_offs.size else 1.0),
                 float(np.max(np.abs(t_offs))))
     tol = 1e-9 * scale

@@ -5,9 +5,10 @@ Conventions used throughout the package:
 * Optical frequencies (modes, LO tones) are angular, rad/s.  Measurement
   frequencies (resolution bandwidth, sample rate, spectra) are ordinary
   frequencies in Hz; conversion happens exactly once, at the boundary.
-* Photon units: the detector charge quantum defaults to e = 1 and the
-  load resistance is fixed at 1, so |amplitude|^2 of an LO tone is a
-  photon flux (photons/s) and |alpha|^2 / 2 is the signal photon flux.
+* Photon units: the electron charge e = 1 and the load resistance 1 are
+  fixed units, so |amplitude|^2 of an LO tone is a photon flux
+  (photons/s), |alpha|^2 / 2 is the signal photon flux and a current is
+  photoemissions per second.
   Physical scales are recovered through :func:`calibrate_photon_energy`.
 * A mode with amplitude exactly 0 is a vacuum (or squeezed-vacuum) mode.
 """
@@ -143,17 +144,15 @@ class PhaseMode:
 class FieldState:
     """Input field: modes, their grouping hypothesis, squeezing and phase.
 
-    cross_field_correlations keeps cross-band squeeze moments even under
-    THREE_FIELDS.  The default (False) treats separate fields as
-    statistically independent, which is what distinguishes the two
-    hypotheses in the detected spectrum.
+    THREE_FIELDS treats separate fields as statistically independent,
+    which is what distinguishes the two hypotheses in the detected
+    spectrum.
     """
 
     modes: tuple[FieldMode, ...]
     hypothesis: Hypothesis = Hypothesis.ONE_FIELD
     squeeze: SqueezeSpec | None = None
     phase: PhaseMode = field(default_factory=lambda: PhaseMode.fixed(0.0))
-    cross_field_correlations: bool = False
 
     def excited_modes(self) -> tuple[FieldMode, ...]:
         return tuple(m for m in self.modes if m.amplitude != 0)
@@ -278,17 +277,14 @@ class PulseShape:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Balanced detector pair: quantum efficiency, charge quantum, pulse."""
+    """Balanced detector pair: quantum efficiency and pulse; each emission carries e = 1."""
 
     eta: float
-    charge: float = 1.0
     pulse: PulseShape = field(default_factory=PulseShape.delta)
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise InvalidSpec(f"quantum efficiency must be in (0, 1], got {self.eta!r}")
-        if not (self.charge > 0.0 and math.isfinite(self.charge)):
-            raise InvalidSpec(f"charge quantum must be positive, got {self.charge!r}")
 
 
 @dataclass(frozen=True)
@@ -298,7 +294,6 @@ class MeasurementConfig:
     duration: float
     rbw: float
     sample_rate: float
-    seed: int = 0
     n_segments: int = 16
 
     def __post_init__(self):
@@ -310,8 +305,6 @@ class MeasurementConfig:
             raise InvalidSpec("sample rate must be positive and finite")
         if self.n_segments < 1:
             raise InvalidSpec("segment count must be >= 1")
-        if self.seed < 0:
-            raise InvalidSpec("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -355,7 +348,6 @@ def build_field_state(
     hypothesis: Hypothesis = Hypothesis.ONE_FIELD,
     squeeze: SqueezeSpec | None = None,
     phase: PhaseMode | None = None,
-    cross_field_correlations: bool = False,
 ) -> FieldState:
     """Validate a mode collection and assemble a FieldState.
 
@@ -390,7 +382,6 @@ def build_field_state(
         hypothesis=hypothesis,
         squeeze=squeeze,
         phase=phase if phase is not None else PhaseMode.fixed(0.0),
-        cross_field_correlations=cross_field_correlations,
     )
 
 
@@ -429,7 +420,7 @@ def calibrate_photon_energy(
     return energy
 
 
-def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator | None = None) -> None:
+def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator) -> None:
     """Check RBW and sample-rate constraints for a heterodyne run.
 
     For a bichromatic LO the beat frequency must clear the resolution
@@ -443,7 +434,7 @@ def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator | None = No
         raise ConfigViolation(
             f"duration {cfg.duration} s cannot resolve rbw {cfg.rbw} Hz (need rbw * T >= 1)"
         )
-    if lo is not None and lo.is_bichromatic:
+    if lo.is_bichromatic:
         f_het = lo.omega_het / TWO_PI
         f_tol = math.ulp(lo.omega_1) / TWO_PI
         if f_het + f_tol < 10.0 * cfg.rbw:

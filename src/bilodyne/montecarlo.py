@@ -670,18 +670,18 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     default.cfg record peaks at about 13 blocks of doubles (6.6 MiB),
     its Welch sum's ~3.5 included.
     """
-    meas, det = scene.meas, scene.det
+    meas = scene.meas
     n = int(round(meas.duration * meas.sample_rate))
     dt = 1.0 / meas.sample_rate
     fs = 1.0 / dt  # the trace's rate, which may differ from meas.sample_rate in the last bit
     welch = _Welch(_segment_length(n * dt, fs, meas), fs)
     lockin = _Lockin(scene.f_het_hz, dt, n)
     variance, cross = _Moments(), _Moments()
-    to_current = -det.charge / dt
-    to_pulses = det.charge * meas.sample_rate  # a delta pulse's charge spread over its bin
+    to_current = -1.0 / dt
+    to_pulses = meas.sample_rate  # a delta pulse's unit charge spread over its bin
     totals = [0, 0]
     currents = _block_currents(
-        _bin_mean_blocks(scene.state, scene.lo, det, n, dt), _arm_rngs(seed),
+        _bin_mean_blocks(scene.state, scene.lo, scene.det, n, dt), _arm_rngs(seed),
         to_pulses, to_current, totals, cross,
     )
     if trace is not None:

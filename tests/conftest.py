@@ -47,7 +47,6 @@ def squeezed_state(
     theta_s: float = 0.0,
     averaged: bool = False,
     flux: float = SIGNAL_FLUX,
-    cross_field_correlations: bool = False,
 ):
     modes = [
         FieldMode(frequency=OMEGA_S, amplitude=math.sqrt(2.0 * flux)),
@@ -56,13 +55,7 @@ def squeezed_state(
     ]
     squeeze = SqueezeSpec(pairs=(SqueezePair(OMEGA_S + offset, OMEGA_S - offset, r, phi),))
     phase = PhaseMode.averaged_phase() if averaged else PhaseMode.fixed(theta_s)
-    return build_field_state(
-        modes,
-        hypothesis=hypothesis,
-        squeeze=squeeze,
-        phase=phase,
-        cross_field_correlations=cross_field_correlations,
-    )
+    return build_field_state(modes, hypothesis=hypothesis, squeeze=squeeze, phase=phase)
 
 
 def standard_lo(theta_1: float = 0.0, theta_2: float = 0.0, flux: float = LO_FLUX):
@@ -84,7 +77,7 @@ def standard_detector(eta: float = ETA):
 
 
 def standard_measurement(duration: float = 2.0, rbw: float = 1e3, fs: float = 1e7):
-    return MeasurementConfig(duration=duration, rbw=rbw, sample_rate=fs, seed=DEFAULT_SEED)
+    return MeasurementConfig(duration=duration, rbw=rbw, sample_rate=fs)
 
 
 @pytest.fixture(scope="session")

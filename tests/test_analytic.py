@@ -9,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 
 from bilodyne.analytic import (
-    DetectionReport,
     SensitivityRow,
     Spectrum,
     SpectrumKind,
@@ -73,9 +72,6 @@ class TestPulseTransfer:
         value = pulse_transfer(PulseShape.exponential(tau), 1.0 / tau)
         assert abs(value) ** 2 == pytest.approx(0.5, rel=1e-12)
 
-    def test_charge_scales_linearly(self):
-        assert pulse_transfer(PulseShape.delta(), 0.0, charge=2.0) == 2.0 + 0.0j
-
 
 class TestShotFloor:
     def test_delta_floor_value(self):
@@ -125,7 +121,6 @@ class TestAnalyticPsd:
             hypothesis=Hypothesis.THREE_FIELDS,
             squeeze=state3.squeeze,
             phase=state3.phase,
-            cross_field_correlations=state3.cross_field_correlations,
         )
         three = psd_analytic(state3, standard_lo(), det, cfg)
         assert np.array_equal(one.psd, three.psd)
@@ -203,28 +198,6 @@ class TestSpectrumContainer:
                 rbw_hz=1.0,
                 kind=SpectrumKind.ESTIMATED,
             )
-
-
-class TestDetectionReport:
-    def test_consistency_enforced(self):
-        with pytest.raises(InvalidSpec):
-            DetectionReport(
-                snr_in_db=10.0,
-                snr_out_db=10.0,
-                nf_db=1.0,
-                output_power=1.0,
-                shot_floor=1.0,
-            )
-
-    def test_nan_marker_allowed(self):
-        report = DetectionReport(
-            snr_in_db=-math.inf,
-            snr_out_db=-math.inf,
-            nf_db=math.nan,
-            output_power=0.0,
-            shot_floor=1.0,
-        )
-        assert math.isnan(report.nf_db)
 
 
 class TestOutputSignalPower:

@@ -161,9 +161,8 @@ class TestRunConfigBuilders:
         assert det.eta == 0.7
         assert not det.pulse.is_delta
         assert det.pulse.tau == 2e-7
-        meas = cfg.build_measurement()
-        assert meas.rbw == 2e3
-        assert meas.seed == 99
+        assert cfg.build_measurement().rbw == 2e3
+        assert cfg.values["measurement.seed"] == 99
 
     def test_seed_override(self, tmp_path):
         cfg = RunConfig.load("analytic", write_cfg(tmp_path, BASE_CFG), seed_override=7)
@@ -193,8 +192,9 @@ class TestRunConfigBuilders:
 
 
 # keys the scene builders do not read: the Monte Carlo choice, the trace
-# switch, and the scan block (checked against build_scan instead)
-NON_SCENE_KEYS = {"simulate.scenario", "output.write_trace"}
+# switch, the run's seed, and the scan block (checked against build_scan
+# instead)
+NON_SCENE_KEYS = {"simulate.scenario", "output.write_trace", "measurement.seed"}
 # settings under which a key is live (squeeze.* needs squeezing enabled,
 # the pulse time needs an exponential pulse)
 LIVE_WITH = {
@@ -257,6 +257,7 @@ class TestNoSilentKeys:
 
         def fake_run(scenario, scene, **kwargs):
             seen["simulate"] = scene
+            seen["seed"] = kwargs["seed"]
             return ExperimentReport(scenario=scenario, seed=kwargs["seed"])
 
         def spy_psd(state, lo, det, meas):
@@ -271,6 +272,7 @@ class TestNoSilentKeys:
         sim = seen["simulate"]
         assert (sim.state, sim.lo, sim.det, sim.meas) == seen["analytic"]
         assert sim == RunConfig.load("analytic", cfg).build_scene()
+        assert seen["seed"] == parse_config(cfg)["measurement.seed"] == 20260815
 
 
 FAST_SIM_CFG = BASE_CFG + (
@@ -411,6 +413,19 @@ class TestCliRuns:
         assert main(["analytic", "--config", str(cfg), "--out", str(out), "--seed", "31"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 31
+
+    @pytest.mark.parametrize("scenario", ["analytic", "simulate"])
+    @pytest.mark.parametrize(
+        "setting", [("", ["--seed", "-1"]), ("measurement.seed = -3\n", [])], ids=["flag", "file"]
+    )
+    def test_negative_seed_is_refused(self, tmp_path, capsys, scenario, setting):
+        text, flags = setting
+        cfg = write_cfg(tmp_path, FAST_SIM_CFG + text)
+        out = tmp_path / "out"
+        assert main([scenario, "--config", str(cfg), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed" in err
 
 
 class TestCliDeterminism:

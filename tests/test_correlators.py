@@ -27,8 +27,6 @@ from bilodyne.correlators import (
     fock_oracle_moments,
     hypothesis_moments,
     lambda_ij,
-    lo_field,
-    mean_field,
     mode_phasors,
     require_strong_lo,
     second_moments,
@@ -70,6 +68,27 @@ def line_power_closed_form(r: float, theta: float) -> float:
     s2 = math.sinh(r) ** 2
     cs = math.cosh(r) * math.sinh(r)
     return s2 + cs * math.cos(theta)
+
+
+def mean_field(state, t) -> np.ndarray | complex:
+    """Mean positive-frequency field (i/sqrt 2) sum_k alpha_k e^{-i w_k t + i theta_s}.
+
+    Uses absolute optical frequencies; at times beyond ~1e-6 s the
+    absolute phase loses float precision: the reference that the
+    rotating-frame mode_phasors are checked against.
+    """
+    offs, amps = mode_phasors(state, 0.0)
+    t_arr = np.asarray(t, dtype=float)
+    out = np.exp(-1j * np.multiply.outer(t_arr, offs)) @ amps
+    return out if out.shape else complex(out)
+
+
+def lo_field(lo, t) -> np.ndarray | complex:
+    """Positive-frequency LO field sum_p L_p e^{-i w_p t} at absolute frequencies."""
+    offs, amps = tone_phasors(lo, 0.0)
+    t_arr = np.asarray(t, dtype=float)
+    out = np.exp(-1j * np.multiply.outer(t_arr, offs)) @ amps
+    return out if out.shape else complex(out)
 
 
 class TestMomentTable:
@@ -199,11 +218,6 @@ class TestHypothesisMoments:
             offset=OMEGA_HET,
             labels=(ModeLabel.SIDEBAND, ModeLabel.SIDEBAND),
         )
-        table = hypothesis_moments(state)
-        assert abs(table.anomalous[1, 2]) > 0.0
-
-    def test_cross_field_correlations_override(self):
-        state = squeezed_state(Hypothesis.THREE_FIELDS, cross_field_correlations=True)
         table = hypothesis_moments(state)
         assert abs(table.anomalous[1, 2]) > 0.0
 
@@ -388,8 +402,6 @@ class TestExcessLines:
         lo = standard_lo(flux=1e6)
         with pytest.raises(WeakLO):
             excess_lines(state, lo)
-        lines = excess_lines(state, lo, check_strong_lo=False)
-        assert len(lines) == 2
 
     def test_reconstructs_time_domain_correlator(self):
         """Dual route: clustered line powers must rebuild the correlator.

