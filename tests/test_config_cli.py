@@ -295,6 +295,14 @@ class TestCliRuns:
         assert report["results"]["beat_freq_hz"] == 1e5
         assert report["config"]["field.signal_flux"] == 1e3
 
+    def test_analytic_noise_figure_is_the_snr_difference(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        out = tmp_path / "out"
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert math.isfinite(results["nf_db"])
+        assert results["nf_db"] == results["snr_in_db"] - results["snr_out_db"]
+
     def test_analytic_mono_has_no_snr_block(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG + "lo.kind = mono\n")
         out = tmp_path / "out"

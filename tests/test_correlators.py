@@ -27,6 +27,7 @@ from bilodyne.correlators import (
     fock_oracle_moments,
     hypothesis_moments,
     lambda_ij,
+    mode_field_index,
     mode_phasors,
     require_strong_lo,
     second_moments,
@@ -221,6 +222,23 @@ class TestHypothesisMoments:
         table = hypothesis_moments(state)
         assert abs(table.anomalous[1, 2]) > 0.0
 
+    def test_three_fields_keeps_second_moments_within_each_group(self):
+        # the one table THREE_FIELDS builds is the prepared state's, with
+        # exactly the entries between different field groups set to zero
+        for labels in (
+            (ModeLabel.IMAGE1, ModeLabel.IMAGE2),
+            (ModeLabel.SIDEBAND, ModeLabel.IMAGE2),
+            (ModeLabel.SIDEBAND, ModeLabel.SIDEBAND),
+        ):
+            state = squeezed_state(Hypothesis.THREE_FIELDS, labels=labels)
+            full = second_moments(state)
+            table = hypothesis_moments(state)
+            groups = np.array([mode_field_index(m.label) for m in state.modes])
+            same = groups[:, None] == groups[None, :]
+            assert table.frequencies == full.frequencies
+            assert np.array_equal(table.normal, np.where(same, full.normal, 0.0))
+            assert np.array_equal(table.anomalous, np.where(same, full.anomalous, 0.0))
+
     def test_coherent_tables_identical_under_both_hypotheses(self):
         for averaged in (False, True):
             s1 = coherent_state(averaged=averaged)
@@ -271,6 +289,16 @@ class TestStrongLoGuard:
         lo = standard_lo(flux=LO_FLUX)
         with pytest.raises(WeakLO):
             lambda_ij(state, lo, 1, 1, 0.0, 0.0)
+
+    def test_weak_lo_refused_before_the_coherent_shortcut(self):
+        # both fluctuation routes check the LO before returning their
+        # zero result for a state without fluctuations
+        state = coherent_state(flux=1e3)
+        lo = standard_lo(flux=0.9e5)
+        with pytest.raises(WeakLO):
+            lambda_ij(state, lo, 1, 2, 0.0, 0.0)
+        with pytest.raises(WeakLO):
+            excess_lines(state, lo)
 
 
 class TestLambda:
