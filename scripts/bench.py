@@ -14,7 +14,7 @@ set-up.  Per scenario the file holds the median wall and set-up time,
 the median `ru_maxrss`, minor page faults and system time, and every
 run's wall time.  It also holds one wall time of the tier-1 suite
 (`python -m pytest -q` in the checkout), the
-Python, numpy and scipy versions, the CPU, the commit measured
+Python and numpy versions, scipy's when it is installed, the CPU, the commit measured
 (`git describe --dirty`) and `src_lines`, the line count of every
 `*.py` under the checkout's `src/`, so that two bench files give the
 net change in source lines between their checkouts.
@@ -108,9 +108,12 @@ def _tier1(repo: Path, env: dict) -> dict:
 
 
 def _versions(repo: Path, env: dict) -> dict:
+    # scipy is a test requirement only: its version is recorded when it is installed
     code = (
-        "import sys, numpy, scipy; "
-        "print(sys.version.split()[0], numpy.__version__, scipy.__version__)"
+        "import sys, numpy\n"
+        "try:\n    import scipy\n    scipy_version = scipy.__version__\n"
+        "except ImportError:\n    scipy_version = '-'\n"
+        "print(sys.version.split()[0], numpy.__version__, scipy_version)"
     )
     py, np_version, scipy_version = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
@@ -128,7 +131,7 @@ def _versions(repo: Path, env: dict) -> dict:
     return {
         "python": py,
         "numpy": np_version,
-        "scipy": scipy_version,
+        "scipy": None if scipy_version == "-" else scipy_version,
         "cpu": cpu,
         "cpus": os.cpu_count(),
         "commit": commit or None,

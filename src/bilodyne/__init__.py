@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .analytic import (
     SensitivityRow,
     Spectrum,
-    SpectrumKind,
     noise_figure,
     output_signal_power,
     psd_analytic,
@@ -23,10 +22,7 @@ from .analytic import (
 from .correlators import (
     MomentTable,
     excess_lines,
-    fock_oracle_moments,
     hypothesis_moments,
-    lambda_ij,
-    second_moments,
 )
 from .model import (
     DetectorParams,

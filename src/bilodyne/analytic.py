@@ -13,7 +13,6 @@ bandwidth.  The noise figure is their difference in dB by definition.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
@@ -36,11 +35,6 @@ from .model import (
 )
 
 
-class SpectrumKind(str, enum.Enum):
-    ANALYTIC = "analytic"
-    ESTIMATED = "estimated"
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """One-sided PSD samples on a strictly increasing frequency grid (Hz)."""
@@ -48,7 +42,6 @@ class Spectrum:
     freqs_hz: np.ndarray
     psd: np.ndarray
     rbw_hz: float
-    kind: SpectrumKind
 
     def __post_init__(self):
         if self.freqs_hz.shape != self.psd.shape or self.freqs_hz.ndim != 1:
@@ -95,23 +88,23 @@ def psd_analytic(
     lo: LocalOscillator,
     det: DetectorParams,
     cfg: MeasurementConfig,
-    freqs_hz: np.ndarray | None = None,
 ) -> Spectrum:
-    """One-sided PSD of the difference current: shot floor plus beat lines.
+    """One-sided noise PSD of the difference current: shot floor plus excess-noise lines.
 
-    The period-averaged excess noise of a squeezed input lives in
-    discrete beat lines; each line of power P appears as P / rbw on the
-    grid point nearest its frequency, the way a spectrum analyzer of
-    that resolution bandwidth would display it.  Raises ConfigViolation
-    if a squeezed dip is deeper than the shot floor can absorb within
-    one bin (the discrete-pair model is invalid at such a fine rbw), or
-    if the heterodyne beat does not clear the rbw/sample-rate limits.
+    The grid runs from 0 to sample_rate / 2 in steps of rbw.  The
+    period-averaged excess noise of a squeezed input lives in discrete
+    beat lines; each line of power P appears as P / rbw on the grid
+    point nearest its frequency, the way a spectrum analyzer of that
+    resolution bandwidth would display it.  The coherent heterodyne
+    beat is not part of this spectrum: output_signal_power reports it.
+    Raises ConfigViolation if a squeezed dip is deeper than the shot
+    floor can absorb within one bin (the discrete-pair model is invalid
+    at such a fine rbw), or if the heterodyne beat does not clear the
+    rbw/sample-rate limits.
     """
     validate_measurement(cfg, lo)
-    if freqs_hz is None:
-        n_bins = int(round(cfg.sample_rate / 2.0 / cfg.rbw))
-        freqs_hz = cfg.rbw * np.arange(n_bins + 1)
-    freqs_hz = np.asarray(freqs_hz, dtype=float)
+    n_bins = int(round(cfg.sample_rate / 2.0 / cfg.rbw))
+    freqs_hz = cfg.rbw * np.arange(n_bins + 1)
     omega = TWO_PI * freqs_hz
     psd = np.asarray(shot_floor_psd(lo, det, omega), dtype=float).copy()
     lines = correlators.excess_lines(state, lo)
@@ -121,18 +114,13 @@ def psd_analytic(
         if f_line > freqs_hz[-1] + cfg.rbw / 2.0 or power == 0.0:
             continue
         idx = int(np.argmin(np.abs(freqs_hz - f_line)))
-        if abs(freqs_hz[idx] - f_line) > cfg.rbw / 2.0 + 1e-9 * max(1.0, f_line):
-            raise ConfigViolation(
-                f"beat line at {f_line:g} Hz falls between grid points; "
-                "use a grid aligned with the resolution bandwidth"
-            )
         psd[idx] += det.eta**2 * k2_line * power / cfg.rbw
     if np.any(psd < 0):
         raise ConfigViolation(
             "squeezed dip exceeds the shot floor within one rbw bin; the "
             "discrete-pair model needs a coarser rbw at this squeezing"
         )
-    return Spectrum(freqs_hz=freqs_hz, psd=psd, rbw_hz=cfg.rbw, kind=SpectrumKind.ANALYTIC)
+    return Spectrum(freqs_hz=freqs_hz, psd=psd, rbw_hz=cfg.rbw)
 
 
 def _single_signal_amplitude(state: FieldState) -> float:
@@ -173,12 +161,13 @@ def snr_out(
 
     The pulse transfer function cancels between numerator and floor, so
     the result is pulse-independent: eta alpha^2 / (2 rbw) for the
-    phase-averaged convention.  Zero signal gives -inf dB.
+    phase-averaged convention.  Zero signal gives -inf dB; an rbw that
+    is not positive and finite is refused.
     """
     if state.is_squeezed():
         raise Unsupported("snr_out closed form applies to coherent input only")
-    if rbw_hz <= 0:
-        raise InvalidSpec("rbw must be positive")
+    if not 0.0 < rbw_hz < math.inf:
+        raise InvalidSpec(f"rbw must be positive and finite, got {rbw_hz!r}")
     p_out = output_signal_power(state, lo, det)
     floor = shot_floor_psd(lo, det, lo.omega_het)
     ratio = p_out / (float(floor) * rbw_hz)
@@ -189,10 +178,11 @@ def snr_in(state: FieldState, det: DetectorParams, rbw_hz: float = 1.0) -> float
     """Input SNR in dB: mean detected photon number in a 1/rbw window.
 
     Shot-limited counting of the signal alone gives SNR = eta * flux * t
-    with t = 1 / rbw.  Zero flux gives -inf dB.
+    with t = 1 / rbw.  Zero flux gives -inf dB; an rbw that is not
+    positive and finite is refused.
     """
-    if rbw_hz <= 0:
-        raise InvalidSpec("rbw must be positive")
+    if not 0.0 < rbw_hz < math.inf:
+        raise InvalidSpec(f"rbw must be positive and finite, got {rbw_hz!r}")
     n_mean = det.eta * photon_flux(state) / rbw_hz
     return 10.0 * math.log10(n_mean) if n_mean > 0 else -math.inf
 

@@ -26,15 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, TruncationInsufficient, UnknownMode, WeakLO
+from .errors import InvalidSpec, UnknownMode, WeakLO
 from .model import FieldState, Hypothesis, LocalOscillator, ModeLabel, FREQ_RTOL
 
 # Bound saturated by pure squeezed states; allow this much numerical slack.
 HEISENBERG_TOL = 1e-12
-
-# Fock-space population allowed at the truncation edge before the
-# oracle refuses to trust its own numbers.
-TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,24 @@ def _match_mode(freqs: tuple[float, ...], target: float) -> int:
     raise UnknownMode(f"no mode at frequency {target!r} (rad/s) in the state")
 
 
-def _moment_matrices(state: FieldState) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """Mode frequencies and the normal and anomalous matrices of second_moments."""
+def mode_field_index(label: ModeLabel) -> int:
+    """Field-group index of a mode label under the three-field split."""
+    if label is ModeLabel.IMAGE1:
+        return 1
+    if label is ModeLabel.IMAGE2:
+        return 2
+    return 0
+
+
+def hypothesis_moments(state: FieldState) -> MomentTable:
+    """Fluctuation moments of the state as seen by the detection model.
+
+    Coherent and vacuum modes contribute nothing; each squeeze pair adds
+    its thermal populations and anomalous entry.  Under THREE_FIELDS,
+    modes in different field groups belong to statistically independent
+    fields, so their cross moments are zeroed.  Raises UnknownMode if a
+    pair references a frequency absent from the mode list.
+    """
     freqs = tuple(m.frequency for m in state.modes)
     n = len(freqs)
     normal = np.zeros((n, n), dtype=complex)
@@ -101,96 +113,12 @@ def _moment_matrices(state: FieldState) -> tuple[tuple[float, ...], np.ndarray, 
             m = cmath.exp(1j * pair.phi) * ch * sh
             anomalous[ia, ib] = m
             anomalous[ib, ia] = m
-    return freqs, normal, anomalous
-
-
-def second_moments(state: FieldState) -> MomentTable:
-    """Fluctuation moments of the prepared state (hypothesis-independent).
-
-    Coherent and vacuum modes contribute nothing; each squeeze pair adds
-    its thermal populations and anomalous entry.  Raises UnknownMode if
-    a pair references a frequency absent from the mode list.
-    """
-    return MomentTable(*_moment_matrices(state))
-
-
-def mode_field_index(label: ModeLabel) -> int:
-    """Field-group index of a mode label under the three-field split."""
-    if label is ModeLabel.IMAGE1:
-        return 1
-    if label is ModeLabel.IMAGE2:
-        return 2
-    return 0
-
-
-def hypothesis_moments(state: FieldState) -> MomentTable:
-    """State moments as seen by the detection model.
-
-    Under THREE_FIELDS, modes in different field groups belong to
-    statistically independent fields, so their cross moments are zeroed.
-    """
-    freqs, normal, anomalous = _moment_matrices(state)
     if state.hypothesis is Hypothesis.THREE_FIELDS:
         groups = np.array([mode_field_index(m.label) for m in state.modes])
         split = groups[:, None] != groups[None, :]
         normal[split] = 0.0
         anomalous[split] = 0.0
     return MomentTable(frequencies=freqs, normal=normal, anomalous=anomalous)
-
-
-def fock_oracle_moments(r: float, phi: float, n_trunc: int) -> dict:
-    """Two-mode squeezed vacuum moments from truncated Fock-space evolution.
-
-    Builds the squeeze generator xi a^dag b^dag - xi* a b on a
-    (n_trunc x n_trunc)-level lattice, applies exp(G) to |0,0> and reads
-    the moments off the state vector.  Completely independent of the
-    closed-form expressions in second_moments, so the two can check
-    each other.
-
-    Raises TruncationInsufficient when the population at either
-    truncation edge reaches 1e-10.
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply
-
-    if n_trunc < 2:
-        raise InvalidSpec("need at least two Fock levels per mode")
-    if r < 0.0:
-        raise InvalidSpec("squeeze parameter must be >= 0")
-    n = n_trunc
-    lower = sp.diags(np.sqrt(np.arange(1.0, n)), 1, format="csr")
-    eye = sp.identity(n, format="csr")
-    op_a = sp.kron(lower, eye, format="csr")
-    op_b = sp.kron(eye, lower, format="csr")
-    xi = r * cmath.exp(1j * phi)
-    gen = xi * (op_a.conj().T @ op_b.conj().T) - xi.conjugate() * (op_a @ op_b)
-    psi0 = np.zeros(n * n, dtype=complex)
-    psi0[0] = 1.0
-    psi = expm_multiply(gen, psi0)
-    prob = np.abs(psi.reshape(n, n)) ** 2
-    tail = prob[-1, :].sum() + prob[:, -1].sum() - prob[-1, -1]
-    if tail >= TAIL_TOL:
-        raise TruncationInsufficient(
-            f"population {tail:.3e} at truncation edge {n - 1} exceeds {TAIL_TOL:g}; "
-            "increase n_trunc"
-        )
-
-    def ev(op) -> complex:
-        return complex(np.vdot(psi, op @ psi))
-
-    mean_a = ev(op_a)
-    mean_b = ev(op_b)
-    return {
-        "mean_a": mean_a,
-        "mean_b": mean_b,
-        "n_a": ev(op_a.conj().T @ op_a) - abs(mean_a) ** 2,
-        "n_b": ev(op_b.conj().T @ op_b) - abs(mean_b) ** 2,
-        "cross_normal": ev(op_a.conj().T @ op_b) - mean_a.conjugate() * mean_b,
-        "anomalous_ab": ev(op_a @ op_b) - mean_a * mean_b,
-        "anomalous_aa": ev(op_a @ op_a) - mean_a * mean_a,
-        "anomalous_bb": ev(op_b @ op_b) - mean_b * mean_b,
-        "tail_population": float(tail),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -273,61 +201,6 @@ def require_strong_lo(state: FieldState, lo: LocalOscillator, table: MomentTable
         )
 
 
-def _fluctuations(state: FieldState, lo: LocalOscillator):
-    """The fluctuation set-up of lambda_ij and excess_lines in the rotating frame.
-
-    Builds the hypothesis's moment table and refuses a weak LO.  Returns
-    None when the state has no fluctuations, else (tone offsets, tone
-    amps, mode offsets, normal, anomalous, squeeze phase factor
-    e^{-2 i theta_s}).
-    """
-    table = hypothesis_moments(state)
-    require_strong_lo(state, lo, table)
-    if table.is_zero():
-        return None
-    ref = reference_frequency(state, lo)
-    t_offs, t_amps = tone_phasors(lo, ref)
-    m_offs = np.array([f - ref for f in table.frequencies])
-    sq_phase = cmath.exp(-2j * state.phase.theta_s)
-    return t_offs, t_amps, m_offs, table.normal, table.anomalous, sq_phase
-
-
-def lambda_ij(
-    state: FieldState,
-    lo: LocalOscillator,
-    i: int,
-    j: int,
-    t: float,
-    iota: float,
-) -> float:
-    """Leading-order intensity-fluctuation correlator of detectors i and j.
-
-    Evaluates <: dI_i(t) dI_j(t + iota) :> in the strong-LO limit, where
-    dI_i keeps only LO x fluctuation cross terms.  The result carries
-    the detector sign product (-1)^(i+j) and is identically zero for
-    coherent input.  Real-valued by construction.
-    """
-    if i not in (1, 2) or j not in (1, 2):
-        raise InvalidSpec("detector indices must be 1 or 2")
-    setup = _fluctuations(state, lo)
-    if setup is None:
-        return 0.0
-    t_offs, t_amps, m_offs, normal, anomalous, sq_phase = setup
-    t2 = t + iota
-    lo_t = t_amps @ np.exp(-1j * t_offs * t)
-    lo_t2 = t_amps @ np.exp(-1j * t_offs * t2)
-    u_t = np.exp(1j * m_offs * t)
-    u_t2 = np.exp(1j * m_offs * t2)
-    # <dE-(t) dE+(t2)> x E+(t) E-(t2), summed over mode pairs
-    term_n = 0.5 * lo_t * np.conj(lo_t2) * (u_t @ normal @ np.conj(u_t2))
-    # -<dE+(t) dE+(t2)>* x E+(t) E+(t2)
-    term_a = 0.5 * sq_phase * lo_t * lo_t2 * (u_t @ anomalous.conj() @ u_t2)
-    if state.phase.averaged:
-        term_a = 0.0
-    sign = 1.0 if i == j else -1.0
-    return float(sign * 0.5 * (term_n + term_a).real)
-
-
 def excess_lines(state: FieldState, lo: LocalOscillator) -> list[tuple[float, float]]:
     """Discrete beat lines of the beyond-shot photocurrent noise.
 
@@ -337,12 +210,18 @@ def excess_lines(state: FieldState, lo: LocalOscillator) -> list[tuple[float, fl
     get the contribution to the current PSD.
 
     Phase averaging wipes out the anomalous (squeeze-angle sensitive)
-    contributions; the population terms survive it.
+    contributions; the population terms survive it.  A weak LO is
+    refused (WeakLO) before a state without fluctuations returns [].
     """
-    setup = _fluctuations(state, lo)
-    if setup is None:
+    table = hypothesis_moments(state)
+    require_strong_lo(state, lo, table)
+    if table.is_zero():
         return []
-    t_offs, t_amps, m_offs, normal, anomalous, sq_phase = setup
+    ref = reference_frequency(state, lo)
+    t_offs, t_amps = tone_phasors(lo, ref)
+    m_offs = np.array([f - ref for f in table.frequencies])
+    normal, anomalous = table.normal, table.anomalous
+    sq_phase = cmath.exp(-2j * state.phase.theta_s)
     scale = max(1.0, float(np.max(np.abs(m_offs)) if m_offs.size else 1.0),
                 float(np.max(np.abs(t_offs))))
     tol = 1e-9 * scale

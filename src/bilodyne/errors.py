@@ -24,10 +24,6 @@ class UnknownMode(BilodyneError):
     """A squeeze pair references a frequency with no matching mode."""
 
 
-class TruncationInsufficient(BilodyneError):
-    """Fock-space truncation too small for the requested squeezing."""
-
-
 class WeakLO(BilodyneError):
     """Local oscillator is not strong enough for the strong-LO expansion."""
 

@@ -42,8 +42,8 @@ import numpy.fft
 import numpy.random
 
 from . import correlators
-from .analytic import Spectrum, SpectrumKind, shot_floor_psd, output_signal_power
-from .config import RunConfig
+from .analytic import Spectrum, shot_floor_psd, output_signal_power
+from .config import _CHOICES, RunConfig
 from .errors import ConfigViolation, InvalidSpec, NonClassicalInput, TooShort, Unresolved
 from .io import TraceWriter
 from .model import (
@@ -77,6 +77,8 @@ _MAX_POISSON_MEAN = 1e18
 # 0.073), and a flat block at ~3; any value from 0.073 to ~2,300 thins
 # every default.cfg block and draws every sensitivity.cfg scan block dense
 _THIN_PEAK_MEAN = 1.0
+# stride of the floor's slope test over the unmasked bins; see flatness_t_statistic
+_SLOPE_STRIDE = 3
 
 
 def _arm_phasors(state: FieldState, lo: LocalOscillator):
@@ -247,12 +249,7 @@ class _Welch:
         # np.fft.rfftfreq's own grid, made as one float array
         freqs = np.arange(self.total.size, dtype=float)
         freqs *= 1.0 / (self.nperseg * (1.0 / self.fs))
-        return Spectrum(
-            freqs_hz=freqs,
-            psd=psd,
-            rbw_hz=self.fs / self.nperseg,
-            kind=SpectrumKind.ESTIMATED,
-        )
+        return Spectrum(freqs_hz=freqs, psd=psd, rbw_hz=self.fs / self.nperseg)
 
 
 @dataclass(frozen=True)
@@ -260,9 +257,7 @@ class BeatnoteEstimate:
     """Integrated line power after local floor subtraction."""
 
     power: float
-    freq_hz: float
     floor: float
-    floor_sigma: float
     peak_psd: float
 
 
@@ -284,10 +279,9 @@ def _median(x: np.ndarray) -> float:
 def extract_beatnote(spectrum: Spectrum, f_beat_hz: float) -> BeatnoteEstimate:
     """Integrate the spectral line at f_beat_hz above its local floor.
 
-    The line band is +-2 rbw around the target; the floor and its
-    per-bin scatter come from the flanking bins 3..8 rbw away.  Raises
-    Unresolved when the grid cannot place the line (off-grid or out of
-    range).
+    The line band is +-2 rbw around the target; the floor is the median
+    of the flanking bins 3..8 rbw away.  Raises Unresolved when the grid
+    cannot place the line (off-grid or out of range).
     """
     f = spectrum.freqs_hz
     rbw = spectrum.rbw_hz
@@ -304,15 +298,8 @@ def extract_beatnote(spectrum: Spectrum, f_beat_hz: float) -> BeatnoteEstimate:
     if not np.any(flank):
         raise Unresolved("no flanking bins available to estimate the local floor")
     floor = _median(spectrum.psd[flank])
-    floor_sigma = float(np.std(spectrum.psd[flank], ddof=1)) if flank.sum() > 1 else 0.0
     power = float(np.sum(spectrum.psd[in_band] - floor) * df)
-    return BeatnoteEstimate(
-        power=power,
-        freq_hz=float(f[idx]),
-        floor=floor,
-        floor_sigma=floor_sigma,
-        peak_psd=float(np.max(spectrum.psd[in_band])),
-    )
+    return BeatnoteEstimate(power=power, floor=floor, peak_psd=float(np.max(spectrum.psd[in_band])))
 
 
 class _Lockin:
@@ -379,21 +366,16 @@ class _Moments:
         return self.m2 / (self.n - ddof)
 
 
-def floor_statistics(
-    spectrum: Spectrum,
-    f_het_hz: float,
-    *,
-    extra_exclude_hz: tuple[float, ...] = (),
-) -> tuple[float, float, np.ndarray]:
+def floor_statistics(spectrum: Spectrum, f_het_hz: float) -> tuple[float, float, np.ndarray]:
     """Mean and per-bin scatter of the flat floor, with line bins masked.
 
-    Excludes +-2 rbw around DC, the beat, its second harmonic and any
-    caller-supplied lines.  Returns (mean, sigma_of_bin, mask).
+    Excludes +-2 rbw around DC, the beat and its second harmonic.
+    Returns (mean, sigma_of_bin, mask).
     """
     f = spectrum.freqs_hz
     rbw = spectrum.rbw_hz
     mask = np.ones(f.size, dtype=bool)
-    for f0 in (0.0, f_het_hz, 2.0 * f_het_hz, *extra_exclude_hz):
+    for f0 in (0.0, f_het_hz, 2.0 * f_het_hz):
         mask &= np.abs(f - f0) > 2.0 * rbw
     if not np.any(mask):
         raise Unresolved("no floor bins left after exclusions")
@@ -401,16 +383,16 @@ def floor_statistics(
     return float(kept.mean()), float(kept.std(ddof=1)), mask
 
 
-def flatness_t_statistic(spectrum: Spectrum, mask: np.ndarray, decimate: int = 3):
+def flatness_t_statistic(spectrum: Spectrum, mask: np.ndarray):
     """OLS slope t-test of the floor versus frequency.
 
-    Uses every decimate-th unmasked bin so neighbouring-bin correlation
-    from the Hann overlap does not understate the standard error.
-    Returns (t_statistic, t_critical_95), the critical value from
-    student_t_quantile.
+    Uses every _SLOPE_STRIDE-th unmasked bin so neighbouring-bin
+    correlation from the Hann overlap does not understate the standard
+    error.  Returns (t_statistic, t_critical_95), the critical value
+    from student_t_quantile.
     """
-    f = spectrum.freqs_hz[mask][::decimate]
-    y = spectrum.psd[mask][::decimate]
+    f = spectrum.freqs_hz[mask][::_SLOPE_STRIDE]
+    y = spectrum.psd[mask][::_SLOPE_STRIDE]
     if f.size < 10:
         raise Unresolved("too few floor bins for a slope test")
     fd, yd = f - f.mean(), y - y.mean()
@@ -760,10 +742,22 @@ def run_experiment(
                    NF within 0.3 dB of zero for each power.
       default      beatnote checks plus a Parseval consistency check and
                    a zero-lag arm cross-covariance check.
+
+    An unknown scenario, a seed that is not a non-negative integer and a
+    scene of the wrong type are refused (InvalidSpec) before any work.
     """
+    if scenario not in _CHOICES["simulate.scenario"]:
+        raise InvalidSpec(f"unknown scenario {scenario!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidSpec(f"seed must be a non-negative integer, got {seed!r}")
+    kind = Scan if scenario == "sensitivity" else Scene
     if scene is None:
         cfg = RunConfig.defaults()
-        scene = cfg.build_scan() if scenario == "sensitivity" else cfg.build_scene()
+        scene = cfg.build_scan() if kind is Scan else cfg.build_scene()
+    elif not isinstance(scene, kind):
+        raise InvalidSpec(
+            f"scenario {scenario!r} runs a {kind.__name__}, got {type(scene).__name__}"
+        )
     report = ExperimentReport(scenario=scenario, seed=seed)
     root = np.random.SeedSequence(seed)
     if scenario == "shot-floor":
@@ -774,10 +768,8 @@ def run_experiment(
         _scenario_floor(report, scene, root, signal=True, extras=True, trace=trace)
     elif scenario == "null-phase":
         _scenario_null_phase(report, scene, root, trace=trace)
-    elif scenario == "sensitivity":
-        _scenario_sensitivity(report, scene, root)
     else:
-        raise InvalidSpec(f"unknown scenario {scenario!r}")
+        _scenario_sensitivity(report, scene, root)
     return report
 
 

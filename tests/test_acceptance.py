@@ -16,7 +16,7 @@ import numpy as np
 
 from bilodyne.analytic import output_signal_power, psd_analytic, sensitivity_table
 from bilodyne.config import RunConfig
-from bilodyne.correlators import fock_oracle_moments, lambda_ij, second_moments
+from tests.reference import fock_oracle_moments, lambda_ij, second_moments
 from bilodyne.model import Hypothesis
 from bilodyne.montecarlo import run_experiment
 from tests.conftest import (

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from bilodyne.analytic import (
     SensitivityRow,
     Spectrum,
-    SpectrumKind,
     noise_figure,
     output_signal_power,
     psd_analytic,
@@ -22,7 +21,6 @@ from bilodyne.analytic import (
     snr_out,
 )
 from bilodyne.config import RunConfig
-from bilodyne.correlators import excess_lines
 from bilodyne.errors import ConfigViolation, InvalidSpec, Unsupported
 from bilodyne.model import (
     TWO_PI,
@@ -99,7 +97,6 @@ class TestAnalyticPsd:
         spec = psd_analytic(
             coherent_state(), standard_lo(), standard_detector(), standard_measurement()
         )
-        assert spec.kind is SpectrumKind.ANALYTIC
         np.testing.assert_array_equal(spec.psd, np.full(spec.psd.size, 1400000.0))
         assert spec.freqs_hz[0] == 0.0
         assert spec.freqs_hz[-1] == pytest.approx(5e6)
@@ -149,21 +146,31 @@ class TestAnalyticPsd:
         assert spec.psd[i1] - 1400000.0 == pytest.approx(dip, rel=1e-9)
         assert spec.psd[i1] < 1400000.0
 
-    def test_line_between_grid_points_rejected(self):
-        state = squeezed_state(Hypothesis.ONE_FIELD)
-        cfg = standard_measurement()
-        sparse_grid = np.array([0.0, 5e4, 2e5, 4e5])
-        with pytest.raises(ConfigViolation):
-            psd_analytic(state, standard_lo(), standard_detector(), cfg, sparse_grid)
-
     def test_dip_deeper_than_floor_rejected(self):
-        state = squeezed_state(Hypothesis.ONE_FIELD, r=2.0, theta_s=math.pi / 2.0)
-        lo = standard_lo()
-        lines = excess_lines(state, lo)
-        cfg = standard_measurement(duration=20.0, rbw=0.1)
-        grid = np.array([lines[0][0] / TWO_PI])
-        with pytest.raises(ConfigViolation):
-            psd_analytic(state, lo, standard_detector(), cfg, grid)
+        # the default grid at a 0.1 Hz rbw, 201 bins up to 20 Hz; the carrier
+        # is 1 kHz because Hz offsets from an optical one fall within FREQ_RTOL
+        def scene(theta_s):
+            return RunConfig.defaults(
+                {
+                    "field.carrier_hz": 1e3,
+                    "field.theta_s": theta_s,
+                    "lo.f_het_hz": 2.0,
+                    "squeeze.enabled": True,
+                    "squeeze.r": 2.0,
+                    "squeeze.offset_hz": 4.0,
+                    "measurement.rbw_hz": 0.1,
+                    "measurement.sample_rate_hz": 40.0,
+                    "measurement.duration_s": 10.0,
+                }
+            ).build_scene()
+
+        # the matched phase puts the same lines above the floor
+        bump = scene(0.0)
+        spec = psd_analytic(bump.state, bump.lo, bump.det, bump.meas)
+        assert spec.freqs_hz.size == 201
+        dip = scene(math.pi / 2.0)
+        with pytest.raises(ConfigViolation, match="squeezed dip"):
+            psd_analytic(dip.state, dip.lo, dip.det, dip.meas)
 
     def test_geometry_violations_propagate(self):
         cfg = standard_measurement(rbw=5e4)
@@ -178,7 +185,6 @@ class TestSpectrumContainer:
                 freqs_hz=np.array([0.0, 2.0, 1.0]),
                 psd=np.ones(3),
                 rbw_hz=1.0,
-                kind=SpectrumKind.ANALYTIC,
             )
 
     def test_rejects_negative_psd(self):
@@ -187,7 +193,6 @@ class TestSpectrumContainer:
                 freqs_hz=np.array([0.0, 1.0, 2.0]),
                 psd=np.array([1.0, -0.1, 1.0]),
                 rbw_hz=1.0,
-                kind=SpectrumKind.ANALYTIC,
             )
 
     def test_rejects_non_finite_psd(self):
@@ -196,7 +201,6 @@ class TestSpectrumContainer:
                 freqs_hz=np.array([0.0, 1.0]),
                 psd=np.array([1.0, math.nan]),
                 rbw_hz=1.0,
-                kind=SpectrumKind.ESTIMATED,
             )
 
 
@@ -277,8 +281,12 @@ class TestSnrChain:
             snr_out(state, standard_lo(), standard_detector(), 1e3)
 
     def test_rbw_must_be_positive(self):
-        with pytest.raises(InvalidSpec):
-            snr_in(coherent_state(), standard_detector(), 0.0)
+        state = coherent_state(averaged=True)
+        for rbw in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidSpec):
+                snr_in(state, standard_detector(), rbw)
+            with pytest.raises(InvalidSpec):
+                snr_out(state, standard_lo(), standard_detector(), rbw)
 
 
 REFERENCE_SCAN = {

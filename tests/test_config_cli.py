@@ -608,8 +608,8 @@ class TestCliErrors:
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy is imported only on the path that needs it (the Fock oracle),
-    # neither at start-up nor by a default simulate run
+    # scipy is a test requirement only: neither start-up nor a default
+    # simulate run loads it, and every scenario runs where it cannot load
     import bilodyne
 
     src = str(Path(bilodyne.__file__).resolve().parents[1])
@@ -629,6 +629,23 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert lines[-2] in ("0", "2")
     results = json.loads((tmp_path / "o" / "report.json").read_text())["results"]
     assert results["passed"] is (lines[-2] == "0")
+
+    configs = ("default.cfg", "sensitivity.cfg", "squeezed.cfg")
+    runs = [(scenario, name) for scenario in ("analytic", "table1") for name in configs]
+    runs.append(("squeezed-compare", "squeezed.cfg"))
+    argvs = [
+        [scenario, "--config", str(CONFIGS / name), "--out", str(tmp_path / f"{scenario}-{name}")]
+        for scenario, name in runs
+    ]
+    argvs.append(["simulate", "--config", str(cfg), "--out", str(tmp_path / "blocked")])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); sys.modules['scipy'] = None; "
+        f"import bilodyne, bilodyne.cli; print([bilodyne.cli.main(a) for a in {argvs!r}])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    *analytic, simulate = json.loads(out.stdout.strip().splitlines()[-1])
+    assert analytic == [0] * len(runs)
+    assert simulate in (0, 2)
 
 
 def test_cli_and_a_scan_load_no_numpy_ma(tmp_path):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilodyne.config import RunConfig
@@ -24,16 +24,13 @@ from bilodyne.correlators import (
     collect_beats,
     excess_lines,
     fluctuation_flux,
-    fock_oracle_moments,
     hypothesis_moments,
-    lambda_ij,
     mode_field_index,
     mode_phasors,
     require_strong_lo,
-    second_moments,
     tone_phasors,
 )
-from bilodyne.errors import InvalidSpec, TruncationInsufficient, UnknownMode, WeakLO
+from bilodyne.errors import InvalidSpec, UnknownMode, WeakLO
 from bilodyne.model import (
     MAX_PHOTON_FLUX,
     MAX_SQUEEZE_R,
@@ -54,6 +51,12 @@ from tests.conftest import (
     mono_lo,
     squeezed_state,
     standard_lo,
+)
+from tests.reference import (
+    TruncationInsufficient,
+    fock_oracle_moments,
+    lambda_ij,
+    second_moments,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -492,9 +495,12 @@ class TestCollectBeats:
 
     @settings(max_examples=200, deadline=None)
     @given(a=PHASORS, b=PHASORS, t=st.floats(-20.0, 20.0))
+    @example(a=[(0, 2j)], b=[(1, 2.2250738585e-313 + 0j)], t=1.0)
     def test_rebuilds_the_real_part_of_a_product(self, a, b, t):
         # sum_f Re(c_f e^{-i f t}) over the collected products a_k b_l* is
-        # Re(a(t) b(t)*), whatever the signs of the differences d_k - d_l
+        # Re(a(t) b(t)*), whatever the signs of the differences d_k - d_l.
+        # The two routes round differently, so subnormal products may part
+        # by a few of the smallest subnormals, below any relative bound.
         beats = collect_beats(
             (d_a - d_b, c_a * c_b.conjugate()) for d_a, c_a in a for d_b, c_b in b
         )
@@ -503,7 +509,7 @@ class TestCollectBeats:
         a_t = sum(c * np.exp(-1j * d * t) for d, c in a)
         b_t = sum(c * np.exp(-1j * d * t) for d, c in b)
         scale = sum(abs(c_a) * abs(c_b) for _, c_a in a for _, c_b in b)
-        assert abs(rebuilt - (a_t * np.conj(b_t)).real) <= 1e-12 * scale
+        assert abs(rebuilt - (a_t * np.conj(b_t)).real) <= 1e-12 * scale + 4 * math.ulp(0.0)
 
     def test_exact_keys_conjugate_negative_frequencies(self):
         beats = collect_beats([(2.0, 1 + 1j), (-2.0, 3 + 1j), (0.0, 0.5j), (-0.0, 1.0)])

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilodyne import io
-from bilodyne.analytic import Spectrum, SpectrumKind
+from bilodyne.analytic import Spectrum
 from bilodyne.errors import ParseError
 from bilodyne.io import (
     TRACE_MAGIC,
@@ -31,7 +31,7 @@ def _spectrum() -> Spectrum:
     rng = np.random.default_rng(13)
     freqs = np.arange(0.0, 100.0)
     psd = np.abs(rng.standard_normal(100)) + 0.5
-    return Spectrum(freqs_hz=freqs, psd=psd, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
+    return Spectrum(freqs_hz=freqs, psd=psd, rbw_hz=1.0)
 
 
 DT = 1e-7
@@ -96,7 +96,6 @@ class TestSpectrumCsv:
         rng = np.random.default_rng(15)
         spec = Spectrum(
             freqs_hz=np.arange(float(n)), psd=rng.exponential(size=n) * 1e-3, rbw_hz=1.0,
-            kind=SpectrumKind.ESTIMATED,
         )
         path = tmp_path / "spec.csv"
         write_spectrum_csv(path, spec)
@@ -119,7 +118,7 @@ class TestSpectrumCsv:
         freqs = np.unique(np.concatenate([edges, np.negative(edges), spread, -spread]))
         freqs = np.insert(freqs, np.searchsorted(freqs, 0.0), -0.0)
         psd = np.resize(np.concatenate([[-0.0, 0.0], edges, spread]), freqs.size)
-        spec = Spectrum(freqs_hz=freqs, psd=psd, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
+        spec = Spectrum(freqs_hz=freqs, psd=psd, rbw_hz=1.0)
         path = tmp_path / "spec.csv"
         write_spectrum_csv(path, spec)
         rows = [f"{f:.17g},{p:.17g}" for f, p in zip(spec.freqs_hz, spec.psd)]
@@ -140,10 +139,7 @@ class TestSpectrumCsv:
         # kept alive into the next would still double the peak.
         def peak(n: int) -> int:
             psd = np.arange(n) / 3.0 + 1.0 if distinct else np.full(n, 1 / 3)
-            spec = Spectrum(
-                freqs_hz=np.arange(float(n)) + offset, psd=psd, rbw_hz=1.0,
-                kind=SpectrumKind.ANALYTIC,
-            )
+            spec = Spectrum(freqs_hz=np.arange(float(n)) + offset, psd=psd, rbw_hz=1.0)
             tracemalloc.start()
             try:
                 write_spectrum_csv(tmp_path / "spec.csv", spec)
@@ -158,7 +154,7 @@ class TestSpectrumCsv:
 
     def test_header_only_file_reads_as_an_empty_spectrum(self, tmp_path):
         empty = np.empty(0)
-        spec = Spectrum(freqs_hz=empty, psd=empty, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
+        spec = Spectrum(freqs_hz=empty, psd=empty, rbw_hz=1.0)
         path = tmp_path / "spec.csv"
         write_spectrum_csv(path, spec)
         assert path.read_text() == "freq_hz,psd\n"
@@ -223,14 +219,12 @@ class TestSpectrumCsvRuns:
     def test_run_across_a_chunk_boundary(self, tmp_path):
         n = io._CSV_ROWS + 100
         psd = _runs([1 / 3, 0.1, 2 / 3], [io._CSV_ROWS - 50, 100, 50])
-        spec = Spectrum(
-            freqs_hz=np.arange(float(n)) * 2.0, psd=psd, rbw_hz=2.0, kind=SpectrumKind.ANALYTIC,
-        )
+        spec = Spectrum(freqs_hz=np.arange(float(n)) * 2.0, psd=psd, rbw_hz=2.0)
         assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
 
     def test_float32_psd_written_as_its_float64_values(self, tmp_path):
         psd = np.array([0.1, 0.1, 0.1, 0.25, 0.25], dtype=np.float32)
-        spec = Spectrum(freqs_hz=np.arange(5.0), psd=psd, rbw_hz=1.0, kind=SpectrumKind.ANALYTIC)
+        spec = Spectrum(freqs_hz=np.arange(5.0), psd=psd, rbw_hz=1.0)
         assert _written(tmp_path / "spec.csv", spec) == _per_row(spec)
 
     def test_chunks_on_either_side_of_the_crossover(self, tmp_path):

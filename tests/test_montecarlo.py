@@ -46,7 +46,7 @@ from bilodyne.montecarlo import (
     floor_statistics,
     run_experiment,
 )
-from bilodyne.analytic import Spectrum, SpectrumKind
+from bilodyne.analytic import Spectrum
 from tests.conftest import (
     DEFAULT_SEED,
     ETA,
@@ -551,36 +551,24 @@ class TestMoments:
 
 class TestExtractBeatnote:
     def test_outside_grid_rejected(self):
-        spec = Spectrum(
-            freqs_hz=np.arange(0.0, 101.0), psd=np.ones(101), rbw_hz=1.0,
-            kind=SpectrumKind.ESTIMATED,
-        )
+        spec = Spectrum(freqs_hz=np.arange(0.0, 101.0), psd=np.ones(101), rbw_hz=1.0)
         with pytest.raises(Unresolved):
             extract_beatnote(spec, 500.0)
 
     def test_coarse_grid_rejected(self):
-        spec = Spectrum(
-            freqs_hz=np.arange(0.0, 500.0, 5.0), psd=np.ones(100), rbw_hz=1.0,
-            kind=SpectrumKind.ESTIMATED,
-        )
+        spec = Spectrum(freqs_hz=np.arange(0.0, 500.0, 5.0), psd=np.ones(100), rbw_hz=1.0)
         with pytest.raises(Unresolved):
             extract_beatnote(spec, 250.0)
 
     def test_line_between_grid_points_rejected(self):
         # grid spacing 1.0 with rbw 0.8: the spacing is acceptable but a
         # line half a bin off the grid cannot be placed within rbw/2
-        spec = Spectrum(
-            freqs_hz=np.arange(0.0, 101.0), psd=np.ones(101), rbw_hz=0.8,
-            kind=SpectrumKind.ESTIMATED,
-        )
+        spec = Spectrum(freqs_hz=np.arange(0.0, 101.0), psd=np.ones(101), rbw_hz=0.8)
         with pytest.raises(Unresolved):
             extract_beatnote(spec, 50.5)
 
     def test_flat_floor_gives_zero_power(self):
-        spec = Spectrum(
-            freqs_hz=np.arange(0.0, 101.0), psd=np.ones(101), rbw_hz=1.0,
-            kind=SpectrumKind.ESTIMATED,
-        )
+        spec = Spectrum(freqs_hz=np.arange(0.0, 101.0), psd=np.ones(101), rbw_hz=1.0)
         beat = extract_beatnote(spec, 50.0)
         assert beat.power == pytest.approx(0.0, abs=1e-12)
         assert beat.floor == pytest.approx(1.0)
@@ -631,19 +619,11 @@ class TestFloorStatistics:
         psd = np.ones(f.size)
         for line in (0.0, 100.0, 200.0):
             psd[np.abs(f - line) <= 2.0] = 50.0
-        spec = Spectrum(freqs_hz=f, psd=psd, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
+        spec = Spectrum(freqs_hz=f, psd=psd, rbw_hz=1.0)
         mean, sigma, mask = floor_statistics(spec, 100.0)
         assert mean == pytest.approx(1.0)
         assert sigma == pytest.approx(0.0)
         assert not mask[100] and not mask[200] and not mask[0]
-
-    def test_extra_exclusions(self):
-        f = np.arange(0.0, 1001.0)
-        psd = np.ones(f.size)
-        psd[np.abs(f - 300.0) <= 2.0] = 9.0
-        spec = Spectrum(freqs_hz=f, psd=psd, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
-        mean, _, _ = floor_statistics(spec, 100.0, extra_exclude_hz=(300.0,))
-        assert mean == pytest.approx(1.0)
 
 
 class TestFlatness:
@@ -652,7 +632,7 @@ class TestFlatness:
         f = np.arange(0.0, 2001.0)
         psd = 1.0 + 0.01 * rng.standard_normal(f.size)
         psd = np.clip(psd, 0.0, None)
-        spec = Spectrum(freqs_hz=f, psd=psd, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
+        spec = Spectrum(freqs_hz=f, psd=psd, rbw_hz=1.0)
         mask = np.ones(f.size, dtype=bool)
         t_stat, t_crit = flatness_t_statistic(spec, mask)
         assert abs(t_stat) <= t_crit
@@ -661,7 +641,7 @@ class TestFlatness:
         rng = np.random.default_rng(9)
         f = np.arange(0.0, 2001.0)
         psd = 1.0 + 5e-4 * f + 0.01 * rng.standard_normal(f.size)
-        spec = Spectrum(freqs_hz=f, psd=psd, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
+        spec = Spectrum(freqs_hz=f, psd=psd, rbw_hz=1.0)
         mask = np.ones(f.size, dtype=bool)
         t_stat, t_crit = flatness_t_statistic(spec, mask)
         assert abs(t_stat) > t_crit
@@ -685,6 +665,31 @@ class TestRunExperiment:
     def test_unknown_scenario(self):
         with pytest.raises(InvalidSpec):
             run_experiment("nonsense")
+
+    @pytest.mark.parametrize(
+        "scenario, scene, seed",
+        [
+            ("shot-floor", None, -1),
+            ("shot-floor", None, 1.5),
+            ("sensitivity", "scene", 0),
+            ("default", "scan", 0),
+        ],
+        ids=["negative-seed", "fractional-seed", "scene-for-sensitivity", "scan-for-default"],
+    )
+    def test_library_call_refused_before_any_work(self, monkeypatch, scenario, scene, seed):
+        # a library caller gets no RunConfig checks: run_experiment refuses
+        # its arguments itself, before a scene is checked or a block is made
+        cfg = RunConfig.defaults()
+        built = {"scene": cfg.build_scene(), "scan": cfg.build_scan(), None: None}[scene]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the arguments were refused")
+
+        monkeypatch.setattr(montecarlo, "_check_scene", no_work)
+        monkeypatch.setattr(montecarlo, "_stream_record", no_work)
+        monkeypatch.setattr(montecarlo.RunConfig, "defaults", no_work)
+        with pytest.raises(InvalidSpec):
+            run_experiment(scenario, built, seed=seed)
 
     def test_short_shot_floor_run(self):
         scene = RunConfig.defaults({"measurement.duration_s": 0.5}).build_scene()

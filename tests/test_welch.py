@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import signal, special, stats
 
-from bilodyne.analytic import Spectrum, SpectrumKind
+from bilodyne.analytic import Spectrum
 from bilodyne.model import MeasurementConfig
 from bilodyne.montecarlo import (
     _BLOCK,
@@ -125,7 +125,7 @@ class TestFlatnessAgainstScipy:
         f = np.arange(0.0, 3001.0)
         psd = 1.0 + slope * f + 0.05 * rng.standard_normal(f.size)
         mask = np.abs(f - 1000.0) > 2.0
-        spec = Spectrum(freqs_hz=f, psd=psd, rbw_hz=1.0, kind=SpectrumKind.ESTIMATED)
+        spec = Spectrum(freqs_hz=f, psd=psd, rbw_hz=1.0)
         t_stat, t_crit = flatness_t_statistic(spec, mask)
         fit = stats.linregress(f[mask][::3], psd[mask][::3])
         ref_t = fit.slope / fit.stderr
