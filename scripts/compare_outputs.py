@@ -7,13 +7,18 @@ interpreter per run: `analytic`, `table1` and `squeezed-compare` on each
 shipped config, and `simulate` in all five Monte Carlo scenarios
 (`default.cfg` with `simulate.scenario` set, `sensitivity.cfg` for the
 scan, and `squeezed.cfg`, which the Monte Carlo refuses), every
-`simulate` run with `output.write_trace = true`.  A run's exit code,
+`simulate` run with `output.write_trace = true`.  Then the settings the
+shipped configs leave at their defaults: `analytic` and
+`squeezed-compare` on `squeezed.cfg` with the phase-averaged signal and
+with the exponential pulse, `squeezed-compare` with the sideband
+placement, and `simulate` on `default.cfg` with each of the first two,
+which it refuses.  A run's exit code,
 stdout, stderr and every file it writes (`spectrum*.csv`, `table.csv`,
 `trace.bin`, `report.json`) are compared byte for byte, `report.json`
 without its `generated_at` line.  One line per run, then exit 0 when
 every run is identical and 1 otherwise.  The Monte Carlo runs take
-about a second each, so the whole comparison takes under half a
-minute on a 2-vCPU VM.  Not part of the test suite.
+about a second each, so the whole comparison takes under a minute on a
+2-vCPU VM.  Not part of the test suite.
 """
 
 from __future__ import annotations
@@ -46,6 +51,26 @@ RUNS.update(
             ("default", "squeezed.cfg"),
         )
     }
+)
+UNSHIPPED = {
+    "phase-averaged": "field.phase_averaged = true\n",
+    "exponential": "detector.pulse = exponential\ndetector.pulse_tau_s = 1e-7\n",
+}
+RUNS.update(
+    {
+        f"{scenario} {config} {setting}": (scenario, config, UNSHIPPED[setting])
+        for scenario, config in (
+            ("analytic", "squeezed.cfg"),
+            ("squeezed-compare", "squeezed.cfg"),
+            ("simulate", "default.cfg"),
+        )
+        for setting in UNSHIPPED
+    }
+)
+RUNS["squeezed-compare squeezed.cfg sideband"] = (
+    "squeezed-compare",
+    "squeezed.cfg",
+    "squeeze.placement = sideband\n",
 )
 
 
@@ -85,7 +110,7 @@ def main(argv=None) -> int:
             files = ", ".join(k for k in here if k not in ("exit code", "stdout", "stderr"))
             verdict = f"DIFFERS: {', '.join(diff)}" if diff else "identical"
             exit_code = here["exit code"].decode()
-            print(f"{name:36s} exit {exit_code}  {verdict}  [{files or 'no files'}]")
+            print(f"{name:44s} exit {exit_code}  {verdict}  [{files or 'no files'}]")
     print(f"{differing} of {len(RUNS)} runs differ")
     return 1 if differing else 0
 

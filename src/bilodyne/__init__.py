@@ -32,13 +32,9 @@ from .model import (
     LocalOscillator,
     MeasurementConfig,
     ModeLabel,
-    PhaseMode,
-    PulseShape,
     Scan,
     Scene,
     SqueezePair,
-    SqueezeSpec,
-    build_field_state,
     calibrate_photon_energy,
     photon_flux,
     validate_measurement,

@@ -27,8 +27,6 @@ from .model import (
     LocalOscillator,
     MeasurementConfig,
     ModeLabel,
-    PhaseMode,
-    PulseShape,
     Scan,
     photon_flux,
     validate_measurement,
@@ -48,8 +46,8 @@ class Spectrum:
             raise InvalidSpec("frequency grid and PSD must be 1-d arrays of equal length")
         if self.freqs_hz.size >= 2 and not np.all(self.freqs_hz[1:] > self.freqs_hz[:-1]):
             raise InvalidSpec("frequency grid must be strictly increasing")
-        if self.rbw_hz <= 0:
-            raise InvalidSpec("resolution bandwidth must be positive")
+        if not (self.rbw_hz > 0 and math.isfinite(self.rbw_hz)):
+            raise InvalidSpec("resolution bandwidth must be positive and finite")
         if not np.all(np.isfinite(self.psd)):
             raise InvalidSpec("PSD contains non-finite values")
         if np.any(self.psd < 0):
@@ -58,17 +56,17 @@ class Spectrum:
         self.psd.setflags(write=False)
 
 
-def pulse_transfer(pulse: PulseShape, omega):
+def pulse_transfer(tau: float | None, omega):
     """Fourier transform K(w) of the single-emission current pulse of charge e = 1.
 
-    Delta pulses give the flat K = 1; an exponential pulse of decay tau
-    gives 1 / (1 - i w tau), i.e. |K|^2 = 1 / (1 + w^2 tau^2).
+    A delta pulse (tau None) gives the flat K = 1; an exponential pulse
+    of decay tau gives 1 / (1 - i w tau), i.e. |K|^2 = 1 / (1 + w^2 tau^2).
     """
     w = np.asarray(omega, dtype=float)
-    if pulse.is_delta:
+    if tau is None:
         out = np.full(w.shape, 1.0, dtype=complex)
     else:
-        out = 1.0 / (1.0 - 1j * w * pulse.tau)
+        out = 1.0 / (1.0 - 1j * w * tau)
     return out if out.shape else complex(out)
 
 
@@ -79,7 +77,7 @@ def shot_floor_psd(lo: LocalOscillator, det: DetectorParams, omega) -> np.ndarra
     E_l^2 alone, identical for mono and bichromatic oscillators of the
     same total amplitude.
     """
-    k = pulse_transfer(det.pulse, omega)
+    k = pulse_transfer(det.pulse_tau, omega)
     return 2.0 * det.eta * np.abs(k) ** 2 * lo.amplitude**2
 
 
@@ -108,7 +106,7 @@ def psd_analytic(
     omega = TWO_PI * freqs_hz
     psd = np.asarray(shot_floor_psd(lo, det, omega), dtype=float).copy()
     lines = correlators.excess_lines(state, lo)
-    k2 = np.abs(pulse_transfer(det.pulse, np.array([w for w, _ in lines]))) ** 2
+    k2 = np.abs(pulse_transfer(det.pulse_tau, np.array([w for w, _ in lines]))) ** 2
     for (w_line, power), k2_line in zip(lines, k2):
         f_line = w_line / TWO_PI
         if f_line > freqs_hz[-1] + cfg.rbw / 2.0 or power == 0.0:
@@ -144,11 +142,11 @@ def output_signal_power(state: FieldState, lo: LocalOscillator, det: DetectorPar
     if not lo.is_bichromatic:
         raise Unsupported("output_signal_power is defined for the bichromatic LO")
     alpha = _single_signal_amplitude(state)
-    k_beat = pulse_transfer(det.pulse, lo.omega_het)
+    k_beat = pulse_transfer(det.pulse_tau, lo.omega_het)
     base = (det.eta * alpha * lo.amplitude) ** 2 * abs(k_beat) ** 2
-    if state.phase.averaged:
+    if state.theta_s is None:
         return base
-    return 2.0 * base * math.cos(state.phase.theta_s - lo.theta_bar) ** 2
+    return 2.0 * base * math.cos(state.theta_s - lo.theta_bar) ** 2
 
 
 def snr_out(
@@ -217,7 +215,7 @@ def sensitivity_table(scan: Scan) -> list[SensitivityRow]:
     rbw = 1.0 / scan.window_s
     rows = []
     for power, scene in zip(scan.powers_w, scan.scenes):
-        state = replace(scene.state, phase=PhaseMode.averaged_phase())
+        state = replace(scene.state, theta_s=None)
         s_in = snr_in(state, scene.det, rbw)
         s_out = snr_out(state, scene.lo, scene.det, rbw)
         rows.append(

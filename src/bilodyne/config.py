@@ -25,13 +25,9 @@ from .model import (
     LocalOscillator,
     MeasurementConfig,
     ModeLabel,
-    PhaseMode,
-    PulseShape,
     Scan,
     Scene,
     SqueezePair,
-    SqueezeSpec,
-    build_field_state,
     calibrate_photon_energy,
 )
 
@@ -221,7 +217,7 @@ class RunConfig:
         omega_s = TWO_PI * v["field.carrier_hz"]
         alpha = math.sqrt(2.0 * self._flux("field.signal_flux"))
         modes = [FieldMode(frequency=omega_s, amplitude=alpha, label=ModeLabel.SIGNAL)]
-        squeeze = None
+        squeeze = ()
         if v["squeeze.enabled"]:
             d = TWO_PI * v["squeeze.offset_hz"]
             upper = ModeLabel.IMAGE1 if v["squeeze.placement"] == "image" else ModeLabel.SIDEBAND
@@ -235,26 +231,12 @@ class RunConfig:
                     "parameter's fluctuation flux sinh(r)^2 is within MAX_PHOTON_FLUX = "
                     f"{MAX_PHOTON_FLUX:g}, got {r!r}"
                 )
-            squeeze = SqueezeSpec(
-                pairs=(
-                    SqueezePair(
-                        freq_a=omega_s + d,
-                        freq_b=omega_s - d,
-                        r=r,
-                        phi=v["squeeze.phi"],
-                    ),
-                )
-            )
-        phase = (
-            PhaseMode.averaged_phase()
-            if v["field.phase_averaged"]
-            else PhaseMode.fixed(self._finite("field.theta_s"))
-        )
-        return build_field_state(
+            squeeze = (SqueezePair(omega_s + d, omega_s - d, r, self._finite("squeeze.phi")),)
+        return FieldState(
             modes,
             hypothesis=Hypothesis(v["field.hypothesis"]),
             squeeze=squeeze,
-            phase=phase,
+            theta_s=None if v["field.phase_averaged"] else self._finite("field.theta_s"),
         )
 
     def build_lo(self) -> LocalOscillator:
@@ -275,12 +257,8 @@ class RunConfig:
 
     def build_detector(self) -> DetectorParams:
         v = self.values
-        pulse = (
-            PulseShape.delta()
-            if v["detector.pulse"] == "delta"
-            else PulseShape.exponential(v["detector.pulse_tau_s"])
-        )
-        return DetectorParams(eta=v["detector.eta"], pulse=pulse)
+        tau = None if v["detector.pulse"] == "delta" else v["detector.pulse_tau_s"]
+        return DetectorParams(eta=v["detector.eta"], pulse_tau=tau)
 
     def build_measurement(self) -> MeasurementConfig:
         duration, rbw, rate = self._record_geometry("measurement")

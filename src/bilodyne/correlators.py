@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, UnknownMode, WeakLO
+from .errors import InvalidSpec, UnknownMode, Unsupported, WeakLO
 from .model import FieldState, Hypothesis, LocalOscillator, ModeLabel, FREQ_RTOL
 
 # Bound saturated by pure squeezed states; allow this much numerical slack.
@@ -102,17 +102,16 @@ def hypothesis_moments(state: FieldState) -> MomentTable:
     n = len(freqs)
     normal = np.zeros((n, n), dtype=complex)
     anomalous = np.zeros((n, n), dtype=complex)
-    if state.squeeze is not None:
-        for pair in state.squeeze.pairs:
-            ia = _match_mode(freqs, pair.freq_a)
-            ib = _match_mode(freqs, pair.freq_b)
-            ch, sh = math.cosh(pair.r), math.sinh(pair.r)
-            normal[ia, ia] += sh * sh
-            if ib != ia:
-                normal[ib, ib] += sh * sh
-            m = cmath.exp(1j * pair.phi) * ch * sh
-            anomalous[ia, ib] = m
-            anomalous[ib, ia] = m
+    for pair in state.squeeze:
+        ia = _match_mode(freqs, pair.freq_a)
+        ib = _match_mode(freqs, pair.freq_b)
+        ch, sh = math.cosh(pair.r), math.sinh(pair.r)
+        normal[ia, ia] += sh * sh
+        if ib != ia:
+            normal[ib, ib] += sh * sh
+        m = cmath.exp(1j * pair.phi) * ch * sh
+        anomalous[ia, ib] = m
+        anomalous[ib, ia] = m
     if state.hypothesis is Hypothesis.THREE_FIELDS:
         groups = np.array([mode_field_index(m.label) for m in state.modes])
         split = groups[:, None] != groups[None, :]
@@ -150,9 +149,12 @@ def mode_phasors(state: FieldState, ref: float) -> tuple[np.ndarray, np.ndarray]
 
     The i/sqrt(2) convention and the signal phase theta_s are folded
     into the coefficients, so the mean field is exactly
-    e^{-i ref t} * sum_k m_k e^{-i d_k t}.
+    e^{-i ref t} * sum_k m_k e^{-i d_k t}.  A phase-averaged state has
+    no such mean field and is refused (Unsupported).
     """
-    phase_factor = 1j / math.sqrt(2.0) * cmath.exp(1j * state.phase.theta_s)
+    if state.theta_s is None:
+        raise Unsupported("the mean field needs a fixed signal phase, not a phase average")
+    phase_factor = 1j / math.sqrt(2.0) * cmath.exp(1j * state.theta_s)
     offs = np.array([m.frequency - ref for m in state.modes])
     amps = np.array([phase_factor * m.amplitude for m in state.modes], dtype=complex)
     return offs, amps
@@ -221,7 +223,8 @@ def excess_lines(state: FieldState, lo: LocalOscillator) -> list[tuple[float, fl
     t_offs, t_amps = tone_phasors(lo, ref)
     m_offs = np.array([f - ref for f in table.frequencies])
     normal, anomalous = table.normal, table.anomalous
-    sq_phase = cmath.exp(-2j * state.phase.theta_s)
+    # phase averaging drops the squeeze beats
+    sq_phase = None if state.theta_s is None else cmath.exp(-2j * state.theta_s)
     scale = max(1.0, float(np.max(np.abs(m_offs)) if m_offs.size else 1.0),
                 float(np.max(np.abs(t_offs))))
     tol = 1e-9 * scale
@@ -234,7 +237,7 @@ def excess_lines(state: FieldState, lo: LocalOscillator) -> list[tuple[float, fl
             terms.append((t_offs[q] - m_offs[n_], c))
         # squeeze beat: d_m + d_n = d_p + d_q
         if (
-            not state.phase.averaged
+            sq_phase is not None
             and anomalous[m, n_] != 0
             and abs((m_offs[m] - t_offs[p]) + (m_offs[n_] - t_offs[q])) <= tol
         ):

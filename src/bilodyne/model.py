@@ -15,9 +15,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigViolation, InvalidSpec, Unsupported
 
@@ -79,6 +80,8 @@ class FieldMode:
     def __post_init__(self):
         if not (self.frequency > 0.0 and math.isfinite(self.frequency)):
             raise InvalidSpec(f"mode frequency must be positive and finite, got {self.frequency!r}")
+        if not cmath.isfinite(self.amplitude):
+            raise InvalidSpec(f"mode amplitude must be finite, got {self.amplitude!r}")
         if self.label is not ModeLabel.SIGNAL and self.amplitude != 0:
             raise InvalidSpec(f"{self.label.value} modes are vacuum modes and must have amplitude 0")
 
@@ -104,55 +107,57 @@ class SqueezePair:
                 f"population sinh(r)^2 is within MAX_PHOTON_FLUX = {MAX_PHOTON_FLUX:g}, "
                 f"got {self.r!r}"
             )
-
-
-@dataclass(frozen=True)
-class SqueezeSpec:
-    """Collection of squeeze pairs; a frequency may appear in at most one."""
-
-    pairs: tuple[SqueezePair, ...]
-
-    def __post_init__(self):
-        seen: list[float] = []
-        for pair in self.pairs:
-            for freq in (pair.freq_a, pair.freq_b):
-                for other in seen:
-                    if math.isclose(freq, other, rel_tol=FREQ_RTOL):
-                        raise InvalidSpec(
-                            "a mode frequency may participate in at most one squeeze pair"
-                        )
-                seen.append(freq)
-
-
-@dataclass(frozen=True)
-class PhaseMode:
-    """Signal-phase convention: a fixed theta_s or a uniform average over it."""
-
-    averaged: bool
-    theta_s: float = 0.0
-
-    @classmethod
-    def fixed(cls, theta_s: float) -> "PhaseMode":
-        return cls(averaged=False, theta_s=theta_s)
-
-    @classmethod
-    def averaged_phase(cls) -> "PhaseMode":
-        return cls(averaged=True, theta_s=0.0)
+        if not math.isfinite(self.phi):
+            raise InvalidSpec(f"squeeze angle must be finite, got {self.phi!r}")
 
 
 @dataclass(frozen=True)
 class FieldState:
-    """Input field: modes, their grouping hypothesis, squeezing and phase.
+    """Input field: modes, their grouping hypothesis, squeeze pairs and signal phase.
 
     THREE_FIELDS treats separate fields as statistically independent,
     which is what distinguishes the two hypotheses in the detected
-    spectrum.
+    spectrum.  theta_s is the fixed signal phase, or None for a uniform
+    average over it.  Raises InvalidSpec, however the state is made
+    (dataclasses.replace too), for a frequency in more than one pair,
+    no modes, duplicate mode frequencies, pairs without exactly one
+    signal mode, pairs not symmetric about the signal carrier, and a
+    non-finite theta_s.  Whether a pair's frequencies match declared
+    modes is not checked here; that surfaces as UnknownMode when moments
+    are built.
     """
 
     modes: tuple[FieldMode, ...]
     hypothesis: Hypothesis = Hypothesis.ONE_FIELD
-    squeeze: SqueezeSpec | None = None
-    phase: PhaseMode = field(default_factory=lambda: PhaseMode.fixed(0.0))
+    squeeze: tuple[SqueezePair, ...] = ()
+    theta_s: float | None = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "squeeze", tuple(self.squeeze))
+        if _first_close([f for p in self.squeeze for f in (p.freq_a, p.freq_b)]) is not None:
+            raise InvalidSpec("a mode frequency may participate in at most one squeeze pair")
+        if not self.modes:
+            raise InvalidSpec("a field state needs at least one mode")
+        duplicate = _first_close([m.frequency for m in self.modes])
+        if duplicate is not None:
+            raise InvalidSpec(f"duplicate mode frequency {duplicate!r}")
+        if self.theta_s is not None and not math.isfinite(self.theta_s):
+            raise InvalidSpec(f"signal phase theta_s must be finite or None, got {self.theta_s!r}")
+        if self.squeeze:
+            signal = self.signal_modes()
+            if len(signal) != 1:
+                raise InvalidSpec(
+                    "squeeze pairs need exactly one signal mode as the carrier reference"
+                )
+            carrier = signal[0].frequency
+            for pair in self.squeeze:
+                centre = 0.5 * (pair.freq_a + pair.freq_b)
+                if not math.isclose(centre, carrier, rel_tol=FREQ_RTOL):
+                    raise InvalidSpec(
+                        "squeeze pair must be symmetric about the signal carrier: "
+                        f"pair centre {centre!r} vs carrier {carrier!r}"
+                    )
 
     def excited_modes(self) -> tuple[FieldMode, ...]:
         return tuple(m for m in self.modes if m.amplitude != 0)
@@ -161,7 +166,7 @@ class FieldState:
         return tuple(m for m in self.modes if m.label is ModeLabel.SIGNAL)
 
     def is_squeezed(self) -> bool:
-        return self.squeeze is not None and any(p.r > 0 for p in self.squeeze.pairs)
+        return any(p.r > 0 for p in self.squeeze)
 
 
 @dataclass(frozen=True)
@@ -191,6 +196,9 @@ class LocalOscillator:
                 raise InvalidSpec("LO tone frequency must be positive")
             if not self.omega_1 > self.omega_2:
                 raise InvalidSpec("bichromatic LO requires omega_1 > omega_2")
+        tones = (self.omega_1, self.theta_1, self.omega_2, self.theta_2)
+        if not all(math.isfinite(x) for x in tones if x is not None):
+            raise InvalidSpec(f"LO tone frequencies and phases must be finite, got {tones!r}")
 
     @classmethod
     def mono(cls, amplitude: float, omega_l: float, theta_l: float = 0.0) -> "LocalOscillator":
@@ -249,40 +257,21 @@ class LocalOscillator:
 
 
 @dataclass(frozen=True)
-class PulseShape:
-    """Single-photoemission current pulse.
+class DetectorParams:
+    """Balanced detector pair: quantum efficiency and current pulse; each emission carries e = 1.
 
-    tau is the exponential decay time in seconds; tau None means an
-    ideal delta pulse (instantaneous charge deposition).
+    pulse_tau is the exponential pulse's decay time in seconds; None
+    means an ideal delta pulse (instantaneous charge deposition).
     """
 
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.tau is not None and not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise InvalidSpec(f"pulse decay time must be positive, got {self.tau!r}")
-
-    @classmethod
-    def delta(cls) -> "PulseShape":
-        return cls(tau=None)
-
-    @classmethod
-    def exponential(cls, tau: float) -> "PulseShape":
-        return cls(tau=tau)
-
-    @property
-    def is_delta(self) -> bool:
-        return self.tau is None
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    """Balanced detector pair: quantum efficiency and pulse; each emission carries e = 1."""
-
     eta: float
-    pulse: PulseShape = field(default_factory=PulseShape.delta)
+    pulse_tau: float | None = None
 
     def __post_init__(self):
+        if self.pulse_tau is not None and not (
+            self.pulse_tau > 0.0 and math.isfinite(self.pulse_tau)
+        ):
+            raise InvalidSpec(f"pulse decay time must be positive, got {self.pulse_tau!r}")
         if not (0.0 < self.eta <= 1.0):
             raise InvalidSpec(f"quantum efficiency must be in (0, 1], got {self.eta!r}")
 
@@ -343,46 +332,12 @@ def _cis(phi: float) -> complex:
     return complex(math.cos(phi), math.sin(phi))
 
 
-def build_field_state(
-    modes,
-    hypothesis: Hypothesis = Hypothesis.ONE_FIELD,
-    squeeze: SqueezeSpec | None = None,
-    phase: PhaseMode | None = None,
-) -> FieldState:
-    """Validate a mode collection and assemble a FieldState.
-
-    Raises InvalidSpec for duplicate mode frequencies, for squeeze pairs
-    not symmetric about the signal carrier, and for a frequency that
-    appears in more than one pair (checked by SqueezeSpec itself).
-    Whether a pair's frequencies actually match declared modes is not
-    checked here; that surfaces as UnknownMode when moments are built.
-    """
-    mode_tuple = tuple(modes)
-    if not mode_tuple:
-        raise InvalidSpec("a field state needs at least one mode")
-    freqs = [m.frequency for m in mode_tuple]
+def _first_close(freqs: list[float]) -> float | None:
+    """The first frequency that a later one matches within FREQ_RTOL, else None."""
     for i, fi in enumerate(freqs):
-        for fj in freqs[i + 1 :]:
-            if math.isclose(fi, fj, rel_tol=FREQ_RTOL):
-                raise InvalidSpec(f"duplicate mode frequency {fi!r}")
-    if squeeze is not None and squeeze.pairs:
-        signal = [m for m in mode_tuple if m.label is ModeLabel.SIGNAL]
-        if len(signal) != 1:
-            raise InvalidSpec("squeeze pairs need exactly one signal mode as the carrier reference")
-        carrier = signal[0].frequency
-        for pair in squeeze.pairs:
-            centre = 0.5 * (pair.freq_a + pair.freq_b)
-            if not math.isclose(centre, carrier, rel_tol=FREQ_RTOL):
-                raise InvalidSpec(
-                    "squeeze pair must be symmetric about the signal carrier: "
-                    f"pair centre {centre!r} vs carrier {carrier!r}"
-                )
-    return FieldState(
-        modes=mode_tuple,
-        hypothesis=hypothesis,
-        squeeze=squeeze,
-        phase=phase if phase is not None else PhaseMode.fixed(0.0),
-    )
+        if any(math.isclose(fi, fj, rel_tol=FREQ_RTOL) for fj in freqs[i + 1 :]):
+            return fi
+    return None
 
 
 def photon_flux(state: FieldState) -> float:

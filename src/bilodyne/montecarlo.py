@@ -51,7 +51,6 @@ from .model import (
     FieldState,
     LocalOscillator,
     MeasurementConfig,
-    PhaseMode,
     Scan,
     Scene,
     validate_measurement,
@@ -697,9 +696,9 @@ def _check_scene(scene: Scene) -> None:
     """
     for refused, setting in (
         (not scene.lo.is_bichromatic, "lo.kind = mono"),
-        (scene.state.phase.averaged, "field.phase_averaged = true"),
+        (scene.state.theta_s is None, "field.phase_averaged = true"),
         (scene.state.is_squeezed(), "squeeze.enabled = true"),
-        (not scene.det.pulse.is_delta, "detector.pulse = exponential"),
+        (scene.det.pulse_tau is not None, "detector.pulse = exponential"),
     ):
         if refused:
             raise ConfigViolation(
@@ -835,8 +834,8 @@ def _scenario_null_phase(
     trace: TraceWriter | None = None,
 ) -> None:
     _check_scene(scene)
-    quadrature = PhaseMode.fixed(scene.lo.theta_bar + math.pi / 2.0)
-    scene = replace(scene, state=replace(scene.state, phase=quadrature))
+    quadrature = scene.lo.theta_bar + math.pi / 2.0
+    scene = replace(scene, state=replace(scene.state, theta_s=quadrature))
     seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
     record = _stream_record(scene, seed, trace)
     spec = record.spectrum

@@ -11,14 +11,12 @@ from bilodyne.model import (
     TWO_PI,
     DetectorParams,
     FieldMode,
+    FieldState,
     Hypothesis,
     LocalOscillator,
     MeasurementConfig,
     ModeLabel,
-    PhaseMode,
     SqueezePair,
-    SqueezeSpec,
-    build_field_state,
 )
 from bilodyne.montecarlo import run_experiment
 
@@ -31,9 +29,9 @@ DEFAULT_SEED = 20260815
 
 
 def coherent_state(flux: float = SIGNAL_FLUX, theta_s: float = 0.0, averaged: bool = False):
-    phase = PhaseMode.averaged_phase() if averaged else PhaseMode.fixed(theta_s)
-    return build_field_state(
-        [FieldMode(frequency=OMEGA_S, amplitude=math.sqrt(2.0 * flux))], phase=phase
+    return FieldState(
+        (FieldMode(frequency=OMEGA_S, amplitude=math.sqrt(2.0 * flux)),),
+        theta_s=None if averaged else theta_s,
     )
 
 
@@ -48,14 +46,17 @@ def squeezed_state(
     averaged: bool = False,
     flux: float = SIGNAL_FLUX,
 ):
-    modes = [
+    modes = (
         FieldMode(frequency=OMEGA_S, amplitude=math.sqrt(2.0 * flux)),
         FieldMode(frequency=OMEGA_S + offset, amplitude=0.0, label=labels[0]),
         FieldMode(frequency=OMEGA_S - offset, amplitude=0.0, label=labels[1]),
-    ]
-    squeeze = SqueezeSpec(pairs=(SqueezePair(OMEGA_S + offset, OMEGA_S - offset, r, phi),))
-    phase = PhaseMode.averaged_phase() if averaged else PhaseMode.fixed(theta_s)
-    return build_field_state(modes, hypothesis=hypothesis, squeeze=squeeze, phase=phase)
+    )
+    return FieldState(
+        modes,
+        hypothesis=hypothesis,
+        squeeze=(SqueezePair(OMEGA_S + offset, OMEGA_S - offset, r, phi),),
+        theta_s=None if averaged else theta_s,
+    )
 
 
 def standard_lo(theta_1: float = 0.0, theta_2: float = 0.0, flux: float = LO_FLUX):

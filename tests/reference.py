@@ -130,9 +130,9 @@ def lambda_ij(
     # <dE-(t) dE+(t2)> x E+(t) E-(t2), summed over mode pairs
     term_n = 0.5 * lo_t * np.conj(lo_t2) * (u_t @ table.normal @ np.conj(u_t2))
     # -<dE+(t) dE+(t2)>* x E+(t) E+(t2)
-    sq_phase = cmath.exp(-2j * state.phase.theta_s)
-    term_a = 0.5 * sq_phase * lo_t * lo_t2 * (u_t @ table.anomalous.conj() @ u_t2)
-    if state.phase.averaged:
-        term_a = 0.0
+    term_a = 0.0
+    if state.theta_s is not None:
+        sq_phase = cmath.exp(-2j * state.theta_s)
+        term_a = 0.5 * sq_phase * lo_t * lo_t2 * (u_t @ table.anomalous.conj() @ u_t2)
     sign = 1.0 if i == j else -1.0
     return float(sign * 0.5 * (term_n + term_a).real)

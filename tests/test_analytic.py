@@ -26,7 +26,6 @@ from bilodyne.model import (
     TWO_PI,
     DetectorParams,
     Hypothesis,
-    PulseShape,
     calibrate_photon_energy,
 )
 from tests.conftest import (
@@ -48,10 +47,9 @@ E_LO = math.sqrt(LO_FLUX)
 
 class TestPulseTransfer:
     def test_delta_is_flat(self):
-        pulse = PulseShape.delta()
         w = np.array([0.0, 1e3, 1e7])
-        np.testing.assert_array_equal(pulse_transfer(pulse, w), np.full(3, 1.0 + 0.0j))
-        assert pulse_transfer(pulse, 0.0) == 1.0 + 0.0j
+        np.testing.assert_array_equal(pulse_transfer(None, w), np.full(3, 1.0 + 0.0j))
+        assert pulse_transfer(None, 0.0) == 1.0 + 0.0j
 
     def test_exponential_matches_quadrature(self):
         # Independent route: numerically Fourier-transform the normalized
@@ -61,13 +59,13 @@ class TestPulseTransfer:
             w = w_tau / tau
             re, _ = quad(lambda t: math.exp(-t / tau) / tau * math.cos(w * t), 0.0, 60.0 * tau)
             im, _ = quad(lambda t: math.exp(-t / tau) / tau * math.sin(w * t), 0.0, 60.0 * tau)
-            value = pulse_transfer(PulseShape.exponential(tau), w)
+            value = pulse_transfer(tau, w)
             assert value.real == pytest.approx(re, rel=1e-9)
             assert value.imag == pytest.approx(im, rel=1e-9)
 
     def test_exponential_half_power_point(self):
         tau = 1e-6
-        value = pulse_transfer(PulseShape.exponential(tau), 1.0 / tau)
+        value = pulse_transfer(tau, 1.0 / tau)
         assert abs(value) ** 2 == pytest.approx(0.5, rel=1e-12)
 
 
@@ -85,7 +83,7 @@ class TestShotFloor:
 
     def test_exponential_rolloff(self):
         tau = 1e-7
-        det = DetectorParams(eta=ETA, pulse=PulseShape.exponential(tau))
+        det = DetectorParams(eta=ETA, pulse_tau=tau)
         w = np.array([0.0, 1.0 / tau, 3.0 / tau])
         floor = shot_floor_psd(standard_lo(), det, w)
         expected = 2.0 * ETA * LO_FLUX / (1.0 + (w * tau) ** 2)
@@ -117,7 +115,7 @@ class TestAnalyticPsd:
             modes=state3.modes,
             hypothesis=Hypothesis.THREE_FIELDS,
             squeeze=state3.squeeze,
-            phase=state3.phase,
+            theta_s=state3.theta_s,
         )
         three = psd_analytic(state3, standard_lo(), det, cfg)
         assert np.array_equal(one.psd, three.psd)
@@ -203,6 +201,11 @@ class TestSpectrumContainer:
                 rbw_hz=1.0,
             )
 
+    @pytest.mark.parametrize("rbw_hz", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_rbw_not_positive_and_finite(self, rbw_hz):
+        with pytest.raises(InvalidSpec, match="resolution bandwidth"):
+            Spectrum(freqs_hz=np.arange(100.0), psd=np.ones(100), rbw_hz=rbw_hz)
+
 
 class TestOutputSignalPower:
     def test_phase_averaged_value(self):
@@ -231,7 +234,7 @@ class TestOutputSignalPower:
 
     def test_exponential_pulse_filters_beat(self):
         tau = 1.0 / OMEGA_HET
-        det = DetectorParams(eta=ETA, pulse=PulseShape.exponential(tau))
+        det = DetectorParams(eta=ETA, pulse_tau=tau)
         state = coherent_state(averaged=True)
         filtered = output_signal_power(state, standard_lo(), det)
         flat = output_signal_power(state, standard_lo(), standard_detector())
@@ -259,7 +262,7 @@ class TestSnrChain:
 
     def test_snr_out_is_pulse_independent(self):
         state = coherent_state(averaged=True)
-        det_exp = DetectorParams(eta=ETA, pulse=PulseShape.exponential(3e-6))
+        det_exp = DetectorParams(eta=ETA, pulse_tau=3e-6)
         assert snr_out(state, standard_lo(), det_exp, 1e3) == pytest.approx(
             snr_out(state, standard_lo(), standard_detector(), 1e3), rel=1e-12
         )

@@ -20,7 +20,6 @@ from bilodyne.model import (
     TWO_PI,
     Hypothesis,
     ModeLabel,
-    PhaseMode,
     calibrate_photon_energy,
     photon_flux,
 )
@@ -109,7 +108,7 @@ class TestRunConfigBuilders:
         assert state.modes[0].amplitude == pytest.approx(math.sqrt(2e3))
         assert state.modes[0].frequency == pytest.approx(TWO_PI * 2.82e14)
         assert state.hypothesis is Hypothesis.ONE_FIELD
-        assert not state.phase.averaged
+        assert state.theta_s == 0.0
 
     def test_squeezed_state_image_placement(self, tmp_path):
         text = BASE_CFG + "squeeze.enabled = true\nsqueeze.offset_hz = 2e5\n"
@@ -118,7 +117,7 @@ class TestRunConfigBuilders:
         labels = [m.label for m in state.modes]
         assert labels == [ModeLabel.SIGNAL, ModeLabel.IMAGE1, ModeLabel.IMAGE2]
         assert state.is_squeezed()
-        assert state.squeeze.pairs[0].r == 0.5
+        assert state.squeeze[0].r == 0.5
 
     @pytest.mark.parametrize("r", [-0.1, 35.3, 200.0, math.inf, math.nan])
     def test_squeeze_beyond_the_flux_bound_is_refused(self, r):
@@ -138,7 +137,7 @@ class TestRunConfigBuilders:
     def test_phase_averaged_state(self, tmp_path):
         text = BASE_CFG + "field.phase_averaged = true\n"
         cfg = RunConfig.load("analytic", write_cfg(tmp_path, text))
-        assert cfg.build_state().phase.averaged
+        assert cfg.build_state().theta_s is None
 
     def test_lo_kinds(self, tmp_path):
         cfg = RunConfig.load("analytic", write_cfg(tmp_path, BASE_CFG))
@@ -159,8 +158,7 @@ class TestRunConfigBuilders:
         cfg = RunConfig.load("analytic", write_cfg(tmp_path, text))
         det = cfg.build_detector()
         assert det.eta == 0.7
-        assert not det.pulse.is_delta
-        assert det.pulse.tau == 2e-7
+        assert det.pulse_tau == 2e-7
         assert cfg.build_measurement().rbw == 2e3
         assert cfg.values["measurement.seed"] == 99
 
@@ -184,7 +182,7 @@ class TestRunConfigBuilders:
             assert scene.lo.amplitude**2 == pytest.approx(100.0 * flux, rel=1e-12)
             assert scene.lo.omega_het == pytest.approx(TWO_PI * 2e6, rel=1e-6)
             assert (scene.lo.theta_1, scene.lo.theta_2) == (0.3, 0.1)
-            assert scene.state.phase == PhaseMode.fixed(scene.lo.theta_bar)
+            assert scene.state.theta_s == scene.lo.theta_bar
             assert scene.f_het_hz == 2e6
             assert (scene.meas.duration, scene.meas.rbw, scene.meas.sample_rate) == (
                 1.7e-4, 2e5, 4e7
@@ -547,6 +545,7 @@ class TestCliErrors:
             ("measurement.rbw_hz = inf", "measurement.rbw_hz"),
             ("lo.theta_1 = nan", "lo.theta_1"),
             ("field.theta_s = inf", "field.theta_s"),
+            ("squeeze.enabled = true\nsqueeze.phi = nan", "squeeze.phi"),
         ],
     )
     def test_non_finite_scene_value_exits_one(self, tmp_path, capsys, setting, message):

@@ -30,18 +30,16 @@ from bilodyne.correlators import (
     require_strong_lo,
     tone_phasors,
 )
-from bilodyne.errors import InvalidSpec, UnknownMode, WeakLO
+from bilodyne.errors import InvalidSpec, UnknownMode, Unsupported, WeakLO
 from bilodyne.model import (
     MAX_PHOTON_FLUX,
     MAX_SQUEEZE_R,
     FieldMode,
+    FieldState,
     Hypothesis,
     LocalOscillator,
     ModeLabel,
-    PhaseMode,
     SqueezePair,
-    SqueezeSpec,
-    build_field_state,
 )
 from tests.conftest import (
     LO_FLUX,
@@ -164,10 +162,8 @@ class TestSecondMoments:
         # Pair frequencies are only resolved against the mode list when
         # moments are requested, so the build succeeds and the lookup fails.
         modes = [FieldMode(frequency=OMEGA_S, amplitude=1.0)]
-        squeeze = SqueezeSpec(
-            pairs=(SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.3, 0.0),)
-        )
-        state = build_field_state(modes, squeeze=squeeze)
+        squeeze = (SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.3, 0.0),)
+        state = FieldState(modes, squeeze=squeeze)
         with pytest.raises(UnknownMode):
             second_moments(state)
 
@@ -245,10 +241,10 @@ class TestHypothesisMoments:
     def test_coherent_tables_identical_under_both_hypotheses(self):
         for averaged in (False, True):
             s1 = coherent_state(averaged=averaged)
-            s3 = build_field_state(
+            s3 = FieldState(
                 list(s1.modes),
                 hypothesis=Hypothesis.THREE_FIELDS,
-                phase=s1.phase,
+                theta_s=s1.theta_s,
             )
             t1 = hypothesis_moments(s1)
             t3 = hypothesis_moments(s3)
@@ -264,6 +260,10 @@ class TestMeanFields:
         value = mean_field(state, 0.0)
         expected = 1j / math.sqrt(2.0) * alpha * np.exp(1j * theta_s)
         assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_phase_averaged_state_has_no_mean_field(self):
+        with pytest.raises(Unsupported, match="fixed signal phase"):
+            mode_phasors(coherent_state(averaged=True), OMEGA_S)
 
     def test_lo_field_convention_at_origin(self):
         lo = standard_lo(theta_1=0.2, theta_2=-0.2)
@@ -474,8 +474,8 @@ class TestExcessLines:
     )
     def test_squeezed_cfg_lines_are_frozen(self, hypothesis, averaged, expected):
         scene = RunConfig.load("squeezed-compare", CONFIGS / "squeezed.cfg").build_scene()
-        phase = PhaseMode.averaged_phase() if averaged else scene.state.phase
-        state = dataclasses.replace(scene.state, hypothesis=hypothesis, phase=phase)
+        theta_s = None if averaged else scene.state.theta_s
+        state = dataclasses.replace(scene.state, hypothesis=hypothesis, theta_s=theta_s)
         lines = excess_lines(state, scene.lo)
         assert [nu for nu, _ in lines] == [nu for nu, _ in expected]
         for (_, power), (_, want) in zip(lines, expected):

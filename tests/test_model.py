@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -12,20 +13,17 @@ from bilodyne.model import (
     TWO_PI,
     DetectorParams,
     FieldMode,
+    FieldState,
     Hypothesis,
     LocalOscillator,
     MeasurementConfig,
     ModeLabel,
-    PhaseMode,
-    PulseShape,
     SqueezePair,
-    SqueezeSpec,
-    build_field_state,
     calibrate_photon_energy,
     photon_flux,
     validate_measurement,
 )
-from tests.conftest import OMEGA_HET, OMEGA_S, squeezed_state, standard_lo
+from tests.conftest import OMEGA_HET, OMEGA_S, coherent_state, squeezed_state, standard_lo
 
 
 class TestFieldMode:
@@ -44,15 +42,67 @@ class TestFieldMode:
         assert mode.amplitude == 0.0
 
 
-class TestBuildFieldState:
-    def test_duplicate_frequencies_rejected(self):
-        with pytest.raises(InvalidSpec):
-            build_field_state(
-                [
-                    FieldMode(frequency=OMEGA_S, amplitude=1.0),
-                    FieldMode(frequency=OMEGA_S, amplitude=0.0, label=ModeLabel.IMAGE1),
-                ]
-            )
+SIGNAL = FieldMode(frequency=OMEGA_S, amplitude=1.0)
+UPPER = FieldMode(frequency=OMEGA_S + OMEGA_HET, amplitude=0.0, label=ModeLabel.IMAGE1)
+LOWER = FieldMode(frequency=OMEGA_S - OMEGA_HET, amplitude=0.0, label=ModeLabel.IMAGE2)
+PAIR = SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, 0.0)
+
+# field states that break one invariant: (id, fields, message)
+INVALID_STATES = [
+    ("no-modes", {"modes": ()}, "at least one mode"),
+    (
+        "duplicate-frequency",
+        {"modes": (SIGNAL, FieldMode(frequency=OMEGA_S, amplitude=0.0, label=ModeLabel.IMAGE1))},
+        "duplicate mode frequency",
+    ),
+    (
+        "asymmetric-pair",
+        {
+            "modes": (
+                SIGNAL,
+                FieldMode(OMEGA_S + 2 * OMEGA_HET, 0.0, ModeLabel.IMAGE1),
+                LOWER,
+            ),
+            "squeeze": (SqueezePair(OMEGA_S + 2 * OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, 0.0),),
+        },
+        "symmetric about the signal carrier",
+    ),
+    (
+        "frequency-in-two-pairs",
+        {
+            "modes": (SIGNAL, UPPER, LOWER),
+            "squeeze": (PAIR, SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - 3 * OMEGA_HET, 0.2, 0.0)),
+        },
+        "at most one squeeze pair",
+    ),
+    (
+        "pairs-without-a-signal-mode",
+        {"modes": (UPPER, LOWER), "squeeze": (PAIR,)},
+        "exactly one signal mode",
+    ),
+    (
+        "pairs-with-two-signal-modes",
+        {
+            "modes": (SIGNAL, FieldMode(OMEGA_S + 3 * OMEGA_HET, 1.0), UPPER, LOWER),
+            "squeeze": (PAIR,),
+        },
+        "exactly one signal mode",
+    ),
+]
+
+
+class TestFieldState:
+    @pytest.mark.parametrize("build", ["direct", "replace"])
+    @pytest.mark.parametrize(
+        "fields, message", [c[1:] for c in INVALID_STATES], ids=[c[0] for c in INVALID_STATES]
+    )
+    def test_every_construction_path_checks_the_invariants(self, build, fields, message):
+        with pytest.raises(InvalidSpec, match=message):
+            if build == "direct":
+                FieldState(**fields)
+            else:
+                valid = FieldState((SIGNAL, UPPER, LOWER), squeeze=(PAIR,))
+                dataclasses.replace(valid, **fields)
 
     def test_nearby_beat_scale_frequencies_are_distinct(self):
         # Splittings of order the heterodyne frequency sit far above float
@@ -60,26 +110,12 @@ class TestBuildFieldState:
         state = squeezed_state(Hypothesis.ONE_FIELD)
         assert len(state.modes) == 3
 
-    def test_asymmetric_squeeze_pair_rejected(self):
-        modes = [
-            FieldMode(frequency=OMEGA_S, amplitude=1.0),
-            FieldMode(frequency=OMEGA_S + 2 * OMEGA_HET, amplitude=0.0, label=ModeLabel.IMAGE1),
-            FieldMode(frequency=OMEGA_S - OMEGA_HET, amplitude=0.0, label=ModeLabel.IMAGE2),
-        ]
-        squeeze = SqueezeSpec(
-            pairs=(SqueezePair(OMEGA_S + 2 * OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, 0.0),)
-        )
-        with pytest.raises(InvalidSpec):
-            build_field_state(modes, squeeze=squeeze)
-
-    def test_frequency_in_two_pairs_rejected(self):
-        with pytest.raises(InvalidSpec):
-            SqueezeSpec(
-                pairs=(
-                    SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, 0.0),
-                    SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - 3 * OMEGA_HET, 0.2, 0.0),
-                )
-            )
+    def test_mode_and_pair_lists_become_tuples(self):
+        state = FieldState([SIGNAL, UPPER, LOWER], squeeze=[PAIR])
+        assert state.modes == (SIGNAL, UPPER, LOWER)
+        assert state.squeeze == (PAIR,)
+        assert state.is_squeezed()
+        assert hash(state) == hash(FieldState((SIGNAL, UPPER, LOWER), squeeze=(PAIR,)))
 
     def test_negative_squeeze_strength_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -94,13 +130,13 @@ class TestBuildFieldState:
 
 class TestPhotonFlux:
     def test_coherent_flux_is_half_amplitude_squared(self):
-        state = build_field_state(
+        state = FieldState(
             [FieldMode(frequency=OMEGA_S, amplitude=math.sqrt(2.0 * 1e3))]
         )
         assert photon_flux(state) == pytest.approx(1e3, rel=1e-12)
 
     def test_multimode_fluxes_add(self):
-        state = build_field_state(
+        state = FieldState(
             [
                 FieldMode(frequency=OMEGA_S, amplitude=2.0),
                 FieldMode(frequency=OMEGA_S + OMEGA_HET, amplitude=4.0),
@@ -109,7 +145,7 @@ class TestPhotonFlux:
         assert photon_flux(state) == pytest.approx(2.0 + 8.0, rel=1e-12)
 
     def test_vacuum_flux_is_zero(self):
-        state = build_field_state(
+        state = FieldState(
             [FieldMode(frequency=OMEGA_S, amplitude=0.0)]
         )
         assert photon_flux(state) == 0.0
@@ -212,11 +248,11 @@ class TestDetectorAndMeasurement:
         DetectorParams(eta=1.0)
 
     def test_exponential_pulse_requires_timescale(self):
-        with pytest.raises(InvalidSpec):
-            PulseShape.exponential(0.0)
-        pulse = PulseShape.exponential(1e-6)
-        assert not pulse.is_delta
-        assert PulseShape.delta().is_delta
+        for tau in (0.0, -1e-6, math.inf, math.nan):
+            with pytest.raises(InvalidSpec, match="pulse decay time"):
+                DetectorParams(eta=0.7, pulse_tau=tau)
+        assert DetectorParams(eta=0.7, pulse_tau=1e-6).pulse_tau == 1e-6
+        assert DetectorParams(eta=0.7).pulse_tau is None
 
     def test_measurement_validation(self):
         with pytest.raises(InvalidSpec):
@@ -260,15 +296,53 @@ class TestDetectorAndMeasurement:
                 validate_measurement(MeasurementConfig(1e-3, rbw=rbw, sample_rate=rate), lo)
 
 
-class TestPhaseMode:
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteScalars:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LocalOscillator.bichromatic(1e3, OMEGA_S + OMEGA_HET, NAN, OMEGA_S, 0.0),
+            lambda: LocalOscillator.bichromatic(1e3, OMEGA_S + OMEGA_HET, 0.0, OMEGA_S, INF),
+            lambda: LocalOscillator.mono(1e3, NAN),
+            lambda: LocalOscillator.mono(1e3, INF),
+            lambda: LocalOscillator.mono(1e3, OMEGA_S, NAN),
+            lambda: FieldMode(frequency=OMEGA_S, amplitude=NAN),
+            lambda: FieldMode(frequency=OMEGA_S, amplitude=complex(1.0, INF)),
+            lambda: FieldState((SIGNAL,), theta_s=NAN),
+            lambda: FieldState((SIGNAL,), theta_s=-INF),
+            lambda: SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, NAN),
+            lambda: SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, INF),
+        ],
+        ids=[
+            "lo-theta_1-nan",
+            "lo-theta_2-inf",
+            "mono-omega-nan",
+            "mono-omega-inf",
+            "mono-theta-nan",
+            "mode-amplitude-nan",
+            "mode-amplitude-inf",
+            "theta_s-nan",
+            "theta_s-inf",
+            "squeeze-phi-nan",
+            "squeeze-phi-inf",
+        ],
+    )
+    def test_refused_where_they_are_made(self, build):
+        with pytest.raises(InvalidSpec, match="finite"):
+            build()
+
+
+class TestSignalPhase:
     def test_fixed_carries_angle(self):
-        mode = PhaseMode.fixed(0.25)
-        assert not mode.averaged
-        assert mode.theta_s == 0.25
+        assert coherent_state(theta_s=0.25).theta_s == 0.25
+        assert FieldState((SIGNAL,)).theta_s == 0.0
 
     def test_averaged_has_no_angle(self):
-        mode = PhaseMode.averaged_phase()
-        assert mode.averaged
+        assert coherent_state(averaged=True).theta_s is None
+        # an average over theta_s keeps no angle, so there is one averaged state
+        assert coherent_state(theta_s=1.3, averaged=True) == coherent_state(averaged=True)
 
     def test_two_pi_constant(self):
         assert TWO_PI == pytest.approx(2.0 * math.pi, rel=0.0)
