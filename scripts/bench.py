@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MC_SCENARIOS = ("default", "shot-floor", "beatnote", "null-phase", "sensitivity")
+MONTE_CARLO = ("default", "shot-floor", "beatnote", "null-phase", "sensitivity")
 # fresh processes per scenario: medians of at least three runs, and five
 # because a shared 2-vCPU VM moves single runs by a fifth
 REPEATS = 5
@@ -76,7 +76,7 @@ def _scenarios(repo: Path, tmp: Path) -> dict[str, list[str]]:
         "squeezed-compare": ["squeezed-compare", "--config", str(configs / "squeezed.cfg")],
     }
     # each Monte Carlo scenario, then `default` writing trace.bin
-    variants = [(s, "") for s in MC_SCENARIOS] + [("default", "output.write_trace = true\n")]
+    variants = [(s, "") for s in MONTE_CARLO] + [("default", "output.write_trace = true\n")]
     for scenario, extra in variants:
         base = "sensitivity.cfg" if scenario == "sensitivity" else "default.cfg"
         name = scenario + (" +trace" if extra else "")

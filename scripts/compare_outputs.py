@@ -12,7 +12,9 @@ shipped configs leave at their defaults: `analytic` and
 `squeezed-compare` on `squeezed.cfg` with the phase-averaged signal and
 with the exponential pulse, `squeezed-compare` with the sideband
 placement, and `simulate` on `default.cfg` with each of the first two,
-which it refuses.  A run's exit code,
+which it refuses; and the monochromatic LO (`lo.kind = mono`):
+`analytic` on `default.cfg`, `squeezed-compare` on `squeezed.cfg` and
+`simulate` on `default.cfg`, which refuses it.  A run's exit code,
 stdout, stderr and every file it writes (`spectrum*.csv`, `table.csv`,
 `trace.bin`, `report.json`) are compared byte for byte, `report.json`
 without its `generated_at` line.  One line per run, then exit 0 when
@@ -71,6 +73,16 @@ RUNS["squeezed-compare squeezed.cfg sideband"] = (
     "squeezed-compare",
     "squeezed.cfg",
     "squeeze.placement = sideband\n",
+)
+RUNS.update(
+    {
+        f"{scenario} {config} mono": (scenario, config, "lo.kind = mono\n")
+        for scenario, config in (
+            ("analytic", "default.cfg"),
+            ("squeezed-compare", "squeezed.cfg"),
+            ("simulate", "default.cfg"),
+        )
+    }
 )
 
 

@@ -40,25 +40,12 @@ from .io import TraceWriter, write_report_json, write_spectrum_csv
 from .model import TWO_PI, Hypothesis
 from .montecarlo import run_experiment
 
-SCENARIOS = ("analytic", "simulate", "table1", "squeezed-compare")
 
-
-def _report_payload(cfg: RunConfig) -> dict:
-    return {
-        "scenario": cfg.scenario,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "version": __version__,
-        "seed": cfg.values["measurement.seed"],
-        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(cfg.values.items())},
-    }
-
-
-def _run_analytic(cfg: RunConfig, out_dir: Path) -> int:
+def _run_analytic(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     scene = cfg.build_scene()
     state, lo, det, meas = scene.state, scene.lo, scene.det, scene.meas
     spectrum = psd_analytic(state, lo, det, meas)
     write_spectrum_csv(out_dir / "spectrum.csv", spectrum)
-    payload = _report_payload(cfg)
     results: dict = {
         "shot_floor": float(shot_floor_psd(lo, det, TWO_PI * scene.f_het_hz)),
     }
@@ -72,9 +59,7 @@ def _run_analytic(cfg: RunConfig, out_dir: Path) -> int:
                 "beat_freq_hz": scene.f_het_hz,
             }
         )
-    payload["results"] = results
-    write_report_json(out_dir / "report.json", payload)
-    return 0
+    return results, 0
 
 
 def _json_float(x: float):
@@ -86,7 +71,7 @@ def _json_float(x: float):
     return x
 
 
-def _run_simulate(cfg: RunConfig, out_dir: Path) -> int:
+def _run_simulate(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     scenario = cfg.values["simulate.scenario"]
     trace = TraceWriter(out_dir / "trace.bin") if cfg.values["output.write_trace"] else None
     # trace.bin is written during the run and appears only if the run completes
@@ -100,14 +85,6 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> int:
     for name, spectrum in report.spectra.items():
         suffix = "" if len(report.spectra) == 1 else f"_{name}"
         write_spectrum_csv(out_dir / f"spectrum{suffix}.csv", spectrum)
-    payload = _report_payload(cfg)
-    payload["results"] = {
-        "mc_scenario": report.scenario,
-        "checks": [c.as_dict() for c in report.checks],
-        "scalars": report.scalars,
-        "passed": report.passed,
-    }
-    write_report_json(out_dir / "report.json", payload)
     for check in report.checks:
         verdict = "PASS" if check.passed else "FAIL"
         print(
@@ -115,10 +92,16 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> int:
             f"(value={check.value:.6g}, target={check.target:.6g}, "
             f"tol={check.tolerance:.3g})"
         )
-    return 0 if report.passed else 2
+    results = {
+        "mc_scenario": report.scenario,
+        "checks": [dataclasses.asdict(c) for c in report.checks],
+        "scalars": report.scalars,
+        "passed": report.passed,
+    }
+    return results, 0 if report.passed else 2
 
 
-def _run_table(cfg: RunConfig, out_dir: Path) -> int:
+def _run_table(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     scan = cfg.build_scan()
     rows = sensitivity_table(scan)
     lines = ["power_nw,snr_in_db,snr_out_db,nf_db"]
@@ -127,38 +110,42 @@ def _run_table(cfg: RunConfig, out_dir: Path) -> int:
             f"{row.power_w * 1e9:.2f},{row.snr_in_db:.2f},{row.snr_out_db:.2f},{row.nf_db:.2f}"
         )
     (out_dir / "table.csv").write_text("\n".join(lines) + "\n")
-    payload = _report_payload(cfg)
-    payload["results"] = {
+    results = {
         "photon_energy_j": scan.photon_energy_j,
         "rows": [dataclasses.asdict(row) for row in rows],
     }
-    write_report_json(out_dir / "report.json", payload)
-    return 0
+    return results, 0
 
 
-def _run_squeezed_compare(cfg: RunConfig, out_dir: Path) -> int:
+def _run_squeezed_compare(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     if not cfg.values["squeeze.enabled"]:
         raise ConfigViolation("squeezed-compare needs squeeze.enabled = true")
     scene = cfg.build_scene()
     state, lo, det, meas = scene.state, scene.lo, scene.det, scene.meas
-    spectra = {}
-    for hyp in (Hypothesis.ONE_FIELD, Hypothesis.THREE_FIELDS):
-        variant = dataclasses.replace(state, hypothesis=hyp)
-        spectra[hyp.value] = psd_analytic(variant, lo, det, meas)
-    one = spectra[Hypothesis.ONE_FIELD.value]
-    three = spectra[Hypothesis.THREE_FIELDS.value]
+    one, three = (
+        psd_analytic(dataclasses.replace(state, hypothesis=hyp), lo, det, meas)
+        for hyp in (Hypothesis.ONE_FIELD, Hypothesis.THREE_FIELDS)
+    )
     write_spectrum_csv(out_dir / "spectrum_one_field.csv", one)
     write_spectrum_csv(out_dir / "spectrum_three_fields.csv", three)
     diff = one.psd - three.psd
-    payload = _report_payload(cfg)
-    payload["results"] = {
+    results = {
         "max_abs_difference": float(abs(diff).max()),
         "min_psd_one_field": float(one.psd.min()),
         "min_psd_three_fields": float(three.psd.min()),
         "shot_floor": float(shot_floor_psd(lo, det, TWO_PI * scene.f_het_hz)),
     }
-    write_report_json(out_dir / "report.json", payload)
-    return 0
+    return results, 0
+
+
+# scenario -> runner; a runner writes its data files and returns report.json's
+# results and the exit code
+RUNNERS = {
+    "analytic": _run_analytic,
+    "simulate": _run_simulate,
+    "table1": _run_table,
+    "squeezed-compare": _run_squeezed_compare,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -167,22 +154,26 @@ def main(argv: list[str] | None = None) -> int:
         description="Quantum-noise spectra and photoemission Monte Carlo "
         "for balanced detection with mono- and bichromatic local oscillators.",
     )
-    parser.add_argument("scenario", choices=SCENARIOS)
+    parser.add_argument("scenario", choices=RUNNERS)
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", default="out", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None, help="override measurement.seed")
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.load(args.scenario, args.config, seed_override=args.seed)
+        cfg = RunConfig.load(args.config, seed_override=args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.scenario == "analytic":
-            return _run_analytic(cfg, out_dir)
-        if args.scenario == "simulate":
-            return _run_simulate(cfg, out_dir)
-        if args.scenario == "table1":
-            return _run_table(cfg, out_dir)
-        return _run_squeezed_compare(cfg, out_dir)
+        results, code = RUNNERS[args.scenario](cfg, out_dir)
+        payload = {
+            "scenario": args.scenario,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+            "version": __version__,
+            "seed": cfg.values["measurement.seed"],
+            "config": cfg.values,
+            "results": results,
+        }
+        write_report_json(out_dir / "report.json", payload)
+        return code
     except (BilodyneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

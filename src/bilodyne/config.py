@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigViolation, ParseError, UnknownKey
 from .model import (
+    FREQ_RTOL,
     MAX_PHOTON_FLUX,
     MAX_SQUEEZE_R,
     TWO_PI,
@@ -28,6 +29,7 @@ from .model import (
     Scan,
     Scene,
     SqueezePair,
+    _first_close,
     calibrate_photon_energy,
 )
 
@@ -144,13 +146,12 @@ def _with_defaults(settings: dict, where: Path | str) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed config plus the command-line scenario selection.
+    """A parsed config: the SCHEMA defaults with the file's settings.
 
     The build_* methods are the only place where config values become
     model objects: every scenario runs the scenes built here.
     """
 
-    scenario: str
     values: dict
 
     def __post_init__(self):
@@ -160,11 +161,11 @@ class RunConfig:
             raise ConfigViolation(f"measurement.seed must be a non-negative integer, got {seed}")
 
     @classmethod
-    def load(cls, scenario: str, path: Path | str, seed_override: int | None = None) -> "RunConfig":
+    def load(cls, path: Path | str, seed_override: int | None = None) -> "RunConfig":
         values = parse_config(path)
         if seed_override is not None:
             values = dict(values, **{"measurement.seed": seed_override})
-        return cls(scenario=scenario, values=values)
+        return cls(values)
 
     @classmethod
     def defaults(cls, overrides: dict | None = None) -> "RunConfig":
@@ -173,7 +174,7 @@ class RunConfig:
         for key in overrides:
             if key not in SCHEMA:
                 raise UnknownKey(f"unknown key {key!r}")
-        return cls(scenario="simulate", values=_with_defaults(overrides, "overrides"))
+        return cls(_with_defaults(overrides, "overrides"))
 
     def _flux(self, key: str) -> float:
         flux = self.values[key]
@@ -188,6 +189,13 @@ class RunConfig:
         if not math.isfinite(value):
             raise ConfigViolation(f"{key} must be finite, got {value!r}")
         return value
+
+    def _f_het(self, key: str) -> float:
+        """A bichromatic LO's heterodyne frequency, finite and positive."""
+        f_het = self._finite(key)
+        if not f_het > 0.0:
+            raise ConfigViolation(f"{key} must be positive for a bichromatic LO, got {f_het!r}")
+        return f_het
 
     def _record_geometry(self, group: str) -> tuple[float, float, float]:
         """Duration, rbw and sample rate of the group.* keys, finite and within the bounds.
@@ -219,7 +227,14 @@ class RunConfig:
         modes = [FieldMode(frequency=omega_s, amplitude=alpha, label=ModeLabel.SIGNAL)]
         squeeze = ()
         if v["squeeze.enabled"]:
-            d = TWO_PI * v["squeeze.offset_hz"]
+            offset = self._finite("squeeze.offset_hz")
+            d = TWO_PI * offset
+            freqs = [omega_s, omega_s + d, omega_s - d]
+            if not min(freqs) > 0.0 or _first_close(freqs) is not None:
+                raise ConfigViolation(
+                    "squeeze.offset_hz must put both squeezed modes above 0 Hz and apart from "
+                    f"the carrier by more than FREQ_RTOL = {FREQ_RTOL:g} of it, got {offset!r}"
+                )
             upper = ModeLabel.IMAGE1 if v["squeeze.placement"] == "image" else ModeLabel.SIDEBAND
             lower = ModeLabel.IMAGE2 if v["squeeze.placement"] == "image" else ModeLabel.SIDEBAND
             modes.append(FieldMode(frequency=omega_s + d, amplitude=0.0, label=upper))
@@ -245,15 +260,10 @@ class RunConfig:
         amplitude = math.sqrt(self._flux("lo.flux"))
         theta_1 = self._finite("lo.theta_1")
         if v["lo.kind"] == "mono":
-            return LocalOscillator.mono(amplitude, omega_s, theta_1)
-        d = TWO_PI * v["lo.f_het_hz"]
-        return LocalOscillator.bichromatic(
-            amplitude=amplitude,
-            omega_1=omega_s + d,
-            theta_1=theta_1,
-            omega_2=omega_s - d,
-            theta_2=self._finite("lo.theta_2"),
-        )
+            return LocalOscillator(amplitude, omega_s, theta_1)
+        d = TWO_PI * self._f_het("lo.f_het_hz")
+        theta_2 = self._finite("lo.theta_2")
+        return LocalOscillator(amplitude, omega_s + d, theta_1, omega_s - d, theta_2)
 
     def build_detector(self) -> DetectorParams:
         v = self.values
@@ -275,7 +285,7 @@ class RunConfig:
             lo=self.build_lo(),
             det=self.build_detector(),
             meas=self.build_measurement(),
-            f_het_hz=self.values["lo.f_het_hz"],
+            f_het_hz=self._finite("lo.f_het_hz"),
         )
 
     def build_scan(self) -> Scan:
@@ -303,12 +313,13 @@ class RunConfig:
         window, snr_db = self._finite("scan.window_s"), self._finite("scan.anchor_snr_db")
         e_ph = calibrate_photon_energy(powers[0], window, v["detector.eta"], snr_db)
         duration, rbw, rate = self._record_geometry("scan")
+        f_het = self._f_het("scan.f_het_hz")
         geometry = {
             "field.phase_averaged": False,
             "field.theta_s": 0.5 * (v["lo.theta_1"] + v["lo.theta_2"]),
             "squeeze.enabled": False,
             "lo.kind": "bichromatic",
-            "lo.f_het_hz": v["scan.f_het_hz"],
+            "lo.f_het_hz": f_het,
             "measurement.duration_s": duration,
             "measurement.rbw_hz": rbw,
             "measurement.sample_rate_hz": rate,
@@ -321,7 +332,7 @@ class RunConfig:
             flux = power / e_ph
             values = {**v, **geometry, "field.signal_flux": flux, "lo.flux": ratio * flux}
             try:
-                scenes.append(RunConfig(self.scenario, values).build_scene())
+                scenes.append(RunConfig(values).build_scene())
             except ConfigViolation as exc:
                 raise ConfigViolation(f"scan.powers_nw = {power * 1e9:g} nW: {exc}") from exc
         return Scan(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigViolation, InvalidSpec, Unsupported
@@ -174,8 +175,10 @@ class LocalOscillator:
     """Strong classical local oscillator, mono- or bichromatic.
 
     amplitude is the total amplitude E_l: the monochromatic LO carries
-    the full E_l on one tone, the bichromatic LO splits it as E_l/sqrt(2)
-    per tone so both variants deliver the same photon flux E_l^2.
+    the full E_l on one tone at omega_1 with phase theta_1; giving
+    omega_2 and theta_2 too makes it bichromatic, and it splits E_l as
+    E_l/sqrt(2) per tone so both variants deliver the same photon flux
+    E_l^2.
     """
 
     amplitude: float
@@ -199,27 +202,6 @@ class LocalOscillator:
         tones = (self.omega_1, self.theta_1, self.omega_2, self.theta_2)
         if not all(math.isfinite(x) for x in tones if x is not None):
             raise InvalidSpec(f"LO tone frequencies and phases must be finite, got {tones!r}")
-
-    @classmethod
-    def mono(cls, amplitude: float, omega_l: float, theta_l: float = 0.0) -> "LocalOscillator":
-        return cls(amplitude=amplitude, omega_1=omega_l, theta_1=theta_l)
-
-    @classmethod
-    def bichromatic(
-        cls,
-        amplitude: float,
-        omega_1: float,
-        theta_1: float,
-        omega_2: float,
-        theta_2: float,
-    ) -> "LocalOscillator":
-        return cls(
-            amplitude=amplitude,
-            omega_1=omega_1,
-            theta_1=theta_1,
-            omega_2=omega_2,
-            theta_2=theta_2,
-        )
 
     @property
     def is_bichromatic(self) -> bool:
@@ -318,7 +300,10 @@ class Scan:
 
     A scene's signal flux is powers_w[k] / photon_energy_j.  Input SNR
     counts detected signal photons in window_s, over count_windows
-    windows; output SNR uses rbw = 1 / window_s.
+    windows; output SNR uses rbw = 1 / window_s.  Raises InvalidSpec,
+    however the scan is made, unless photon_energy_j and window_s are
+    positive and finite, count_windows is an integer >= 1 and powers_w
+    is non-empty, positive, finite and one per scene.
     """
 
     photon_energy_j: float
@@ -326,6 +311,15 @@ class Scan:
     count_windows: int
     powers_w: tuple[float, ...]
     scenes: tuple[Scene, ...]
+
+    def __post_init__(self):
+        scales = (self.photon_energy_j, self.window_s, *self.powers_w)
+        if not all(x > 0.0 and math.isfinite(x) for x in scales):
+            raise InvalidSpec(f"scan energy, window and powers must be > 0 and finite: {scales!r}")
+        if not (isinstance(self.count_windows, numbers.Integral) and self.count_windows >= 1):
+            raise InvalidSpec(f"count_windows must be an integer >= 1, got {self.count_windows!r}")
+        if not 0 < len(self.powers_w) == len(self.scenes):
+            raise InvalidSpec("a scan needs one scene per power and at least one power")
 
 
 def _cis(phi: float) -> complex:

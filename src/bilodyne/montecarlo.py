@@ -28,11 +28,10 @@ Squeezed input has no such rate picture and is refused.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +41,7 @@ import numpy.fft
 import numpy.random
 
 from . import correlators
-from .analytic import Spectrum, shot_floor_psd, output_signal_power
+from .analytic import SensitivityRow, Spectrum, output_signal_power, shot_floor_psd
 from .config import _CHOICES, RunConfig
 from .errors import ConfigViolation, InvalidSpec, NonClassicalInput, TooShort, Unresolved
 from .io import TraceWriter
@@ -480,15 +479,6 @@ class CheckResult:
         """The check |value - target| <= tolerance."""
         return cls(name, value, target, tolerance, abs(value - target) <= tolerance)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-        }
-
 
 @dataclass
 class ExperimentReport:
@@ -667,9 +657,9 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     )
     if trace is not None:
         trace.start(dt, n)
-    with contextlib.ExitStack() as stack:
+    with ThreadPoolExecutor(1) as pool:  # it starts its thread at the first submit
         if n > _BLOCK:
-            currents = _read_ahead(stack.enter_context(ThreadPoolExecutor(1)), currents)
+            currents = _read_ahead(pool, currents)
         for jdiff in currents:
             welch.add(jdiff)
             lockin.add(jdiff)
@@ -906,15 +896,7 @@ def _scenario_sensitivity(
         snr_out_emp = 10.0 * math.log10(p_avg / (floor_mean * rbw_ref))
         snr_in_emp = 10.0 * math.log10(n_mean)
         nf_emp = snr_in_emp - snr_out_emp
-        rows.append(
-            {
-                "power_w": power,
-                "photon_flux": flux,
-                "snr_in_db": snr_in_emp,
-                "snr_out_db": snr_out_emp,
-                "nf_db": nf_emp,
-            }
-        )
+        rows.append(asdict(SensitivityRow(power, flux, snr_in_emp, snr_out_emp, nf_emp)))
         name = f"noise_figure_{power * 1e9:.1f}nW"
         report.checks.append(CheckResult.within(name, nf_emp, 0.0, 0.3))
     report.scalars["rows"] = rows

@@ -60,7 +60,7 @@ def squeezed_state(
 
 
 def standard_lo(theta_1: float = 0.0, theta_2: float = 0.0, flux: float = LO_FLUX):
-    return LocalOscillator.bichromatic(
+    return LocalOscillator(
         amplitude=math.sqrt(flux),
         omega_1=OMEGA_S + OMEGA_HET,
         theta_1=theta_1,
@@ -70,7 +70,7 @@ def standard_lo(theta_1: float = 0.0, theta_2: float = 0.0, flux: float = LO_FLU
 
 
 def mono_lo(flux: float = LO_FLUX, theta: float = 0.0, omega: float = OMEGA_S):
-    return LocalOscillator.mono(math.sqrt(flux), omega, theta)
+    return LocalOscillator(math.sqrt(flux), omega, theta)
 
 
 def standard_detector(eta: float = ETA):

@@ -102,7 +102,7 @@ class TestParseConfig:
 
 class TestRunConfigBuilders:
     def test_default_state(self, tmp_path):
-        cfg = RunConfig.load("analytic", write_cfg(tmp_path, BASE_CFG))
+        cfg = RunConfig.load(write_cfg(tmp_path, BASE_CFG))
         state = cfg.build_state()
         assert len(state.modes) == 1
         assert state.modes[0].amplitude == pytest.approx(math.sqrt(2e3))
@@ -112,7 +112,7 @@ class TestRunConfigBuilders:
 
     def test_squeezed_state_image_placement(self, tmp_path):
         text = BASE_CFG + "squeeze.enabled = true\nsqueeze.offset_hz = 2e5\n"
-        cfg = RunConfig.load("analytic", write_cfg(tmp_path, text))
+        cfg = RunConfig.load(write_cfg(tmp_path, text))
         state = cfg.build_state()
         labels = [m.label for m in state.modes]
         assert labels == [ModeLabel.SIGNAL, ModeLabel.IMAGE1, ModeLabel.IMAGE2]
@@ -130,24 +130,22 @@ class TestRunConfigBuilders:
 
     def test_squeezed_state_sideband_placement(self, tmp_path):
         text = BASE_CFG + "squeeze.enabled = true\nsqueeze.placement = sideband\n"
-        cfg = RunConfig.load("analytic", write_cfg(tmp_path, text))
+        cfg = RunConfig.load(write_cfg(tmp_path, text))
         labels = [m.label for m in cfg.build_state().modes]
         assert labels == [ModeLabel.SIGNAL, ModeLabel.SIDEBAND, ModeLabel.SIDEBAND]
 
     def test_phase_averaged_state(self, tmp_path):
         text = BASE_CFG + "field.phase_averaged = true\n"
-        cfg = RunConfig.load("analytic", write_cfg(tmp_path, text))
+        cfg = RunConfig.load(write_cfg(tmp_path, text))
         assert cfg.build_state().theta_s is None
 
     def test_lo_kinds(self, tmp_path):
-        cfg = RunConfig.load("analytic", write_cfg(tmp_path, BASE_CFG))
+        cfg = RunConfig.load(write_cfg(tmp_path, BASE_CFG))
         lo = cfg.build_lo()
         assert lo.is_bichromatic
         assert lo.amplitude == pytest.approx(1e3)
         assert lo.omega_het == pytest.approx(TWO_PI * 1e5, rel=1e-6)
-        cfg_mono = RunConfig.load(
-            "analytic", write_cfg(tmp_path, BASE_CFG + "lo.kind = mono\n", "mono.cfg")
-        )
+        cfg_mono = RunConfig.load(write_cfg(tmp_path, BASE_CFG + "lo.kind = mono\n", "mono.cfg"))
         assert not cfg_mono.build_lo().is_bichromatic
 
     def test_detector_and_measurement(self, tmp_path):
@@ -155,7 +153,7 @@ class TestRunConfigBuilders:
             "detector.pulse = exponential\ndetector.pulse_tau_s = 2e-7\n"
             "measurement.rbw_hz = 2e3\nmeasurement.seed = 99\n"
         )
-        cfg = RunConfig.load("analytic", write_cfg(tmp_path, text))
+        cfg = RunConfig.load(write_cfg(tmp_path, text))
         det = cfg.build_detector()
         assert det.eta == 0.7
         assert det.pulse_tau == 2e-7
@@ -163,7 +161,7 @@ class TestRunConfigBuilders:
         assert cfg.values["measurement.seed"] == 99
 
     def test_seed_override(self, tmp_path):
-        cfg = RunConfig.load("analytic", write_cfg(tmp_path, BASE_CFG), seed_override=7)
+        cfg = RunConfig.load(write_cfg(tmp_path, BASE_CFG), seed_override=7)
         assert cfg.values["measurement.seed"] == 7
 
     def test_scan_scenes(self, tmp_path):
@@ -171,7 +169,7 @@ class TestRunConfigBuilders:
             "scan.powers_nw = 0.5, 4.0\nscan.count_windows = 8\n"
             "lo.theta_1 = 0.3\nlo.theta_2 = 0.1\n"
         )
-        scan = RunConfig.load("simulate", write_cfg(tmp_path, text)).build_scan()
+        scan = RunConfig.load(write_cfg(tmp_path, text)).build_scan()
         assert scan.photon_energy_j == calibrate_photon_energy(0.5e-9, 1e-3, 0.7, 62.68)
         assert scan.count_windows == 8
         assert scan.window_s == 1e-3
@@ -269,7 +267,7 @@ class TestNoSilentKeys:
         assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
         sim = seen["simulate"]
         assert (sim.state, sim.lo, sim.det, sim.meas) == seen["analytic"]
-        assert sim == RunConfig.load("analytic", cfg).build_scene()
+        assert sim == RunConfig.load(cfg).build_scene()
         assert seen["seed"] == parse_config(cfg)["measurement.seed"] == 20260815
 
 
@@ -546,6 +544,10 @@ class TestCliErrors:
             ("lo.theta_1 = nan", "lo.theta_1"),
             ("field.theta_s = inf", "field.theta_s"),
             ("squeeze.enabled = true\nsqueeze.phi = nan", "squeeze.phi"),
+            ("lo.f_het_hz = nan", "lo.f_het_hz"),
+            ("lo.f_het_hz = inf", "lo.f_het_hz"),
+            ("lo.f_het_hz = 0", "lo.f_het_hz"),
+            ("lo.f_het_hz = -1e5", "lo.f_het_hz"),
         ],
     )
     def test_non_finite_scene_value_exits_one(self, tmp_path, capsys, setting, message):
@@ -553,6 +555,35 @@ class TestCliErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and message in err
+
+    def test_mono_lo_with_non_finite_f_het_exits_one(self, tmp_path, capsys):
+        # a mono LO has one tone, but the exponential pulse's shot floor is
+        # read at lo.f_het_hz: NaN there wrote "shot_floor": NaN to report.json
+        text = BASE_CFG + (
+            "lo.kind = mono\ndetector.pulse = exponential\ndetector.pulse_tau_s = 1e-7\n"
+            "lo.f_het_hz = nan\n"
+        )
+        cfg, out = write_cfg(tmp_path, text), tmp_path / "o"
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lo.f_het_hz" in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("offset", ["0", "10", "-10", "inf", "nan", "1e15", "-1e15"])
+    def test_bad_squeeze_offset_exits_one(self, tmp_path, capsys, offset):
+        # 0 and +-10 Hz put the squeezed modes within FREQ_RTOL of the carrier
+        # (~28 Hz at 282 THz); +-1e15 Hz puts the lower one below 0 Hz
+        text = BASE_CFG + f"squeeze.enabled = true\nsqueeze.offset_hz = {offset}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "squeeze.offset_hz" in err
+
+    def test_negative_squeeze_offset_runs(self, tmp_path):
+        # the pair is symmetric about the carrier, so the sign only swaps its modes
+        text = BASE_CFG + "squeeze.enabled = true\nsqueeze.offset_hz = -2e5\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("argv", [["table1"], ["simulate"]], ids=["table1", "simulate"])
     @pytest.mark.parametrize(
@@ -568,6 +599,10 @@ class TestCliErrors:
             ("scan.lo_ratio = -1", "scan.lo_ratio"),
             ("scan.lo_ratio = inf", "scan.lo_ratio"),
             ("scan.lo_ratio = 1e40", "scan.powers_nw = 0.5 nW: lo.flux"),
+            ("scan.f_het_hz = nan", "scan.f_het_hz"),
+            ("scan.f_het_hz = inf", "scan.f_het_hz"),
+            ("scan.f_het_hz = 0", "scan.f_het_hz"),
+            ("scan.f_het_hz = -2e6", "scan.f_het_hz"),
         ],
     )
     def test_bad_scan_value_exits_one(self, tmp_path, capsys, argv, setting, message):

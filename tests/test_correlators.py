@@ -473,7 +473,7 @@ class TestExcessLines:
         ids=["one-field-fixed", "one-field-averaged", "three-fields-fixed", "three-fields-averaged"],
     )
     def test_squeezed_cfg_lines_are_frozen(self, hypothesis, averaged, expected):
-        scene = RunConfig.load("squeezed-compare", CONFIGS / "squeezed.cfg").build_scene()
+        scene = RunConfig.load(CONFIGS / "squeezed.cfg").build_scene()
         theta_s = None if averaged else scene.state.theta_s
         state = dataclasses.replace(scene.state, hypothesis=hypothesis, theta_s=theta_s)
         lines = excess_lines(state, scene.lo)

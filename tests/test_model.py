@@ -209,7 +209,7 @@ class TestLocalOscillator:
 
     def test_tone_ordering_enforced(self):
         with pytest.raises(InvalidSpec):
-            LocalOscillator.bichromatic(
+            LocalOscillator(
                 amplitude=1.0,
                 omega_1=OMEGA_S - OMEGA_HET,
                 theta_1=0.0,
@@ -230,7 +230,7 @@ class TestLocalOscillator:
         assert lo.theta_bar == pytest.approx(0.5, rel=1e-12)
 
     def test_mono_has_single_tone(self):
-        lo = LocalOscillator.mono(2.0, OMEGA_S, 0.1)
+        lo = LocalOscillator(2.0, OMEGA_S, 0.1)
         assert not lo.is_bichromatic
         tones = lo.tones()
         assert len(tones) == 1
@@ -287,7 +287,7 @@ class TestDetectorAndMeasurement:
         # at f_het = 10 rbw the beat recovered from the optical tones is
         # 1999999.98 Hz; that is within the tones' precision of the limit
         d = TWO_PI * 2e6
-        lo = LocalOscillator.bichromatic(1e3, OMEGA_S + d, 0.0, OMEGA_S - d, 0.0)
+        lo = LocalOscillator(1e3, OMEGA_S + d, 0.0, OMEGA_S - d, 0.0)
         assert lo.omega_het / TWO_PI < 2e6
         for rbw, rate in ((2e5, 4e7), (1e5, 2e7)):
             validate_measurement(MeasurementConfig(duration=1e-3, rbw=rbw, sample_rate=rate), lo)
@@ -303,11 +303,11 @@ class TestNonFiniteScalars:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: LocalOscillator.bichromatic(1e3, OMEGA_S + OMEGA_HET, NAN, OMEGA_S, 0.0),
-            lambda: LocalOscillator.bichromatic(1e3, OMEGA_S + OMEGA_HET, 0.0, OMEGA_S, INF),
-            lambda: LocalOscillator.mono(1e3, NAN),
-            lambda: LocalOscillator.mono(1e3, INF),
-            lambda: LocalOscillator.mono(1e3, OMEGA_S, NAN),
+            lambda: LocalOscillator(1e3, OMEGA_S + OMEGA_HET, NAN, OMEGA_S, 0.0),
+            lambda: LocalOscillator(1e3, OMEGA_S + OMEGA_HET, 0.0, OMEGA_S, INF),
+            lambda: LocalOscillator(1e3, NAN),
+            lambda: LocalOscillator(1e3, INF),
+            lambda: LocalOscillator(1e3, OMEGA_S, NAN),
             lambda: FieldMode(frequency=OMEGA_S, amplitude=NAN),
             lambda: FieldMode(frequency=OMEGA_S, amplitude=complex(1.0, INF)),
             lambda: FieldState((SIGNAL,), theta_s=NAN),

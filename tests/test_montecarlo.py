@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
@@ -650,7 +651,7 @@ class TestFlatness:
 class TestReportTypes:
     def test_check_result_dict(self):
         check = CheckResult(name="x", value=1.0, target=1.1, tolerance=0.2, passed=True)
-        d = check.as_dict()
+        d = dataclasses.asdict(check)
         assert d == {"name": "x", "value": 1.0, "target": 1.1, "tolerance": 0.2,
                      "passed": True}
 
@@ -691,6 +692,32 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpec):
             run_experiment(scenario, built, seed=seed)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"count_windows": 0},
+            {"count_windows": 2.5},
+            {"window_s": 0.0},
+            {"window_s": math.nan},
+            {"photon_energy_j": 0.0},
+            {"photon_energy_j": math.inf},
+            {"powers_w": ()},
+            {"powers_w": (0.5e-9, -1e-9, 2e-9)},
+            {"powers_w": (0.5e-9, 1e-9)},
+        ],
+        ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
+    )
+    def test_scan_refuses_bad_fields(self, change):
+        # these ended in ZeroDivisionError or TypeError inside the scan, or
+        # (no powers) in a report with no checks that passed
+        scan = RunConfig.defaults().build_scan()
+        with pytest.raises(InvalidSpec):
+            dataclasses.replace(scan, **change)
+
+    def test_scan_takes_a_numpy_window_count(self):
+        scan = RunConfig.defaults().build_scan()
+        assert dataclasses.replace(scan, count_windows=np.int64(3)).count_windows == 3
+
     def test_short_shot_floor_run(self):
         scene = RunConfig.defaults({"measurement.duration_s": 0.5}).build_scene()
         report = run_experiment("shot-floor", scene, seed=4)
@@ -709,7 +736,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(
             a.spectra["difference_current"].psd, b.spectra["difference_current"].psd
         )
-        assert [c.as_dict() for c in a.checks] == [c.as_dict() for c in b.checks]
+        assert a.checks == b.checks
 
     def test_seed_sensitivity(self):
         scene = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
