@@ -14,7 +14,10 @@ with the exponential pulse, `squeezed-compare` with the sideband
 placement, and `simulate` on `default.cfg` with each of the first two,
 which it refuses; and the monochromatic LO (`lo.kind = mono`):
 `analytic` on `default.cfg`, `squeezed-compare` on `squeezed.cfg` and
-`simulate` on `default.cfg`, which refuses it.  A run's exit code,
+`simulate` on `default.cfg`, which refuses it.  Last, the failing
+path: `simulate beatnote` and `simulate default` on `default.cfg` with
+the signal in quadrature to the LO (`field.theta_s = pi/2`), whose beat
+power misses its near-zero target, so both exit 2.  A run's exit code,
 stdout, stderr and every file it writes (`spectrum*.csv`, `table.csv`,
 `trace.bin`, `report.json`) are compared byte for byte, `report.json`
 without its `generated_at` line.  One line per run, then exit 0 when
@@ -82,6 +85,16 @@ RUNS.update(
             ("squeezed-compare", "squeezed.cfg"),
             ("simulate", "default.cfg"),
         )
+    }
+)
+RUNS.update(
+    {
+        f"simulate {scenario} default.cfg quadrature": (
+            "simulate",
+            "default.cfg",
+            f"simulate.scenario = {scenario}\nfield.theta_s = 1.5707963267948966\n",
+        )
+        for scenario in ("beatnote", "default")
     }
 )
 

@@ -37,7 +37,7 @@ def sweep(scenarios, seeds) -> dict:
             for check in report.checks:
                 results[check.name].append((check.value, check.target, check.passed))
                 if check.name == "beatnote_power":
-                    welch = extract_beatnote(report.spectra["difference_current"], f_het).power
+                    welch = extract_beatnote(report.spectrum, f_het).power
                     ok = abs(welch - check.target) <= check.tolerance
                     results[WELCH].append((welch, check.target, ok))
     return results

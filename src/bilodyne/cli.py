@@ -82,9 +82,8 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
             seed=cfg.values["measurement.seed"],
             trace=trace,
         )
-    for name, spectrum in report.spectra.items():
-        suffix = "" if len(report.spectra) == 1 else f"_{name}"
-        write_spectrum_csv(out_dir / f"spectrum{suffix}.csv", spectrum)
+    if report.spectrum is not None:
+        write_spectrum_csv(out_dir / "spectrum.csv", report.spectrum)
     for check in report.checks:
         verdict = "PASS" if check.passed else "FAIL"
         print(

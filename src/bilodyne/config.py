@@ -17,6 +17,7 @@ from .errors import ConfigViolation, ParseError, UnknownKey
 from .model import (
     FREQ_RTOL,
     MAX_PHOTON_FLUX,
+    MAX_RECORD_SAMPLES,
     MAX_SQUEEZE_R,
     TWO_PI,
     DetectorParams,
@@ -31,20 +32,8 @@ from .model import (
     SqueezePair,
     _first_close,
     calibrate_photon_energy,
+    check_record_size,
 )
-
-
-# Largest record (duration * sample rate, or scan.count_windows of the
-# counting run) and Welch segment or analytic grid (sample rate / rbw) a
-# config may ask for, in samples.  The
-# streamed Monte Carlo pass takes ~0.05 us per sample on a 2-vCPU VM at
-# default.cfg's ~0.035 photoemissions per sample and arm, 0.12-0.2 us at 100
-# times its LO flux, so MAX_RECORD_SAMPLES is one to three minutes of it.
-# A run with segments of MAX_SEGMENT_SAMPLES peaks at ~280 MiB of RSS
-# (simulate shot-floor, 7 s record), most of it the Welch sum's
-# segment-sized arrays.
-MAX_RECORD_SAMPLES = 10**9
-MAX_SEGMENT_SAMPLES = 1 << 22
 
 
 def _parse_bool(text: str) -> bool:
@@ -191,10 +180,17 @@ class RunConfig:
         return value
 
     def _f_het(self, key: str) -> float:
-        """A bichromatic LO's heterodyne frequency, finite and positive."""
+        """A bichromatic LO's heterodyne frequency, finite and positive, with two distinct tones."""
         f_het = self._finite(key)
         if not f_het > 0.0:
             raise ConfigViolation(f"{key} must be positive for a bichromatic LO, got {f_het!r}")
+        omega_s, d = TWO_PI * self.values["field.carrier_hz"], TWO_PI * f_het
+        # the tones sit at omega_s +- d; a bad carrier is build_state's to refuse
+        if 0.0 < omega_s < math.inf and not omega_s + d > omega_s - d > 0.0:
+            raise ConfigViolation(
+                f"{key} must put the lower LO tone above 0 Hz and below the upper one, "
+                f"got {f_het!r}"
+            )
         return f_het
 
     def _record_geometry(self, group: str) -> tuple[float, float, float]:
@@ -203,21 +199,10 @@ class RunConfig:
         The bounds are checked before any array exists; the signs are
         MeasurementConfig's to check.
         """
-        duration, rbw, rate = (
-            self._finite(f"{group}.{key}") for key in ("duration_s", "rbw_hz", "sample_rate_hz")
-        )
+        keys = [f"{group}.{key}" for key in ("duration_s", "rbw_hz", "sample_rate_hz")]
+        duration, rbw, rate = (self._finite(key) for key in keys)
         if min(duration, rbw, rate) > 0.0:
-            samples, segment = duration * rate, rate / rbw
-            if not samples <= MAX_RECORD_SAMPLES:
-                raise ConfigViolation(
-                    f"{group}.duration_s * {group}.sample_rate_hz = {samples:g} samples, "
-                    f"more than MAX_RECORD_SAMPLES = {MAX_RECORD_SAMPLES:g}"
-                )
-            if not segment <= MAX_SEGMENT_SAMPLES:
-                raise ConfigViolation(
-                    f"{group}.sample_rate_hz / {group}.rbw_hz = {segment:g} samples per segment, "
-                    f"more than MAX_SEGMENT_SAMPLES = {MAX_SEGMENT_SAMPLES}"
-                )
+            check_record_size(duration, rbw, rate, keys)
         return duration, rbw, rate
 
     def build_state(self) -> FieldState:

@@ -37,6 +37,16 @@ MAX_PHOTON_FLUX = 1e30
 # MAX_PHOTON_FLUX (r ~ 35.2), far from the r ~ 177 where products of two
 # populations overflow
 MAX_SQUEEZE_R = math.asinh(math.sqrt(MAX_PHOTON_FLUX))
+# Largest record (duration * sample rate, or a scan's count_windows of the
+# counting run) and Welch segment or analytic grid (sample rate / rbw) a
+# run may ask for, in samples.  The streamed Monte Carlo pass takes
+# ~0.05 us per sample on a 2-vCPU VM at default.cfg's ~0.035
+# photoemissions per sample and arm, 0.12-0.2 us at 100 times its LO
+# flux, so MAX_RECORD_SAMPLES is one to three minutes of it.  A run with
+# segments of MAX_SEGMENT_SAMPLES peaks at ~280 MiB of RSS (simulate
+# shot-floor, 7 s record), most of it the Welch sum's segment-sized arrays.
+MAX_RECORD_SAMPLES = 10**9
+MAX_SEGMENT_SAMPLES = 1 << 22
 
 
 class ModeLabel(str, enum.Enum):
@@ -302,8 +312,9 @@ class Scan:
     counts detected signal photons in window_s, over count_windows
     windows; output SNR uses rbw = 1 / window_s.  Raises InvalidSpec,
     however the scan is made, unless photon_energy_j and window_s are
-    positive and finite, count_windows is an integer >= 1 and powers_w
-    is non-empty, positive, finite and one per scene.
+    positive and finite, count_windows is an integer in
+    [1, MAX_RECORD_SAMPLES] and powers_w is non-empty, positive, finite
+    and one per scene.
     """
 
     photon_energy_j: float
@@ -316,8 +327,12 @@ class Scan:
         scales = (self.photon_energy_j, self.window_s, *self.powers_w)
         if not all(x > 0.0 and math.isfinite(x) for x in scales):
             raise InvalidSpec(f"scan energy, window and powers must be > 0 and finite: {scales!r}")
-        if not (isinstance(self.count_windows, numbers.Integral) and self.count_windows >= 1):
-            raise InvalidSpec(f"count_windows must be an integer >= 1, got {self.count_windows!r}")
+        windows = self.count_windows
+        if not (isinstance(windows, numbers.Integral) and 1 <= windows <= MAX_RECORD_SAMPLES):
+            raise InvalidSpec(
+                f"count_windows must be an integer in [1, MAX_RECORD_SAMPLES = "
+                f"{MAX_RECORD_SAMPLES:g}], got {windows!r}"
+            )
         if not 0 < len(self.powers_w) == len(self.scenes):
             raise InvalidSpec("a scan needs one scene per power and at least one power")
 
@@ -369,16 +384,37 @@ def calibrate_photon_energy(
     return energy
 
 
-def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator) -> None:
-    """Check RBW and sample-rate constraints for a heterodyne run.
+def check_record_size(duration, rbw, rate, names=("duration", "rbw", "sample rate")) -> None:
+    """Refuse a record above MAX_RECORD_SAMPLES samples or segments above MAX_SEGMENT_SAMPLES.
 
-    For a bichromatic LO the beat frequency must clear the resolution
-    bandwidth (Omega / 2 pi >= 10 * rbw) and the sample rate must cover
-    it (sample_rate >= 10 * Omega / 2 pi).  Mono LO runs only need the
-    record to support the requested RBW.  The tones carry Omega only to
-    about one ulp of an optical frequency, so a beat within that of a
-    limit is taken to meet it.
+    The arguments are positive; names are the settings of the duration,
+    rbw and sample rate that the ConfigViolation names.
     """
+    samples, segment = duration * rate, rate / rbw
+    if not samples <= MAX_RECORD_SAMPLES:
+        raise ConfigViolation(
+            f"{names[0]} * {names[2]} = {samples:g} samples, "
+            f"more than MAX_RECORD_SAMPLES = {MAX_RECORD_SAMPLES:g}"
+        )
+    if not segment <= MAX_SEGMENT_SAMPLES:
+        raise ConfigViolation(
+            f"{names[2]} / {names[1]} = {segment:g} samples per segment, "
+            f"more than MAX_SEGMENT_SAMPLES = {MAX_SEGMENT_SAMPLES}"
+        )
+
+
+def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator) -> None:
+    """Check the size, RBW and sample-rate limits of a heterodyne run's record.
+
+    The size goes first, through check_record_size, so a caller can
+    check before it allocates.  For a bichromatic LO the beat frequency
+    must clear the resolution bandwidth (Omega / 2 pi >= 10 * rbw) and
+    the sample rate must cover it (sample_rate >= 10 * Omega / 2 pi).
+    Mono LO runs only need the record to support the requested RBW.  The
+    tones carry Omega only to about one ulp of an optical frequency, so
+    a beat within that of a limit is taken to meet it.
+    """
+    check_record_size(cfg.duration, cfg.rbw, cfg.sample_rate)
     if cfg.rbw * cfg.duration < 1.0:
         raise ConfigViolation(
             f"duration {cfg.duration} s cannot resolve rbw {cfg.rbw} Hz (need rbw * T >= 1)"

@@ -482,13 +482,12 @@ class CheckResult:
 
 @dataclass
 class ExperimentReport:
-    """Everything a scenario produced: checks, scalars and spectra."""
+    """Everything a scenario produced: checks, scalars and its record's spectrum."""
 
     scenario: str
-    seed: int
     checks: list[CheckResult] = field(default_factory=list)
     scalars: dict = field(default_factory=dict)
-    spectra: dict = field(default_factory=dict)
+    spectrum: Spectrum | None = None  # the difference current's PSD; None for `sensitivity`
 
     @property
     def passed(self) -> bool:
@@ -718,8 +717,9 @@ def run_experiment(
 
     scene is a Scene from RunConfig.build_scene, or for `sensitivity` a
     Scan from RunConfig.build_scan; None runs the config defaults.
-    trace, when given, receives the difference current of the record of
-    every scenario but `sensitivity`, block by block as it is made.
+    Every other scenario runs one record, whose spectrum the report
+    keeps and whose difference current goes to trace, when given, block
+    by block as it is made.
 
     Scenarios:
       shot-floor   vacuum signal; floor level (3 %) and flatness (95 %).
@@ -747,64 +747,67 @@ def run_experiment(
         raise InvalidSpec(
             f"scenario {scenario!r} runs a {kind.__name__}, got {type(scene).__name__}"
         )
-    report = ExperimentReport(scenario=scenario, seed=seed)
+    report = ExperimentReport(scenario=scenario)
     root = np.random.SeedSequence(seed)
-    if scenario == "shot-floor":
-        _scenario_floor(report, scene, root, signal=False, trace=trace)
-    elif scenario == "beatnote":
-        _scenario_floor(report, scene, root, signal=True, trace=trace)
-    elif scenario == "default":
-        _scenario_floor(report, scene, root, signal=True, extras=True, trace=trace)
-    elif scenario == "null-phase":
-        _scenario_null_phase(report, scene, root, trace=trace)
-    else:
+    if scenario == "sensitivity":
         _scenario_sensitivity(report, scene, root)
+    else:
+        _scenario_record(report, scene, root, trace)
     return report
 
 
-def _scenario_floor(
+def _scenario_record(
     report: ExperimentReport,
     scene: Scene,
     root: np.random.SeedSequence,
-    *,
-    signal: bool,
-    extras: bool = False,
-    trace: TraceWriter | None = None,
+    trace: TraceWriter | None,
 ) -> None:
+    """One record of the scene, checked against the closed forms (see run_experiment).
+
+    The scene is checked as given, then `shot-floor` runs it with every
+    mode in vacuum and `null-phase` with the signal in quadrature to the
+    LO mean phase.
+    """
     _check_scene(scene)
-    if not signal:
+    scenario = report.scenario
+    if scenario == "shot-floor":
         vacuum = tuple(replace(m, amplitude=0.0) for m in scene.state.modes)
         scene = replace(scene, state=replace(scene.state, modes=vacuum))
-    state, lo, det, meas, f_het = scene.state, scene.lo, scene.det, scene.meas, scene.f_het_hz
+    elif scenario == "null-phase":
+        quadrature = scene.lo.theta_bar + math.pi / 2.0
+        scene = replace(scene, state=replace(scene.state, theta_s=quadrature))
+    lo, det, f_het = scene.lo, scene.det, scene.f_het_hz
     seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
     record = _stream_record(scene, seed, trace)
-    spec = record.spectrum
+    spec = report.spectrum = record.spectrum
+    floor_mean, floor_sigma, mask = floor_statistics(spec, f_het)
+    report.scalars.update({"floor_mean": floor_mean, "floor_sigma": floor_sigma})
+    if scenario == "null-phase":
+        peak = extract_beatnote(spec, f_het).peak_psd
+        tol = 3.0 * floor_sigma
+        report.checks.append(
+            CheckResult("null_phase_peak_psd", peak, floor_mean, tol, peak <= floor_mean + tol)
+        )
+        report.scalars["peak_psd"] = peak
+        return
 
     floor_target = float(shot_floor_psd(lo, det, TWO_PI * f_het))
-    floor_mean, floor_sigma, mask = floor_statistics(spec, f_het)
     report.checks.append(
         CheckResult.within("shot_floor_level", floor_mean, floor_target, 0.03 * floor_target)
     )
     t_stat, t_crit = flatness_t_statistic(spec, mask)
     report.checks.append(CheckResult.within("shot_floor_flatness_t", t_stat, 0.0, t_crit))
     report.scalars.update(
-        {
-            "floor_mean": floor_mean,
-            "floor_sigma": floor_sigma,
-            "floor_target": floor_target,
-            "counts_1": record.totals[0],
-            "counts_2": record.totals[1],
-        }
+        {"floor_target": floor_target, "counts_1": record.totals[0], "counts_2": record.totals[1]}
     )
-    if signal:
-        power = record.lockin - floor_mean / record.duration
-        target = output_signal_power(state, lo, det) * _binning_power_loss(
-            f_het, meas.sample_rate
-        )
-        report.checks.append(CheckResult.within("beatnote_power", power, target, 0.05 * target))
-        report.scalars["beat_power"] = power
-        report.scalars["beat_target"] = target
-    if extras:
+    if scenario == "shot-floor":
+        return
+    power = record.lockin - floor_mean / record.duration
+    loss = _binning_power_loss(f_het, scene.meas.sample_rate)
+    target = output_signal_power(scene.state, lo, det) * loss
+    report.checks.append(CheckResult.within("beatnote_power", power, target, 0.05 * target))
+    report.scalars.update({"beat_power": power, "beat_target": target})
+    if scenario == "default":
         var = record.variance
         if not var > 0.0:
             raise Unresolved(
@@ -813,38 +816,6 @@ def _scenario_floor(
         integrated = float(np.trapezoid(spec.psd, spec.freqs_hz))
         report.checks.append(CheckResult.within("parseval_ratio", integrated / var, 1.0, 0.02))
         report.checks.append(CheckResult.within("arm_cross_covariance_z", record.cross_z, 0.0, 3.0))
-    report.spectra["difference_current"] = spec
-
-
-def _scenario_null_phase(
-    report: ExperimentReport,
-    scene: Scene,
-    root: np.random.SeedSequence,
-    *,
-    trace: TraceWriter | None = None,
-) -> None:
-    _check_scene(scene)
-    quadrature = scene.lo.theta_bar + math.pi / 2.0
-    scene = replace(scene, state=replace(scene.state, theta_s=quadrature))
-    seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
-    record = _stream_record(scene, seed, trace)
-    spec = record.spectrum
-    floor_mean, floor_sigma, _ = floor_statistics(spec, scene.f_het_hz)
-    beat = extract_beatnote(spec, scene.f_het_hz)
-    threshold = floor_mean + 3.0 * floor_sigma
-    report.checks.append(
-        CheckResult(
-            name="null_phase_peak_psd",
-            value=beat.peak_psd,
-            target=floor_mean,
-            tolerance=3.0 * floor_sigma,
-            passed=beat.peak_psd <= threshold,
-        )
-    )
-    report.scalars.update(
-        {"floor_mean": floor_mean, "floor_sigma": floor_sigma, "peak_psd": beat.peak_psd}
-    )
-    report.spectra["difference_current"] = spec
 
 
 def _scenario_sensitivity(

@@ -190,11 +190,11 @@ def test_statistical_properties_of_the_pipeline(default_run):
     rerun_b = run_experiment("shot-floor", scene, seed=21)
     rerun_c = run_experiment("shot-floor", scene, seed=22)
     deterministic = np.array_equal(
-        rerun_a.spectra["difference_current"].psd,
-        rerun_b.spectra["difference_current"].psd,
+        rerun_a.spectrum.psd,
+        rerun_b.spectrum.psd,
     ) and not np.array_equal(
-        rerun_a.spectra["difference_current"].psd,
-        rerun_c.spectra["difference_current"].psd,
+        rerun_a.spectrum.psd,
+        rerun_c.spectrum.psd,
     )
 
     parseval = _check(report, "parseval_ratio")
@@ -209,9 +209,7 @@ def test_statistical_properties_of_the_pipeline(default_run):
         )
         coherent_lambda_zero &= value == 0.0
 
-    nonneg = all(
-        bool(np.all(spec.psd >= 0.0)) for spec in report.spectra.values()
-    )
+    nonneg = bool(np.all(report.spectrum.psd >= 0.0))
     elapsed = time.perf_counter() - start
     ok = (
         deterministic

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from bilodyne.model import (
     TWO_PI,
     DetectorParams,
     Hypothesis,
+    MeasurementConfig,
     calibrate_photon_energy,
 )
 from tests.conftest import (
@@ -174,6 +176,19 @@ class TestAnalyticPsd:
         cfg = standard_measurement(rbw=5e4)
         with pytest.raises(ConfigViolation):
             psd_analytic(coherent_state(), standard_lo(), standard_detector(), cfg)
+
+    def test_oversized_grid_refused_before_it_is_made(self):
+        # 1e7 Hz / 2 Hz is a 5e6-sample segment, above MAX_SEGMENT_SAMPLES: the
+        # grid of 2.5e6 bins would take 20 MB per array
+        cfg = MeasurementConfig(duration=8.0, rbw=2.0, sample_rate=1e7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigViolation, match="MAX_SEGMENT_SAMPLES"):
+                psd_analytic(coherent_state(), standard_lo(), standard_detector(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSpectrumContainer:

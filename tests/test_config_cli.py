@@ -254,7 +254,7 @@ class TestNoSilentKeys:
         def fake_run(scenario, scene, **kwargs):
             seen["simulate"] = scene
             seen["seed"] = kwargs["seed"]
-            return ExperimentReport(scenario=scenario, seed=kwargs["seed"])
+            return ExperimentReport(scenario=scenario)
 
         def spy_psd(state, lo, det, meas):
             seen["analytic"] = (state, lo, det, meas)
@@ -548,6 +548,9 @@ class TestCliErrors:
             ("lo.f_het_hz = inf", "lo.f_het_hz"),
             ("lo.f_het_hz = 0", "lo.f_het_hz"),
             ("lo.f_het_hz = -1e5", "lo.f_het_hz"),
+            # the lower tone below 0 Hz, and the two tones one double
+            ("lo.f_het_hz = 1e15", "lo.f_het_hz"),
+            ("lo.f_het_hz = 1e-3", "lo.f_het_hz"),
         ],
     )
     def test_non_finite_scene_value_exits_one(self, tmp_path, capsys, setting, message):
@@ -603,6 +606,8 @@ class TestCliErrors:
             ("scan.f_het_hz = inf", "scan.f_het_hz"),
             ("scan.f_het_hz = 0", "scan.f_het_hz"),
             ("scan.f_het_hz = -2e6", "scan.f_het_hz"),
+            ("scan.f_het_hz = 1e15", "scan.f_het_hz"),
+            ("scan.f_het_hz = 1e-3", "scan.f_het_hz"),
         ],
     )
     def test_bad_scan_value_exits_one(self, tmp_path, capsys, argv, setting, message):

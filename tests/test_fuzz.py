@@ -21,8 +21,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bilodyne.cli import main
-from bilodyne.config import _CHOICES, MAX_RECORD_SAMPLES, MAX_SEGMENT_SAMPLES, SCHEMA, parse_config
+from bilodyne.config import _CHOICES, SCHEMA, parse_config
 from bilodyne.errors import BilodyneError
+from bilodyne.model import MAX_RECORD_SAMPLES, MAX_SEGMENT_SAMPLES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = ("default.cfg", "sensitivity.cfg", "squeezed.cfg")

@@ -26,7 +26,7 @@ from bilodyne.errors import (
     Unresolved,
 )
 from bilodyne.io import TraceWriter, read_trace_bin
-from bilodyne.model import TWO_PI, Hypothesis, MeasurementConfig
+from bilodyne.model import MAX_RECORD_SAMPLES, TWO_PI, Hypothesis, MeasurementConfig
 from bilodyne.montecarlo import (
     _BLOCK,
     _THIN_PEAK_MEAN,
@@ -118,7 +118,7 @@ def sample_bin_counts(means, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _record_seed(seed: int) -> int:
-    """The seed of a floor scenario's record, drawn from the run's seed as _scenario_floor draws it."""
+    """The seed of a scenario's record, drawn from the run's seed as _scenario_record draws it."""
     return int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
@@ -658,8 +658,8 @@ class TestReportTypes:
     def test_report_pass_logic(self):
         good = CheckResult(name="a", value=0.0, target=0.0, tolerance=1.0, passed=True)
         bad = CheckResult(name="b", value=9.0, target=0.0, tolerance=1.0, passed=False)
-        assert ExperimentReport(scenario="s", seed=0, checks=[good]).passed
-        assert not ExperimentReport(scenario="s", seed=0, checks=[good, bad]).passed
+        assert ExperimentReport(scenario="s", checks=[good]).passed
+        assert not ExperimentReport(scenario="s", checks=[good, bad]).passed
 
 
 class TestRunExperiment:
@@ -704,6 +704,7 @@ class TestRunExperiment:
             {"powers_w": ()},
             {"powers_w": (0.5e-9, -1e-9, 2e-9)},
             {"powers_w": (0.5e-9, 1e-9)},
+            {"count_windows": MAX_RECORD_SAMPLES + 1},
         ],
         ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()),
     )
@@ -714,16 +715,52 @@ class TestRunExperiment:
         with pytest.raises(InvalidSpec):
             dataclasses.replace(scan, **change)
 
+    @pytest.mark.parametrize(
+        "duration, rbw, bound",
+        [(8.0, 2.0, "MAX_SEGMENT_SAMPLES"), (101.0, 1e3, "MAX_RECORD_SAMPLES")],
+        ids=["segment-5e6", "record-1.01e9"],
+    )
+    def test_oversized_scene_refused_before_the_record(self, monkeypatch, duration, rbw, bound):
+        # a Scene built directly skips RunConfig's bounds; _check_scene applies them
+        def no_work(*args, **kwargs):
+            raise AssertionError("the record started before the scene was refused")
+
+        monkeypatch.setattr(montecarlo, "_stream_record", no_work)
+        meas = MeasurementConfig(duration=duration, rbw=rbw, sample_rate=1e7)
+        scene = dataclasses.replace(RunConfig.defaults().build_scene(), meas=meas)
+        with pytest.raises(ConfigViolation, match=bound):
+            run_experiment("default", scene)
+
     def test_scan_takes_a_numpy_window_count(self):
         scan = RunConfig.defaults().build_scan()
         assert dataclasses.replace(scan, count_windows=np.int64(3)).count_windows == 3
 
-    def test_short_shot_floor_run(self):
+    FLOOR = ["shot_floor_level", "shot_floor_flatness_t"]
+    FLOOR_SCALARS = {"floor_mean", "floor_sigma", "floor_target", "counts_1", "counts_2"}
+    BEAT = ["beatnote_power"]
+    BEAT_SCALARS = {"beat_power", "beat_target"}
+
+    @pytest.mark.parametrize(
+        "scenario, checks, scalars",
+        [
+            ("shot-floor", FLOOR, FLOOR_SCALARS),
+            ("beatnote", FLOOR + BEAT, FLOOR_SCALARS | BEAT_SCALARS),
+            (
+                "default",
+                FLOOR + BEAT + ["parseval_ratio", "arm_cross_covariance_z"],
+                FLOOR_SCALARS | BEAT_SCALARS,
+            ),
+            ("null-phase", ["null_phase_peak_psd"], {"floor_mean", "floor_sigma", "peak_psd"}),
+        ],
+        ids=["shot-floor", "beatnote", "default", "null-phase"],
+    )
+    def test_short_record_run(self, scenario, checks, scalars):
+        # every single-record scenario's checks, in order, and the scalars it writes
         scene = RunConfig.defaults({"measurement.duration_s": 0.5}).build_scene()
-        report = run_experiment("shot-floor", scene, seed=4)
-        names = [c.name for c in report.checks]
-        assert names == ["shot_floor_level", "shot_floor_flatness_t"]
-        assert "difference_current" in report.spectra
+        report = run_experiment(scenario, scene, seed=4)
+        assert [c.name for c in report.checks] == checks
+        assert set(report.scalars) == scalars
+        assert isinstance(report.spectrum, Spectrum)
         # the level passes at every seed; the slope test's t understates its
         # standard error (Welch bins 2 f_het apart are correlated), so its
         # verdict is left to scripts/seed_sweep.py
@@ -733,18 +770,14 @@ class TestRunExperiment:
         scene = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
         a = run_experiment("shot-floor", scene, seed=21)
         b = run_experiment("shot-floor", scene, seed=21)
-        np.testing.assert_array_equal(
-            a.spectra["difference_current"].psd, b.spectra["difference_current"].psd
-        )
+        np.testing.assert_array_equal(a.spectrum.psd, b.spectrum.psd)
         assert a.checks == b.checks
 
     def test_seed_sensitivity(self):
         scene = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
         a = run_experiment("shot-floor", scene, seed=21)
         b = run_experiment("shot-floor", scene, seed=22)
-        assert not np.array_equal(
-            a.spectra["difference_current"].psd, b.spectra["difference_current"].psd
-        )
+        assert not np.array_equal(a.spectrum.psd, b.spectrum.psd)
 
     def test_keep_traces(self, tmp_path):
         scene = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
@@ -795,7 +828,7 @@ class TestStreamedRun:
             jdiff, fs=1.0 / dt, window="hann", nperseg=nperseg,
             noverlap=nperseg // 2, detrend="constant", scaling="density",
         )
-        spec = report.spectra["difference_current"]
+        spec = report.spectrum
         np.testing.assert_array_equal(spec.freqs_hz, freqs)
         assert np.max(np.abs(spec.psd - psd) / psd) <= 1e-12
 
