@@ -14,9 +14,13 @@ with the exponential pulse, `squeezed-compare` with the sideband
 placement, and `simulate` on `default.cfg` with each of the first two,
 which it refuses; and the monochromatic LO (`lo.kind = mono`):
 `analytic` on `default.cfg`, `squeezed-compare` on `squeezed.cfg` and
-`simulate` on `default.cfg`, which refuses it.  Last, the failing
-path: `simulate beatnote` and `simulate default` on `default.cfg` with
-the signal in quadrature to the LO (`field.theta_s = pi/2`), whose beat
+`simulate` on `default.cfg`, which refuses it.  Then two Welch segment
+lengths the shipped configs do not use, both `simulate shot-floor` on
+`default.cfg`: `measurement.rbw_hz = 100`, whose 10^5-sample segment is
+longer than half a block, and `measurement.rbw_hz = 3000.3`, whose
+segment has an odd length (3,333 samples).  Last, the failing path:
+`simulate beatnote` and `simulate default` on `default.cfg` with the
+signal in quadrature to the LO (`field.theta_s = pi/2`), whose beat
 power misses its near-zero target, so both exit 2.  A run's exit code,
 stdout, stderr and every file it writes (`spectrum*.csv`, `table.csv`,
 `trace.bin`, `report.json`) are compared byte for byte, `report.json`
@@ -85,6 +89,18 @@ RUNS.update(
             ("squeezed-compare", "squeezed.cfg"),
             ("simulate", "default.cfg"),
         )
+    }
+)
+# Welch segments longer than half a block (one segment per group of the
+# running sum) and of odd length (3,333 samples)
+RUNS.update(
+    {
+        f"simulate shot-floor default.cfg {name}": (
+            "simulate",
+            "default.cfg",
+            f"simulate.scenario = shot-floor\nmeasurement.rbw_hz = {rbw}\n",
+        )
+        for name, rbw in (("rbw 100", 100), ("nperseg 3333", 3000.3))
     }
 )
 RUNS.update(

@@ -210,7 +210,11 @@ def sensitivity_table(scan: Scan) -> list[SensitivityRow]:
     """Input/output SNR and noise figure at each power of the scan.
 
     Each row runs the full snr_in / snr_out chain on the phase-averaged
-    form of that power's scan scene, with rbw = 1 / window.
+    form of that power's scan scene, with rbw = 1 / window.  The closed
+    forms read no record geometry, so the scan's f_het against its rbw
+    and sample rate is left unchecked here: a beat too slow for
+    scan.rbw_hz, which the Monte Carlo scan refuses, still gives a
+    table (and `table1` exit code 0).
     """
     rbw = 1.0 / scan.window_s
     rows = []

@@ -10,6 +10,7 @@ frequencies exist only inside the model layer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -207,7 +208,13 @@ class RunConfig:
 
     def build_state(self) -> FieldState:
         v = self.values
-        omega_s = TWO_PI * v["field.carrier_hz"]
+        carrier = self._finite("field.carrier_hz")
+        omega_s = TWO_PI * carrier
+        if not 0.0 < omega_s < math.inf:
+            raise ConfigViolation(
+                f"field.carrier_hz must be in (0, {sys.float_info.max / TWO_PI:.4g}] Hz, "
+                f"got {carrier!r}"
+            )
         alpha = math.sqrt(2.0 * self._flux("field.signal_flux"))
         modes = [FieldMode(frequency=omega_s, amplitude=alpha, label=ModeLabel.SIGNAL)]
         squeeze = ()

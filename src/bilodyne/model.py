@@ -403,7 +403,12 @@ def check_record_size(duration, rbw, rate, names=("duration", "rbw", "sample rat
         )
 
 
-def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator) -> None:
+def validate_measurement(
+    cfg: MeasurementConfig,
+    lo: LocalOscillator,
+    f_het_hz: float | None = None,
+    names=("Omega / 2 pi", "rbw", "sample rate"),
+) -> None:
     """Check the size, RBW and sample-rate limits of a heterodyne run's record.
 
     The size goes first, through check_record_size, so a caller can
@@ -412,7 +417,9 @@ def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator) -> None:
     the sample rate must cover it (sample_rate >= 10 * Omega / 2 pi).
     Mono LO runs only need the record to support the requested RBW.  The
     tones carry Omega only to about one ulp of an optical frequency, so
-    a beat within that of a limit is taken to meet it.
+    a beat within that of a limit is taken to meet it.  The errors quote
+    f_het_hz, the configured beat frequency, when it is given, and name
+    the settings of the beat frequency, rbw and sample rate by names.
     """
     check_record_size(cfg.duration, cfg.rbw, cfg.sample_rate)
     if cfg.rbw * cfg.duration < 1.0:
@@ -422,11 +429,8 @@ def validate_measurement(cfg: MeasurementConfig, lo: LocalOscillator) -> None:
     if lo.is_bichromatic:
         f_het = lo.omega_het / TWO_PI
         f_tol = math.ulp(lo.omega_1) / TWO_PI
+        beat = f"heterodyne frequency {names[0]} = {f_het if f_het_hz is None else f_het_hz:g} Hz"
         if f_het + f_tol < 10.0 * cfg.rbw:
-            raise ConfigViolation(
-                f"heterodyne frequency {f_het:g} Hz must be >= 10x rbw ({cfg.rbw:g} Hz)"
-            )
+            raise ConfigViolation(f"{beat} must be >= 10x {names[1]} = {cfg.rbw:g} Hz")
         if cfg.sample_rate < 10.0 * (f_het - f_tol):
-            raise ConfigViolation(
-                f"sample rate {cfg.sample_rate:g} Hz must be >= 10x heterodyne frequency ({f_het:g} Hz)"
-            )
+            raise ConfigViolation(f"{names[2]} = {cfg.sample_rate:g} Hz must be >= 10x {beat}")

@@ -12,10 +12,10 @@ length.  Every stage is deterministic given the seed; the two detectors
 draw from independent child streams of one seed sequence.
 
 A record of more than one block runs on two threads: a worker makes the
-bin means, draws the counts, forms the currents and feeds the count-only
-sums (arm totals, zero-lag covariance) up to _READ_AHEAD blocks ahead,
-and the calling thread feeds the Welch, lock-in and variance sums with
-the difference current and writes the trace.  Only the worker draws,
+bin means, draws the counts, forms the currents and feeds every sum but
+the Welch sum (arm totals, zero-lag covariance, lock-in, variance) up to
+_READ_AHEAD blocks ahead, and the calling thread feeds the Welch sum
+with the difference current and writes the trace.  Only the worker draws,
 block after block, and each sum is fed by one thread in block order, so
 the results are bit for bit those of a serial pass.  A one-block record
 runs serially.
@@ -183,17 +183,26 @@ class _Welch:
     nperseg - nperseg // 2, each with its mean removed, one-sided density
     scaling: the estimate scipy.signal.welch makes of the concatenated
     chunks with window="hann", noverlap=nperseg // 2 and
-    detrend="constant".  Each chunk is copied behind the samples held
-    over from the start of the first incomplete segment, so the caller
-    may overwrite it once add returns; the segments are transformed
-    batch by batch in arrays made once.  Each spectrum's real and
-    imaginary parts are squared in place and their sum, the power, goes
-    to the real parts' memory, so no power array is made; a batch of one
-    segment is added as it is.  At one segment per batch (nperseg >
-    _BLOCK / 2) the sum so holds about four and a half segments of
-    doubles besides the rfft's own: the window, the held samples, the
-    detrended segment and the complex spectrum take one each, the
-    running total half.
+    detrend="constant".  Every segment a chunk completes is detrended
+    into one row of a work array and all of them go through one rfft
+    call: a segment inside the chunk is read from the chunk itself, one
+    that starts among the samples held over from earlier chunks (fewer
+    than nperseg, kept in a copy, so the caller may overwrite a chunk
+    once add returns) is first assembled in its row.  The spectra are
+    squared in place as one float array and each power, the sum of a
+    real and an imaginary square, goes to the real parts' memory.  The
+    powers are added to the total in groups of batch segments, counted
+    from the first segment of each add, and a group of one as it is, so
+    the sum, and its bits, do not depend on how many rows one rfft call
+    takes.
+
+    Memory: the window, the held samples (at most a segment each) and
+    the running total (half a segment); and, made for the most segments
+    a chunk of the size seen can complete, so once for equal chunks, the
+    detrended rows and their complex spectra, each about twice the
+    chunk when segments are shorter than it (they overlap by half) and
+    one segment when they are longer.  A default.cfg record's 2^16-sample
+    blocks and 10^4-sample segments take 14 rows, 2.1 blocks each.
     """
 
     def __init__(self, nperseg: int, fs: float):
@@ -201,45 +210,58 @@ class _Welch:
         self.window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1))[:-1]
         # summed here, while its segment-sized square is the only temporary
         self.window_power = float((self.window * self.window).sum())
-        self.batch = max(1, _BLOCK // nperseg)  # segments per rfft call
+        self.batch = max(1, _BLOCK // nperseg)  # segments per group of the total
         self.total = np.zeros(nperseg // 2 + 1)
         self.segments = 0
-        # the held samples, fewer than nperseg, then the next chunk
-        self.held = np.empty(0)
+        self.held = np.empty(nperseg)
         self.held_size = 0
-        self.means = np.empty((self.batch, 1))
-        self.detrended = np.empty((self.batch, nperseg))
-        self.spec = np.empty((self.batch, self.total.size), dtype=complex)
+        self.means = np.empty((0, 1))
+        self.rows = np.empty((0, nperseg))
+        self.spec = np.empty((0, self.total.size), dtype=complex)
         self.power_sum = np.empty(self.total.size) if self.batch > 1 else None
 
     def add(self, x: np.ndarray) -> None:
-        start, end = self.held_size, self.held_size + x.size
-        if end > self.held.size:
-            # room for chunks of this size up to _BLOCK: every streamed block fits after the first
-            grown = np.empty(max(end, self.nperseg + min(x.size, _BLOCK)))
-            grown[:start] = self.held[:start]
-            self.held = grown
-        self.held[start:end] = x
-        self.held_size = end
-        if end < self.nperseg:
+        n, hop, held = self.nperseg, self.hop, self.held_size
+        end = held + x.size
+        if end < n:
+            self.held[held:end] = x
+            self.held_size = end
             return
-        segs = np.lib.stride_tricks.sliding_window_view(self.held[:end], self.nperseg)[:: self.hop]
-        for first in range(0, len(segs), self.batch):
-            part = segs[first : first + self.batch]
-            k = len(part)
-            means = part.mean(axis=1, keepdims=True, out=self.means[:k])
-            part = np.subtract(part, means, out=self.detrended[:k])
-            part *= self.window
-            spec = np.fft.rfft(part, axis=1, out=self.spec[:k])
-            # each part squared in place, then the power in the real parts' memory
-            power, imag = spec.real, spec.imag
-            np.multiply(power, power, out=power)
-            power += np.multiply(imag, imag, out=imag)
-            self.total += power[0] if k == 1 else power.sum(axis=0, out=self.power_sum)
-        self.segments += len(segs)
-        done = len(segs) * self.hop
+        count = (end - n) // hop + 1  # the segments this chunk completes
+        if count > len(self.rows):
+            most = (x.size - 1) // hop + 1  # with nperseg - 1 samples held
+            self.means = np.empty((most, 1))
+            self.rows = np.empty((most, n))
+            self.spec = np.empty((most, self.total.size), dtype=complex)
+        rows, means = self.rows[:count], self.means[:count]
+        split = min(count, -(-held // hop))  # the segments that start among the held samples
+        for j in range(split):
+            s = j * hop
+            rows[j, : held - s] = self.held[s:held]
+            rows[j, held - s :] = x[: n - held + s]
+        parts = [(rows[:split], rows[:split], means[:split])]
+        if split < count:
+            segs = np.lib.stride_tricks.sliding_window_view(x, n)[split * hop - held :: hop]
+            parts.append((segs[: count - split], rows[split:], means[split:]))
+        for segs, out, mean in parts:
+            np.subtract(segs, segs.mean(axis=1, keepdims=True, out=mean), out=out)
+        rows *= self.window
+        spec = np.fft.rfft(rows, axis=1, out=self.spec[:count])
+        squares = spec.view(float)
+        np.multiply(squares, squares, out=squares)
+        power = spec.real
+        power += spec.imag
+        for first in range(0, count, self.batch):
+            part = power[first : first + self.batch]
+            self.total += part[0] if len(part) == 1 else part.sum(axis=0, out=self.power_sum)
+        self.segments += count
+        done = count * hop
         self.held_size = end - done
-        self.held[: self.held_size] = self.held[done:end]
+        if done >= held:
+            self.held[: self.held_size] = x[done - held :]
+        else:
+            self.held[: held - done] = self.held[done:held]
+            self.held[held - done : self.held_size] = x
 
     def spectrum(self) -> Spectrum:
         psd = self.total / (self.segments * self.fs * self.window_power)
@@ -519,8 +541,8 @@ class _Record:
     cross_z: float  # z-score of the zero-lag arm covariance
 
 
-def _arm_counts(rng: np.random.Generator, means: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Poisson counts of one arm's block of bins with the given means.
+def _arm_counts(rng: np.random.Generator, means: np.ndarray, out: np.ndarray):
+    """Poisson counts of one arm's block of bins with the given means: (counts, total, bins).
 
     A sparse block, whose largest mean lam is at most _THIN_PEAK_MEAN, is
     drawn by thinning (Lewis & Shedler 1979) on the bins: a homogeneous
@@ -534,62 +556,86 @@ def _arm_counts(rng: np.random.Generator, means: np.ndarray, out: np.ndarray) ->
     _THIN_PEAK_MEAN bounds before anything is allocated.  A denser block
     takes one draw per bin.
 
-    A thinned block's counts are made in out[:m], an int64 buffer the
-    caller keeps from block to block; a dense block's come in the new
-    array of its draw.  A block-sized array made and freed per block
-    would have the allocator return its pages and fault them in again.
+    A thinned block's counts are made in out[:m], a float64 buffer the
+    caller keeps from block to block (a block-sized array made and freed
+    per block would have the allocator return its pages and fault them
+    in again); total is the number of kept candidates and bins their
+    bins, one entry per count, so every bin that holds a count is in
+    it.  A dense block's counts come in the new int64 array of its draw,
+    and bins is every bin.
     """
     m = means.size
     lam = means.max()
     if not lam <= _THIN_PEAK_MEAN:
-        return rng.poisson(means)
+        counts = rng.poisson(means)
+        return counts, int(counts.sum()), slice(None)
     idx = rng.integers(0, m, rng.poisson(lam * m))
-    keep = rng.random(idx.size) * lam < means[idx]
+    kept = idx[rng.random(idx.size) * lam < means[idx]]
     counts = out[:m]
-    counts.fill(0)
-    np.add.at(counts, idx[keep], 1)
-    return counts
+    counts.fill(0.0)
+    np.add.at(counts, kept, 1.0)
+    return counts, kept.size, kept
 
 
 def _block_currents(
-    mean_blocks, rngs, to_pulses: float, to_current: float, totals: list, cross: _Moments
+    mean_blocks,
+    rngs,
+    to_pulses: float,
+    to_current: float,
+    totals: list,
+    cross: _Moments,
+    lockin: _Lockin,
+    variance: _Moments,
 ):
     """The difference current of each block of means, in block order: the drawing half of the pass.
 
-    Each arm's counts come from _arm_counts with that arm's generator
-    and its row of a counts buffer pair; they are added to totals, made
-    into the delta-pulse currents j1 and j2 (count times to_pulses), and
-    the zero-lag product of the arms' fluctuations (j - mean times
-    to_current) is fed to cross.  Only the difference current j1 - j2 is
-    yielded.  Its arrays are a ring of _READ_AHEAD + 1 buffers taken in
-    turn, so a block's current stays valid until _READ_AHEAD more blocks
-    have been made, which is as far as _read_ahead runs ahead of the
-    block its caller is summing.  The product's two factors are formed
-    in one scratch pair, overwritten by the next block, and j2 in the
-    block's ring buffer, which j1 - j2 then replaces; j1 is made twice
-    rather than held in a third array.  The means are only read: one
-    array may serve both arms.
+    Each arm's counts come from _arm_counts with that arm's generator;
+    their totals are added to totals, and the zero-lag product of the
+    arms' fluctuations, each the delta-pulse current (count times
+    to_pulses) less the mean current (mean times to_current), is fed to
+    cross.  The difference current j1 - j2 is fed to lockin and, through
+    a scratch copy, to variance, then yielded.  Its arrays are a ring of
+    _READ_AHEAD + 1 buffers taken in turn, so a block's current stays
+    valid until _READ_AHEAD more blocks have been made, which is as far
+    as _read_ahead runs ahead of the block its caller is summing.
+
+    No pass runs over the bins that hold no count (~93 % of a
+    default.cfg block's).  Each arm's factor is its mean current with
+    the pulses added at the bins its counts lie in.  The difference
+    current is arm 1's thinned counts, made in the block's ring buffer
+    and so zero elsewhere, with arm 1's pulses written over them and arm
+    2's subtracted at arm 2's bins; arm 2's thinned counts are made in
+    the array its factor is formed in next.  Each element so goes
+    through the IEEE operations of the dense formulas, mean tc + count
+    tp and count_1 tp - count_2 tp, less the exact zeros a bin without
+    a count adds, and has their bits (a zero factor may differ in the
+    sign of its zero).  A dense arm's bins are every bin.  The means are
+    only read: one array may serve both arms.
     """
     for k, means in enumerate(mean_blocks):
         m = means[0].size
         if k == 0:  # the first block is the largest
             ring = np.empty((_READ_AHEAD + 1, m))
             scratch = np.empty((2, m))
-            counts = np.empty((2, m), dtype=np.int64)
-        c1, c2 = (_arm_counts(*arm) for arm in zip(rngs, means, counts))
-        totals[0] += int(c1.sum())
-        totals[1] += int(c2.sum())
         a, b = scratch[:, :m]
         jdiff = ring[k % len(ring), :m]
-        # the product's factors j - mean current, with j2 left in jdiff's buffer
-        np.multiply(c1, to_pulses, out=a)
+        (c1, n1, bins1), (c2, n2, bins2) = (
+            _arm_counts(rng, mu, out) for rng, mu, out in zip(rngs, means, (jdiff, a))
+        )
+        totals[0] += n1
+        totals[1] += n2
+        p1, p2 = c1[bins1] * to_pulses, c2[bins2] * to_pulses
         np.multiply(means[0], to_current, out=b)
-        b += a
+        b[bins1] += p1
         np.multiply(means[1], to_current, out=a)
-        a += np.multiply(c2, to_pulses, out=jdiff)
+        a[bins2] += p2
         b *= a
         cross.add(b)
-        np.subtract(np.multiply(c1, to_pulses, out=a), jdiff, out=jdiff)  # j1 again, less j2
+        jdiff[bins1] = p1
+        jdiff[bins2] -= p2
+        lockin.add(jdiff)
+        np.copyto(b, jdiff)  # variance.add overwrites what it is given
+        variance.add(b)
         yield jdiff
 
 
@@ -620,25 +666,27 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
 
     A record of more than one block runs on two threads: a worker runs
     _block_currents up to _READ_AHEAD blocks ahead, drawing the counts
-    and feeding the arm totals and the covariance sum, and the calling
-    thread feeds the Welch, lock-in and variance sums with each block's
-    difference current and writes the trace.  Every sum is fed by one
-    thread only, in block order, and only the worker touches the two
+    and feeding the arm totals, the covariance, the lock-in and the
+    variance sums, and the calling thread feeds the Welch sum with each
+    block's difference current and writes the trace.  That split evens
+    the two threads' busy time on a default.cfg record, where the Welch
+    sum is the largest single cost.  Every sum is fed by one thread
+    only, in block order, and only the worker touches the two
     generators, so the counts and every sum are those of a serial pass.
     A record of one block has nothing to overlap and runs serially.
 
     No block-sized array is made per block but a dense block's counts;
     a thinned block's candidates number its peak mean per bin, at most
     one (0.073 on default.cfg).  One buffer holds each live quantity:
-    the bin means' pair, the counts' pair, the ring of difference
-    currents and the scratch pair of the arm product's factors are made
-    once, the bin-mean and lock-in tables span _SUB samples, not a
-    block, and the sums keep nothing of a block but the Welch sum's copy
-    of its incomplete segment; the moment sums take their deviations in
-    the block they are handed, its last use.  Memory is therefore a
-    fixed number of blocks plus a segment, whatever the record length; a
-    default.cfg record peaks at about 13 blocks of doubles (6.6 MiB),
-    its Welch sum's ~3.5 included.
+    the bin means' pair, the ring of difference currents and the scratch
+    pair of the arm product's factors (which also take a thinned block's
+    counts, and the variance sum's copy) are made once, the bin-mean and
+    lock-in tables span _SUB samples, not a block, and the sums keep
+    nothing of a block but the Welch sum's copy of its incomplete
+    segment.  Memory is therefore a fixed number of blocks plus a few
+    segments, whatever the record length; a default.cfg record peaks at
+    about 12 blocks of doubles (6.2 MiB), the ~4.5 of its Welch sum's
+    rows and spectra included.
     """
     meas = scene.meas
     n = int(round(meas.duration * meas.sample_rate))
@@ -652,7 +700,7 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     totals = [0, 0]
     currents = _block_currents(
         _bin_mean_blocks(scene.state, scene.lo, scene.det, n, dt), _arm_rngs(seed),
-        to_pulses, to_current, totals, cross,
+        to_pulses, to_current, totals, cross, lockin, variance,
     )
     if trace is not None:
         trace.start(dt, n)
@@ -661,10 +709,8 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
             currents = _read_ahead(pool, currents)
         for jdiff in currents:
             welch.add(jdiff)
-            lockin.add(jdiff)
             if trace is not None:
                 trace.write(jdiff)
-            variance.add(jdiff)  # the block's last use: it becomes its deviations
     se = math.sqrt(cross.var(ddof=1) / n)
     return _Record(
         spectrum=welch.spectrum(),
@@ -676,12 +722,13 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     )
 
 
-def _check_scene(scene: Scene) -> None:
+def _check_scene(scene: Scene, keys: tuple[str, str, str]) -> None:
     """Refuse a scene the packaged checks cannot model, then validate its geometry.
 
     The check targets assume a coherent signal at a fixed phase, a
     bichromatic LO and delta pulses; the error names the config setting
-    that asks for anything else.
+    that asks for anything else.  A geometry error names keys, the
+    settings of the scene's beat frequency, rbw and sample rate.
     """
     for refused, setting in (
         (not scene.lo.is_bichromatic, "lo.kind = mono"),
@@ -694,7 +741,7 @@ def _check_scene(scene: Scene) -> None:
                 f"{setting}: the Monte Carlo checks model only a coherent fixed-phase "
                 "signal, a bichromatic LO and delta pulses"
             )
-    validate_measurement(scene.meas, scene.lo)
+    validate_measurement(scene.meas, scene.lo, scene.f_het_hz, keys)
     # no bin of either arm expects more than eta/2 (sum of |amplitudes|)^2 dt
     amps = np.concatenate([a for _, a in _arm_phasors(scene.state, scene.lo)])
     peak = 0.5 * scene.det.eta * float(np.abs(amps).sum()) ** 2 / scene.meas.sample_rate
@@ -768,7 +815,7 @@ def _scenario_record(
     mode in vacuum and `null-phase` with the signal in quadrature to the
     LO mean phase.
     """
-    _check_scene(scene)
+    _check_scene(scene, ("lo.f_het_hz", "measurement.rbw_hz", "measurement.sample_rate_hz"))
     scenario = report.scenario
     if scenario == "shot-floor":
         vacuum = tuple(replace(m, amplitude=0.0) for m in scene.state.modes)
@@ -833,7 +880,7 @@ def _scenario_sensitivity(
     SNR_out = P / (floor * rbw_ref), rbw_ref = 1 / window.
     """
     for power, scene in zip(scan.powers_w, scan.scenes):
-        _check_scene(scene)
+        _check_scene(scene, ("scan.f_het_hz", "scan.rbw_hz", "scan.sample_rate_hz"))
         if not scene.det.eta * power / scan.photon_energy_j * scan.window_s <= _MAX_POISSON_MEAN:
             raise ConfigViolation(
                 f"the counting run at {power * 1e9:g} nW expects more than {_MAX_POISSON_MEAN:g} "

@@ -551,6 +551,10 @@ class TestCliErrors:
             # the lower tone below 0 Hz, and the two tones one double
             ("lo.f_het_hz = 1e15", "lo.f_het_hz"),
             ("lo.f_het_hz = 1e-3", "lo.f_het_hz"),
+            ("field.carrier_hz = nan", "field.carrier_hz"),
+            ("field.carrier_hz = inf", "field.carrier_hz"),
+            ("field.carrier_hz = 0", "field.carrier_hz"),
+            ("field.carrier_hz = -1", "field.carrier_hz"),
         ],
     )
     def test_non_finite_scene_value_exits_one(self, tmp_path, capsys, setting, message):
@@ -558,6 +562,25 @@ class TestCliErrors:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and message in err
+
+    @pytest.mark.parametrize("scenario", ["analytic", "table1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e308"])
+    def test_bad_carrier_exits_one(self, tmp_path, capsys, scenario, value):
+        # each ended in "mode frequency must be positive and finite", naming no key
+        cfg = write_cfg(tmp_path, f"field.carrier_hz = {value}\n")
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "field.carrier_hz" in err
+
+    def test_slow_scan_beat_names_its_settings(self, tmp_path, capsys):
+        # the Monte Carlo scan quotes the configured 10 Hz, not Omega / 2 pi
+        # (9.98697 Hz at the carrier), and names the settings to change; the
+        # closed-form table reads no record geometry and still runs
+        cfg = write_cfg(tmp_path, "simulate.scenario = sensitivity\nscan.f_het_hz = 10\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "scan.f_het_hz = 10 Hz" in err and "10x scan.rbw_hz = 200000 Hz" in err
+        assert main(["table1", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
 
     def test_mono_lo_with_non_finite_f_het_exits_one(self, tmp_path, capsys):
         # a mono LO has one tone, but the exponential pulse's shot floor is

@@ -112,9 +112,20 @@ def sample_bin_counts(means, seed: int) -> tuple[np.ndarray, np.ndarray]:
             for s in range(0, zero.size, _BLOCK)
         )
         # each block's current is copied before the next overwrites its buffer
-        currents = _block_currents(blocks, _arm_rngs(seed), 1.0, 0.0, [0, 0], _Moments())
+        currents = _block_currents(blocks, _arm_rngs(seed), 1.0, 0.0, *_worker_sums())
         arms.append(np.concatenate([sign * jdiff for jdiff in currents]).astype(np.int64))
     return tuple(arms)
+
+
+def _worker_sums():
+    """Fresh totals and covariance, lock-in and variance sums for _block_currents to feed."""
+    return [0, 0], _Moments(), _Lockin(0.0, 1.0, _BLOCK), _Moments()
+
+
+def _counts(rng, mu: np.ndarray) -> np.ndarray:
+    """The counts _arm_counts draws for the means mu, in a buffer of their own."""
+    counts, _, _ = _arm_counts(rng, mu, np.empty(mu.size))
+    return counts
 
 
 def _record_seed(seed: int) -> int:
@@ -361,10 +372,10 @@ class TestArmCounts:
         # record, each of the 50 phases must get counts in proportion to
         # its mean, whose span is over five hundredfold
         mu = self._default_means(_BLOCK)[0][: 50 * (_BLOCK // 50)]
-        counts = np.zeros(mu.size, dtype=np.int64)
-        rng, out = np.random.default_rng(17), np.empty(mu.size, dtype=np.int64)
+        counts = np.zeros(mu.size)
+        rng, out = np.random.default_rng(17), np.empty(mu.size)
         for _ in range(100):
-            counts += _arm_counts(rng, mu, out)
+            counts += _arm_counts(rng, mu, out)[0]
         expect = 100.0 * mu.reshape(-1, 50).sum(axis=0)
         got = counts.reshape(-1, 50).sum(axis=0)
         assert expect.max() > 500.0 * expect.min()
@@ -376,9 +387,9 @@ class TestArmCounts:
         mu[1000:3000] = 0.0  # inside the block
         mu[-700:] = 0.0  # at its end
         mu[:5] = 0.0  # at its start
-        rng, out = np.random.default_rng(3), np.empty(mu.size, dtype=np.int64)
+        rng, out = np.random.default_rng(3), np.empty(mu.size)
         for _ in range(20):  # each block's counts made in the same buffer
-            c = _arm_counts(rng, mu, out)
+            c, _, _ = _arm_counts(rng, mu, out)
             assert c.shape == mu.shape
             assert not np.any(c[mu == 0.0])
             assert int(c.sum()) > 0
@@ -392,8 +403,9 @@ class TestArmCounts:
         top = float(np.nextafter(1.0, 0.0))  # the largest value Generator.random gives
         below_half = float(np.nextafter(0.5, 0.0))
         rng = _Candidates(bins=[2, 5, 5, 0, 7], uniforms=[top, 0.5, below_half, 0.0, 0.0])
-        c = _arm_counts(rng, mu, np.full(8, -1, dtype=np.int64))
+        c, total, bins = _arm_counts(rng, mu, np.full(8, -1.0))
         np.testing.assert_array_equal(c, [0, 0, 1, 0, 0, 1, 0, 0])
+        assert total == 2 and sorted(bins.tolist()) == [2, 5]
         assert rng.calls == [("poisson", 2.0), ("integers", 0, 8, 5), ("random", 5)]
 
     def test_one_dense_bin_sends_its_block_to_the_dense_path(self):
@@ -402,7 +414,7 @@ class TestArmCounts:
         mu = self._default_means(_BLOCK)[0].copy()
         mu[4321] = 40.0 * _THIN_PEAK_MEAN
         assert float(mu.mean()) < 0.04
-        c = _arm_counts(np.random.default_rng(9), mu, np.empty(mu.size, dtype=np.int64))
+        c = _counts(np.random.default_rng(9), mu)
         np.testing.assert_array_equal(c, np.random.default_rng(9).poisson(mu))
 
     @pytest.mark.parametrize(
@@ -411,8 +423,22 @@ class TestArmCounts:
     def test_dense_path_is_one_poisson_draw_per_bin(self, peak):
         mu = self._default_means(_BLOCK)[0]
         mu = mu * (peak / float(mu.max()))
-        c = _arm_counts(np.random.default_rng(9), mu, np.empty(mu.size, dtype=np.int64))
+        c = _counts(np.random.default_rng(9), mu)
         np.testing.assert_array_equal(c, np.random.default_rng(9).poisson(mu))
+
+    @pytest.mark.parametrize("peak", [0.073, 2340.0], ids=["thinned", "dense"])
+    def test_total_is_the_sum_of_the_counts(self, peak):
+        # the worker adds the returned total to the arm's photoemission count
+        # without summing the block; every bin with a count is among bins
+        mu = self._default_means(_BLOCK)[0]
+        mu = mu * (peak / float(mu.max()))
+        rng, out = np.random.default_rng(4), np.empty(mu.size)
+        for _ in range(5):
+            c, total, bins = _arm_counts(rng, mu, out)
+            assert type(total) is int and total == int(c.sum()) > 0
+            hit = np.zeros(mu.size, dtype=bool)
+            hit[bins] = True
+            assert not np.any(c[~hit])
 
     def test_each_arm_draws_from_its_own_child_stream(self):
         # the worker's difference current and totals are those of the two
@@ -421,14 +447,12 @@ class TestArmCounts:
         # draw per bin for that block scaled to one count per bin on average
         block = self._default_means(_BLOCK)[0]
         for mu in (block, block * (1.0 / float(block.mean()))):
-            totals = [0, 0]
-            currents = _block_currents(iter([(mu, mu)]), _arm_rngs(21), 1.0, 0.0, totals, _Moments())
+            sums = _worker_sums()
+            totals = sums[0]
+            currents = _block_currents(iter([(mu, mu)]), _arm_rngs(21), 1.0, 0.0, *sums)
             (jdiff,) = currents
             children = np.random.SeedSequence(21).spawn(2)
-            counts = [
-                _arm_counts(np.random.default_rng(child), mu, np.empty(mu.size, dtype=np.int64))
-                for child in children
-            ]
+            counts = [_counts(np.random.default_rng(child), mu) for child in children]
             np.testing.assert_array_equal(jdiff, counts[0] - counts[1])
             assert totals == [int(c.sum()) for c in counts]
             assert np.any(jdiff)
@@ -860,9 +884,10 @@ class TestStreamedRun:
     def test_memory_is_pinned_in_blocks(self):
         # what the pass holds, in 2^16-sample float64 arrays: the bin means
         # (2), the difference current's ring (3), the arm product's factors
-        # (2), the counts (2) and ~3.5 of the Welch sum's segments, spectra
-        # and held samples; ~13 in all, where block-long tables and work
-        # arrays took ~28
+        # (2, which also take a thinned block's counts) and ~4.5 of the Welch
+        # sum's detrended rows and spectra (2.1 each), held samples and
+        # window; ~12.7 in all, where block-long tables and work arrays took
+        # ~28
         block = 8 * _BLOCK
         tracemalloc.start()
         try:

@@ -65,6 +65,56 @@ GEOMETRIES = [
 ]
 
 
+class _PerBatchWelch:
+    """The Welch sum with each chunk's segments transformed batch segments per rfft call.
+
+    The loop _Welch ran before it took every segment a chunk completes
+    in one call: the samples so far are kept whole, and each batch is
+    detrended, windowed, transformed, squared and summed on its own.
+    The sums go to a _Welch of the same segment, so that its spectrum
+    scales them.
+    """
+
+    def __init__(self, nperseg: int):
+        self.sums = _Welch(nperseg, FS)
+        self.samples = np.empty(0)
+
+    def add(self, x: np.ndarray) -> None:
+        w = self.sums
+        self.samples = np.concatenate([self.samples, x])
+        if self.samples.size < w.nperseg:
+            return
+        segs = np.lib.stride_tricks.sliding_window_view(self.samples, w.nperseg)[:: w.hop]
+        for first in range(0, len(segs), w.batch):
+            part = segs[first : first + w.batch]
+            spec = np.fft.rfft((part - part.mean(axis=1, keepdims=True)) * w.window, axis=1)
+            power = spec.real * spec.real + spec.imag * spec.imag
+            w.total += power[0] if len(part) == 1 else power.sum(axis=0)
+        w.segments += len(segs)
+        self.samples = self.samples[len(segs) * w.hop :]
+
+
+def _feed(welch, x: np.ndarray, nperseg: int, how: str) -> None:
+    """Feed x to welch whole, in uneven chunks, or in uneven chunks of one reused buffer.
+
+    The reused buffer is filled with NaN after every add, as the
+    streamed pass overwrites its current buffer with every block.
+    """
+    if how == "whole":
+        welch.add(x)
+        return
+    hop = nperseg - nperseg // 2
+    sizes = (1, nperseg - 1, 3 * hop + 7, _BLOCK, 2, 2 * _BLOCK + 3, nperseg + 1)
+    buffer = np.empty(max(sizes))
+    for chunk in _chunks(x, sizes):
+        if how == "reused":
+            part = buffer[: chunk.size]
+            part[:] = chunk
+            chunk = part
+        welch.add(chunk)
+        buffer.fill(np.nan)
+
+
 class TestWelchAgainstScipy:
     @pytest.mark.parametrize("nperseg, n", GEOMETRIES)
     def test_one_chunk(self, nperseg, n):
@@ -81,12 +131,9 @@ class TestWelchAgainstScipy:
     def test_uneven_chunks(self, nperseg, n):
         x = _record(n, seed=5)
         _, ref = _scipy_welch(x, nperseg)
-        hop = nperseg - nperseg // 2
-        sizes = (1, nperseg - 1, 3 * hop + 7, _BLOCK, 2, 2 * _BLOCK + 3, nperseg + 1)
         welch = _Welch(nperseg, FS)
-        for chunk in _chunks(x, sizes):
-            welch.add(chunk)
-        assert welch.segments == (n - nperseg) // hop + 1
+        _feed(welch, x, nperseg, "uneven")
+        assert welch.segments == (n - nperseg) // welch.hop + 1
         assert np.max(np.abs(welch.spectrum().psd - ref) / ref) <= 1e-12
 
     @pytest.mark.parametrize("nperseg, n", [(1000, 3 * _BLOCK + 12345), (70_001, 300_000)])
@@ -95,16 +142,9 @@ class TestWelchAgainstScipy:
         # _Welch must hold over no chunk by reference, however short it is
         x = _record(n, seed=7)
         _, ref = _scipy_welch(x, nperseg)
-        hop = nperseg - nperseg // 2
-        sizes = (1, nperseg - 1, 3 * hop + 7, _BLOCK, 2, 2 * _BLOCK + 3, nperseg + 1)
-        buffer = np.empty(max(sizes))
         welch = _Welch(nperseg, FS)
-        for chunk in _chunks(x, sizes):
-            part = buffer[: chunk.size]
-            part[:] = chunk
-            welch.add(part)
-            buffer.fill(np.nan)
-        assert welch.segments == (n - nperseg) // hop + 1
+        _feed(welch, x, nperseg, "reused")
+        assert welch.segments == (n - nperseg) // welch.hop + 1
         assert np.max(np.abs(welch.spectrum().psd - ref) / ref) <= 1e-12
 
     def test_one_chunk_at_the_configured_segment_length(self):
@@ -116,6 +156,22 @@ class TestWelchAgainstScipy:
         spec = welch.spectrum()
         np.testing.assert_array_equal(spec.freqs_hz, freqs)
         assert np.max(np.abs(spec.psd - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("how", ["whole", "uneven", "reused"])
+@pytest.mark.parametrize("nperseg, n", GEOMETRIES)
+def test_bits_match_the_per_batch_loop(nperseg, n, how):
+    # each row of one rfft call over a chunk's segments must have the bits
+    # it has in a call of batch rows, and the powers must still be summed
+    # in groups of batch segments counted from each chunk's first, so that
+    # the total, and so every spectrum, keeps its bits
+    x = _record(n, seed=11)
+    welch, ref = _Welch(nperseg, FS), _PerBatchWelch(nperseg)
+    _feed(welch, x, nperseg, how)
+    _feed(ref, x, nperseg, how)
+    assert welch.segments == ref.sums.segments
+    assert welch.total.tobytes() == ref.sums.total.tobytes()
+    assert welch.spectrum().psd.tobytes() == ref.sums.spectrum().psd.tobytes()
 
 
 class TestFlatnessAgainstScipy:
