@@ -685,7 +685,7 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     nothing of a block but the Welch sum's copy of its incomplete
     segment.  Memory is therefore a fixed number of blocks plus a few
     segments, whatever the record length; a default.cfg record peaks at
-    about 12 blocks of doubles (6.2 MiB), the ~4.5 of its Welch sum's
+    about 12.7 blocks of doubles (6.4 MiB), the 4.3 of its Welch sum's
     rows and spectra included.
     """
     meas = scene.meas
