@@ -556,22 +556,25 @@ def _arm_counts(rng: np.random.Generator, means: np.ndarray, out: np.ndarray):
     _THIN_PEAK_MEAN bounds before anything is allocated.  A denser block
     takes one draw per bin.
 
-    A thinned block's counts are made in out[:m], a float64 buffer the
-    caller keeps from block to block (a block-sized array made and freed
-    per block would have the allocator return its pages and fault them
-    in again); total is the number of kept candidates and bins their
-    bins, one entry per count, so every bin that holds a count is in
-    it.  A dense block's counts come in the new int64 array of its draw,
-    and bins is every bin.
+    The counts are made in out[:m], a float64 buffer the caller keeps
+    from block to block (a block-sized array made and freed per block
+    would have the allocator return its pages and fault them in again):
+    a thinned block's are counted there, a dense block's copied from the
+    int64 array of its draw, so that no later product of counts and a
+    float runs through numpy's cast loop.  total is the number of
+    counts: a thinned block's kept candidates, whose bins are returned
+    as bins, one entry per count, so every bin that holds a count is in
+    it; a dense block's bins are every bin.
     """
     m = means.size
     lam = means.max()
+    counts = out[:m]
     if not lam <= _THIN_PEAK_MEAN:
-        counts = rng.poisson(means)
-        return counts, int(counts.sum()), slice(None)
+        draw = rng.poisson(means)
+        counts[:] = draw
+        return counts, int(draw.sum()), slice(None)
     idx = rng.integers(0, m, rng.poisson(lam * m))
     kept = idx[rng.random(idx.size) * lam < means[idx]]
-    counts = out[:m]
     counts.fill(0.0)
     np.add.at(counts, kept, 1.0)
     return counts, kept.size, kept
@@ -609,8 +612,9 @@ def _block_currents(
     through the IEEE operations of the dense formulas, mean tc + count
     tp and count_1 tp - count_2 tp, less the exact zeros a bin without
     a count adds, and has their bits (a zero factor may differ in the
-    sign of its zero).  A dense arm's bins are every bin.  The means are
-    only read: one array may serve both arms.
+    sign of its zero).  A dense arm's counts are made in the same
+    buffers and its bins are every bin.  The means are only read: one
+    array may serve both arms.
     """
     for k, means in enumerate(mean_blocks):
         m = means[0].size
@@ -675,9 +679,9 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     generators, so the counts and every sum are those of a serial pass.
     A record of one block has nothing to overlap and runs serially.
 
-    No block-sized array is made per block but a dense block's counts;
-    a thinned block's candidates number its peak mean per bin, at most
-    one (0.073 on default.cfg).  One buffer holds each live quantity:
+    No block-sized array is made per block but a dense block's draw and
+    pulses; a thinned block's candidates number its peak mean per bin,
+    at most one (0.073 on default.cfg).  One buffer holds each live quantity:
     the bin means' pair, the ring of difference currents and the scratch
     pair of the arm product's factors (which also take a thinned block's
     counts, and the variance sum's copy) are made once, the bin-mean and
