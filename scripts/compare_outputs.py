@@ -21,10 +21,17 @@ longer than half a block, and `measurement.rbw_hz = 3000.3`, whose
 segment has an odd length (3,333 samples).  Last, the failing path:
 `simulate beatnote` and `simulate default` on `default.cfg` with the
 signal in quadrature to the LO (`field.theta_s = pi/2`), whose beat
-power misses its near-zero target, so both exit 2.  A run's exit code,
+power misses its near-zero target, so both exit 2.  Then five refusals
+of one bad key each, which exit 1 with an `error:` line naming it:
+`simulate` with `measurement.duration_s = -1` and `analytic` with
+`detector.eta = 0` on `default.cfg`, `table1` with `scan.window_s = 0`
+on `sensitivity.cfg`, `analytic` with `lo.f_het_hz = 4e3` (a beat below
+10x the rbw) on `default.cfg`, and the sensitivity scan with
+`lo.theta_1 = nan`.  A run's exit code,
 stdout, stderr and every file it writes (`spectrum*.csv`, `table.csv`,
 `trace.bin`, `report.json`) are compared byte for byte, `report.json`
-without its `generated_at` line.  One line per run, then exit 0 when
+without its `generated_at` line.  One line per run, followed by both
+stderr texts where they differ, then exit 0 when
 every run is identical and 1 otherwise.  The Monte Carlo runs take
 about a second each, so the whole comparison takes under a minute on a
 2-vCPU VM.  Not part of the test suite.
@@ -114,6 +121,20 @@ RUNS.update(
     }
 )
 
+# one bad key each: the error line must name it
+RUNS.update(
+    {
+        f"{scenario} {config} refused {setting}": (scenario, config, f"{setting}\n")
+        for scenario, config, setting in (
+            ("simulate", "default.cfg", "measurement.duration_s = -1"),
+            ("analytic", "default.cfg", "detector.eta = 0"),
+            ("table1", "sensitivity.cfg", "scan.window_s = 0"),
+            ("analytic", "default.cfg", "lo.f_het_hz = 4e3"),
+            ("simulate", "sensitivity.cfg", "lo.theta_1 = nan"),
+        )
+    }
+)
+
 
 def _outputs(repo: Path, work: Path, name: str) -> dict[str, bytes]:
     """Exit code, stdout, stderr and written files of one run of the checkout repo in work."""
@@ -152,6 +173,9 @@ def main(argv=None) -> int:
             verdict = f"DIFFERS: {', '.join(diff)}" if diff else "identical"
             exit_code = here["exit code"].decode()
             print(f"{name:44s} exit {exit_code}  {verdict}  [{files or 'no files'}]")
+            if "stderr" in diff:
+                for label, found in (("parent", there), ("here", here)):
+                    print(f"    {label}: {found['stderr'].decode().strip()}")
     print(f"{differing} of {len(RUNS)} runs differ")
     return 1 if differing else 0
 

@@ -44,8 +44,9 @@ class Spectrum:
     def __post_init__(self):
         if self.freqs_hz.shape != self.psd.shape or self.freqs_hz.ndim != 1:
             raise InvalidSpec("frequency grid and PSD must be 1-d arrays of equal length")
-        if self.freqs_hz.size >= 2 and not np.all(self.freqs_hz[1:] > self.freqs_hz[:-1]):
-            raise InvalidSpec("frequency grid must be strictly increasing")
+        f = self.freqs_hz
+        if not (np.all(np.isfinite(f)) and np.all(f[1:] > f[:-1])):
+            raise InvalidSpec("frequency grid must be finite and strictly increasing")
         if not (self.rbw_hz > 0 and math.isfinite(self.rbw_hz)):
             raise InvalidSpec("resolution bandwidth must be positive and finite")
         if not np.all(np.isfinite(self.psd)):
@@ -60,13 +61,22 @@ def pulse_transfer(tau: float | None, omega):
     """Fourier transform K(w) of the single-emission current pulse of charge e = 1.
 
     A delta pulse (tau None) gives the flat K = 1; an exponential pulse
-    of decay tau gives 1 / (1 - i w tau), i.e. |K|^2 = 1 / (1 + w^2 tau^2).
+    of decay tau gives 1 / (1 - i w tau), i.e. |K|^2 = 1 / (1 + w^2 tau^2),
+    and 0 where w tau is beyond the float range.  Raises InvalidSpec for
+    a tau that is not positive and finite or an omega that is not finite.
     """
     w = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise InvalidSpec("pulse transfer frequencies must be finite")
     if tau is None:
         out = np.full(w.shape, 1.0, dtype=complex)
+    elif not (tau > 0.0 and math.isfinite(tau)):
+        raise InvalidSpec(f"pulse decay time must be positive and finite, got {tau!r}")
     else:
-        out = 1.0 / (1.0 - 1j * w * tau)
+        den = np.ones(w.shape, dtype=complex)
+        with np.errstate(over="ignore"):
+            den.imag = -w * tau
+        out = 1.0 / den
     return out if out.shape else complex(out)
 
 
@@ -97,8 +107,8 @@ def psd_analytic(
     beat is not part of this spectrum: output_signal_power reports it.
     Raises ConfigViolation if a squeezed dip is deeper than the shot
     floor can absorb within one bin (the discrete-pair model is invalid
-    at such a fine rbw), or if the heterodyne beat does not clear the
-    rbw/sample-rate limits.
+    at such a fine rbw), or if the record does not meet
+    validate_measurement's limits, which it names generically.
     """
     validate_measurement(cfg, lo)
     n_bins = int(round(cfg.sample_rate / 2.0 / cfg.rbw))
@@ -160,15 +170,20 @@ def snr_out(
     The pulse transfer function cancels between numerator and floor, so
     the result is pulse-independent: eta alpha^2 / (2 rbw) for the
     phase-averaged convention.  Zero signal gives -inf dB; an rbw that
-    is not positive and finite is refused.
+    is not positive and finite is refused, and so is a shot power or a
+    ratio outside the float range.
     """
     if state.is_squeezed():
         raise Unsupported("snr_out closed form applies to coherent input only")
     if not 0.0 < rbw_hz < math.inf:
         raise InvalidSpec(f"rbw must be positive and finite, got {rbw_hz!r}")
     p_out = output_signal_power(state, lo, det)
-    floor = shot_floor_psd(lo, det, lo.omega_het)
-    ratio = p_out / (float(floor) * rbw_hz)
+    noise = float(shot_floor_psd(lo, det, lo.omega_het)) * rbw_hz
+    if not 0.0 < noise < math.inf:
+        raise InvalidSpec(f"shot power {noise!r} in rbw {rbw_hz!r} Hz is not positive and finite")
+    ratio = p_out / noise
+    if p_out > 0.0 and not 0.0 < ratio < math.inf:
+        raise InvalidSpec(f"beat power {p_out!r} over shot power {noise!r} has no finite dB value")
     return 10.0 * math.log10(ratio) if ratio > 0 else -math.inf
 
 
@@ -177,11 +192,15 @@ def snr_in(state: FieldState, det: DetectorParams, rbw_hz: float = 1.0) -> float
 
     Shot-limited counting of the signal alone gives SNR = eta * flux * t
     with t = 1 / rbw.  Zero flux gives -inf dB; an rbw that is not
-    positive and finite is refused.
+    positive and finite is refused, and so is a count outside the float
+    range.
     """
     if not 0.0 < rbw_hz < math.inf:
         raise InvalidSpec(f"rbw must be positive and finite, got {rbw_hz!r}")
-    n_mean = det.eta * photon_flux(state) / rbw_hz
+    flux = photon_flux(state)
+    n_mean = det.eta * flux / rbw_hz
+    if flux > 0.0 and not 0.0 < n_mean < math.inf:
+        raise InvalidSpec(f"rbw {rbw_hz!r} Hz gives no positive finite photon count in 1 / rbw")
     return 10.0 * math.log10(n_mean) if n_mean > 0 else -math.inf
 
 

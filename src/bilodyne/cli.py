@@ -34,15 +34,16 @@ from .analytic import (
     snr_in,
     snr_out,
 )
-from .config import RunConfig
+from .config import MEASUREMENT_KEYS, RunConfig
 from .errors import BilodyneError, ConfigViolation
 from .io import TraceWriter, write_report_json, write_spectrum_csv
-from .model import TWO_PI, Hypothesis
+from .model import TWO_PI, Hypothesis, validate_measurement
 from .montecarlo import run_experiment
 
 
 def _run_analytic(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     scene = cfg.build_scene()
+    validate_measurement(scene.meas, scene.lo, scene.f_het_hz, MEASUREMENT_KEYS)
     state, lo, det, meas = scene.state, scene.lo, scene.det, scene.meas
     spectrum = psd_analytic(state, lo, det, meas)
     write_spectrum_csv(out_dir / "spectrum.csv", spectrum)
@@ -120,6 +121,7 @@ def _run_squeezed_compare(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     if not cfg.values["squeeze.enabled"]:
         raise ConfigViolation("squeezed-compare needs squeeze.enabled = true")
     scene = cfg.build_scene()
+    validate_measurement(scene.meas, scene.lo, scene.f_het_hz, MEASUREMENT_KEYS)
     state, lo, det, meas = scene.state, scene.lo, scene.det, scene.meas
     one, three = (
         psd_analytic(dataclasses.replace(state, hypothesis=hyp), lo, det, meas)

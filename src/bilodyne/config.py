@@ -10,16 +10,12 @@ frequencies exist only inside the model layer.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
-from .errors import ConfigViolation, ParseError, UnknownKey
+from .errors import BilodyneError, ConfigViolation, ParseError, UnknownKey
 from .model import (
-    FREQ_RTOL,
-    MAX_PHOTON_FLUX,
-    MAX_RECORD_SAMPLES,
-    MAX_SQUEEZE_R,
     TWO_PI,
     DetectorParams,
     FieldMode,
@@ -31,9 +27,7 @@ from .model import (
     Scan,
     Scene,
     SqueezePair,
-    _first_close,
     calibrate_photon_energy,
-    check_record_size,
 )
 
 
@@ -88,6 +82,18 @@ SCHEMA: dict = {
     "output.write_trace": (_parse_bool, False),
 }
 
+# The settings of a record's beat frequency, duration, rbw and sample rate,
+# in the order validate_measurement names them: a scene's and a scan scene's
+MEASUREMENT_KEYS = (
+    "lo.f_het_hz",
+    "measurement.duration_s",
+    "measurement.rbw_hz",
+    "measurement.sample_rate_hz",
+)
+SCAN_KEYS = ("scan.f_het_hz", "scan.duration_s", "scan.rbw_hz", "scan.sample_rate_hz")
+# The settings that calibrate a scan's photon energy, and so its fluxes
+_CALIBRATION_KEYS = ("scan.powers_nw", "scan.window_s", "detector.eta", "scan.anchor_snr_db")
+
 _CHOICES = {
     "field.hypothesis": ("one-field", "three-fields"),
     "squeeze.placement": ("image", "sideband"),
@@ -139,10 +145,15 @@ class RunConfig:
     """A parsed config: the SCHEMA defaults with the file's settings.
 
     The build_* methods are the only place where config values become
-    model objects: every scenario runs the scenes built here.
+    model objects: every scenario runs the scenes built here.  The model
+    types check every value; a builder re-raises an object's refusal as
+    a ConfigViolation that names the keys the object was made from.
     """
 
     values: dict
+    # the keys named for a value the builders read: the key itself, unless
+    # the value was derived from others (see _ScanSceneConfig)
+    _FED_BY: ClassVar[dict[str, tuple[str, ...]]] = {}
 
     def __post_init__(self):
         # measurement.seed, after any --seed: it seeds the Monte Carlo, not a scene
@@ -166,119 +177,73 @@ class RunConfig:
                 raise UnknownKey(f"unknown key {key!r}")
         return cls(_with_defaults(overrides, "overrides"))
 
+    def _names(self, keys) -> str:
+        """The config keys behind the values read under keys, each once."""
+        return ", ".join(dict.fromkeys(n for key in keys for n in self._FED_BY.get(key, (key,))))
+
+    def _make(self, keys, make, *args, **kwargs):
+        """make(*args, **kwargs), its refusal re-raised as a ConfigViolation that names keys."""
+        try:
+            return make(*args, **kwargs)
+        except BilodyneError as exc:
+            raise ConfigViolation(f"{self._names(keys)}: {exc}") from exc
+
     def _flux(self, key: str) -> float:
         flux = self.values[key]
-        if not 0.0 <= flux <= MAX_PHOTON_FLUX:
-            raise ConfigViolation(
-                f"{key} must be in [0, MAX_PHOTON_FLUX = {MAX_PHOTON_FLUX:g}], got {flux!r}"
-            )
+        if not flux >= 0.0:
+            raise ConfigViolation(f"{self._names([key])}: photon flux must be >= 0, got {flux!r}")
         return flux
-
-    def _finite(self, key: str) -> float:
-        value = self.values[key]
-        if not math.isfinite(value):
-            raise ConfigViolation(f"{key} must be finite, got {value!r}")
-        return value
-
-    def _f_het(self, key: str) -> float:
-        """A bichromatic LO's heterodyne frequency, finite and positive, with two distinct tones."""
-        f_het = self._finite(key)
-        if not f_het > 0.0:
-            raise ConfigViolation(f"{key} must be positive for a bichromatic LO, got {f_het!r}")
-        omega_s, d = TWO_PI * self.values["field.carrier_hz"], TWO_PI * f_het
-        # the tones sit at omega_s +- d; a bad carrier is build_state's to refuse
-        if 0.0 < omega_s < math.inf and not omega_s + d > omega_s - d > 0.0:
-            raise ConfigViolation(
-                f"{key} must put the lower LO tone above 0 Hz and below the upper one, "
-                f"got {f_het!r}"
-            )
-        return f_het
-
-    def _record_geometry(self, group: str) -> tuple[float, float, float]:
-        """Duration, rbw and sample rate of the group.* keys, finite and within the bounds.
-
-        The bounds are checked before any array exists; the signs are
-        MeasurementConfig's to check.
-        """
-        keys = [f"{group}.{key}" for key in ("duration_s", "rbw_hz", "sample_rate_hz")]
-        duration, rbw, rate = (self._finite(key) for key in keys)
-        if min(duration, rbw, rate) > 0.0:
-            check_record_size(duration, rbw, rate, keys)
-        return duration, rbw, rate
 
     def build_state(self) -> FieldState:
         v = self.values
-        carrier = self._finite("field.carrier_hz")
-        omega_s = TWO_PI * carrier
-        if not 0.0 < omega_s < math.inf:
-            raise ConfigViolation(
-                f"field.carrier_hz must be in (0, {sys.float_info.max / TWO_PI:.4g}] Hz, "
-                f"got {carrier!r}"
-            )
+        omega_s = TWO_PI * v["field.carrier_hz"]
         alpha = math.sqrt(2.0 * self._flux("field.signal_flux"))
-        modes = [FieldMode(frequency=omega_s, amplitude=alpha, label=ModeLabel.SIGNAL)]
-        squeeze = ()
+        modes = [self._make(("field.carrier_hz", "field.signal_flux"), FieldMode, omega_s, alpha)]
+        squeeze, state_keys = (), ("field.theta_s",)
         if v["squeeze.enabled"]:
-            offset = self._finite("squeeze.offset_hz")
-            d = TWO_PI * offset
-            freqs = [omega_s, omega_s + d, omega_s - d]
-            if not min(freqs) > 0.0 or _first_close(freqs) is not None:
-                raise ConfigViolation(
-                    "squeeze.offset_hz must put both squeezed modes above 0 Hz and apart from "
-                    f"the carrier by more than FREQ_RTOL = {FREQ_RTOL:g} of it, got {offset!r}"
-                )
-            upper = ModeLabel.IMAGE1 if v["squeeze.placement"] == "image" else ModeLabel.SIDEBAND
-            lower = ModeLabel.IMAGE2 if v["squeeze.placement"] == "image" else ModeLabel.SIDEBAND
-            modes.append(FieldMode(frequency=omega_s + d, amplitude=0.0, label=upper))
-            modes.append(FieldMode(frequency=omega_s - d, amplitude=0.0, label=lower))
-            r = v["squeeze.r"]
-            if not 0.0 <= r <= MAX_SQUEEZE_R:
-                raise ConfigViolation(
-                    f"squeeze.r must be in [0, {MAX_SQUEEZE_R:.6g}], where the squeeze "
-                    "parameter's fluctuation flux sinh(r)^2 is within MAX_PHOTON_FLUX = "
-                    f"{MAX_PHOTON_FLUX:g}, got {r!r}"
-                )
-            squeeze = (SqueezePair(omega_s + d, omega_s - d, r, self._finite("squeeze.phi")),)
-        return FieldState(
+            keys = ("field.carrier_hz", "squeeze.offset_hz")
+            d = TWO_PI * v["squeeze.offset_hz"]
+            freqs = (omega_s + d, omega_s - d)
+            image = v["squeeze.placement"] == "image"
+            labels = (ModeLabel.IMAGE1, ModeLabel.IMAGE2) if image else (ModeLabel.SIDEBAND,) * 2
+            modes += [self._make(keys, FieldMode, f, 0.0, label) for f, label in zip(freqs, labels)]
+            pair = (*freqs, v["squeeze.r"], v["squeeze.phi"])
+            squeeze = (self._make((*keys, "squeeze.r", "squeeze.phi"), SqueezePair, *pair),)
+            state_keys += ("squeeze.offset_hz",)
+        return self._make(
+            state_keys,
+            FieldState,
             modes,
             hypothesis=Hypothesis(v["field.hypothesis"]),
             squeeze=squeeze,
-            theta_s=None if v["field.phase_averaged"] else self._finite("field.theta_s"),
+            theta_s=None if v["field.phase_averaged"] else v["field.theta_s"],
         )
 
     def build_lo(self) -> LocalOscillator:
         v = self.values
         omega_s = TWO_PI * v["field.carrier_hz"]
         amplitude = math.sqrt(self._flux("lo.flux"))
-        theta_1 = self._finite("lo.theta_1")
         if v["lo.kind"] == "mono":
-            return LocalOscillator(amplitude, omega_s, theta_1)
-        d = TWO_PI * self._f_het("lo.f_het_hz")
-        theta_2 = self._finite("lo.theta_2")
-        return LocalOscillator(amplitude, omega_s + d, theta_1, omega_s - d, theta_2)
+            keys = ("lo.flux", "field.carrier_hz", "lo.theta_1")
+            return self._make(keys, LocalOscillator, amplitude, omega_s, v["lo.theta_1"])
+        d = TWO_PI * v["lo.f_het_hz"]
+        keys = ("lo.flux", "field.carrier_hz", "lo.f_het_hz", "lo.theta_1", "lo.theta_2")
+        tones = (omega_s + d, v["lo.theta_1"], omega_s - d, v["lo.theta_2"])
+        return self._make(keys, LocalOscillator, amplitude, *tones)
 
     def build_detector(self) -> DetectorParams:
         v = self.values
         tau = None if v["detector.pulse"] == "delta" else v["detector.pulse_tau_s"]
-        return DetectorParams(eta=v["detector.eta"], pulse_tau=tau)
+        keys = ("detector.eta",) if tau is None else ("detector.eta", "detector.pulse_tau_s")
+        return self._make(keys, DetectorParams, v["detector.eta"], tau)
 
     def build_measurement(self) -> MeasurementConfig:
-        duration, rbw, rate = self._record_geometry("measurement")
-        return MeasurementConfig(
-            duration=duration,
-            rbw=rbw,
-            sample_rate=rate,
-            n_segments=self.values["measurement.n_segments"],
-        )
+        keys = (*MEASUREMENT_KEYS[1:], "measurement.n_segments")
+        return self._make(keys, MeasurementConfig, *(self.values[key] for key in keys))
 
     def build_scene(self) -> Scene:
-        return Scene(
-            state=self.build_state(),
-            lo=self.build_lo(),
-            det=self.build_detector(),
-            meas=self.build_measurement(),
-            f_het_hz=self._finite("lo.f_het_hz"),
-        )
+        parts = self.build_state(), self.build_lo(), self.build_detector(), self.build_measurement()
+        return self._make(MEASUREMENT_KEYS[:1], Scene, *parts, self.values["lo.f_het_hz"])
 
     def build_scan(self) -> Scan:
         """The sensitivity scan: one scene per power in scan.powers_nw.
@@ -289,48 +254,47 @@ class RunConfig:
         scene with a coherent signal of that power at the LO mean phase,
         a bichromatic LO of scan.lo_ratio times its flux at
         scan.f_het_hz, and the scan.* record geometry; the carrier, the
-        LO tone phases and the detector stay.
+        LO tone phases and the detector stay.  A scene's refusal names
+        the power and the scan.* keys behind the value refused.
         """
         v = self.values
         powers = tuple(p * 1e-9 for p in v["scan.powers_nw"])
-        if not powers or not all(p > 0.0 and math.isfinite(p) for p in powers):
+        if not powers:
             raise ParseError(
                 f"scan.powers_nw must list positive finite powers, got {v['scan.powers_nw']!r}"
             )
-        if not 1 <= v["scan.count_windows"] <= MAX_RECORD_SAMPLES:
-            raise ConfigViolation(
-                f"scan.count_windows must be in [1, MAX_RECORD_SAMPLES = {MAX_RECORD_SAMPLES:g}], "
-                f"got {v['scan.count_windows']}"
-            )
-        window, snr_db = self._finite("scan.window_s"), self._finite("scan.anchor_snr_db")
-        e_ph = calibrate_photon_energy(powers[0], window, v["detector.eta"], snr_db)
-        duration, rbw, rate = self._record_geometry("scan")
-        f_het = self._f_het("scan.f_het_hz")
+        window = v["scan.window_s"]
+        anchor = (powers[0], window, v["detector.eta"], v["scan.anchor_snr_db"])
+        e_ph = self._make(_CALIBRATION_KEYS, calibrate_photon_energy, *anchor)
         geometry = {
             "field.phase_averaged": False,
             "field.theta_s": 0.5 * (v["lo.theta_1"] + v["lo.theta_2"]),
             "squeeze.enabled": False,
             "lo.kind": "bichromatic",
-            "lo.f_het_hz": f_het,
-            "measurement.duration_s": duration,
-            "measurement.rbw_hz": rbw,
-            "measurement.sample_rate_hz": rate,
+            **{key: v[scan_key] for key, scan_key in zip(MEASUREMENT_KEYS, SCAN_KEYS)},
         }
-        ratio = self._finite("scan.lo_ratio")
-        if ratio < 0.0:
-            raise ConfigViolation(f"scan.lo_ratio must be >= 0, got {ratio!r}")
         scenes = []
         for power in powers:
             flux = power / e_ph
-            values = {**v, **geometry, "field.signal_flux": flux, "lo.flux": ratio * flux}
+            fluxes = {"field.signal_flux": flux, "lo.flux": v["scan.lo_ratio"] * flux}
+            values = {**v, **geometry, **fluxes}
             try:
-                scenes.append(RunConfig(values).build_scene())
+                scenes.append(_ScanSceneConfig(values).build_scene())
             except ConfigViolation as exc:
                 raise ConfigViolation(f"scan.powers_nw = {power * 1e9:g} nW: {exc}") from exc
-        return Scan(
-            photon_energy_j=e_ph,
-            window_s=window,
-            count_windows=v["scan.count_windows"],
-            powers_w=powers,
-            scenes=tuple(scenes),
-        )
+        keys = ("scan.powers_nw", "scan.window_s", "scan.count_windows")
+        return self._make(keys, Scan, e_ph, window, v["scan.count_windows"], powers, tuple(scenes))
+
+
+class _ScanSceneConfig(RunConfig):
+    """The config of one scan scene: build_scan's values, named by the keys they came from."""
+
+    # a power's signal flux is the power over the calibrated photon energy;
+    # the LO's is scan.lo_ratio times that flux, which its mode has checked;
+    # the signal sits at the LO mean phase
+    _FED_BY = {
+        **{key: (scan_key,) for key, scan_key in zip(MEASUREMENT_KEYS, SCAN_KEYS)},
+        "field.signal_flux": _CALIBRATION_KEYS,
+        "lo.flux": ("scan.lo_ratio",),
+        "field.theta_s": ("lo.theta_1", "lo.theta_2"),
+    }

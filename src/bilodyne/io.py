@@ -92,19 +92,6 @@ def _csv_rows(freqs: np.ndarray, psd: np.ndarray) -> str:
     return template % tuple(column.tolist())
 
 
-def read_spectrum_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
-    """The two columns of a spectrum CSV; a header-only file gives two empty arrays."""
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0] != "freq_hz,psd":
-        raise ParseError(f"{path}: not a spectrum CSV")
-    try:
-        pairs = [(float(f), float(p)) for f, p in (row.split(",") for row in rows[1:])]
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad spectrum row ({exc})") from None
-    data = np.array(pairs, dtype=float).reshape(-1, 2)
-    return data[:, 0], data[:, 1]
-
-
 def write_report_json(path: Path | str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -15,7 +15,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import numbers
@@ -30,6 +29,8 @@ TWO_PI = 2.0 * math.pi
 # separations are >= 1e4 rad/s.  1e-13 relative (~1e2 rad/s absolute)
 # sits safely between the two.
 FREQ_RTOL = 1e-13
+# Largest optical frequency, rad/s: sums of a few stay far from overflow
+MAX_FREQUENCY = 1e300
 # Largest photon flux of a scene, in photons/s:
 # ~2e11 W at 1 um, and far from float overflow in products of two fluxes
 MAX_PHOTON_FLUX = 1e30
@@ -37,6 +38,8 @@ MAX_PHOTON_FLUX = 1e30
 # MAX_PHOTON_FLUX (r ~ 35.2), far from the r ~ 177 where products of two
 # populations overflow
 MAX_SQUEEZE_R = math.asinh(math.sqrt(MAX_PHOTON_FLUX))
+# Largest phase magnitude, rad: from 2^52 on, floats lie 1 rad apart
+MAX_PHASE = 2.0**52
 # Largest record (duration * sample rate, or a scan's count_windows of the
 # counting run) and Welch segment or analytic grid (sample rate / rbw) a
 # run may ask for, in samples.  The streamed Monte Carlo pass takes
@@ -81,7 +84,8 @@ class FieldMode:
 
     frequency: angular frequency, rad/s (> 0).
     amplitude: coherent amplitude; |amplitude|^2 / 2 is the photon flux
-        carried by the mode.  Must be 0 for non-signal labels.
+        carried by the mode, at most MAX_PHOTON_FLUX.  Must be 0 for
+        non-signal labels.
     """
 
     frequency: float
@@ -89,10 +93,14 @@ class FieldMode:
     label: ModeLabel = ModeLabel.SIGNAL
 
     def __post_init__(self):
-        if not (self.frequency > 0.0 and math.isfinite(self.frequency)):
-            raise InvalidSpec(f"mode frequency must be positive and finite, got {self.frequency!r}")
-        if not cmath.isfinite(self.amplitude):
-            raise InvalidSpec(f"mode amplitude must be finite, got {self.amplitude!r}")
+        if not 0.0 < self.frequency <= MAX_FREQUENCY:
+            raise InvalidSpec(
+                f"mode frequency must be finite, in (0, MAX_FREQUENCY], got {self.frequency!r}"
+            )
+        if not abs(self.amplitude) <= math.sqrt(2.0 * MAX_PHOTON_FLUX):
+            raise InvalidSpec(
+                f"mode amplitude must be finite, flux <= MAX_PHOTON_FLUX, got {self.amplitude!r}"
+            )
         if self.label is not ModeLabel.SIGNAL and self.amplitude != 0:
             raise InvalidSpec(f"{self.label.value} modes are vacuum modes and must have amplitude 0")
 
@@ -112,14 +120,19 @@ class SqueezePair:
     phi: float = 0.0
 
     def __post_init__(self):
+        freqs = (self.freq_a, self.freq_b)
+        if not all(0.0 < f <= MAX_FREQUENCY for f in freqs):
+            raise InvalidSpec(
+                f"pair frequencies must be finite, in (0, MAX_FREQUENCY], got {freqs!r}"
+            )
         if not 0.0 <= self.r <= MAX_SQUEEZE_R:
             raise InvalidSpec(
                 f"squeeze parameter must be in [0, {MAX_SQUEEZE_R:.6g}], where the pair's "
                 f"population sinh(r)^2 is within MAX_PHOTON_FLUX = {MAX_PHOTON_FLUX:g}, "
                 f"got {self.r!r}"
             )
-        if not math.isfinite(self.phi):
-            raise InvalidSpec(f"squeeze angle must be finite, got {self.phi!r}")
+        if not abs(self.phi) <= MAX_PHASE:
+            raise InvalidSpec(f"squeeze angle must be finite, |phi| <= MAX_PHASE, got {self.phi!r}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +166,10 @@ class FieldState:
         duplicate = _first_close([m.frequency for m in self.modes])
         if duplicate is not None:
             raise InvalidSpec(f"duplicate mode frequency {duplicate!r}")
-        if self.theta_s is not None and not math.isfinite(self.theta_s):
-            raise InvalidSpec(f"signal phase theta_s must be finite or None, got {self.theta_s!r}")
+        if self.theta_s is not None and not abs(self.theta_s) <= MAX_PHASE:
+            raise InvalidSpec(
+                f"theta_s must be None or finite, |theta_s| <= MAX_PHASE, got {self.theta_s!r}"
+            )
         if self.squeeze:
             signal = self.signal_modes()
             if len(signal) != 1:
@@ -188,7 +203,7 @@ class LocalOscillator:
     the full E_l on one tone at omega_1 with phase theta_1; giving
     omega_2 and theta_2 too makes it bichromatic, and it splits E_l as
     E_l/sqrt(2) per tone so both variants deliver the same photon flux
-    E_l^2.
+    E_l^2, at most MAX_PHOTON_FLUX.
     """
 
     amplitude: float
@@ -198,20 +213,24 @@ class LocalOscillator:
     theta_2: float | None = None
 
     def __post_init__(self):
-        if not (self.amplitude > 0.0 and math.isfinite(self.amplitude)):
-            raise InvalidSpec(f"LO amplitude must be positive, got {self.amplitude!r}")
-        if self.omega_1 <= 0.0:
-            raise InvalidSpec("LO tone frequency must be positive")
+        if not 0.0 < self.amplitude <= math.sqrt(MAX_PHOTON_FLUX):
+            raise InvalidSpec(
+                f"LO amplitude must be finite, > 0, flux <= MAX_PHOTON_FLUX, got {self.amplitude!r}"
+            )
         if (self.omega_2 is None) != (self.theta_2 is None):
             raise InvalidSpec("bichromatic LO needs both omega_2 and theta_2")
-        if self.omega_2 is not None:
-            if self.omega_2 <= 0.0:
-                raise InvalidSpec("LO tone frequency must be positive")
-            if not self.omega_1 > self.omega_2:
-                raise InvalidSpec("bichromatic LO requires omega_1 > omega_2")
-        tones = (self.omega_1, self.theta_1, self.omega_2, self.theta_2)
-        if not all(math.isfinite(x) for x in tones if x is not None):
-            raise InvalidSpec(f"LO tone frequencies and phases must be finite, got {tones!r}")
+        omegas = [w for w in (self.omega_1, self.omega_2) if w is not None]
+        phases = [t for t in (self.theta_1, self.theta_2) if t is not None]
+        if not all(0.0 < w <= MAX_FREQUENCY for w in omegas):
+            raise InvalidSpec(
+                f"LO tone frequencies must be finite, in (0, MAX_FREQUENCY], got {omegas!r}"
+            )
+        if not all(abs(t) <= MAX_PHASE for t in phases):
+            raise InvalidSpec(
+                f"LO tone phases must be finite, |theta| <= MAX_PHASE, got {phases!r}"
+            )
+        if len(omegas) == 2 and not self.omega_1 > self.omega_2:
+            raise InvalidSpec("bichromatic LO requires omega_1 > omega_2")
 
     @property
     def is_bichromatic(self) -> bool:
@@ -270,7 +289,11 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Spectral-measurement parameters (ordinary frequencies, Hz)."""
+    """Spectral-measurement parameters (ordinary frequencies, Hz).
+
+    A record above MAX_RECORD_SAMPLES or a segment above
+    MAX_SEGMENT_SAMPLES is refused (ConfigViolation) when the config is made.
+    """
 
     duration: float
     rbw: float
@@ -278,14 +301,23 @@ class MeasurementConfig:
     n_segments: int = 16
 
     def __post_init__(self):
-        if not (self.duration > 0.0 and math.isfinite(self.duration)):
-            raise InvalidSpec("measurement duration must be positive and finite")
-        if not (self.rbw > 0.0 and math.isfinite(self.rbw)):
-            raise InvalidSpec("resolution bandwidth must be positive and finite")
-        if not (self.sample_rate > 0.0 and math.isfinite(self.sample_rate)):
-            raise InvalidSpec("sample rate must be positive and finite")
-        if self.n_segments < 1:
-            raise InvalidSpec("segment count must be >= 1")
+        for name in ("duration", "rbw", "sample_rate"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise InvalidSpec(f"{name} must be positive and finite, got {value!r}")
+        if not (isinstance(self.n_segments, numbers.Integral) and self.n_segments >= 1):
+            raise InvalidSpec(f"n_segments must be a finite integer >= 1, got {self.n_segments!r}")
+        samples, segment = self.duration * self.sample_rate, self.sample_rate / self.rbw
+        if not samples <= MAX_RECORD_SAMPLES:
+            raise ConfigViolation(
+                f"duration * sample rate = {samples:g} samples, "
+                f"more than MAX_RECORD_SAMPLES = {MAX_RECORD_SAMPLES:g}"
+            )
+        if not segment <= MAX_SEGMENT_SAMPLES:
+            raise ConfigViolation(
+                f"sample rate / rbw = {segment:g} samples per segment, "
+                f"more than MAX_SEGMENT_SAMPLES = {MAX_SEGMENT_SAMPLES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -295,6 +327,7 @@ class Scene:
     f_het_hz is the configured heterodyne frequency.  lo.omega_het / 2 pi
     recovers it only to ~1e-7 relative, because the tones sit at optical
     frequencies, and the line and floor masks on the Hz grid need it exact.
+    A non-finite f_het_hz raises InvalidSpec.
     """
 
     state: FieldState
@@ -302,6 +335,10 @@ class Scene:
     det: DetectorParams
     meas: MeasurementConfig
     f_het_hz: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.f_het_hz):
+            raise InvalidSpec(f"heterodyne frequency must be finite, got {self.f_het_hz!r}")
 
 
 @dataclass(frozen=True)
@@ -370,67 +407,54 @@ def calibrate_photon_energy(
 
     The input SNR equals the mean detected photon number eta * P * t / E_ph
     in a counting window t, so E_ph = eta * P * t / 10^(SNR_dB / 10).
+    Raises InvalidSpec unless P and t are positive and finite, eta is in
+    (0, 1] and the energy is positive and finite.
     """
-    if optical_power_w <= 0.0 or window_s <= 0.0:
-        raise InvalidSpec("optical power and window must be positive")
+    for name, value in (("optical power", optical_power_w), ("counting window", window_s)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise InvalidSpec(f"{name} must be positive and finite, got {value!r}")
     if not (0.0 < eta <= 1.0):
-        raise InvalidSpec("quantum efficiency must be in (0, 1]")
+        raise InvalidSpec(f"quantum efficiency must be in (0, 1], got {eta!r}")
     try:
         energy = eta * optical_power_w * window_s / 10.0 ** (snr_in_db / 10.0)
     except (OverflowError, ZeroDivisionError):
         energy = math.nan
     if not (energy > 0.0 and math.isfinite(energy)):
-        raise InvalidSpec(f"input SNR {snr_in_db!r} dB gives no positive finite photon energy")
+        raise InvalidSpec(
+            f"input SNR {snr_in_db!r} dB at {optical_power_w!r} W in {window_s!r} s "
+            "gives no positive finite photon energy"
+        )
     return energy
-
-
-def check_record_size(duration, rbw, rate, names=("duration", "rbw", "sample rate")) -> None:
-    """Refuse a record above MAX_RECORD_SAMPLES samples or segments above MAX_SEGMENT_SAMPLES.
-
-    The arguments are positive; names are the settings of the duration,
-    rbw and sample rate that the ConfigViolation names.
-    """
-    samples, segment = duration * rate, rate / rbw
-    if not samples <= MAX_RECORD_SAMPLES:
-        raise ConfigViolation(
-            f"{names[0]} * {names[2]} = {samples:g} samples, "
-            f"more than MAX_RECORD_SAMPLES = {MAX_RECORD_SAMPLES:g}"
-        )
-    if not segment <= MAX_SEGMENT_SAMPLES:
-        raise ConfigViolation(
-            f"{names[2]} / {names[1]} = {segment:g} samples per segment, "
-            f"more than MAX_SEGMENT_SAMPLES = {MAX_SEGMENT_SAMPLES}"
-        )
 
 
 def validate_measurement(
     cfg: MeasurementConfig,
     lo: LocalOscillator,
     f_het_hz: float | None = None,
-    names=("Omega / 2 pi", "rbw", "sample rate"),
+    names=("Omega / 2 pi", "duration", "rbw", "sample rate"),
 ) -> None:
-    """Check the size, RBW and sample-rate limits of a heterodyne run's record.
+    """Check the RBW and sample-rate limits of a heterodyne run's record.
 
-    The size goes first, through check_record_size, so a caller can
-    check before it allocates.  For a bichromatic LO the beat frequency
-    must clear the resolution bandwidth (Omega / 2 pi >= 10 * rbw) and
-    the sample rate must cover it (sample_rate >= 10 * Omega / 2 pi).
-    Mono LO runs only need the record to support the requested RBW.  The
-    tones carry Omega only to about one ulp of an optical frequency, so
-    a beat within that of a limit is taken to meet it.  The errors quote
-    f_het_hz, the configured beat frequency, when it is given, and name
-    the settings of the beat frequency, rbw and sample rate by names.
+    The record must resolve the resolution bandwidth (rbw * duration >=
+    1).  For a bichromatic LO the beat frequency must clear it
+    (Omega / 2 pi >= 10 * rbw) and the sample rate must cover the beat
+    (sample_rate >= 10 * Omega / 2 pi).  The tones carry Omega only to
+    about one ulp of an optical frequency, so a beat within that of a
+    limit is taken to meet it.  The errors quote f_het_hz, the
+    configured beat frequency, when it is given, and name the settings
+    of the beat frequency, duration, rbw and sample rate by names.
     """
-    check_record_size(cfg.duration, cfg.rbw, cfg.sample_rate)
+    beat_name, duration_name, rbw_name, rate_name = names
     if cfg.rbw * cfg.duration < 1.0:
         raise ConfigViolation(
-            f"duration {cfg.duration} s cannot resolve rbw {cfg.rbw} Hz (need rbw * T >= 1)"
+            f"{duration_name} = {cfg.duration:g} s cannot resolve {rbw_name} = {cfg.rbw:g} Hz "
+            "(need rbw * T >= 1)"
         )
     if lo.is_bichromatic:
         f_het = lo.omega_het / TWO_PI
         f_tol = math.ulp(lo.omega_1) / TWO_PI
-        beat = f"heterodyne frequency {names[0]} = {f_het if f_het_hz is None else f_het_hz:g} Hz"
+        beat = f"heterodyne frequency {beat_name} = {f_het if f_het_hz is None else f_het_hz:g} Hz"
         if f_het + f_tol < 10.0 * cfg.rbw:
-            raise ConfigViolation(f"{beat} must be >= 10x {names[1]} = {cfg.rbw:g} Hz")
+            raise ConfigViolation(f"{beat} must be >= 10x {rbw_name} = {cfg.rbw:g} Hz")
         if cfg.sample_rate < 10.0 * (f_het - f_tol):
-            raise ConfigViolation(f"{names[2]} = {cfg.sample_rate:g} Hz must be >= 10x {beat}")
+            raise ConfigViolation(f"{rate_name} = {cfg.sample_rate:g} Hz must be >= 10x {beat}")

@@ -42,7 +42,7 @@ import numpy.random
 
 from . import correlators
 from .analytic import SensitivityRow, Spectrum, output_signal_power, shot_floor_psd
-from .config import _CHOICES, RunConfig
+from .config import _CHOICES, MEASUREMENT_KEYS, SCAN_KEYS, RunConfig
 from .errors import ConfigViolation, InvalidSpec, NonClassicalInput, TooShort, Unresolved
 from .io import TraceWriter
 from .model import (
@@ -726,13 +726,13 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     )
 
 
-def _check_scene(scene: Scene, keys: tuple[str, str, str]) -> None:
+def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
     """Refuse a scene the packaged checks cannot model, then validate its geometry.
 
     The check targets assume a coherent signal at a fixed phase, a
     bichromatic LO and delta pulses; the error names the config setting
     that asks for anything else.  A geometry error names keys, the
-    settings of the scene's beat frequency, rbw and sample rate.
+    settings of the scene's beat frequency, duration, rbw and sample rate.
     """
     for refused, setting in (
         (not scene.lo.is_bichromatic, "lo.kind = mono"),
@@ -819,7 +819,7 @@ def _scenario_record(
     mode in vacuum and `null-phase` with the signal in quadrature to the
     LO mean phase.
     """
-    _check_scene(scene, ("lo.f_het_hz", "measurement.rbw_hz", "measurement.sample_rate_hz"))
+    _check_scene(scene, MEASUREMENT_KEYS)
     scenario = report.scenario
     if scenario == "shot-floor":
         vacuum = tuple(replace(m, amplitude=0.0) for m in scene.state.modes)
@@ -884,7 +884,7 @@ def _scenario_sensitivity(
     SNR_out = P / (floor * rbw_ref), rbw_ref = 1 / window.
     """
     for power, scene in zip(scan.powers_w, scan.scenes):
-        _check_scene(scene, ("scan.f_het_hz", "scan.rbw_hz", "scan.sample_rate_hz"))
+        _check_scene(scene, SCAN_KEYS)
         if not scene.det.eta * power / scan.photon_energy_j * scan.window_s <= _MAX_POISSON_MEAN:
             raise ConfigViolation(
                 f"the counting run at {power * 1e9:g} nW expects more than {_MAX_POISSON_MEAN:g} "

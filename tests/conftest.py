@@ -1,12 +1,15 @@
-"""Shared geometry builders and the session-wide default Monte Carlo run."""
+"""Shared geometry builders, the spectrum CSV reader and the session-wide default MC run."""
 
 from __future__ import annotations
 
 import math
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bilodyne.errors import ParseError
 from bilodyne.model import (
     TWO_PI,
     DetectorParams,
@@ -79,6 +82,19 @@ def standard_detector(eta: float = ETA):
 
 def standard_measurement(duration: float = 2.0, rbw: float = 1e3, fs: float = 1e7):
     return MeasurementConfig(duration=duration, rbw=rbw, sample_rate=fs)
+
+
+def read_spectrum_csv(path: Path | str) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns of a spectrum CSV; a header-only file gives two empty arrays."""
+    rows = Path(path).read_text().strip().splitlines()
+    if not rows or rows[0] != "freq_hz,psd":
+        raise ParseError(f"{path}: not a spectrum CSV")
+    try:
+        pairs = [(float(f), float(p)) for f, p in (row.split(",") for row in rows[1:])]
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad spectrum row ({exc})") from None
+    data = np.array(pairs, dtype=float).reshape(-1, 2)
+    return data[:, 0], data[:, 1]
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from bilodyne.analytic import psd_analytic
 from bilodyne.cli import main
 from bilodyne.config import _CHOICES, SCHEMA, RunConfig, parse_config
 from bilodyne.errors import BilodyneError, ConfigViolation, ParseError, UnknownKey
-from bilodyne.io import read_spectrum_csv, read_trace_bin
+from bilodyne.io import read_trace_bin
 from bilodyne.model import (
     TWO_PI,
     Hypothesis,
@@ -24,6 +24,7 @@ from bilodyne.model import (
     photon_flux,
 )
 from bilodyne.montecarlo import ExperimentReport
+from tests.conftest import read_spectrum_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -269,6 +270,55 @@ class TestNoSilentKeys:
         assert (sim.state, sim.lo, sim.det, sim.meas) == seen["analytic"]
         assert sim == RunConfig.load(cfg).build_scene()
         assert seen["seed"] == parse_config(cfg)["measurement.seed"] == 20260815
+
+
+NUMERIC_KEYS = sorted(
+    key for key, (converter, _) in SCHEMA.items()
+    if converter in (float, int) or key == "scan.powers_nw"
+)
+# settings whose record geometry the builders accept but validate_measurement
+# refuses, by the scenarios that check it: (scenarios, config, setting, key)
+RELATIONS = [
+    (("analytic", "simulate"), "default.cfg", "lo.f_het_hz = 4e3", "lo.f_het_hz"),
+    (("analytic", "simulate"), "default.cfg", "measurement.duration_s = 1e-4",
+     "measurement.duration_s"),
+    (("analytic", "simulate"), "default.cfg", "measurement.rbw_hz = 5e4", "measurement.rbw_hz"),
+    (("analytic", "simulate"), "default.cfg", "measurement.sample_rate_hz = 5e5",
+     "measurement.sample_rate_hz"),
+    (("squeezed-compare",), "squeezed.cfg", "lo.f_het_hz = 4e3", "lo.f_het_hz"),
+    (("simulate",), "sensitivity.cfg", "scan.f_het_hz = 10", "scan.f_het_hz"),
+    (("simulate",), "sensitivity.cfg", "scan.duration_s = 1e-6", "scan.duration_s"),
+    (("simulate",), "sensitivity.cfg", "scan.rbw_hz = 1e6", "scan.rbw_hz"),
+    (("simulate",), "sensitivity.cfg", "scan.sample_rate_hz = 1e7", "scan.sample_rate_hz"),
+]
+
+
+class TestRefusalsNameTheirKey:
+    """Every bad value ends in a BilodyneError that names the key it was set under."""
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_builders_name_the_key(self, tmp_path, key, value):
+        live = "".join(
+            f"{k} = {str(v).lower()}\n" for k, v in LIVE_WITH.get(key, {}).items() if k != key
+        )
+        path = write_cfg(tmp_path, f"{live}{key} = {value}\n")
+        try:
+            cfg = RunConfig.load(path)
+            cfg.build_scene()
+            cfg.build_scan()
+        except BilodyneError as exc:
+            assert key in str(exc)
+
+    @pytest.mark.parametrize(
+        "scenario, name, setting, key",
+        [(s, *rest) for scenarios, *rest in RELATIONS for s in scenarios],
+    )
+    def test_record_relations_name_the_key(self, tmp_path, capsys, scenario, name, setting, key):
+        cfg = write_cfg(tmp_path, (CONFIGS / name).read_text() + f"\n{setting}\n")
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
 
 
 FAST_SIM_CFG = BASE_CFG + (
@@ -624,7 +674,7 @@ class TestCliErrors:
             ("scan.rbw_hz = 1e-3", "scan.rbw_hz"),
             ("scan.lo_ratio = -1", "scan.lo_ratio"),
             ("scan.lo_ratio = inf", "scan.lo_ratio"),
-            ("scan.lo_ratio = 1e40", "scan.powers_nw = 0.5 nW: lo.flux"),
+            ("scan.lo_ratio = 1e40", "scan.powers_nw = 0.5 nW: scan.lo_ratio"),
             ("scan.f_het_hz = nan", "scan.f_het_hz"),
             ("scan.f_het_hz = inf", "scan.f_het_hz"),
             ("scan.f_het_hz = 0", "scan.f_het_hz"),

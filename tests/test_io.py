@@ -20,11 +20,11 @@ from bilodyne.errors import ParseError
 from bilodyne.io import (
     TRACE_MAGIC,
     TraceWriter,
-    read_spectrum_csv,
     read_trace_bin,
     write_report_json,
     write_spectrum_csv,
 )
+from tests.conftest import read_spectrum_csv
 
 
 def _spectrum() -> Spectrum:

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from bilodyne.analytic import pulse_transfer
 from bilodyne.errors import ConfigViolation, InvalidSpec, Unsupported
 from bilodyne.model import (
     MAX_SQUEEZE_R,
@@ -18,6 +19,7 @@ from bilodyne.model import (
     LocalOscillator,
     MeasurementConfig,
     ModeLabel,
+    Scene,
     SqueezePair,
     calibrate_photon_energy,
     photon_flux,
@@ -196,6 +198,16 @@ class TestCalibration:
         with pytest.raises(InvalidSpec):
             calibrate_photon_energy(0.5e-9, 1e-3, 0.7, snr_db)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    @pytest.mark.parametrize("argument", ["optical power", "counting window"])
+    def test_power_and_window_are_blamed_not_the_snr(self, argument, value):
+        # a NaN power or an infinite window ended in "input SNR 60 dB gives
+        # no positive finite photon energy"
+        args = [0.5e-9, 1e-3, 0.7, 60.0]
+        args[argument == "counting window"] = value
+        with pytest.raises(InvalidSpec, match=f"{argument} must be positive and finite"):
+            calibrate_photon_energy(*args)
+
 
 class TestLocalOscillator:
     def test_bichromatic_tone_split(self):
@@ -265,8 +277,8 @@ class TestDetectorAndMeasurement:
                 with pytest.raises(InvalidSpec):
                     MeasurementConfig(**values)
         # Record too short to resolve the requested bandwidth.
-        cfg = MeasurementConfig(duration=0.5, rbw=1.0, sample_rate=1e7)
-        with pytest.raises(ConfigViolation):
+        cfg = MeasurementConfig(duration=0.5, rbw=1.0, sample_rate=1e6)
+        with pytest.raises(ConfigViolation, match="cannot resolve"):
             validate_measurement(cfg, standard_lo())
 
     def test_beatnote_must_clear_resolution_bandwidth(self):
@@ -314,6 +326,19 @@ class TestNonFiniteScalars:
             lambda: FieldState((SIGNAL,), theta_s=-INF),
             lambda: SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, NAN),
             lambda: SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, INF),
+            lambda: SqueezePair(NAN, OMEGA_S - OMEGA_HET, 0.5, 0.0),
+            lambda: MeasurementConfig(2.0, 1e3, 1e7, n_segments=NAN),
+            lambda: MeasurementConfig(2.0, 1e3, 1e7, n_segments=2.5),
+            lambda: pulse_transfer(NAN, OMEGA_HET),
+            lambda: pulse_transfer(-1e-7, OMEGA_HET),
+            lambda: pulse_transfer(1e-7, [0.0, INF]),
+            lambda: LocalOscillator(1e200, 1e15),
+            lambda: FieldMode(frequency=OMEGA_S, amplitude=1e200),
+            lambda: FieldMode(frequency=1e308, amplitude=1.0),
+            lambda: FieldState((SIGNAL,), theta_s=1e308),
+            lambda: LocalOscillator(1e3, OMEGA_S, 1e308),
+            lambda: Scene(coherent_state(), standard_lo(), DetectorParams(0.7),
+                          MeasurementConfig(2.0, 1e3, 1e7), NAN),
         ],
         ids=[
             "lo-theta_1-nan",
@@ -327,6 +352,18 @@ class TestNonFiniteScalars:
             "theta_s-inf",
             "squeeze-phi-nan",
             "squeeze-phi-inf",
+            "squeeze-freq_a-nan",
+            "n_segments-nan",
+            "n_segments-2.5",
+            "pulse-tau-nan",
+            "pulse-tau-negative",
+            "pulse-omega-inf",
+            "lo-flux-1e400",
+            "mode-flux-1e400",
+            "mode-frequency-1e308",
+            "theta_s-1e308",
+            "mono-theta-1e308",
+            "scene-f_het-nan",
         ],
     )
     def test_refused_where_they_are_made(self, build):

@@ -745,14 +745,14 @@ class TestRunExperiment:
         ids=["segment-5e6", "record-1.01e9"],
     )
     def test_oversized_scene_refused_before_the_record(self, monkeypatch, duration, rbw, bound):
-        # a Scene built directly skips RunConfig's bounds; _check_scene applies them
+        # a measurement built directly is bounded when it is made, before any record
         def no_work(*args, **kwargs):
             raise AssertionError("the record started before the scene was refused")
 
         monkeypatch.setattr(montecarlo, "_stream_record", no_work)
-        meas = MeasurementConfig(duration=duration, rbw=rbw, sample_rate=1e7)
-        scene = dataclasses.replace(RunConfig.defaults().build_scene(), meas=meas)
         with pytest.raises(ConfigViolation, match=bound):
+            meas = MeasurementConfig(duration=duration, rbw=rbw, sample_rate=1e7)
+            scene = dataclasses.replace(RunConfig.defaults().build_scene(), meas=meas)
             run_experiment("default", scene)
 
     def test_scan_takes_a_numpy_window_count(self):
