@@ -2,6 +2,7 @@
 
     python scripts/bench.py --label head
     python scripts/bench.py --label parent --repo ../parent-checkout
+    python scripts/bench.py --label head --parent ../parent-checkout
 
 Runs `analytic`, `table1` and `squeezed-compare` on their shipped
 configs, and `simulate` in each of the five Monte Carlo scenarios
@@ -21,7 +22,14 @@ net change in source lines between their checkouts.
 
 --repo names the checkout to measure (its `src/`, `configs/` and
 tests); the file goes to the root of the checkout this script is in,
-so two checkouts can be measured into one place.  OPENBLAS_NUM_THREADS
+so two checkouts can be measured into one place.  --parent measures a
+second checkout in the same sitting, run by run: each scenario's runs
+go in pairs, one fresh interpreter per checkout, the first of a pair
+alternating between them, and the sitting writes BENCH_parent.json as
+well.  Each scenario of BENCH_<label>.json then also holds every pair's
+wall time difference (this checkout's less the parent's) and the number
+of pairs this checkout won, so that one sitting backs a comparison and
+the box's drift between sittings does not.  OPENBLAS_NUM_THREADS
 is set to 1 unless it is set already; the file records its value.
 Each Monte Carlo run of `default.cfg` takes ~0.8 s and ~46 MiB, so the
 whole bench takes about a minute on a 2-vCPU VM.  Not part of the
@@ -143,44 +151,78 @@ def _src_lines(repo: Path) -> int:
     return sum(len(path.read_bytes().splitlines()) for path in (repo / "src").rglob("*.py"))
 
 
+def _row(runs: list[dict]) -> dict:
+    """A scenario's entry in a bench file: the medians of its runs, and every run's wall time."""
+    return {
+        "exit": sorted({r["rc"] for r in runs}),
+        "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
+        "setup_s": round(statistics.median(r["setup_s"] for r in runs), 4),
+        "maxrss_mib": round(statistics.median(r["maxrss_mib"] for r in runs), 1),
+        "minflt": int(statistics.median(r["minflt"] for r in runs)),
+        "stime_s": round(statistics.median(r["stime_s"] for r in runs), 3),
+        "runs_wall_s": [round(r["wall_s"], 4) for r in runs],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--repo", type=Path, default=ROOT, help="checkout to measure")
+    parser.add_argument(
+        "--parent", type=Path, help="a checkout to measure in pairs with it, as BENCH_parent.json"
+    )
     args = parser.parse_args(argv)
-    repo = args.repo.resolve()
+    checkouts = {args.label: args.repo.resolve()}
+    if args.parent is not None:
+        if args.label == "parent":
+            parser.error("--parent writes BENCH_parent.json; give this checkout another --label")
+        checkouts["parent"] = args.parent.resolve()
     env = dict(os.environ)
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
-    result = {
-        "label": args.label,
-        **_versions(repo, env),
-        "src_lines": _src_lines(repo),
-        "env": {"OPENBLAS_NUM_THREADS": env["OPENBLAS_NUM_THREADS"]},
-        "repeats": REPEATS,
+    results = {
+        label: {
+            "label": label,
+            **_versions(repo, env),
+            "src_lines": _src_lines(repo),
+            "env": {"OPENBLAS_NUM_THREADS": env["OPENBLAS_NUM_THREADS"]},
+            "repeats": REPEATS,
+            "scenarios": {},
+        }
+        for label, repo in checkouts.items()
     }
-    scenarios = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, cli_args in _scenarios(repo, tmp).items():
-            runs = [_run(repo, cli_args, tmp / "out", env) for _ in range(REPEATS)]
-            scenarios[name] = {
-                "exit": sorted({r["rc"] for r in runs}),
-                "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
-                "setup_s": round(statistics.median(r["setup_s"] for r in runs), 4),
-                "maxrss_mib": round(statistics.median(r["maxrss_mib"] for r in runs), 1),
-                "minflt": int(statistics.median(r["minflt"] for r in runs)),
-                "stime_s": round(statistics.median(r["stime_s"] for r in runs), 3),
-                "runs_wall_s": [round(r["wall_s"], 4) for r in runs],
-            }
-            row = scenarios[name]
-            print(f"{name:28s} wall {row['wall_s']:7.3f} s  "
-                  f"rss {row['maxrss_mib']:6.1f} MiB  faults {row['minflt']}")
-    result["scenarios"] = scenarios
-    result["tier1"] = _tier1(repo, env)
-    print(f"tier-1 {result['tier1']['wall_s']} s: {result['tier1']['summary']}")
-    path = ROOT / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {path}")
+        cli_args = {}
+        for label, repo in checkouts.items():
+            (tmp / label).mkdir()
+            cli_args[label] = _scenarios(repo, tmp / label)
+        for name in cli_args[args.label]:
+            runs = {label: [] for label in checkouts}
+            for k in range(REPEATS):
+                # the first run of a pair alternates, so neither checkout always runs second
+                for label in list(checkouts)[:: -1 if k % 2 else 1]:
+                    argv = cli_args[label][name]
+                    runs[label].append(_run(checkouts[label], argv, tmp / "out", env))
+            for label in checkouts:
+                results[label]["scenarios"][name] = _row(runs[label])
+            row = results[args.label]["scenarios"][name]
+            line = (f"{name:28s} wall {row['wall_s']:7.3f} s  "
+                    f"rss {row['maxrss_mib']:6.1f} MiB  faults {row['minflt']}")
+            if args.parent is not None:
+                pairs = zip(runs[args.label], runs["parent"])
+                diffs = [here["wall_s"] - there["wall_s"] for here, there in pairs]
+                row["pairs_wall_diff_s"] = [round(d, 4) for d in diffs]
+                row["pairs_won"] = sum(d < 0.0 for d in diffs)
+                parent_wall = results["parent"]["scenarios"][name]["wall_s"]
+                line += f"  parent {parent_wall:7.3f} s  won {row['pairs_won']} of {REPEATS}"
+            print(line)
+    for label, repo in checkouts.items():
+        result = results[label]
+        result["tier1"] = _tier1(repo, env)
+        print(f"{label} tier-1 {result['tier1']['wall_s']} s: {result['tier1']['summary']}")
+        path = ROOT / f"BENCH_{label}.json"
+        path.write_text(json.dumps(result, indent=2) + "\n")
+        print(f"wrote {path}")
     return 0
 
 

@@ -21,13 +21,16 @@ longer than half a block, and `measurement.rbw_hz = 3000.3`, whose
 segment has an odd length (3,333 samples).  Last, the failing path:
 `simulate beatnote` and `simulate default` on `default.cfg` with the
 signal in quadrature to the LO (`field.theta_s = pi/2`), whose beat
-power misses its near-zero target, so both exit 2.  Then five refusals
+power misses its near-zero target, so both exit 2.  Then eight refusals
 of one bad key each, which exit 1 with an `error:` line naming it:
 `simulate` with `measurement.duration_s = -1` and `analytic` with
 `detector.eta = 0` on `default.cfg`, `table1` with `scan.window_s = 0`
 on `sensitivity.cfg`, `analytic` with `lo.f_het_hz = 4e3` (a beat below
-10x the rbw) on `default.cfg`, and the sensitivity scan with
-`lo.theta_1 = nan`.  A run's exit code,
+10x the rbw) on `default.cfg`, the sensitivity scan with
+`lo.theta_1 = nan`, and the Monte Carlo's Welch average: `simulate` on
+`default.cfg` with `measurement.n_segments = 4` and with
+`measurement.duration_s = 0.01` (too short for 16 segments), and the
+scan with `scan.duration_s = 5e-5`.  A run's exit code,
 stdout, stderr and every file it writes (`spectrum*.csv`, `table.csv`,
 `trace.bin`, `report.json`) are compared byte for byte, `report.json`
 without its `generated_at` line.  One line per run, followed by both
@@ -131,6 +134,9 @@ RUNS.update(
             ("table1", "sensitivity.cfg", "scan.window_s = 0"),
             ("analytic", "default.cfg", "lo.f_het_hz = 4e3"),
             ("simulate", "sensitivity.cfg", "lo.theta_1 = nan"),
+            ("simulate", "default.cfg", "measurement.n_segments = 4"),
+            ("simulate", "default.cfg", "measurement.duration_s = 0.01"),
+            ("simulate", "sensitivity.cfg", "scan.duration_s = 5e-5"),
         )
     }
 )

@@ -10,6 +10,7 @@ frequencies exist only inside the model layer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -158,8 +159,8 @@ class RunConfig:
     def __post_init__(self):
         # measurement.seed, after any --seed: it seeds the Monte Carlo, not a scene
         seed = self.values["measurement.seed"]
-        if seed < 0:
-            raise ConfigViolation(f"measurement.seed must be a non-negative integer, got {seed}")
+        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ConfigViolation(f"measurement.seed must be a non-negative integer, got {seed!r}")
 
     @classmethod
     def load(cls, path: Path | str, seed_override: int | None = None) -> "RunConfig":

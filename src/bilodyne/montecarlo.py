@@ -49,7 +49,6 @@ from .model import (
     TWO_PI,
     FieldState,
     LocalOscillator,
-    MeasurementConfig,
     Scan,
     Scene,
     validate_measurement,
@@ -155,25 +154,6 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
 def _arm_rngs(seed: int) -> list[np.random.Generator]:
     """The two arms' generators, independent child streams of one seed sequence."""
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2)]
-
-
-def _segment_length(duration: float, sample_rate: float, cfg: MeasurementConfig) -> int:
-    """Welch segment length sample_rate / rbw, once the record is known to hold the average.
-
-    Raises TooShort when the record cannot hold cfg.n_segments
-    non-overlapping segments.
-    """
-    if cfg.n_segments < 8:
-        raise ConfigViolation("PSD estimation needs at least 8 averaging segments")
-    if duration < cfg.n_segments / cfg.rbw - 1e-12:
-        raise TooShort(
-            f"record of {duration:g} s cannot average {cfg.n_segments} "
-            f"segments at rbw {cfg.rbw:g} Hz"
-        )
-    nperseg = int(round(sample_rate / cfg.rbw))
-    if nperseg < 8:
-        raise ConfigViolation("rbw too coarse for this sample rate (segment < 8 samples)")
-    return nperseg
 
 
 class _Welch:
@@ -656,7 +636,7 @@ def _read_ahead(pool: ThreadPoolExecutor, items):
 
 
 def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) -> _Record:
-    """Simulate one record of a validated delta-pulse scene in one pass of _BLOCK-bin blocks.
+    """Simulate one record of a scene _check_scene admits in one pass of _BLOCK-bin blocks.
 
     Each block gets its bin means, each arm's counts from _arm_counts and
     its currents, which feed the Welch sum, the lock-in sum at f_het, the
@@ -696,7 +676,7 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     n = int(round(meas.duration * meas.sample_rate))
     dt = 1.0 / meas.sample_rate
     fs = 1.0 / dt  # the trace's rate, which may differ from meas.sample_rate in the last bit
-    welch = _Welch(_segment_length(n * dt, fs, meas), fs)
+    welch = _Welch(int(round(fs / meas.rbw)), fs)
     lockin = _Lockin(scene.f_het_hz, dt, n)
     variance, cross = _Moments(), _Moments()
     to_current = -1.0 / dt
@@ -727,12 +707,16 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
 
 
 def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
-    """Refuse a scene the packaged checks cannot model, then validate its geometry.
+    """Refuse a scene that _stream_record cannot run or the packaged checks cannot model.
 
     The check targets assume a coherent signal at a fixed phase, a
     bichromatic LO and delta pulses; the error names the config setting
-    that asks for anything else.  A geometry error names keys, the
-    settings of the scene's beat frequency, duration, rbw and sample rate.
+    that asks for anything else.  The geometry must pass
+    validate_measurement, and the record, as _stream_record takes it,
+    must hold measurement.n_segments Welch segments (TooShort), at least
+    8 of at least 8 samples (ConfigViolation).  A geometry error names
+    keys, the settings of the scene's beat frequency, duration, rbw and
+    sample rate, or measurement.n_segments.
     """
     for refused, setting in (
         (not scene.lo.is_bichromatic, "lo.kind = mono"),
@@ -745,10 +729,24 @@ def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
                 f"{setting}: the Monte Carlo checks model only a coherent fixed-phase "
                 "signal, a bichromatic LO and delta pulses"
             )
-    validate_measurement(scene.meas, scene.lo, scene.f_het_hz, keys)
+    meas = scene.meas
+    validate_measurement(meas, scene.lo, scene.f_het_hz, keys)
+    _, duration_key, rbw_key, rate_key = keys
+    segments = f"measurement.n_segments = {meas.n_segments}"
+    if meas.n_segments < 8:
+        raise ConfigViolation(f"{segments}: PSD estimation needs at least 8 averaging segments")
+    dt = 1.0 / meas.sample_rate
+    record = round(meas.duration * meas.sample_rate) * dt
+    if record < meas.n_segments / meas.rbw - 1e-12:
+        raise TooShort(
+            f"{duration_key}: a record of {record:g} s cannot average {segments} "
+            f"segments at {rbw_key} = {meas.rbw:g} Hz"
+        )
+    if int(round(1.0 / dt / meas.rbw)) < 8:
+        raise ConfigViolation(f"{rbw_key} leaves a segment of under 8 samples at {rate_key}")
     # no bin of either arm expects more than eta/2 (sum of |amplitudes|)^2 dt
     amps = np.concatenate([a for _, a in _arm_phasors(scene.state, scene.lo)])
-    peak = 0.5 * scene.det.eta * float(np.abs(amps).sum()) ** 2 / scene.meas.sample_rate
+    peak = 0.5 * scene.det.eta * float(np.abs(amps).sum()) ** 2 / meas.sample_rate
     if not peak <= _MAX_POISSON_MEAN:
         raise ConfigViolation(
             f"a sample bin may expect {peak:g} photoemissions, more than the "

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bilodyne import montecarlo
 from bilodyne.analytic import psd_analytic
 from bilodyne.cli import main
 from bilodyne.config import _CHOICES, SCHEMA, RunConfig, parse_config
@@ -165,6 +166,12 @@ class TestRunConfigBuilders:
         cfg = RunConfig.load(write_cfg(tmp_path, BASE_CFG), seed_override=7)
         assert cfg.values["measurement.seed"] == 7
 
+    @pytest.mark.parametrize("seed", [math.nan, 1.5, -1])
+    def test_seed_that_is_not_a_non_negative_integer_is_refused(self, seed):
+        # NaN and 1.5 are not below 0, so the sign alone does not refuse them
+        with pytest.raises(ConfigViolation, match="measurement.seed must be a non-negative"):
+            RunConfig.defaults({"measurement.seed": seed})
+
     def test_scan_scenes(self, tmp_path):
         text = BASE_CFG + (
             "scan.powers_nw = 0.5, 4.0\nscan.count_windows = 8\n"
@@ -276,8 +283,9 @@ NUMERIC_KEYS = sorted(
     key for key, (converter, _) in SCHEMA.items()
     if converter in (float, int) or key == "scan.powers_nw"
 )
-# settings whose record geometry the builders accept but validate_measurement
-# refuses, by the scenarios that check it: (scenarios, config, setting, key)
+# settings whose record geometry the builders accept but validate_measurement,
+# or the Monte Carlo's Welch average, refuses, by the scenarios that check it:
+# (scenarios, config, setting, key)
 RELATIONS = [
     (("analytic", "simulate"), "default.cfg", "lo.f_het_hz = 4e3", "lo.f_het_hz"),
     (("analytic", "simulate"), "default.cfg", "measurement.duration_s = 1e-4",
@@ -290,6 +298,11 @@ RELATIONS = [
     (("simulate",), "sensitivity.cfg", "scan.duration_s = 1e-6", "scan.duration_s"),
     (("simulate",), "sensitivity.cfg", "scan.rbw_hz = 1e6", "scan.rbw_hz"),
     (("simulate",), "sensitivity.cfg", "scan.sample_rate_hz = 1e7", "scan.sample_rate_hz"),
+    (("simulate",), "default.cfg", "measurement.n_segments = 4", "measurement.n_segments"),
+    # 0.01 s cannot hold 16 segments of 1 / rbw: the refusal names both
+    (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.duration_s"),
+    (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.rbw_hz"),
+    (("simulate",), "sensitivity.cfg", "scan.duration_s = 5e-5", "scan.duration_s"),
 ]
 
 
@@ -314,7 +327,14 @@ class TestRefusalsNameTheirKey:
         "scenario, name, setting, key",
         [(s, *rest) for scenarios, *rest in RELATIONS for s in scenarios],
     )
-    def test_record_relations_name_the_key(self, tmp_path, capsys, scenario, name, setting, key):
+    def test_record_relations_name_the_key(
+        self, tmp_path, capsys, monkeypatch, scenario, name, setting, key
+    ):
+        # each is refused before the Monte Carlo runs a record, the scan's first included
+        def no_record(*args, **kwargs):
+            raise AssertionError("a record started before the scene was refused")
+
+        monkeypatch.setattr(montecarlo, "_stream_record", no_record)
         cfg = write_cfg(tmp_path, (CONFIGS / name).read_text() + f"\n{setting}\n")
         assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err

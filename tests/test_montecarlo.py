@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from bilodyne import correlators, montecarlo
-from bilodyne.config import RunConfig
+from bilodyne.config import MEASUREMENT_KEYS, RunConfig
 from bilodyne.errors import (
     ConfigViolation,
     InvalidSpec,
@@ -37,10 +37,10 @@ from bilodyne.montecarlo import (
     _arm_rngs,
     _bin_mean_blocks,
     _block_currents,
+    _check_scene,
     _Lockin,
     _median,
     _Moments,
-    _segment_length,
     _Welch,
     extract_beatnote,
     flatness_t_statistic,
@@ -482,7 +482,7 @@ def _cosine(amp: float, f_hz: float, fs: float, duration: float) -> np.ndarray:
 
 def _welch_psd(x: np.ndarray, fs: float, cfg: MeasurementConfig):
     """The streamed pass's Welch sum over the record x fed as one chunk."""
-    welch = _Welch(_segment_length(x.size / fs, fs, cfg), fs)
+    welch = _Welch(int(round(fs / cfg.rbw)), fs)
     welch.add(x)
     return welch.spectrum()
 
@@ -493,16 +493,20 @@ def _lockin_power(x: np.ndarray, f_hz: float, dt: float) -> float:
     return lockin.power()
 
 
+def _scene_measured_by(cfg: MeasurementConfig):
+    return dataclasses.replace(RunConfig.defaults().build_scene(), meas=cfg)
+
+
 class TestEstimatePsd:
     def test_segment_count_floor(self):
         cfg = MeasurementConfig(duration=0.1, rbw=1e3, sample_rate=1e6, n_segments=4)
-        with pytest.raises(ConfigViolation):
-            _segment_length(0.1, 1e6, cfg)
+        with pytest.raises(ConfigViolation, match="measurement.n_segments = 4"):
+            _check_scene(_scene_measured_by(cfg), MEASUREMENT_KEYS)
 
     def test_short_record_rejected(self):
         cfg = MeasurementConfig(duration=0.01, rbw=1e3, sample_rate=1e6, n_segments=16)
-        with pytest.raises(TooShort):
-            _segment_length(0.01, 1e6, cfg)
+        with pytest.raises(TooShort, match="measurement.duration_s: .*measurement.rbw_hz"):
+            _check_scene(_scene_measured_by(cfg), MEASUREMENT_KEYS)
 
     def test_pure_tone_line_power(self):
         amp, f0 = 3.0, 1.2e4

@@ -19,7 +19,6 @@ from bilodyne.analytic import Spectrum
 from bilodyne.model import MeasurementConfig
 from bilodyne.montecarlo import (
     _BLOCK,
-    _segment_length,
     _Welch,
     flatness_t_statistic,
     student_t_quantile,
@@ -153,7 +152,7 @@ class TestWelchAgainstScipy:
         x = _record(150_000)
         cfg = MeasurementConfig(duration=0.15, rbw=1e3, sample_rate=FS, n_segments=16)
         freqs, ref = _scipy_welch(x, 1000)
-        welch = _Welch(_segment_length(x.size / FS, FS, cfg), FS)
+        welch = _Welch(int(round(FS / cfg.rbw)), FS)
         welch.add(x)
         spec = welch.spectrum()
         np.testing.assert_array_equal(spec.freqs_hz, freqs)
