@@ -28,8 +28,8 @@ go in pairs, one fresh interpreter per checkout, the first of a pair
 alternating between them, and the sitting writes BENCH_parent.json as
 well.  Each scenario of BENCH_<label>.json then also holds every pair's
 wall time difference (this checkout's less the parent's) and the number
-of pairs this checkout won, so that one sitting backs a comparison and
-the box's drift between sittings does not.  OPENBLAS_NUM_THREADS
+of pairs this checkout won, so that a comparison rests on one sitting
+and not on the box's drift between two.  OPENBLAS_NUM_THREADS
 is set to 1 unless it is set already; the file records its value.
 Each Monte Carlo run of `default.cfg` takes ~0.8 s and ~46 MiB, so the
 whole bench takes about a minute on a 2-vCPU VM.  Not part of the
