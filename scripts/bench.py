@@ -8,7 +8,7 @@ Runs `analytic`, `table1` and `squeezed-compare` on their shipped
 configs, and `simulate` in each of the five Monte Carlo scenarios
 (`default.cfg` with `simulate.scenario` set, `sensitivity.cfg` for the
 scan), plus `simulate default +trace` (`output.write_trace = true`, so
-`trace.bin` is written), each in REPEATS = 5 fresh interpreters one
+`trace.bin` is written), each in REPEATS = 10 fresh interpreters one
 after the other.  A
 run times `bilodyne.cli.main` alone; the import is timed apart as
 set-up.  Per scenario the file holds the median wall and set-up time,
@@ -32,7 +32,8 @@ of pairs this checkout won, so that a comparison rests on one sitting
 and not on the box's drift between two.  OPENBLAS_NUM_THREADS
 is set to 1 unless it is set already; the file records its value.
 Each Monte Carlo run of `default.cfg` takes ~0.8 s and ~46 MiB, so the
-whole bench takes about a minute on a 2-vCPU VM.  Not part of the
+whole bench takes about two minutes on a 2-vCPU VM, and twice that with
+--parent.  Not part of the
 test suite.
 """
 
@@ -52,9 +53,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MONTE_CARLO = ("default", "shot-floor", "beatnote", "null-phase", "sensitivity")
-# fresh processes per scenario: medians of at least three runs, and five
-# because a shared 2-vCPU VM moves single runs by a fifth
-REPEATS = 5
+# fresh processes per scenario: medians of at least three runs, and ten
+# because a shared 2-vCPU VM moves single runs by a fifth, and a claimed
+# gain must win at least nine of ten pairs of a --parent sitting
+REPEATS = 10
 
 # one run in a fresh interpreter: import, then one timed cli.main call
 CHILD = """

@@ -6,11 +6,9 @@ Runs the packaged `default`, `null-phase` and `sensitivity` experiments
 (the ones the acceptance tests gate on) once per seed, seeds
 first..first+N-1, and prints for each check its pass rate and the mean
 and standard deviation of its statistic: value / target where the
-target is non-zero, else the value itself.  Beside the lock-in
-`beatnote_power` it prints the +-2-bin Welch line estimate of the same
-records (`extract_beatnote`) judged against the same target and
-tolerance.  One seed takes ~60 MiB and about 1.8 s on a 2-vCPU VM (a
-`default` run takes ~0.8 s), so 100 seeds take about three minutes.
+target is non-zero, else the value itself.  One seed takes ~60 MiB
+and about 1.8 s on a 2-vCPU VM (a `default` run takes ~0.8 s), so 100
+seeds take about three minutes.
 Not part of the test suite.
 """
 
@@ -21,25 +19,17 @@ import math
 import time
 from collections import defaultdict
 
-from bilodyne.config import RunConfig
-from bilodyne.montecarlo import extract_beatnote, run_experiment
-
-WELCH = "beatnote_power (Welch +-2 bins)"
+from bilodyne.montecarlo import run_experiment
 
 
 def sweep(scenarios, seeds) -> dict:
     """name -> list of (value, target, passed), one entry per seed."""
-    f_het = RunConfig.defaults().build_scene().f_het_hz
     results = defaultdict(list)
     for scenario in scenarios:
         for seed in seeds:
             report = run_experiment(scenario, seed=seed)
             for check in report.checks:
                 results[check.name].append((check.value, check.target, check.passed))
-                if check.name == "beatnote_power":
-                    welch = extract_beatnote(report.spectrum, f_het).power
-                    ok = abs(welch - check.target) <= check.tolerance
-                    results[WELCH].append((welch, check.target, ok))
     return results
 
 

@@ -40,9 +40,7 @@ from .model import (
     validate_measurement,
 )
 from .montecarlo import (
-    BeatnoteEstimate,
     CheckResult,
     ExperimentReport,
-    extract_beatnote,
     run_experiment,
 )

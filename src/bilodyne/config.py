@@ -136,8 +136,6 @@ def _with_defaults(settings: dict, where: Path | str) -> dict:
     for key, choices in _CHOICES.items():
         if values[key] not in choices:
             raise ParseError(f"{where}: {key} must be one of {choices}, got {values[key]!r}")
-    if values["detector.pulse"] == "exponential" and values["detector.pulse_tau_s"] <= 0:
-        raise ParseError(f"{where}: exponential pulse needs detector.pulse_tau_s > 0")
     return values
 
 

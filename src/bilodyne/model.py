@@ -326,7 +326,8 @@ class Scene:
 
     f_het_hz is the configured heterodyne frequency.  lo.omega_het / 2 pi
     recovers it only to ~1e-7 relative, because the tones sit at optical
-    frequencies, and the line and floor masks on the Hz grid need it exact.
+    frequencies, and the line and floor masks on the Hz grid need it exact;
+    the sampled beat is at lo.omega_het, where the Monte Carlo's lock-in runs.
     A non-finite f_het_hz raises InvalidSpec.
     """
 

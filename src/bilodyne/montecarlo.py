@@ -4,12 +4,13 @@ The chain is: semiclassical emission rates -> closed-form mean count
 of every sample bin (one einsum per block, from cos/sin tables of _SUB
 samples) -> Poisson counts per bin (a sparse block thinned from a
 homogeneous process, a denser one by one draw per bin) -> currents ->
-Welch PSD -> beat and floor extraction.  A record runs as one pass over
-blocks of _BLOCK samples, each block feeding running sums and, when a
-trace is asked for, the trace file, with one buffer per live quantity
-made once, so memory is O(_BLOCK + Welch segment) whatever the record
-length.  Every stage is deterministic given the seed; the two detectors
-draw from independent child streams of one seed sequence.
+Welch PSD (the floor) and lock-in sum (the beat).  A record runs as one
+pass over blocks of _BLOCK samples, each block feeding running sums
+and, when a trace is asked for, the trace file, with one buffer per
+live quantity made once, so memory is O(_BLOCK + Welch segment)
+whatever the record length.  Every stage is deterministic given the
+seed; the two detectors draw from independent child streams of one
+seed sequence.
 
 A record of more than one block runs on two threads: a worker makes the
 bin means, draws the counts, forms the currents and feeds every sum but
@@ -252,69 +253,19 @@ class _Welch:
         return Spectrum(freqs_hz=freqs, psd=psd, rbw_hz=self.fs / self.nperseg)
 
 
-@dataclass(frozen=True)
-class BeatnoteEstimate:
-    """Integrated line power after local floor subtraction."""
-
-    power: float
-    floor: float
-    peak_psd: float
-
-
-def _median(x: np.ndarray) -> float:
-    """np.median of a non-empty float array, bit for bit, without importing numpy.ma.
-
-    The same partition as np.median (the middle index or two, and the
-    last for NaNs), then the mean of the middle value or two; NaN when
-    the partition puts a NaN last.
-    """
-    mid = x.size // 2
-    kth = [mid, -1] if x.size % 2 else [mid - 1, mid, -1]
-    part = np.partition(x, kth)
-    if np.isnan(part[-1]):
-        return float(part[-1])
-    return float(np.mean(part[kth[0] : mid + 1]))
-
-
-def extract_beatnote(spectrum: Spectrum, f_beat_hz: float) -> BeatnoteEstimate:
-    """Integrate the spectral line at f_beat_hz above its local floor.
-
-    The line band is +-2 rbw around the target; the floor is the median
-    of the flanking bins 3..8 rbw away.  Raises Unresolved when the grid
-    cannot place the line (off-grid or out of range).
-    """
-    f = spectrum.freqs_hz
-    rbw = spectrum.rbw_hz
-    if f_beat_hz < f[0] or f_beat_hz > f[-1]:
-        raise Unresolved(f"beat frequency {f_beat_hz:g} Hz outside the grid")
-    df = float(f[1] - f[0]) if f.size > 1 else rbw
-    if df > rbw * 1.5:
-        raise Unresolved("grid spacing exceeds the resolution bandwidth")
-    idx = int(np.argmin(np.abs(f - f_beat_hz)))
-    if abs(f[idx] - f_beat_hz) > rbw / 2.0 + 1e-9 * max(1.0, f_beat_hz):
-        raise Unresolved(f"no grid point within rbw/2 of {f_beat_hz:g} Hz")
-    in_band = np.abs(f - f_beat_hz) <= 2.0 * rbw
-    flank = (np.abs(f - f_beat_hz) > 2.0 * rbw) & (np.abs(f - f_beat_hz) <= 8.0 * rbw)
-    if not np.any(flank):
-        raise Unresolved("no flanking bins available to estimate the local floor")
-    floor = _median(spectrum.psd[flank])
-    power = float(np.sum(spectrum.psd[in_band] - floor) * df)
-    return BeatnoteEstimate(power=power, floor=floor, peak_psd=float(np.max(spectrum.psd[in_band])))
-
-
 class _Lockin:
-    """Running sum of x[n] e^{-i w n dt} over the samples fed so far.
+    """Running sum of x[n] e^{-i omega n dt} over the samples fed so far.
 
     Each sub-block of at most _SUB samples is a product with one stacked
-    cos/sin table, rotated by the phase w n dt of its first sample, so no
+    cos/sin table, rotated by the phase omega n dt of its first sample, so no
     full-length complex temporary is made.  The products of a chunk's
     sub-blocks are summed by one einsum, which calls no BLAS: a BLAS dot
     splits long vectors over threads of its own, and its last bits
     depend on their number.
     """
 
-    def __init__(self, f_hz: float, dt: float, n: int):
-        self.w = TWO_PI * f_hz * dt
+    def __init__(self, omega: float, dt: float, n: int):
+        self.w = omega * dt  # the phase step per sample
         phase = self.w * np.arange(min(n, _SUB))  # a table no longer than the record
         self.table = np.stack([np.cos(phase), np.sin(phase)])
         self.total = 0j
@@ -333,7 +284,7 @@ class _Lockin:
                 self.n += m
 
     def power(self) -> float:
-        """Lock-in power 2 |total|^2 / n^2 of a line at f_hz.
+        """Lock-in power 2 |total|^2 / n^2 of a line at omega.
 
         White noise of one-sided PSD S adds S / (n dt) on average, which
         the caller subtracts.
@@ -516,9 +467,16 @@ class _Record:
     spectrum: Spectrum
     totals: tuple[int, int]  # photoemissions per arm
     duration: float
-    lockin: float  # lock-in power at f_het, see _Lockin.power
+    lockin: float  # lock-in power at lo.omega_het, see _Lockin.power
     variance: float  # of the difference current
     cross_z: float  # z-score of the zero-lag arm covariance
+
+    def beat_power(self, floor: float) -> float:
+        """The beat's power: the lock-in power less floor / duration, a white floor's share of it.
+
+        floor is the floor's one-sided PSD, see _Lockin.power.
+        """
+        return self.lockin - floor / self.duration
 
 
 def _arm_counts(rng: np.random.Generator, means: np.ndarray, out: np.ndarray):
@@ -639,7 +597,7 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     """Simulate one record of a scene _check_scene admits in one pass of _BLOCK-bin blocks.
 
     Each block gets its bin means, each arm's counts from _arm_counts and
-    its currents, which feed the Welch sum, the lock-in sum at f_het, the
+    its currents, which feed the Welch sum, the lock-in sum at the beat, the
     variance of the difference current and the zero-lag covariance of
     the arms.  The deterministic beat lives in both arm means with
     opposite signs, so the covariance is taken after subtracting each
@@ -677,7 +635,10 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     dt = 1.0 / meas.sample_rate
     fs = 1.0 / dt  # the trace's rate, which may differ from meas.sample_rate in the last bit
     welch = _Welch(int(round(fs / meas.rbw)), fs)
-    lockin = _Lockin(scene.f_het_hz, dt, n)
+    # the beat the tones draw, half their spacing: at optical carriers it
+    # rounds to ~0.02 Hz from f_het, and a lock-in an angular delta off
+    # the line keeps sinc^2(delta T / 2) of its power over a record of T
+    lockin = _Lockin(scene.lo.omega_het, dt, n)
     variance, cross = _Moments(), _Moments()
     to_current = -1.0 / dt
     to_pulses = meas.sample_rate  # a delta pulse's unit charge spread over its bin
@@ -775,7 +736,7 @@ def run_experiment(
       beatnote     coherent signal; lock-in line power within 5 % of
                    theory, plus floor checks.
       null-phase   signal phase in quadrature to the LO mean phase; no
-                   line above floor + 3 sigma.
+                   PSD bin within 2 rbw of f_het above floor + 3 sigma.
       sensitivity  empirical SNR_in/SNR_out/NF across the power scan;
                    NF within 0.3 dB of zero for each power.
       default      beatnote checks plus a Parseval consistency check and
@@ -832,7 +793,7 @@ def _scenario_record(
     floor_mean, floor_sigma, mask = floor_statistics(spec, f_het)
     report.scalars.update({"floor_mean": floor_mean, "floor_sigma": floor_sigma})
     if scenario == "null-phase":
-        peak = extract_beatnote(spec, f_het).peak_psd
+        peak = float(spec.psd[np.abs(spec.freqs_hz - f_het) <= 2.0 * spec.rbw_hz].max())
         tol = 3.0 * floor_sigma
         report.checks.append(
             CheckResult("null_phase_peak_psd", peak, floor_mean, tol, peak <= floor_mean + tol)
@@ -851,7 +812,7 @@ def _scenario_record(
     )
     if scenario == "shot-floor":
         return
-    power = record.lockin - floor_mean / record.duration
+    power = record.beat_power(floor_mean)
     loss = _binning_power_loss(f_het, scene.meas.sample_rate)
     target = output_signal_power(scene.state, lo, det) * loss
     report.checks.append(CheckResult.within("beatnote_power", power, target, 0.05 * target))
@@ -877,7 +838,8 @@ def _scenario_sensitivity(
     Each power gets two runs sharing one seed branch: a fixed-phase
     heterodyne run of its scan scene (theta_s = theta_bar) for the
     output side, and a signal-only counting run for the input side.
-    The fixed-phase beat power is halved to convert to the
+    The beat power is the record's lock-in power, as for `beatnote`; at
+    the fixed phase it is halved to convert to the
     phase-averaged convention before forming
     SNR_out = P / (floor * rbw_ref), rbw_ref = 1 / window.
     """
@@ -895,10 +857,10 @@ def _scenario_sensitivity(
         flux = power / scan.photon_energy_j
         f_het = scene.f_het_hz
         seed_het, seed_count = (int(s.generate_state(1, dtype=np.uint64)[0] >> 1) for s in child.spawn(2))
-        spec = _stream_record(scene, seed_het).spectrum
-        beat = extract_beatnote(spec, f_het)
-        floor_mean, _, _ = floor_statistics(spec, f_het)
-        p_avg = 0.5 * beat.power / _binning_power_loss(f_het, scene.meas.sample_rate)
+        record = _stream_record(scene, seed_het)
+        floor_mean, _, _ = floor_statistics(record.spectrum, f_het)
+        loss = _binning_power_loss(f_het, scene.meas.sample_rate)
+        p_avg = 0.5 * record.beat_power(floor_mean) / loss
 
         # input side: count detected signal photons without the LO, _BLOCK windows at a time
         rng = np.random.default_rng(seed_count)

@@ -94,8 +94,14 @@ class TestParseConfig:
             parse_config(write_cfg(tmp_path, "lo.kind = trichromatic\n"))
 
     def test_exponential_needs_timescale(self, tmp_path):
-        with pytest.raises(ParseError):
-            parse_config(write_cfg(tmp_path, "detector.pulse = exponential\n"))
+        # the file parses; DetectorParams refuses the default decay time of 0
+        # when the detector is built, and the refusal names the key
+        path = write_cfg(tmp_path, "detector.pulse = exponential\n")
+        cfg = RunConfig.load(path)
+        refusal = "detector.eta, detector.pulse_tau_s: pulse decay time must be positive, got 0.0"
+        with pytest.raises(ConfigViolation, match=refusal):
+            cfg.build_detector()
+        assert main(["analytic", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         values = parse_config(
             write_cfg(tmp_path, "detector.pulse = exponential\ndetector.pulse_tau_s = 1e-7\n")
         )
@@ -303,6 +309,16 @@ RELATIONS = [
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.duration_s"),
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.rbw_hz"),
     (("simulate",), "sensitivity.cfg", "scan.duration_s = 5e-5", "scan.duration_s"),
+    # a 0.05 Hz beat puts the tones about one ulp from the carrier, within
+    # validate_measurement's tolerance of both of its limits; a Welch
+    # segment of 5e-3 / 1e-3 = 5 samples is left
+    (
+        ("simulate",),
+        "default.cfg",
+        "lo.f_het_hz = 0.05\nmeasurement.rbw_hz = 1e-3\nmeasurement.sample_rate_hz = 5e-3\n"
+        "measurement.duration_s = 2e4",
+        "measurement.rbw_hz leaves a segment of under 8 samples at measurement.sample_rate_hz",
+    ),
 ]
 
 

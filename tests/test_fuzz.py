@@ -38,7 +38,6 @@ from bilodyne import (
     SqueezePair,
     calibrate_photon_energy,
     excess_lines,
-    extract_beatnote,
     hypothesis_moments,
     noise_figure,
     output_signal_power,
@@ -231,9 +230,9 @@ def test_any_squeeze_ends_without_a_runtime_warning(scenario, r):
 # on its own, and Hypothesis draws pairs of them and other negative values.
 # Each call must raise a BilodyneError or return a documented value: a
 # finite one, or the -inf dB SNR and NaN noise figure of zero signal.  The
-# result containers (SensitivityRow, BeatnoteEstimate, CheckResult,
-# ExperimentReport), MomentTable's matrices and the enums hold no scalar
-# to check, and values of the wrong type are left out.
+# result containers (SensitivityRow, CheckResult, ExperimentReport),
+# MomentTable's matrices and the enums hold no scalar to check, and values
+# of the wrong type are left out.
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e308, 1e308, 2.5, 16.0]
 BAD = st.one_of(st.sampled_from(BAD_VALUES), st.floats(max_value=-1e-300, allow_nan=False))
@@ -357,7 +356,6 @@ def test_bad_scene_scalars_are_refused_or_documented(bad, squeezed, mono):
 
 SCAN = RunConfig.defaults().build_scan()
 GRID = np.arange(100.0)
-FLAT = Spectrum(GRID, np.ones(100), 1.0)
 MONO_SCENE = dataclasses.replace(SCAN.scenes[0], lo=LocalOscillator(1e3, OMEGA_S))
 STATE, LO, DET = coherent_state(), standard_lo(), DetectorParams(0.7, 1e-7)
 # each closed form and constructor's scalar arguments, one bad value at a time
@@ -374,7 +372,6 @@ SCALAR_CALLS = {
     "Spectrum.rbw_hz": lambda x: Spectrum(GRID, np.ones(100), x),
     "Spectrum.psd": lambda x: Spectrum(GRID, np.full(100, x), 1.0),
     "Spectrum.freqs_hz": lambda x: Spectrum(np.array([0.0, x]), np.ones(2), 1.0),
-    "extract_beatnote": lambda x: extract_beatnote(FLAT, x),
     "pulse_transfer.tau": lambda x: pulse_transfer(x, OMEGA_HET),
     "pulse_transfer.omega": lambda x: pulse_transfer(1e-7, np.array([0.0, x])),
     "shot_floor_psd": lambda x: shot_floor_psd(LO, DET, x),

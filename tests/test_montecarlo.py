@@ -39,10 +39,8 @@ from bilodyne.montecarlo import (
     _block_currents,
     _check_scene,
     _Lockin,
-    _median,
     _Moments,
     _Welch,
-    extract_beatnote,
     flatness_t_statistic,
     floor_statistics,
     run_experiment,
@@ -488,7 +486,7 @@ def _welch_psd(x: np.ndarray, fs: float, cfg: MeasurementConfig):
 
 
 def _lockin_power(x: np.ndarray, f_hz: float, dt: float) -> float:
-    lockin = _Lockin(f_hz, dt, x.size)
+    lockin = _Lockin(TWO_PI * f_hz, dt, x.size)
     lockin.add(x)
     return lockin.power()
 
@@ -512,8 +510,10 @@ class TestEstimatePsd:
         amp, f0 = 3.0, 1.2e4
         cfg = MeasurementConfig(duration=0.1, rbw=1e3, sample_rate=1e6, n_segments=16)
         spec = _welch_psd(_cosine(amp, f0, 1e6, 0.1), 1e6, cfg)
-        beat = extract_beatnote(spec, f0)
-        assert beat.power == pytest.approx(amp**2 / 2.0, rel=1e-2)
+        # the Hann line's bins within 2 rbw, on a floor of zero
+        band = np.abs(spec.freqs_hz - f0) <= 2.0 * spec.rbw_hz
+        power = float(np.sum(spec.psd[band])) * (spec.freqs_hz[1] - spec.freqs_hz[0])
+        assert power == pytest.approx(amp**2 / 2.0, rel=1e-2)
 
     def test_parseval_for_pure_tone(self):
         x = _cosine(3.0, 1.2e4, 1e6, 0.1)
@@ -576,70 +576,6 @@ class TestMoments:
         assert moments.mean == pytest.approx(float(whole.mean()), rel=1e-14)
         assert moments.var() == pytest.approx(float(np.var(whole)), rel=1e-10)
         assert moments.var(ddof=1) == pytest.approx(float(np.var(whole, ddof=1)), rel=1e-10)
-
-
-class TestExtractBeatnote:
-    def test_outside_grid_rejected(self):
-        spec = Spectrum(freqs_hz=np.arange(0.0, 101.0), psd=np.ones(101), rbw_hz=1.0)
-        with pytest.raises(Unresolved):
-            extract_beatnote(spec, 500.0)
-
-    def test_coarse_grid_rejected(self):
-        spec = Spectrum(freqs_hz=np.arange(0.0, 500.0, 5.0), psd=np.ones(100), rbw_hz=1.0)
-        with pytest.raises(Unresolved):
-            extract_beatnote(spec, 250.0)
-
-    def test_line_between_grid_points_rejected(self):
-        # grid spacing 1.0 with rbw 0.8: the spacing is acceptable but a
-        # line half a bin off the grid cannot be placed within rbw/2
-        spec = Spectrum(freqs_hz=np.arange(0.0, 101.0), psd=np.ones(101), rbw_hz=0.8)
-        with pytest.raises(Unresolved):
-            extract_beatnote(spec, 50.5)
-
-    def test_flat_floor_gives_zero_power(self):
-        spec = Spectrum(freqs_hz=np.arange(0.0, 101.0), psd=np.ones(101), rbw_hz=1.0)
-        beat = extract_beatnote(spec, 50.0)
-        assert beat.power == pytest.approx(0.0, abs=1e-12)
-        assert beat.floor == pytest.approx(1.0)
-
-
-class TestMedian:
-    """The floor median is np.median bit for bit, without numpy.ma."""
-
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [3.0],
-            [2.0, 1.0, 5.0],
-            [4.0, 1.0],
-            [4.0, 1.0, 3.0, 2.0],
-            [2.0, 2.0, 2.0, 1.0],
-            [1.0, 2.0, 2.0, 2.0, 3.0],
-            [1e308, 1e308],
-            [1.0, np.nan, 2.0],
-            [np.nan, 1.0],
-            [-0.0, 0.0],
-            [0.0, -0.0],
-            [-0.0, 0.0, -0.0],
-            [-0.0, -0.0, 0.0, 0.0],
-            [-0.0],
-            [5e-324, 5e-324, 0.0],
-            [-np.inf, np.inf, 1.0],
-        ],
-    )
-    def test_bitwise_equal_to_np_median(self, values):
-        x = np.array(values)
-        with np.errstate(all="ignore"):
-            got, expected = _median(x), np.median(x)
-        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
-
-    def test_random_draws_with_ties_zeros_and_nans(self):
-        rng = np.random.default_rng(19)
-        pool = np.array([-0.0, 0.0, 1.0, 1.5, 2.0, 1e-300, np.nan])
-        for size in range(1, 40):
-            for _ in range(10):
-                for x in (rng.choice(pool, size), rng.exponential(size=size)):
-                    assert np.float64(_median(x)).tobytes() == np.float64(np.median(x)).tobytes()
 
 
 class TestFloorStatistics:
@@ -794,6 +730,37 @@ class TestRunExperiment:
         # verdict is left to scripts/seed_sweep.py
         assert report.checks[0].passed
 
+    def test_sensitivity_report(self):
+        # one check per scan power, named by the power, in scan order, and
+        # one row per power with that power
+        scan = RunConfig.defaults().build_scan()
+        report = run_experiment("sensitivity", scan, seed=DEFAULT_SEED)
+        assert [c.name for c in report.checks] == [
+            "noise_figure_0.5nW",
+            "noise_figure_1.0nW",
+            "noise_figure_2.0nW",
+        ]
+        assert set(report.scalars) == {"rows", "photon_energy_j"}
+        assert [row["power_w"] for row in report.scalars["rows"]] == list(scan.powers_w)
+        assert report.spectrum is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lockin_runs_at_the_sampled_beat(self, seed):
+        # at a 2.82e14 Hz carrier the tones' half spacing rounds to 50.0144 Hz
+        # for f_het = 50 Hz: a lock-in at 50 Hz keeps sinc^2(pi 0.0144 Hz 20 s)
+        # = 0.754 of the line's power over 20 s, and the 5 % gate fails
+        scene = RunConfig.defaults(
+            {
+                "lo.f_het_hz": 50.0,
+                "measurement.rbw_hz": 1.0,
+                "measurement.sample_rate_hz": 1e3,
+                "measurement.duration_s": 20.0,
+            }
+        ).build_scene()
+        report = run_experiment("beatnote", scene, seed=seed)
+        (beat,) = (c for c in report.checks if c.name == "beatnote_power")
+        assert beat.passed, beat
+
     def test_deterministic_spectra(self):
         scene = RunConfig.defaults({"measurement.duration_s": 0.25}).build_scene()
         a = run_experiment("shot-floor", scene, seed=21)
@@ -861,7 +828,7 @@ class TestStreamedRun:
         assert np.max(np.abs(spec.psd - psd) / psd) <= 1e-12
 
         checks = {c.name: c.value for c in report.checks}
-        w = 2.0 * math.pi * scene.f_het_hz * dt
+        w = scene.lo.omega_het * dt
         direct = 2.0 * abs(np.dot(jdiff, np.exp(-1j * w * np.arange(n)))) ** 2 / n**2
         floor = report.scalars["floor_mean"]
         assert checks["beatnote_power"] == pytest.approx(direct - floor / (n * dt), rel=1e-12)
