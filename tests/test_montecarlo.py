@@ -29,6 +29,7 @@ from bilodyne.io import TraceWriter, read_trace_bin
 from bilodyne.model import MAX_RECORD_SAMPLES, TWO_PI, Hypothesis, MeasurementConfig
 from bilodyne.montecarlo import (
     _BLOCK,
+    _SUB,
     _THIN_PEAK_MEAN,
     CheckResult,
     ExperimentReport,
@@ -268,6 +269,36 @@ class TestBeatAmplitude:
         assert _beat_amplitude(coherent_state(), lo) == pytest.approx(
             math.sqrt(2.0) * ETA * ALPHA * E_LO, rel=1e-9
         )
+
+
+class TestToneOffsets:
+    """The sampler's LO tones sit at +-lo.omega_het from the signal carrier, bit for bit.
+
+    The lock-in runs at lo.omega_het, so it is tuned to the beat the
+    sampler draws, not to the configured f_het, from which the tones'
+    spacing is rounded at an optical carrier.
+    """
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"lo.f_het_hz": 50.0},
+            {"lo.f_het_hz": 0.05},
+            {"field.carrier_hz": 1.0e14, "lo.f_het_hz": 3.7e4},
+            {"field.carrier_hz": 5.0e8},
+        ],
+        ids=["default", "50Hz", "0.05Hz", "1e14Hz-carrier", "rf-carrier"],
+    )
+    def test_config_scene(self, overrides):
+        scene = RunConfig.defaults(overrides).build_scene()
+        (offsets, _), _ = _arm_phasors(scene.state, scene.lo)
+        assert offsets.tolist() == [scene.lo.omega_het, -scene.lo.omega_het]
+
+    def test_scan_scenes(self):
+        for scene in RunConfig.defaults().build_scan().scenes:
+            (offsets, _), _ = _arm_phasors(scene.state, scene.lo)
+            assert offsets.tolist() == [scene.lo.omega_het, -scene.lo.omega_het]
 
 
 class TestSampleBinCounts:
@@ -544,6 +575,40 @@ class TestLockinPower:
         x = _cosine(amp, f0, fs, 0.15)
         assert _lockin_power(x, f0, 1.0 / fs) == pytest.approx(amp**2 / 2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("phase", [math.pi / 3.0, math.pi / 2.0, math.pi, 1.25 * math.pi])
+    def test_pure_tone_at_any_phase(self, phase):
+        # the scan reads its beat at whatever phase the line has against the table
+        amp, f0, fs = 3.0, 1.2e4, 1e6
+        t = np.arange(150000) / fs
+        x = amp * np.cos(TWO_PI * f0 * t + phase)
+        assert _lockin_power(x, f0, 1.0 / fs) == pytest.approx(amp**2 / 2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("cycles", [0.1, 0.25, 0.5, 0.9, 1.0])
+    def test_detuned_tone_keeps_the_dirichlet_share(self, cycles):
+        # a line `cycles` / T off the lock-in keeps the squared Dirichlet
+        # kernel sin^2(n u) / (n sin u)^2, u = pi delta dt, of its power:
+        # 0.754 at 0.0144 Hz over 20 s, the gap between a configured and a
+        # sampled 50 Hz beat.  The image at 2 f0 adds under 1e-3 here.
+        amp, f0, fs, n = 3.0, 1.2e4, 1e6, 150000
+        delta = cycles * fs / n
+        x = amp * np.cos(TWO_PI * (f0 + delta) * np.arange(n) / fs)
+        u = math.pi * delta / fs
+        share = (math.sin(n * u) / (n * math.sin(u))) ** 2
+        assert _lockin_power(x, f0, 1.0 / fs) == pytest.approx(
+            amp**2 / 2.0 * share, rel=2e-3, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("chunk", [1000, _SUB - 1, _SUB, _SUB + 1, 2 * _SUB + 3])
+    def test_chunks_match_the_whole_record(self, chunk):
+        # the streamed pass feeds the lock-in block by block; where the
+        # chunks split the table changes only the last bits
+        x = np.random.default_rng(8).standard_normal(3 * _SUB + 17)
+        whole = _lockin_power(x, 1.2e4, 1e-6)
+        lockin = _Lockin(TWO_PI * 1.2e4, 1e-6, x.size)
+        for start in range(0, x.size, chunk):
+            lockin.add(x[start : start + chunk])
+        assert lockin.power() == pytest.approx(whole, rel=1e-12)
+
     def test_matches_the_direct_sum(self):
         x = np.random.default_rng(4).standard_normal(150001)
         w = 2.0 * math.pi * 1.2e4 * 1e-6
@@ -743,6 +808,15 @@ class TestRunExperiment:
         assert set(report.scalars) == {"rows", "photon_energy_j"}
         assert [row["power_w"] for row in report.scalars["rows"]] == list(scan.powers_w)
         assert report.spectrum is None
+
+    def test_null_phase_peak_is_the_band_maximum(self, null_phase_run):
+        # the largest PSD bin within 2 rbw of f_het, on the floor's mask
+        spec = null_phase_run.spectrum
+        f_het = RunConfig.defaults().build_scene().f_het_hz
+        band = np.abs(spec.freqs_hz - f_het) <= 2.0 * spec.rbw_hz
+        assert np.count_nonzero(band) == 5
+        (check,) = null_phase_run.checks
+        assert check.value == null_phase_run.scalars["peak_psd"] == float(spec.psd[band].max())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_lockin_runs_at_the_sampled_beat(self, seed):
