@@ -12,9 +12,10 @@ scan), plus `simulate default +trace` (`output.write_trace = true`, so
 after the other.  A
 run times `bilodyne.cli.main` alone; the import is timed apart as
 set-up.  Per scenario the file holds the median wall and set-up time,
-the median `ru_maxrss`, minor page faults and system time, and every
-run's wall time.  It also holds one wall time of the tier-1 suite
-(`python -m pytest -q` in the checkout), the
+the median process CPU time of the call (`ru_utime + ru_stime`, every
+thread's), the median `ru_maxrss`, minor page faults and system time,
+and every run's wall and CPU time.  It also holds one wall time of the
+tier-1 suite (`python -m pytest -q` in the checkout), the
 Python and numpy versions, scipy's when it is installed, the CPU, the commit measured
 (`git describe --dirty`) and `src_lines`, the line count of every
 `*.py` under the checkout's `src/`, so that two bench files give the
@@ -27,9 +28,12 @@ second checkout in the same sitting, run by run: each scenario's runs
 go in pairs, one fresh interpreter per checkout, the first of a pair
 alternating between them, and the sitting writes BENCH_parent.json as
 well.  Each scenario of BENCH_<label>.json then also holds every pair's
-wall time difference (this checkout's less the parent's) and the number
-of pairs this checkout won, so that a comparison rests on one sitting
-and not on the box's drift between two.  OPENBLAS_NUM_THREADS
+wall and CPU time differences (this checkout's less the parent's) and
+the number of pairs this checkout won on each, so that a comparison
+rests on one sitting and not on the box's drift between two.  The CPU
+time shows a cut in work where the wall does not: a Monte Carlo record
+runs on two threads, and while both have a core its wall follows the
+busier one alone.  OPENBLAS_NUM_THREADS
 is set to 1 unless it is set already; the file records its value.
 Each Monte Carlo run of `default.cfg` takes ~0.8 s and ~46 MiB, so the
 whole bench takes about two minutes on a 2-vCPU VM, and twice that with
@@ -72,6 +76,7 @@ r1 = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({
     "rc": rc, "setup_s": t1 - t0, "wall_s": t2 - t1,
     "minflt": r1.ru_minflt - r0.ru_minflt, "stime_s": r1.ru_stime - r0.ru_stime,
+    "cpu_s": (r1.ru_utime + r1.ru_stime) - (r0.ru_utime + r0.ru_stime),
     "maxrss_mib": r1.ru_maxrss / 1024.0,
 }))
 """
@@ -159,10 +164,12 @@ def _row(runs: list[dict]) -> dict:
         "exit": sorted({r["rc"] for r in runs}),
         "wall_s": round(statistics.median(r["wall_s"] for r in runs), 4),
         "setup_s": round(statistics.median(r["setup_s"] for r in runs), 4),
+        "cpu_s": round(statistics.median(r["cpu_s"] for r in runs), 4),
         "maxrss_mib": round(statistics.median(r["maxrss_mib"] for r in runs), 1),
         "minflt": int(statistics.median(r["minflt"] for r in runs)),
         "stime_s": round(statistics.median(r["stime_s"] for r in runs), 3),
         "runs_wall_s": [round(r["wall_s"], 4) for r in runs],
+        "runs_cpu_s": [round(r["cpu_s"], 4) for r in runs],
     }
 
 
@@ -208,15 +215,17 @@ def main(argv=None) -> int:
             for label in checkouts:
                 results[label]["scenarios"][name] = _row(runs[label])
             row = results[args.label]["scenarios"][name]
-            line = (f"{name:28s} wall {row['wall_s']:7.3f} s  "
+            line = (f"{name:28s} wall {row['wall_s']:7.3f} s  cpu {row['cpu_s']:7.3f} s  "
                     f"rss {row['maxrss_mib']:6.1f} MiB  faults {row['minflt']}")
             if args.parent is not None:
-                pairs = zip(runs[args.label], runs["parent"])
-                diffs = [here["wall_s"] - there["wall_s"] for here, there in pairs]
-                row["pairs_wall_diff_s"] = [round(d, 4) for d in diffs]
-                row["pairs_won"] = sum(d < 0.0 for d in diffs)
-                parent_wall = results["parent"]["scenarios"][name]["wall_s"]
-                line += f"  parent {parent_wall:7.3f} s  won {row['pairs_won']} of {REPEATS}"
+                pairs = list(zip(runs[args.label], runs["parent"]))
+                for key, won in (("wall", "pairs_won"), ("cpu", "pairs_cpu_won")):
+                    diffs = [here[f"{key}_s"] - there[f"{key}_s"] for here, there in pairs]
+                    row[f"pairs_{key}_diff_s"] = [round(d, 4) for d in diffs]
+                    row[won] = sum(d < 0.0 for d in diffs)
+                parent = results["parent"]["scenarios"][name]
+                line += (f"  parent {parent['wall_s']:7.3f} / {parent['cpu_s']:7.3f} s  "
+                         f"won {row['pairs_won']} / {row['pairs_cpu_won']} of {REPEATS}")
             print(line)
     for label, repo in checkouts.items():
         result = results[label]

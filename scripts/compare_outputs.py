@@ -33,9 +33,13 @@ on `sensitivity.cfg`, `analytic` with `lo.f_het_hz = 4e3` (a beat below
 scan with `scan.duration_s = 5e-5`.  A run's exit code,
 stdout, stderr and every file it writes (`spectrum*.csv`, `table.csv`,
 `trace.bin`, `report.json`) are compared byte for byte, `report.json`
-without its `generated_at` line.  One line per run, followed by both
-stderr texts where they differ, then exit 0 when
-every run is identical and 1 otherwise.  The Monte Carlo runs take
+without its `generated_at` line and with the values of the checks in
+TOLERANT each compared to its relative tolerance instead: sums of
+squares and products over a record, which a change in summation order
+moves in their last bits.  One line per run, followed by both stderr
+texts where they differ and by each tolerant value that moved, with
+its relative change; then exit 0 when every run is identical or within
+tolerance and 1 otherwise.  The Monte Carlo runs take
 about a second each, so the whole comparison takes under a minute on a
 2-vCPU VM.  Not part of the test suite.
 """
@@ -43,6 +47,8 @@ about a second each, so the whole comparison takes under a minute on a
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +57,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ("default.cfg", "sensitivity.cfg", "squeezed.cfg")
+# report.json check name -> relative tolerance of its value
+TOLERANT = {"parseval_ratio": 1e-12, "arm_cross_covariance_z": 1e-12}
 
 # run name -> (scenario, shipped config, lines appended to the config)
 RUNS = {
@@ -162,27 +170,72 @@ def _outputs(repo: Path, work: Path, name: str) -> dict[str, bytes]:
     return found
 
 
+def _tolerant_values(report: bytes) -> tuple[bytes, dict[str, float]]:
+    """report.json with the value of each TOLERANT check blanked, and those values by name.
+
+    write_report_json sorts keys, so a check's "name" line comes before its "value" line.
+    """
+    lines, values, name = [], {}, None
+    for line in report.split(b"\n"):
+        key, _, rest = line.strip().partition(b": ")
+        if key == b'"name"':
+            name = json.loads(rest.rstrip(b","))
+        elif key == b'"value"' and name in TOLERANT:
+            values[name] = float(rest.rstrip(b","))
+            line = line.partition(b":")[0] + b": (compared within tolerance)"
+        lines.append(line)
+    return b"\n".join(lines), values
+
+
+def _moved(here: dict, there: dict) -> tuple[list[str], bool]:
+    """Each TOLERANT value that moved between the two reports, and whether all are within tolerance."""
+    if "report.json" not in here or "report.json" not in there:
+        return [], False
+    (rest_here, ours), (rest_there, theirs) = (
+        _tolerant_values(found["report.json"]) for found in (here, there)
+    )
+    lines, within = [], rest_here == rest_there and ours.keys() == theirs.keys()
+    for name in sorted(ours.keys() & theirs.keys()):
+        new, old = ours[name], theirs[name]
+        if new == old or (math.isnan(new) and math.isnan(old)):
+            continue
+        change = abs(new - old) / abs(old) if old else math.inf
+        ok = math.isclose(new, old, rel_tol=TOLERANT[name], abs_tol=0.0)
+        within &= ok
+        verdict = "within" if ok else "BEYOND"
+        lines.append(f"{name} {old!r} -> {new!r} ({change:.2g} relative, {verdict} {TOLERANT[name]:g})")
+    return lines, within
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the checkout to compare this one against")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
-    differing = 0
+    differing = tolerated = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in RUNS:
             here, there = (
                 _outputs(repo, Path(tempfile.mkdtemp(dir=tmp)), name) for repo in (ROOT, parent)
             )
             diff = sorted(k for k in here.keys() | there.keys() if here.get(k) != there.get(k))
+            moved, within = _moved(here, there)
+            if within and "report.json" in diff:
+                diff.remove("report.json")
             differing += bool(diff)
+            tolerated += bool(moved) and not diff
             files = ", ".join(k for k in here if k not in ("exit code", "stdout", "stderr"))
             verdict = f"DIFFERS: {', '.join(diff)}" if diff else "identical"
+            if moved and not diff:
+                verdict += " within tolerance"
             exit_code = here["exit code"].decode()
             print(f"{name:44s} exit {exit_code}  {verdict}  [{files or 'no files'}]")
             if "stderr" in diff:
                 for label, found in (("parent", there), ("here", here)):
                     print(f"    {label}: {found['stderr'].decode().strip()}")
-    print(f"{differing} of {len(RUNS)} runs differ")
+            for line in moved:
+                print(f"    moved: {line}")
+    print(f"{differing} of {len(RUNS)} runs differ, {tolerated} more only within tolerance")
     return 1 if differing else 0
 
 

@@ -29,6 +29,10 @@ TWO_PI = 2.0 * math.pi
 # separations are >= 1e4 rad/s.  1e-13 relative (~1e2 rad/s absolute)
 # sits safely between the two.
 FREQ_RTOL = 1e-13
+# Largest relative distance between the configured beat and the one the
+# LO tones carry once rounded at the carrier (a 50 Hz beat at 2.82e14 Hz
+# is carried 0.029 % off, a 0.05 Hz one 20 % off)
+BEAT_RTOL = 1e-3
 # Largest optical frequency, rad/s: sums of a few stay far from overflow
 MAX_FREQUENCY = 1e300
 # Largest photon flux of a scene, in photons/s:
@@ -439,11 +443,13 @@ def validate_measurement(
     The record must resolve the resolution bandwidth (rbw * duration >=
     1).  For a bichromatic LO the beat frequency must clear it
     (Omega / 2 pi >= 10 * rbw) and the sample rate must cover the beat
-    (sample_rate >= 10 * Omega / 2 pi).  The tones carry Omega only to
-    about one ulp of an optical frequency, so a beat within that of a
-    limit is taken to meet it.  The errors quote f_het_hz, the
-    configured beat frequency, when it is given, and name the settings
-    of the beat frequency, duration, rbw and sample rate by names.
+    (sample_rate >= 10 * Omega / 2 pi).  Given f_het_hz, the configured
+    beat frequency, the limits are checked on it and the errors quote
+    it; the tones must then carry it to BEAT_RTOL.  Without it they are
+    checked on the tones' beat, which they carry only to about one ulp
+    of an optical frequency, so a beat within that of a limit is taken
+    to meet it.  The errors name the settings of the beat frequency,
+    duration, rbw and sample rate by names.
     """
     beat_name, duration_name, rbw_name, rate_name = names
     if cfg.rbw * cfg.duration < 1.0:
@@ -452,10 +458,17 @@ def validate_measurement(
             "(need rbw * T >= 1)"
         )
     if lo.is_bichromatic:
-        f_het = lo.omega_het / TWO_PI
-        f_tol = math.ulp(lo.omega_1) / TWO_PI
-        beat = f"heterodyne frequency {beat_name} = {f_het if f_het_hz is None else f_het_hz:g} Hz"
+        carried = lo.omega_het / TWO_PI
+        f_het, f_tol = (
+            (carried, math.ulp(lo.omega_1) / TWO_PI) if f_het_hz is None else (f_het_hz, 0.0)
+        )
+        beat = f"heterodyne frequency {beat_name} = {f_het:g} Hz"
         if f_het + f_tol < 10.0 * cfg.rbw:
             raise ConfigViolation(f"{beat} must be >= 10x {rbw_name} = {cfg.rbw:g} Hz")
         if cfg.sample_rate < 10.0 * (f_het - f_tol):
             raise ConfigViolation(f"{rate_name} = {cfg.sample_rate:g} Hz must be >= 10x {beat}")
+        if not abs(carried - f_het) <= BEAT_RTOL * f_het:
+            raise ConfigViolation(
+                f"{beat}: the LO tones carry {carried:g} Hz once rounded at the carrier, "
+                f"more than {BEAT_RTOL:.1%} off"
+            )

@@ -1,8 +1,8 @@
 """Stochastic photoemission simulation of balanced detection.
 
 The chain is: semiclassical emission rates -> closed-form mean count
-of every sample bin (one einsum per block, from cos/sin tables of _SUB
-samples) -> Poisson counts per bin (a sparse block thinned from a
+of every sample bin (one np.matmul per block, from cos/sin tables of
+_SUB samples) -> Poisson counts per bin (a sparse block thinned from a
 homogeneous process, a denser one by one draw per bin) -> currents ->
 Welch PSD (the floor) and lock-in sum (the beat).  A record runs as one
 pass over blocks of _BLOCK samples, each block feeding running sums
@@ -97,11 +97,18 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     eta/2 sum_{k,l} a_k a_l* sinc(D_kl dt/2) e^{-i D_kl t_c} dt with
     D_kl = d_k - d_l.  The arms share the LO and signal self terms and
     differ only in the sign of the LO-signal cross terms.  Each distinct
-    D has one cos and one sin row in a table over _SUB bins; a block is
-    filled by one einsum of that table with the coefficients of each of
-    its sub-blocks of _SUB bins, rotated by the sub-block's start phase
-    e^{-i D t0}.  The arguments and the state are checked at the call,
-    before the first block.
+    D has one cos and one sin row in a table of K rows over _SUB bins; a
+    block is filled by one np.matmul of the coefficients of each of its
+    sub-blocks of _SUB bins, rotated by the sub-block's start phase
+    e^{-i D t0}, with that table: a (2 x K) @ (K x _SUB) BLAS product
+    per sub-block, each bin's mean a sum of K terms.  Its 2 K _SUB
+    multiply-adds (49k on default.cfg, K = 6) are below the size at
+    which OpenBLAS splits a product over threads, and a split would
+    divide the bins, not a bin's K terms, so the bits do not follow the
+    thread count.  They are BLAS's rounding (fused multiply-adds where
+    the CPU has them), not that of separate products and sums.  The
+    arguments and the state are checked at the call, before the first
+    block.
 
     Every block is written into the same pair of arrays, so a block's
     means stay valid only until the next block is made: the streamed
@@ -142,11 +149,11 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
             coef = np.concatenate([w.real, w.imag], axis=2)  # (sub-block, arm, table row)
             out = means[:, :m]
             subs, rest = divmod(m, _SUB)
-            if subs:
-                full = out[:, : subs * _SUB].reshape(2, subs, _SUB)
-                np.einsum("sak,kj->asj", coef[:subs], table, out=full)
+            if subs:  # written through a (sub-block, arm, bin) view of the block
+                full = out[:, : subs * _SUB].reshape(2, subs, _SUB).transpose(1, 0, 2)
+                np.matmul(coef[:subs], table, out=full)
             if rest:
-                np.einsum("ak,kj->aj", coef[subs], table[:, :rest], out=out[:, subs * _SUB :])
+                np.matmul(coef[subs], table[:, :rest], out=out[:, subs * _SUB :])
             yield out[0], out[1]
 
     return blocks()
@@ -295,21 +302,29 @@ class _Lockin:
 class _Moments:
     """Running count, mean and sum of squared deviations of the values fed so far.
 
-    Blocks merge by the pairwise update of Chan, Golub & LeVeque (1979);
-    within a block the squares are summed by einsum, as in _Lockin.  add
-    takes each block's deviations from its mean in the block's own
-    memory, so a caller hands over a block it reads no more.
+    Each block is read where it lies, never written: its sum, and its
+    sum of squares q by einsum, as in _Lockin.  Its squared deviations
+    are q less m times its mean squared, so no deviation pass and no
+    copy is made, and blocks merge by the pairwise update of Chan, Golub
+    & LeVeque (1979).  The subtraction cancels the share of q its mean
+    holds, which for the streamed pass's blocks, a difference current of
+    zero mean and an arm product whose mean is the small covariance, is
+    next to none; a block whose mean holds over half of q takes its
+    deviations from the mean in a temporary instead.
     """
 
     def __init__(self):
         self.n, self.mean, self.m2 = 0, 0.0, 0.0
 
     def add(self, x: np.ndarray) -> None:
-        """Merge the block x into the sums, overwriting x with its deviations from its mean."""
-        m, mean = x.size, float(x.mean())
-        dev = np.subtract(x, mean, out=x)
+        m, squares = x.size, float(np.einsum("i,i->", x, x))
+        mean = float(x.sum()) / m
+        m2 = squares - m * mean * mean
+        if not m2 >= 0.5 * squares:
+            dev = x - mean
+            m2 = float(np.einsum("i,i->", dev, dev))
         delta, total = mean - self.mean, self.n + m
-        self.m2 += float(np.einsum("i,i->", dev, dev)) + delta * delta * self.n * m / total
+        self.m2 += m2 + delta * delta * self.n * m / total
         self.mean += delta * m / total
         self.n = total
 
@@ -534,11 +549,11 @@ def _block_currents(
     their totals are added to totals, and the zero-lag product of the
     arms' fluctuations, each the delta-pulse current (count times
     to_pulses) less the mean current (mean times to_current), is fed to
-    cross.  The difference current j1 - j2 is fed to lockin and, through
-    a scratch copy, to variance, then yielded.  Its arrays are a ring of
-    _READ_AHEAD + 1 buffers taken in turn, so a block's current stays
-    valid until _READ_AHEAD more blocks have been made, which is as far
-    as _read_ahead runs ahead of the block its caller is summing.
+    cross.  The difference current j1 - j2 is fed to lockin and
+    variance, then yielded.  Its arrays are a ring of _READ_AHEAD + 1
+    buffers taken in turn, so a block's current stays valid until
+    _READ_AHEAD more blocks have been made, which is as far as
+    _read_ahead runs ahead of the block its caller is summing.
 
     No pass runs over the bins that hold no count (~93 % of a
     default.cfg block's).  Each arm's factor is its mean current with
@@ -576,8 +591,7 @@ def _block_currents(
         jdiff[bins1] = p1
         jdiff[bins2] -= p2
         lockin.add(jdiff)
-        np.copyto(b, jdiff)  # variance.add overwrites what it is given
-        variance.add(b)
+        variance.add(jdiff)
         yield jdiff
 
 
@@ -622,10 +636,9 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     at most one (0.073 on default.cfg).  One buffer holds each live quantity:
     the bin means' pair, the ring of difference currents and the scratch
     pair of the arm product's factors (which also take a thinned block's
-    counts, and the variance sum's copy) are made once, the bin-mean and
-    lock-in tables span _SUB samples, not a block, and the sums keep
-    nothing of a block but the Welch sum's copy of its incomplete
-    segment.  Memory is therefore a fixed number of blocks plus a few
+    counts) are made once, the bin-mean and lock-in tables span _SUB
+    samples, not a block, and the sums keep nothing of a block but the
+    Welch sum's copy of its incomplete segment.  Memory is therefore a fixed number of blocks plus a few
     segments, whatever the record length; a default.cfg record peaks at
     about 12.7 blocks of doubles (6.4 MiB), the 4.3 of its Welch sum's
     rows and spectra included.
@@ -673,9 +686,10 @@ def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
     The check targets assume a coherent signal at a fixed phase, a
     bichromatic LO and delta pulses; the error names the config setting
     that asks for anything else.  The geometry must pass
-    validate_measurement, and the record, as _stream_record takes it,
-    must hold measurement.n_segments Welch segments (TooShort), at least
-    8 of at least 8 samples (ConfigViolation).  A geometry error names
+    validate_measurement, whose limits on the configured beat leave a
+    Welch segment of at least 100 samples, and the record, as
+    _stream_record takes it, must hold measurement.n_segments segments
+    (TooShort), at least 8 (ConfigViolation).  A geometry error names
     keys, the settings of the scene's beat frequency, duration, rbw and
     sample rate, or measurement.n_segments.
     """
@@ -692,7 +706,7 @@ def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
             )
     meas = scene.meas
     validate_measurement(meas, scene.lo, scene.f_het_hz, keys)
-    _, duration_key, rbw_key, rate_key = keys
+    _, duration_key, rbw_key, _ = keys
     segments = f"measurement.n_segments = {meas.n_segments}"
     if meas.n_segments < 8:
         raise ConfigViolation(f"{segments}: PSD estimation needs at least 8 averaging segments")
@@ -703,8 +717,6 @@ def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
             f"{duration_key}: a record of {record:g} s cannot average {segments} "
             f"segments at {rbw_key} = {meas.rbw:g} Hz"
         )
-    if int(round(1.0 / dt / meas.rbw)) < 8:
-        raise ConfigViolation(f"{rbw_key} leaves a segment of under 8 samples at {rate_key}")
     # no bin of either arm expects more than eta/2 (sum of |amplitudes|)^2 dt
     amps = np.concatenate([a for _, a in _arm_phasors(scene.state, scene.lo)])
     peak = 0.5 * scene.det.eta * float(np.abs(amps).sum()) ** 2 / meas.sample_rate

@@ -309,15 +309,31 @@ RELATIONS = [
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.duration_s"),
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.rbw_hz"),
     (("simulate",), "sensitivity.cfg", "scan.duration_s = 5e-5", "scan.duration_s"),
-    # a 0.05 Hz beat puts the tones about one ulp from the carrier, within
-    # validate_measurement's tolerance of both of its limits; a Welch
-    # segment of 5e-3 / 1e-3 = 5 samples is left
+    # a 0.05 Hz beat puts the tones one ulp from the carrier, so they carry
+    # 0.0398 Hz, which would clear any sample rate within an ulp's tolerance
     (
-        ("simulate",),
+        ("analytic", "simulate"),
         "default.cfg",
         "lo.f_het_hz = 0.05\nmeasurement.rbw_hz = 1e-3\nmeasurement.sample_rate_hz = 5e-3\n"
         "measurement.duration_s = 2e4",
-        "measurement.rbw_hz leaves a segment of under 8 samples at measurement.sample_rate_hz",
+        "lo.f_het_hz",
+    ),
+    # with a sample rate that clears it, the beat the tones carry is refused
+    (
+        ("analytic", "simulate"),
+        "default.cfg",
+        "lo.f_het_hz = 0.05\nmeasurement.rbw_hz = 1e-3\nmeasurement.sample_rate_hz = 1\n"
+        "measurement.duration_s = 2e4",
+        "lo.f_het_hz = 0.05 Hz: the LO tones carry 0.0397887 Hz",
+    ),
+    # the beat those tones carry, configured: the rate limit on it refuses
+    # what would be a 5e-3 / 1e-3 = 5-sample Welch segment
+    (
+        ("analytic", "simulate"),
+        "default.cfg",
+        "lo.f_het_hz = 0.039788735772973836\nmeasurement.rbw_hz = 1e-3\n"
+        "measurement.sample_rate_hz = 5e-3\nmeasurement.duration_s = 2e4",
+        "measurement.sample_rate_hz = 0.005 Hz must be >= 10x",
     ),
 ]
 

@@ -307,6 +307,34 @@ class TestDetectorAndMeasurement:
             with pytest.raises(ConfigViolation):
                 validate_measurement(MeasurementConfig(1e-3, rbw=rbw, sample_rate=rate), lo)
 
+    @pytest.mark.parametrize(
+        "f_het_hz, carried_off",
+        [(50.0, False), (1e5, False), (2e6, False), (10.0, True), (0.05, True)],
+    )
+    def test_configured_beat_must_be_carried_by_the_tones(self, f_het_hz, carried_off):
+        # at an optical carrier the tones carry 50 Hz 0.029 % off, 10 Hz
+        # 0.13 % off and 0.05 Hz 20 % off; the record clears every limit
+        d = TWO_PI * f_het_hz
+        lo = LocalOscillator(1e3, OMEGA_S + d, 0.0, OMEGA_S - d, 0.0)
+        cfg = MeasurementConfig(duration=1e3 / f_het_hz, rbw=f_het_hz / 10.0, sample_rate=f_het_hz * 10)
+        validate_measurement(cfg, lo)
+        if carried_off:
+            with pytest.raises(ConfigViolation, match="f_het = .* Hz: the LO tones carry"):
+                validate_measurement(cfg, lo, f_het_hz, ("f_het", "T", "rbw", "rate"))
+        else:
+            validate_measurement(cfg, lo, f_het_hz, ("f_het", "T", "rbw", "rate"))
+
+    def test_limits_read_the_configured_beat(self):
+        # the tones carry 0.0398 Hz, one ulp of the carrier, which the tones'
+        # precision would let clear any sample rate
+        d = TWO_PI * 0.05
+        lo = LocalOscillator(1e3, OMEGA_S + d, 0.0, OMEGA_S - d, 0.0)
+        carried = lo.omega_het / TWO_PI
+        cfg = MeasurementConfig(duration=2e4, rbw=1e-3, sample_rate=5e-3)
+        validate_measurement(cfg, lo)
+        with pytest.raises(ConfigViolation, match="rate = 0.005 Hz must be >= 10x"):
+            validate_measurement(cfg, lo, carried, ("f_het", "T", "rbw", "rate"))
+
 
 NAN, INF = math.nan, math.inf
 

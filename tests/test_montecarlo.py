@@ -626,21 +626,41 @@ class TestLockinPower:
 
 
 class TestMoments:
-    def test_merged_blocks_match_the_whole_record_and_are_overwritten(self):
-        # blocks of unequal sizes about a large mean, as the streamed pass feeds them
+    SIZES = (7, 4096, 1, 65536, 300)  # unequal blocks, as the streamed pass feeds them
+
+    def test_merged_blocks_match_the_whole_record_and_are_left_as_they_are(self):
+        # blocks about a large mean, which the two sums alone would cancel
         rng = np.random.default_rng(8)
-        blocks = [1e3 + rng.standard_normal(n) for n in (7, 4096, 1, 65536, 300)]
+        blocks = [1e3 + rng.standard_normal(n) for n in self.SIZES]
         whole = np.concatenate(blocks)
         moments = _Moments()
         for x in blocks:
             before = x.copy()
             moments.add(x)
-            # add takes the block's deviations from its own mean in place
-            np.testing.assert_array_equal(x, before - float(before.mean()))
+            np.testing.assert_array_equal(x, before)
         assert moments.n == whole.size
         assert moments.mean == pytest.approx(float(whole.mean()), rel=1e-14)
         assert moments.var() == pytest.approx(float(np.var(whole)), rel=1e-10)
         assert moments.var(ddof=1) == pytest.approx(float(np.var(whole, ddof=1)), rel=1e-10)
+
+    @pytest.mark.parametrize("quantity", ["difference current", "arm product"])
+    def test_blocks_shaped_like_the_pass_match_numpy(self, quantity):
+        # each arm's delta-pulse current about its mean current, over a
+        # bichromatic LO's intensity: the difference current has zero mean,
+        # the product of the two fluctuations the arm covariance, also ~0
+        rng = np.random.default_rng(9)
+        moments, parts = _Moments(), []
+        for n in self.SIZES:
+            means = 0.07 * (1.0 + np.cos(0.01 * np.arange(n)))
+            j1, j2 = (rng.poisson(means) * 1e7 for _ in range(2))
+            x = j1 - j2 if quantity == "difference current" else (j1 - 1e7 * means) * (j2 - 1e7 * means)
+            parts.append(x)
+            moments.add(x)
+        whole = np.concatenate(parts)
+        assert moments.n == whole.size
+        assert abs(moments.mean - float(np.mean(whole))) <= 1e-12 * float(np.std(whole))
+        assert moments.var() == pytest.approx(float(np.var(whole)), rel=1e-12)
+        assert moments.var(ddof=1) == pytest.approx(float(np.var(whole, ddof=1)), rel=1e-12)
 
 
 class TestFloorStatistics:
@@ -956,14 +976,17 @@ class TestStreamedRun:
 
     def test_report_does_not_depend_on_the_blas_thread_count(self):
         # a BLAS dot product splits a long vector over the thread count read
-        # when numpy loads, which changes its last bits; the sums call no BLAS
+        # when numpy loads, which changes its last bits; the sums call no BLAS,
+        # and the bin means' products are too small to be split
         src = str(Path(montecarlo.__file__).resolve().parents[1])
         code = (
-            f"import sys; sys.path.insert(0, {src!r}); "
+            f"import hashlib, sys; sys.path.insert(0, {src!r}); "
             "from bilodyne.config import RunConfig; from bilodyne.montecarlo import run_experiment; "
             "scene = RunConfig.defaults({'measurement.duration_s': 0.25}).build_scene(); "
             f"report = run_experiment('default', scene, seed={DEFAULT_SEED}); "
-            "print([c.value.hex() for c in report.checks])"
+            "print([c.value.hex() for c in report.checks], "
+            "report.scalars['counts_1'], report.scalars['counts_2'], "
+            "hashlib.sha256(report.spectrum.psd.tobytes()).hexdigest())"
         )
         values = {
             threads: subprocess.run(
