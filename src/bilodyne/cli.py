@@ -41,15 +41,23 @@ from .model import TWO_PI, Hypothesis, validate_measurement
 from .montecarlo import run_experiment
 
 
+def _shot_floor(cfg: RunConfig, scene) -> float:
+    """The shot floor at 2 pi lo.f_het_hz, the bichromatic LO's omega_het.
+
+    A mono LO has no beat, but an exponential pulse shapes its floor, so
+    it too is read at the configured beat.
+    """
+    omega = TWO_PI * cfg.values["lo.f_het_hz"]
+    return float(cfg._make(MEASUREMENT_KEYS[:1], shot_floor_psd, scene.lo, scene.det, omega))
+
+
 def _run_analytic(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     scene = cfg.build_scene()
-    validate_measurement(scene.meas, scene.lo, scene.f_het_hz, MEASUREMENT_KEYS)
+    validate_measurement(scene.meas, scene.lo, MEASUREMENT_KEYS)
     state, lo, det, meas = scene.state, scene.lo, scene.det, scene.meas
     spectrum = psd_analytic(state, lo, det, meas)
     write_spectrum_csv(out_dir / "spectrum.csv", spectrum)
-    results: dict = {
-        "shot_floor": float(shot_floor_psd(lo, det, TWO_PI * scene.f_het_hz)),
-    }
+    results: dict = {"shot_floor": _shot_floor(cfg, scene)}
     if not state.is_squeezed() and lo.is_bichromatic:
         results.update(
             {
@@ -57,7 +65,7 @@ def _run_analytic(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
                 "snr_out_db": _json_float(snr_out(state, lo, det, meas.rbw)),
                 "nf_db": _json_float(noise_figure(state, lo, det, meas.rbw)),
                 "output_power": output_signal_power(state, lo, det),
-                "beat_freq_hz": scene.f_het_hz,
+                "beat_freq_hz": cfg.values["lo.f_het_hz"],
             }
         )
     return results, 0
@@ -121,7 +129,7 @@ def _run_squeezed_compare(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     if not cfg.values["squeeze.enabled"]:
         raise ConfigViolation("squeezed-compare needs squeeze.enabled = true")
     scene = cfg.build_scene()
-    validate_measurement(scene.meas, scene.lo, scene.f_het_hz, MEASUREMENT_KEYS)
+    validate_measurement(scene.meas, scene.lo, MEASUREMENT_KEYS)
     state, lo, det, meas = scene.state, scene.lo, scene.det, scene.meas
     one, three = (
         psd_analytic(dataclasses.replace(state, hypothesis=hyp), lo, det, meas)
@@ -134,7 +142,7 @@ def _run_squeezed_compare(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
         "max_abs_difference": float(abs(diff).max()),
         "min_psd_one_field": float(one.psd.min()),
         "min_psd_three_fields": float(three.psd.min()),
-        "shot_floor": float(shot_floor_psd(lo, det, TWO_PI * scene.f_het_hz)),
+        "shot_floor": _shot_floor(cfg, scene),
     }
     return results, 0
 

@@ -4,7 +4,8 @@ Format: one `key = value` pair per line, `#` starts a comment, blank
 lines ignored.  Keys are dotted and flat (no sections).  Unknown keys
 are rejected rather than ignored, so typos fail loudly.  All
 frequencies in config files are ordinary frequencies in Hz; angular
-frequencies exist only inside the model layer.
+frequencies exist only inside the model layer, where every mode and LO
+tone is its offset from field.carrier_hz times 2 pi.
 """
 
 from __future__ import annotations
@@ -194,15 +195,15 @@ class RunConfig:
         return flux
 
     def build_state(self) -> FieldState:
+        """The field: the signal at the carrier, and a squeezed pair at +-squeeze.offset_hz."""
         v = self.values
-        omega_s = TWO_PI * v["field.carrier_hz"]
         alpha = math.sqrt(2.0 * self._flux("field.signal_flux"))
-        modes = [self._make(("field.carrier_hz", "field.signal_flux"), FieldMode, omega_s, alpha)]
+        modes = [self._make(("field.signal_flux",), FieldMode, 0.0, alpha)]
         squeeze, state_keys = (), ("field.theta_s",)
         if v["squeeze.enabled"]:
-            keys = ("field.carrier_hz", "squeeze.offset_hz")
+            keys = ("squeeze.offset_hz",)
             d = TWO_PI * v["squeeze.offset_hz"]
-            freqs = (omega_s + d, omega_s - d)
+            freqs = (d, -d)
             image = v["squeeze.placement"] == "image"
             labels = (ModeLabel.IMAGE1, ModeLabel.IMAGE2) if image else (ModeLabel.SIDEBAND,) * 2
             modes += [self._make(keys, FieldMode, f, 0.0, label) for f, label in zip(freqs, labels)]
@@ -219,15 +220,15 @@ class RunConfig:
         )
 
     def build_lo(self) -> LocalOscillator:
+        """The LO: one tone at the carrier (mono), or two at +-lo.f_het_hz."""
         v = self.values
-        omega_s = TWO_PI * v["field.carrier_hz"]
         amplitude = math.sqrt(self._flux("lo.flux"))
         if v["lo.kind"] == "mono":
-            keys = ("lo.flux", "field.carrier_hz", "lo.theta_1")
-            return self._make(keys, LocalOscillator, amplitude, omega_s, v["lo.theta_1"])
+            keys = ("lo.flux", "lo.theta_1")
+            return self._make(keys, LocalOscillator, amplitude, 0.0, v["lo.theta_1"])
         d = TWO_PI * v["lo.f_het_hz"]
-        keys = ("lo.flux", "field.carrier_hz", "lo.f_het_hz", "lo.theta_1", "lo.theta_2")
-        tones = (omega_s + d, v["lo.theta_1"], omega_s - d, v["lo.theta_2"])
+        keys = ("lo.flux", "lo.f_het_hz", "lo.theta_1", "lo.theta_2")
+        tones = (d, v["lo.theta_1"], -d, v["lo.theta_2"])
         return self._make(keys, LocalOscillator, amplitude, *tones)
 
     def build_detector(self) -> DetectorParams:
@@ -241,8 +242,16 @@ class RunConfig:
         return self._make(keys, MeasurementConfig, *(self.values[key] for key in keys))
 
     def build_scene(self) -> Scene:
-        parts = self.build_state(), self.build_lo(), self.build_detector(), self.build_measurement()
-        return self._make(MEASUREMENT_KEYS[:1], Scene, *parts, self.values["lo.f_het_hz"])
+        """The scene at field.carrier_hz; its refusal names the carrier and the offsets in use."""
+        state, lo = self.build_state(), self.build_lo()
+        keys = ["field.carrier_hz"]
+        if lo.is_bichromatic:
+            keys.append(MEASUREMENT_KEYS[0])
+        if state.squeeze:
+            keys.append("squeeze.offset_hz")
+        carrier = TWO_PI * self.values["field.carrier_hz"]
+        parts = state, lo, self.build_detector(), self.build_measurement()
+        return self._make(keys, Scene, *parts, carrier)
 
     def build_scan(self) -> Scan:
         """The sensitivity scan: one scene per power in scan.powers_nw.

@@ -1,10 +1,9 @@
 """Second-order moments and intensity-fluctuation correlators.
 
-All beat-frequency algebra is done with mode/tone frequencies measured
-relative to a common optical reference.  Beats are then exact float
-differences of small offsets, immune to the catastrophic cancellation
-that absolute optical frequencies (~1e15 rad/s) would cause at times of
-order seconds.  collect_beats is the one beat rule: the sampler's bin
+Mode and tone frequencies are offsets from the scene's optical carrier
+(see model), so every beat is an exact float difference of small
+offsets and every phasor is taken in the frame rotating at the carrier.
+collect_beats is the one beat rule: the sampler's bin
 means and excess_lines both collect their products of phasor sums with
 it.
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnknownMode, Unsupported, WeakLO
-from .model import FieldState, Hypothesis, LocalOscillator, ModeLabel, FREQ_RTOL
+from .model import FieldState, Hypothesis, LocalOscillator, ModeLabel
 
 # Bound saturated by pure squeezed states; allow this much numerical slack.
 HEISENBERG_TOL = 1e-12
@@ -37,7 +36,7 @@ HEISENBERG_TOL = 1e-12
 class MomentTable:
     """Normal and anomalous second moments over a fixed mode list.
 
-    frequencies are the absolute mode frequencies (rad/s) in the order
+    frequencies are the mode frequencies (offsets, rad/s) in the order
     the matrices are indexed.
     """
 
@@ -75,7 +74,7 @@ class MomentTable:
 
 def _match_mode(freqs: tuple[float, ...], target: float) -> int:
     for k, f in enumerate(freqs):
-        if math.isclose(f, target, rel_tol=FREQ_RTOL):
+        if f == target:
             return k
     raise UnknownMode(f"no mode at frequency {target!r} (rad/s) in the state")
 
@@ -125,37 +124,29 @@ def hypothesis_moments(state: FieldState) -> MomentTable:
 # ---------------------------------------------------------------------------
 
 
-def reference_frequency(state: FieldState, lo: LocalOscillator) -> float:
-    """Common optical reference: the signal carrier if present, else the LO centre."""
-    signal = state.signal_modes()
-    if signal:
-        return signal[0].frequency
-    return lo.carrier()
-
-
-def tone_phasors(lo: LocalOscillator, ref: float) -> tuple[np.ndarray, np.ndarray]:
-    """LO field as sum_p L_p e^{-i d_p t} in the frame rotating at ref.
+def tone_phasors(lo: LocalOscillator) -> tuple[np.ndarray, np.ndarray]:
+    """LO field as sum_p L_p e^{-i d_p t} in the frame rotating at the carrier.
 
     Returns (offsets d_p rad/s, complex amplitudes L_p).
     """
     tones = lo.tones()
-    offs = np.array([w - ref for w, _ in tones])
+    offs = np.array([w for w, _ in tones])
     amps = np.array([a for _, a in tones], dtype=complex)
     return offs, amps
 
 
-def mode_phasors(state: FieldState, ref: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean signal field as sum_k m_k e^{-i d_k t} in the rotating frame.
+def mode_phasors(state: FieldState) -> tuple[np.ndarray, np.ndarray]:
+    """Mean signal field as sum_k m_k e^{-i d_k t} in the frame rotating at the carrier.
 
     The i/sqrt(2) convention and the signal phase theta_s are folded
     into the coefficients, so the mean field is exactly
-    e^{-i ref t} * sum_k m_k e^{-i d_k t}.  A phase-averaged state has
+    e^{-i carrier t} * sum_k m_k e^{-i d_k t}.  A phase-averaged state has
     no such mean field and is refused (Unsupported).
     """
     if state.theta_s is None:
         raise Unsupported("the mean field needs a fixed signal phase, not a phase average")
     phase_factor = 1j / math.sqrt(2.0) * cmath.exp(1j * state.theta_s)
-    offs = np.array([m.frequency - ref for m in state.modes])
+    offs = np.array([m.frequency for m in state.modes])
     amps = np.array([phase_factor * m.amplitude for m in state.modes], dtype=complex)
     return offs, amps
 
@@ -219,9 +210,8 @@ def excess_lines(state: FieldState, lo: LocalOscillator) -> list[tuple[float, fl
     require_strong_lo(state, lo, table)
     if table.is_zero():
         return []
-    ref = reference_frequency(state, lo)
-    t_offs, t_amps = tone_phasors(lo, ref)
-    m_offs = np.array([f - ref for f in table.frequencies])
+    t_offs, t_amps = tone_phasors(lo)
+    m_offs = np.array(table.frequencies)
     normal, anomalous = table.normal, table.anomalous
     # phase averaging drops the squeeze beats
     sq_phase = None if state.theta_s is None else cmath.exp(-2j * state.theta_s)

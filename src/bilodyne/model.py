@@ -2,9 +2,15 @@
 
 Conventions used throughout the package:
 
-* Optical frequencies (modes, LO tones) are angular, rad/s.  Measurement
-  frequencies (resolution bandwidth, sample rate, spectra) are ordinary
-  frequencies in Hz; conversion happens exactly once, at the boundary.
+* A scene has one optical carrier.  Every mode, squeeze-pair member and
+  LO tone is held as its angular offset from that carrier, rad/s, so a
+  beat is the difference of two small numbers, exact wherever the
+  offsets are: the config builds each from its Hz value with one
+  multiplication by 2 pi, so tones at +-2 pi f_het beat at exactly
+  2 pi f_het.  Only the Scene holds the carrier itself, to refuse a mode
+  or tone at or below 0 Hz.  Measurement frequencies (resolution
+  bandwidth, sample rate, spectra) are ordinary frequencies in Hz;
+  conversion happens exactly once, at the boundary.
 * Photon units: the electron charge e = 1 and the load resistance 1 are
   fixed units, so |amplitude|^2 of an LO tone is a photon flux
   (photons/s), |alpha|^2 / 2 is the signal photon flux and a current is
@@ -24,16 +30,8 @@ from .errors import ConfigViolation, InvalidSpec, Unsupported
 
 TWO_PI = 2.0 * math.pi
 
-# Relative tolerance used when two optical frequencies must coincide.
-# Float error at optical scale (~1e15 rad/s) is ~0.2 rad/s; beat
-# separations are >= 1e4 rad/s.  1e-13 relative (~1e2 rad/s absolute)
-# sits safely between the two.
-FREQ_RTOL = 1e-13
-# Largest relative distance between the configured beat and the one the
-# LO tones carry once rounded at the carrier (a 50 Hz beat at 2.82e14 Hz
-# is carried 0.029 % off, a 0.05 Hz one 20 % off)
-BEAT_RTOL = 1e-3
-# Largest optical frequency, rad/s: sums of a few stay far from overflow
+# Largest optical carrier and largest offset magnitude, rad/s: sums of a
+# few stay far from overflow
 MAX_FREQUENCY = 1e300
 # Largest photon flux of a scene, in photons/s:
 # ~2e11 W at 1 um, and far from float overflow in products of two fluxes
@@ -86,7 +84,8 @@ class Hypothesis(str, enum.Enum):
 class FieldMode:
     """A single mode of the input field.
 
-    frequency: angular frequency, rad/s (> 0).
+    frequency: angular offset from the scene's carrier, rad/s, finite,
+        |frequency| <= MAX_FREQUENCY.
     amplitude: coherent amplitude; |amplitude|^2 / 2 is the photon flux
         carried by the mode, at most MAX_PHOTON_FLUX.  Must be 0 for
         non-signal labels.
@@ -97,9 +96,9 @@ class FieldMode:
     label: ModeLabel = ModeLabel.SIGNAL
 
     def __post_init__(self):
-        if not 0.0 < self.frequency <= MAX_FREQUENCY:
+        if not abs(self.frequency) <= MAX_FREQUENCY:
             raise InvalidSpec(
-                f"mode frequency must be finite, in (0, MAX_FREQUENCY], got {self.frequency!r}"
+                f"mode frequency must be finite, |offset| <= MAX_FREQUENCY, got {self.frequency!r}"
             )
         if not abs(self.amplitude) <= math.sqrt(2.0 * MAX_PHOTON_FLUX):
             raise InvalidSpec(
@@ -111,7 +110,7 @@ class FieldMode:
 
 @dataclass(frozen=True)
 class SqueezePair:
-    """Two-mode squeezing between modes at freq_a and freq_b (rad/s).
+    """Two-mode squeezing between modes at offsets freq_a and freq_b (rad/s).
 
     r is the squeeze parameter (>= 0), phi the squeeze angle.  The pair
     populates both modes with sinh(r)^2 photons and installs the
@@ -125,9 +124,9 @@ class SqueezePair:
 
     def __post_init__(self):
         freqs = (self.freq_a, self.freq_b)
-        if not all(0.0 < f <= MAX_FREQUENCY for f in freqs):
+        if not all(abs(f) <= MAX_FREQUENCY for f in freqs):
             raise InvalidSpec(
-                f"pair frequencies must be finite, in (0, MAX_FREQUENCY], got {freqs!r}"
+                f"pair frequencies must be finite, |offset| <= MAX_FREQUENCY, got {freqs!r}"
             )
         if not 0.0 <= self.r <= MAX_SQUEEZE_R:
             raise InvalidSpec(
@@ -147,9 +146,9 @@ class FieldState:
     which is what distinguishes the two hypotheses in the detected
     spectrum.  theta_s is the fixed signal phase, or None for a uniform
     average over it.  Raises InvalidSpec, however the state is made
-    (dataclasses.replace too), for a frequency in more than one pair,
-    no modes, duplicate mode frequencies, pairs without exactly one
-    signal mode, pairs not symmetric about the signal carrier, and a
+    (dataclasses.replace too), for no modes, duplicate mode frequencies,
+    a frequency in more than one pair, pairs without exactly one signal
+    mode, pairs whose mean frequency is not the signal mode's, and a
     non-finite theta_s.  Whether a pair's frequencies match declared
     modes is not checked here; that surfaces as UnknownMode when moments
     are built.
@@ -163,13 +162,13 @@ class FieldState:
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "squeeze", tuple(self.squeeze))
-        if _first_close([f for p in self.squeeze for f in (p.freq_a, p.freq_b)]) is not None:
-            raise InvalidSpec("a mode frequency may participate in at most one squeeze pair")
         if not self.modes:
             raise InvalidSpec("a field state needs at least one mode")
-        duplicate = _first_close([m.frequency for m in self.modes])
+        duplicate = _first_repeat([m.frequency for m in self.modes])
         if duplicate is not None:
             raise InvalidSpec(f"duplicate mode frequency {duplicate!r}")
+        if _first_repeat([f for p in self.squeeze for f in (p.freq_a, p.freq_b)]) is not None:
+            raise InvalidSpec("a mode frequency may participate in at most one squeeze pair")
         if self.theta_s is not None and not abs(self.theta_s) <= MAX_PHASE:
             raise InvalidSpec(
                 f"theta_s must be None or finite, |theta_s| <= MAX_PHASE, got {self.theta_s!r}"
@@ -180,13 +179,12 @@ class FieldState:
                 raise InvalidSpec(
                     "squeeze pairs need exactly one signal mode as the carrier reference"
                 )
-            carrier = signal[0].frequency
             for pair in self.squeeze:
                 centre = 0.5 * (pair.freq_a + pair.freq_b)
-                if not math.isclose(centre, carrier, rel_tol=FREQ_RTOL):
+                if centre != signal[0].frequency:
                     raise InvalidSpec(
                         "squeeze pair must be symmetric about the signal carrier: "
-                        f"pair centre {centre!r} vs carrier {carrier!r}"
+                        f"pair centre {centre!r} vs signal mode {signal[0].frequency!r}"
                     )
 
     def excited_modes(self) -> tuple[FieldMode, ...]:
@@ -207,7 +205,8 @@ class LocalOscillator:
     the full E_l on one tone at omega_1 with phase theta_1; giving
     omega_2 and theta_2 too makes it bichromatic, and it splits E_l as
     E_l/sqrt(2) per tone so both variants deliver the same photon flux
-    E_l^2, at most MAX_PHOTON_FLUX.
+    E_l^2, at most MAX_PHOTON_FLUX.  The tones' frequencies are angular
+    offsets from the scene's carrier, rad/s.
     """
 
     amplitude: float
@@ -225,9 +224,9 @@ class LocalOscillator:
             raise InvalidSpec("bichromatic LO needs both omega_2 and theta_2")
         omegas = [w for w in (self.omega_1, self.omega_2) if w is not None]
         phases = [t for t in (self.theta_1, self.theta_2) if t is not None]
-        if not all(0.0 < w <= MAX_FREQUENCY for w in omegas):
+        if not all(abs(w) <= MAX_FREQUENCY for w in omegas):
             raise InvalidSpec(
-                f"LO tone frequencies must be finite, in (0, MAX_FREQUENCY], got {omegas!r}"
+                f"LO tone frequencies must be finite, |offset| <= MAX_FREQUENCY, got {omegas!r}"
             )
         if not all(abs(t) <= MAX_PHASE for t in phases):
             raise InvalidSpec(
@@ -241,7 +240,7 @@ class LocalOscillator:
         return self.omega_2 is not None
 
     def tones(self) -> tuple[tuple[float, complex], ...]:
-        """(angular frequency, complex tone amplitude) for each tone."""
+        """(angular offset, complex tone amplitude) for each tone."""
         if not self.is_bichromatic:
             return ((self.omega_1, self.amplitude * _cis(self.theta_1)),)
         per_tone = self.amplitude / math.sqrt(2.0)
@@ -263,12 +262,6 @@ class LocalOscillator:
         if not self.is_bichromatic:
             raise Unsupported("omega_het is defined only for a bichromatic LO")
         return 0.5 * (self.omega_1 - self.omega_2)
-
-    def carrier(self) -> float:
-        """Centre frequency of the LO (rad/s)."""
-        if not self.is_bichromatic:
-            return self.omega_1
-        return 0.5 * (self.omega_1 + self.omega_2)
 
 
 @dataclass(frozen=True)
@@ -328,22 +321,30 @@ class MeasurementConfig:
 class Scene:
     """One detection experiment: input field, LO, detector and measurement.
 
-    f_het_hz is the configured heterodyne frequency.  lo.omega_het / 2 pi
-    recovers it only to ~1e-7 relative, because the tones sit at optical
-    frequencies, and the line and floor masks on the Hz grid need it exact;
-    the sampled beat is at lo.omega_het, where the Monte Carlo's lock-in runs.
-    A non-finite f_het_hz raises InvalidSpec.
+    carrier is the optical carrier, rad/s, that the modes' and LO tones'
+    offsets are taken from.  Raises InvalidSpec, however the scene is
+    made, for a carrier outside (0, MAX_FREQUENCY] and for a mode or LO
+    tone that it puts at or below 0 Hz.
     """
 
     state: FieldState
     lo: LocalOscillator
     det: DetectorParams
     meas: MeasurementConfig
-    f_het_hz: float
+    carrier: float
 
     def __post_init__(self):
-        if not math.isfinite(self.f_het_hz):
-            raise InvalidSpec(f"heterodyne frequency must be finite, got {self.f_het_hz!r}")
+        if not 0.0 < self.carrier <= MAX_FREQUENCY:
+            raise InvalidSpec(
+                f"optical carrier must be finite, in (0, MAX_FREQUENCY], got {self.carrier!r} rad/s"
+            )
+        offsets = [m.frequency for m in self.state.modes] + [w for w, _ in self.lo.tones()]
+        lowest = min(offsets)
+        if not self.carrier + lowest > 0.0:
+            raise InvalidSpec(
+                f"the carrier {self.carrier!r} rad/s puts a mode or LO tone offset by "
+                f"{lowest!r} rad/s at or below 0 Hz"
+            )
 
 
 @dataclass(frozen=True)
@@ -383,11 +384,11 @@ def _cis(phi: float) -> complex:
     return complex(math.cos(phi), math.sin(phi))
 
 
-def _first_close(freqs: list[float]) -> float | None:
-    """The first frequency that a later one matches within FREQ_RTOL, else None."""
-    for i, fi in enumerate(freqs):
-        if any(math.isclose(fi, fj, rel_tol=FREQ_RTOL) for fj in freqs[i + 1 :]):
-            return fi
+def _first_repeat(freqs: list[float]) -> float | None:
+    """The first frequency that a later one equals, else None."""
+    for i, f in enumerate(freqs):
+        if f in freqs[i + 1 :]:
+            return f
     return None
 
 
@@ -435,21 +436,16 @@ def calibrate_photon_energy(
 def validate_measurement(
     cfg: MeasurementConfig,
     lo: LocalOscillator,
-    f_het_hz: float | None = None,
     names=("Omega / 2 pi", "duration", "rbw", "sample rate"),
 ) -> None:
     """Check the RBW and sample-rate limits of a heterodyne run's record.
 
     The record must resolve the resolution bandwidth (rbw * duration >=
-    1).  For a bichromatic LO the beat frequency must clear it
-    (Omega / 2 pi >= 10 * rbw) and the sample rate must cover the beat
-    (sample_rate >= 10 * Omega / 2 pi).  Given f_het_hz, the configured
-    beat frequency, the limits are checked on it and the errors quote
-    it; the tones must then carry it to BEAT_RTOL.  Without it they are
-    checked on the tones' beat, which they carry only to about one ulp
-    of an optical frequency, so a beat within that of a limit is taken
-    to meet it.  The errors name the settings of the beat frequency,
-    duration, rbw and sample rate by names.
+    1).  For a bichromatic LO the beat frequency Omega / 2 pi, read from
+    lo.omega_het, must clear it (Omega / 2 pi >= 10 * rbw) and the sample
+    rate must cover the beat (sample_rate >= 10 * Omega / 2 pi).  The
+    errors name the settings of the beat frequency, duration, rbw and
+    sample rate by names.
     """
     beat_name, duration_name, rbw_name, rate_name = names
     if cfg.rbw * cfg.duration < 1.0:
@@ -458,17 +454,9 @@ def validate_measurement(
             "(need rbw * T >= 1)"
         )
     if lo.is_bichromatic:
-        carried = lo.omega_het / TWO_PI
-        f_het, f_tol = (
-            (carried, math.ulp(lo.omega_1) / TWO_PI) if f_het_hz is None else (f_het_hz, 0.0)
-        )
+        f_het = lo.omega_het / TWO_PI
         beat = f"heterodyne frequency {beat_name} = {f_het:g} Hz"
-        if f_het + f_tol < 10.0 * cfg.rbw:
+        if f_het < 10.0 * cfg.rbw:
             raise ConfigViolation(f"{beat} must be >= 10x {rbw_name} = {cfg.rbw:g} Hz")
-        if cfg.sample_rate < 10.0 * (f_het - f_tol):
+        if cfg.sample_rate < 10.0 * f_het:
             raise ConfigViolation(f"{rate_name} = {cfg.sample_rate:g} Hz must be >= 10x {beat}")
-        if not abs(carried - f_het) <= BEAT_RTOL * f_het:
-            raise ConfigViolation(
-                f"{beat}: the LO tones carry {carried:g} Hz once rounded at the carrier, "
-                f"more than {BEAT_RTOL:.1%} off"
-            )

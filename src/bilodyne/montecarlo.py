@@ -83,9 +83,8 @@ def _arm_phasors(state: FieldState, lo: LocalOscillator):
     """(offsets, amplitudes) of the LO and the signal in arm 1's E_lo - i M; arm 2 negates M."""
     if state.is_squeezed():
         raise NonClassicalInput("squeezed input has no Poisson rate representation")
-    ref = correlators.reference_frequency(state, lo)
-    t_offs, t_amps = correlators.tone_phasors(lo, ref)
-    m_offs, m_amps = correlators.mode_phasors(state, ref)
+    t_offs, t_amps = correlators.tone_phasors(lo)
+    m_offs, m_amps = correlators.mode_phasors(state)
     return (t_offs, t_amps), (m_offs, -1j * m_amps)
 
 
@@ -648,9 +647,6 @@ def _stream_record(scene: Scene, seed: int, trace: TraceWriter | None = None) ->
     dt = 1.0 / meas.sample_rate
     fs = 1.0 / dt  # the trace's rate, which may differ from meas.sample_rate in the last bit
     welch = _Welch(int(round(fs / meas.rbw)), fs)
-    # the beat the tones draw, half their spacing: at optical carriers it
-    # rounds to ~0.02 Hz from f_het, and a lock-in an angular delta off
-    # the line keeps sinc^2(delta T / 2) of its power over a record of T
     lockin = _Lockin(scene.lo.omega_het, dt, n)
     variance, cross = _Moments(), _Moments()
     to_current = -1.0 / dt
@@ -705,7 +701,7 @@ def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
                 "signal, a bichromatic LO and delta pulses"
             )
     meas = scene.meas
-    validate_measurement(meas, scene.lo, scene.f_het_hz, keys)
+    validate_measurement(meas, scene.lo, keys)
     _, duration_key, rbw_key, _ = keys
     segments = f"measurement.n_segments = {meas.n_segments}"
     if meas.n_segments < 8:
@@ -798,7 +794,8 @@ def _scenario_record(
     elif scenario == "null-phase":
         quadrature = scene.lo.theta_bar + math.pi / 2.0
         scene = replace(scene, state=replace(scene.state, theta_s=quadrature))
-    lo, det, f_het = scene.lo, scene.det, scene.f_het_hz
+    lo, det = scene.lo, scene.det
+    f_het = lo.omega_het / TWO_PI
     seed = int(root.generate_state(1, dtype=np.uint64)[0] >> 1)
     record = _stream_record(scene, seed, trace)
     spec = report.spectrum = record.spectrum
@@ -813,7 +810,7 @@ def _scenario_record(
         report.scalars["peak_psd"] = peak
         return
 
-    floor_target = float(shot_floor_psd(lo, det, TWO_PI * f_het))
+    floor_target = float(shot_floor_psd(lo, det, lo.omega_het))
     report.checks.append(
         CheckResult.within("shot_floor_level", floor_mean, floor_target, 0.03 * floor_target)
     )
@@ -867,7 +864,7 @@ def _scenario_sensitivity(
     rows = []
     for power, scene, child in zip(scan.powers_w, scan.scenes, root.spawn(len(scan.scenes))):
         flux = power / scan.photon_energy_j
-        f_het = scene.f_het_hz
+        f_het = scene.lo.omega_het / TWO_PI
         seed_het, seed_count = (int(s.generate_state(1, dtype=np.uint64)[0] >> 1) for s in child.spawn(2))
         record = _stream_record(scene, seed_het)
         floor_mean, _, _ = floor_statistics(record.spectrum, f_het)

@@ -23,7 +23,10 @@ from bilodyne.model import (
 )
 from bilodyne.montecarlo import run_experiment
 
-OMEGA_S = TWO_PI * 2.82e14
+# default.cfg's optical carrier, rad/s; modes and LO tones are offsets from
+# it, and the signal mode sits at the carrier, offset 0
+CARRIER = TWO_PI * 2.82e14
+OMEGA_S = 0.0
 OMEGA_HET = TWO_PI * 1.0e5
 LO_FLUX = 1.0e6
 SIGNAL_FLUX = 1.0e3

@@ -13,13 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from bilodyne.correlators import (
-    MomentTable,
-    hypothesis_moments,
-    reference_frequency,
-    require_strong_lo,
-    tone_phasors,
-)
+from bilodyne.correlators import MomentTable, hypothesis_moments, require_strong_lo
 from bilodyne.errors import BilodyneError, InvalidSpec
 from bilodyne.model import FieldState, Hypothesis, LocalOscillator
 
@@ -119,9 +113,10 @@ def lambda_ij(
     require_strong_lo(state, lo, table)
     if table.is_zero():
         return 0.0
-    ref = reference_frequency(state, lo)
-    t_offs, t_amps = tone_phasors(lo, ref)
-    m_offs = np.array([f - ref for f in table.frequencies])
+    # the frame rotating at the carrier: the tones' and modes' own offsets
+    t_offs = np.array([w for w, _ in lo.tones()])
+    t_amps = np.array([a for _, a in lo.tones()], dtype=complex)
+    m_offs = np.array(table.frequencies)
     t2 = t + iota
     lo_t = t_amps @ np.exp(-1j * t_offs * t)
     lo_t2 = t_amps @ np.exp(-1j * t_offs * t2)

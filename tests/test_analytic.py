@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -147,12 +148,11 @@ class TestAnalyticPsd:
         assert spec.psd[i1] < 1400000.0
 
     def test_dip_deeper_than_floor_rejected(self):
-        # the default grid at a 0.1 Hz rbw, 201 bins up to 20 Hz; the carrier
-        # is 1 kHz because Hz offsets from an optical one fall within FREQ_RTOL
+        # the default grid at a 0.1 Hz rbw, 201 bins up to 20 Hz, at the
+        # default optical carrier: Hz offsets from it are exact
         def scene(theta_s):
             return RunConfig.defaults(
                 {
-                    "field.carrier_hz": 1e3,
                     "field.theta_s": theta_s,
                     "lo.f_het_hz": 2.0,
                     "squeeze.enabled": True,
@@ -176,6 +176,16 @@ class TestAnalyticPsd:
         cfg = standard_measurement(rbw=5e4)
         with pytest.raises(ConfigViolation):
             psd_analytic(coherent_state(), standard_lo(), standard_detector(), cfg)
+
+    def test_slow_beat_refused_by_the_sample_rate_limit(self):
+        # the tones carry a 0.05 Hz beat exactly, so a 5e-3 Hz sample rate is
+        # refused as the CLI refuses it, not read as a 3-bin spectrum that
+        # ends at 2 mHz, below the beat
+        scene = RunConfig.defaults({"lo.f_het_hz": 0.05}).build_scene()
+        cfg = MeasurementConfig(2e4, 1e-3, 5e-3)
+        refusal = "sample rate = 0.005 Hz must be >= 10x heterodyne frequency Omega / 2 pi = 0.05 Hz"
+        with pytest.raises(ConfigViolation, match=re.escape(refusal)):
+            psd_analytic(scene.state, scene.lo, scene.det, cfg)
 
     def test_oversized_grid_refused_before_it_is_made(self):
         # 1e7 Hz / 2 Hz is a 5e6-sample segment, above MAX_SEGMENT_SAMPLES: the

@@ -14,7 +14,7 @@ import pytest
 from bilodyne import montecarlo
 from bilodyne.analytic import psd_analytic
 from bilodyne.cli import main
-from bilodyne.config import _CHOICES, SCHEMA, RunConfig, parse_config
+from bilodyne.config import _CHOICES, MEASUREMENT_KEYS, SCHEMA, RunConfig, parse_config
 from bilodyne.errors import BilodyneError, ConfigViolation, ParseError, UnknownKey
 from bilodyne.io import read_trace_bin
 from bilodyne.model import (
@@ -114,7 +114,9 @@ class TestRunConfigBuilders:
         state = cfg.build_state()
         assert len(state.modes) == 1
         assert state.modes[0].amplitude == pytest.approx(math.sqrt(2e3))
-        assert state.modes[0].frequency == pytest.approx(TWO_PI * 2.82e14)
+        # the signal sits at the carrier, which only the scene holds
+        assert state.modes[0].frequency == 0.0
+        assert cfg.build_scene().carrier == TWO_PI * 2.82e14
         assert state.hypothesis is Hypothesis.ONE_FIELD
         assert state.theta_s == 0.0
 
@@ -152,7 +154,8 @@ class TestRunConfigBuilders:
         lo = cfg.build_lo()
         assert lo.is_bichromatic
         assert lo.amplitude == pytest.approx(1e3)
-        assert lo.omega_het == pytest.approx(TWO_PI * 1e5, rel=1e-6)
+        assert (lo.omega_1, lo.omega_2) == (TWO_PI * 1e5, -TWO_PI * 1e5)
+        assert lo.omega_het == TWO_PI * 1e5
         cfg_mono = RunConfig.load(write_cfg(tmp_path, BASE_CFG + "lo.kind = mono\n", "mono.cfg"))
         assert not cfg_mono.build_lo().is_bichromatic
 
@@ -192,10 +195,10 @@ class TestRunConfigBuilders:
             flux = power / scan.photon_energy_j
             assert photon_flux(scene.state) == pytest.approx(flux, rel=1e-12)
             assert scene.lo.amplitude**2 == pytest.approx(100.0 * flux, rel=1e-12)
-            assert scene.lo.omega_het == pytest.approx(TWO_PI * 2e6, rel=1e-6)
+            assert scene.lo.omega_het == TWO_PI * 2e6
             assert (scene.lo.theta_1, scene.lo.theta_2) == (0.3, 0.1)
             assert scene.state.theta_s == scene.lo.theta_bar
-            assert scene.f_het_hz == 2e6
+            assert scene.carrier == TWO_PI * 2.82e14
             assert (scene.meas.duration, scene.meas.rbw, scene.meas.sample_rate) == (
                 1.7e-4, 2e5, 4e7
             )
@@ -309,31 +312,15 @@ RELATIONS = [
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.duration_s"),
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.rbw_hz"),
     (("simulate",), "sensitivity.cfg", "scan.duration_s = 5e-5", "scan.duration_s"),
-    # a 0.05 Hz beat puts the tones one ulp from the carrier, so they carry
-    # 0.0398 Hz, which would clear any sample rate within an ulp's tolerance
+    # the tones carry a 0.05 Hz beat exactly, so the rate limit on it refuses
+    # what would be a 5e-3 / 1e-3 = 5-sample Welch segment
     (
         ("analytic", "simulate"),
         "default.cfg",
         "lo.f_het_hz = 0.05\nmeasurement.rbw_hz = 1e-3\nmeasurement.sample_rate_hz = 5e-3\n"
         "measurement.duration_s = 2e4",
-        "lo.f_het_hz",
-    ),
-    # with a sample rate that clears it, the beat the tones carry is refused
-    (
-        ("analytic", "simulate"),
-        "default.cfg",
-        "lo.f_het_hz = 0.05\nmeasurement.rbw_hz = 1e-3\nmeasurement.sample_rate_hz = 1\n"
-        "measurement.duration_s = 2e4",
-        "lo.f_het_hz = 0.05 Hz: the LO tones carry 0.0397887 Hz",
-    ),
-    # the beat those tones carry, configured: the rate limit on it refuses
-    # what would be a 5e-3 / 1e-3 = 5-sample Welch segment
-    (
-        ("analytic", "simulate"),
-        "default.cfg",
-        "lo.f_het_hz = 0.039788735772973836\nmeasurement.rbw_hz = 1e-3\n"
-        "measurement.sample_rate_hz = 5e-3\nmeasurement.duration_s = 2e4",
-        "measurement.sample_rate_hz = 0.005 Hz must be >= 10x",
+        "measurement.sample_rate_hz = 0.005 Hz must be >= 10x heterodyne frequency "
+        "lo.f_het_hz = 0.05 Hz",
     ),
 ]
 
@@ -650,7 +637,7 @@ class TestCliErrors:
             ("lo.f_het_hz = inf", "lo.f_het_hz"),
             ("lo.f_het_hz = 0", "lo.f_het_hz"),
             ("lo.f_het_hz = -1e5", "lo.f_het_hz"),
-            # the lower tone below 0 Hz, and the two tones one double
+            # the lower tone below 0 Hz, and a beat below 10x the rbw
             ("lo.f_het_hz = 1e15", "lo.f_het_hz"),
             ("lo.f_het_hz = 1e-3", "lo.f_het_hz"),
             ("field.carrier_hz = nan", "field.carrier_hz"),
@@ -674,15 +661,28 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "field.carrier_hz" in err
 
-    def test_slow_scan_beat_names_its_settings(self, tmp_path, capsys):
-        # the Monte Carlo scan quotes the configured 10 Hz, not Omega / 2 pi
-        # (9.98697 Hz at the carrier), and names the settings to change; the
-        # closed-form table reads no record geometry and still runs
-        cfg = write_cfg(tmp_path, "simulate.scenario = sensitivity\nscan.f_het_hz = 10\n")
+    @pytest.mark.parametrize("f_het", ["10", "0.001"])
+    def test_slow_scan_beat_names_its_settings(self, tmp_path, capsys, f_het):
+        # the Monte Carlo scan quotes the beat the tones carry, exactly the
+        # configured one, and names the settings to change; the closed-form
+        # table reads no record geometry and still runs, down to a 1 mHz beat
+        cfg = write_cfg(tmp_path, f"simulate.scenario = sensitivity\nscan.f_het_hz = {f_het}\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert "scan.f_het_hz = 10 Hz" in err and "10x scan.rbw_hz = 200000 Hz" in err
+        assert f"scan.f_het_hz = {float(f_het):g} Hz" in err and "10x scan.rbw_hz = 200000 Hz" in err
         assert main(["table1", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+
+    def test_slow_beat_the_record_clears_runs(self, tmp_path):
+        # a 0.05 Hz beat, carried exactly, clears a 1 Hz sample rate: the
+        # analytic report quotes it and the Monte Carlo admits the record
+        cfg = write_cfg(tmp_path, (CONFIGS / "default.cfg").read_text() + (
+            "lo.f_het_hz = 0.05\nmeasurement.rbw_hz = 1e-3\nmeasurement.sample_rate_hz = 1\n"
+            "measurement.duration_s = 2e4\n"
+        ))
+        assert main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert report["results"]["beat_freq_hz"] == 0.05
+        montecarlo._check_scene(RunConfig.load(cfg).build_scene(), MEASUREMENT_KEYS)
 
     def test_mono_lo_with_non_finite_f_het_exits_one(self, tmp_path, capsys):
         # a mono LO has one tone, but the exponential pulse's shot floor is
@@ -697,19 +697,21 @@ class TestCliErrors:
         assert err.startswith("error:") and "lo.f_het_hz" in err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("offset", ["0", "10", "-10", "inf", "nan", "1e15", "-1e15"])
+    @pytest.mark.parametrize("offset", ["0", "inf", "nan", "1e15", "-1e15"])
     def test_bad_squeeze_offset_exits_one(self, tmp_path, capsys, offset):
-        # 0 and +-10 Hz put the squeezed modes within FREQ_RTOL of the carrier
-        # (~28 Hz at 282 THz); +-1e15 Hz puts the lower one below 0 Hz
+        # 0 Hz puts the squeezed modes on the signal mode; +-1e15 Hz puts the
+        # lower one below 0 Hz
         text = BASE_CFG + f"squeeze.enabled = true\nsqueeze.offset_hz = {offset}\n"
         cfg = write_cfg(tmp_path, text)
         assert main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "squeeze.offset_hz" in err
 
-    def test_negative_squeeze_offset_runs(self, tmp_path):
-        # the pair is symmetric about the carrier, so the sign only swaps its modes
-        text = BASE_CFG + "squeeze.enabled = true\nsqueeze.offset_hz = -2e5\n"
+    @pytest.mark.parametrize("offset", ["-2e5", "10", "-10"])
+    def test_squeeze_offset_runs(self, tmp_path, offset):
+        # the pair is symmetric about the carrier, so the sign only swaps its
+        # modes; offsets are exact, so one of 10 Hz is as distinct as any
+        text = BASE_CFG + f"squeeze.enabled = true\nsqueeze.offset_hz = {offset}\n"
         cfg = write_cfg(tmp_path, text)
         assert main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
@@ -732,7 +734,6 @@ class TestCliErrors:
             ("scan.f_het_hz = 0", "scan.f_het_hz"),
             ("scan.f_het_hz = -2e6", "scan.f_het_hz"),
             ("scan.f_het_hz = 1e15", "scan.f_het_hz"),
-            ("scan.f_het_hz = 1e-3", "scan.f_het_hz"),
         ],
     )
     def test_bad_scan_value_exits_one(self, tmp_path, capsys, argv, setting, message):

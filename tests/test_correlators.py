@@ -75,21 +75,31 @@ def line_power_closed_form(r: float, theta: float) -> float:
 def mean_field(state, t) -> np.ndarray | complex:
     """Mean positive-frequency field (i/sqrt 2) sum_k alpha_k e^{-i w_k t + i theta_s}.
 
-    Uses absolute optical frequencies; at times beyond ~1e-6 s the
-    absolute phase loses float precision: the reference that the
-    rotating-frame mode_phasors are checked against.
+    Written out from the modes, in the frame rotating at the carrier: the
+    reference that mode_phasors is checked against.
     """
-    offs, amps = mode_phasors(state, 0.0)
     t_arr = np.asarray(t, dtype=float)
-    out = np.exp(-1j * np.multiply.outer(t_arr, offs)) @ amps
+    out = sum(
+        1j / math.sqrt(2.0) * m.amplitude * np.exp(1j * (state.theta_s - m.frequency * t_arr))
+        for m in state.modes
+    )
     return out if out.shape else complex(out)
 
 
 def lo_field(lo, t) -> np.ndarray | complex:
-    """Positive-frequency LO field sum_p L_p e^{-i w_p t} at absolute frequencies."""
-    offs, amps = tone_phasors(lo, 0.0)
+    """Positive-frequency LO field in the frame rotating at the carrier, written out from the LO.
+
+    E_l e^{i (theta_1 - omega_1 t)} for one tone; two tones share E_l as
+    E_l / sqrt(2) each: the reference that tone_phasors is checked against.
+    """
     t_arr = np.asarray(t, dtype=float)
-    out = np.exp(-1j * np.multiply.outer(t_arr, offs)) @ amps
+    if not lo.is_bichromatic:
+        out = lo.amplitude * np.exp(1j * (lo.theta_1 - lo.omega_1 * t_arr))
+    else:
+        out = lo.amplitude / math.sqrt(2.0) * (
+            np.exp(1j * (lo.theta_1 - lo.omega_1 * t_arr))
+            + np.exp(1j * (lo.theta_2 - lo.omega_2 * t_arr))
+        )
     return out if out.shape else complex(out)
 
 
@@ -263,7 +273,7 @@ class TestMeanFields:
 
     def test_phase_averaged_state_has_no_mean_field(self):
         with pytest.raises(Unsupported, match="fixed signal phase"):
-            mode_phasors(coherent_state(averaged=True), OMEGA_S)
+            mode_phasors(coherent_state(averaged=True))
 
     def test_lo_field_convention_at_origin(self):
         lo = standard_lo(theta_1=0.2, theta_2=-0.2)
@@ -456,11 +466,12 @@ class TestExcessLines:
             rebuilt = sum(p * math.cos(nu * iota) for nu, p in lines)
             assert abs(avg - rebuilt) < 1e-3 * scale
 
-    # excess_lines of configs/squeezed.cfg (one-field, theta_s = 0) as the
-    # earlier sort-cluster-fold code gave them: (hypothesis, phase
-    # averaged) -> [(angular frequency, power)]
-    MATCHED = [(628318.5, 859140.9142295223), (1884955.5, 859140.9142295223)]
-    POPULATION = [(628318.5, 271540.3174076218), (1884955.5, 271540.3174076218)]
+    # excess_lines of configs/squeezed.cfg (one-field, theta_s = 0), powers
+    # as the earlier sort-cluster-fold code gave them, at exactly the offset
+    # differences 2 pi f_het and 2 pi (squeeze.offset_hz + f_het):
+    # (hypothesis, phase averaged) -> [(angular frequency, power)]
+    MATCHED = [(OMEGA_HET, 859140.9142295223), (3 * OMEGA_HET, 859140.9142295223)]
+    POPULATION = [(OMEGA_HET, 271540.3174076218), (3 * OMEGA_HET, 271540.3174076218)]
 
     @pytest.mark.parametrize(
         "hypothesis, averaged, expected",
@@ -530,22 +541,18 @@ class TestCollectBeats:
 
 
 class TestPhasorDecompositions:
-    def test_tone_phasors_reproduce_lo_field(self):
-        lo = standard_lo(theta_1=0.3, theta_2=-0.1)
-        ref = lo.carrier()
-        offs, amps = tone_phasors(lo, ref)
+    # both sides take the same phases at the same offsets, so they agree to
+    # the rounding of a few complex products and sums
+    @pytest.mark.parametrize("lo", [standard_lo(theta_1=0.3, theta_2=-0.1), mono_lo(theta=0.3)])
+    def test_tone_phasors_reproduce_lo_field(self, lo):
+        offs, amps = tone_phasors(lo)
         t = np.linspace(0.0, 1e-4, 50)
         rotating = np.exp(-1j * np.multiply.outer(t, offs)) @ amps
-        absolute = lo_field(lo, t) * np.exp(1j * ref * t)
-        # The absolute-frequency route loses precision at optical scale;
-        # agreement is limited by that rounding, not the decomposition.
-        np.testing.assert_allclose(rotating, absolute, rtol=2e-4)
+        np.testing.assert_allclose(rotating, lo_field(lo, t), rtol=1e-13)
 
     def test_mode_phasors_reproduce_mean_field(self):
-        state = coherent_state(theta_s=0.25)
-        ref = OMEGA_S
-        offs, amps = mode_phasors(state, ref)
+        state = squeezed_state(Hypothesis.ONE_FIELD, theta_s=0.25)
+        offs, amps = mode_phasors(state)
         t = np.linspace(0.0, 1e-4, 50)
         rotating = np.exp(-1j * np.multiply.outer(t, offs)) @ amps
-        absolute = mean_field(state, t) * np.exp(1j * ref * t)
-        np.testing.assert_allclose(rotating, absolute, rtol=2e-4)
+        np.testing.assert_allclose(rotating, mean_field(state, t), rtol=1e-13)

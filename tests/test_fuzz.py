@@ -56,11 +56,11 @@ from bilodyne.config import _CHOICES, SCHEMA, RunConfig, parse_config
 from bilodyne.errors import BilodyneError
 from bilodyne.model import MAX_RECORD_SAMPLES, MAX_SEGMENT_SAMPLES
 from tests.conftest import (
+    CARRIER,
     OMEGA_HET,
     OMEGA_S,
     coherent_state,
     standard_lo,
-    standard_measurement,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -238,7 +238,8 @@ BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e308, 1e308, 2.5
 BAD = st.one_of(st.sampled_from(BAD_VALUES), st.floats(max_value=-1e-300, allow_nan=False))
 
 # the scene's scalars, each valid on its own: an exponential pulse and, when
-# drawn, a squeezed pair at +-2 f_het and a mono LO (omega_1 and theta_1)
+# drawn, a squeezed pair at +-2 f_het and a mono LO (omega_1 and theta_1);
+# every frequency but the carrier is an offset from it
 SCENE = {
     "signal_frequency": OMEGA_S,
     "signal_amplitude": math.sqrt(2e3),
@@ -257,7 +258,7 @@ SCENE = {
     "rbw": 1e3,
     "sample_rate": 1e7,
     "n_segments": 16,
-    "f_het_hz": 1e5,
+    "carrier": CARRIER,
 }
 
 
@@ -274,8 +275,8 @@ def _scene(p: dict, squeezed: bool, mono: bool) -> Scene:
     modes = [FieldMode(p["signal_frequency"], p["signal_amplitude"])]
     pairs = ()
     if squeezed:
-        carrier, offset = p["signal_frequency"], p["squeeze_offset"]
-        up, down = carrier + offset, carrier - offset
+        centre, offset = p["signal_frequency"], p["squeeze_offset"]
+        up, down = centre + offset, centre - offset
         modes += [FieldMode(up, 0.0, ModeLabel.IMAGE1), FieldMode(down, 0.0, ModeLabel.IMAGE2)]
         pairs = (SqueezePair(up, down, p["r"], p["phi"]),)
     return Scene(
@@ -289,7 +290,7 @@ def _scene(p: dict, squeezed: bool, mono: bool) -> Scene:
         ),
         DetectorParams(p["eta"], p["pulse_tau"]),
         MeasurementConfig(p["duration"], p["rbw"], p["sample_rate"], p["n_segments"]),
-        p["f_het_hz"],
+        p["carrier"],
     )
 
 
@@ -308,7 +309,7 @@ def _closed_forms(scene: Scene):
         (lambda: snr_in(state, det, meas.rbw), snr),
         (lambda: snr_out(state, lo, det, meas.rbw), snr),
         (lambda: noise_figure(state, lo, det, meas.rbw), nf),
-        (lambda: validate_measurement(meas, lo, scene.f_het_hz), None),
+        (lambda: validate_measurement(meas, lo), None),
         (lambda: psd_analytic(state, lo, det, meas), None),
     ]
 
@@ -378,7 +379,7 @@ SCALAR_CALLS = {
     "snr_in": lambda x: snr_in(STATE, DET, x),
     "snr_out": lambda x: snr_out(STATE, LO, DET, x),
     "noise_figure": lambda x: noise_figure(STATE, LO, DET, x),
-    "validate_measurement": lambda x: validate_measurement(standard_measurement(), LO, x),
+    "Scene.carrier": lambda x: dataclasses.replace(SCAN.scenes[0], carrier=x),
     # a mono-LO scene, which the Monte Carlo refuses, so a valid seed runs nothing
     "run_experiment.seed": lambda x: run_experiment("default", MONO_SCENE, seed=x),
 }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -25,15 +26,22 @@ from bilodyne.model import (
     photon_flux,
     validate_measurement,
 )
-from tests.conftest import OMEGA_HET, OMEGA_S, coherent_state, squeezed_state, standard_lo
+from tests.conftest import (
+    CARRIER,
+    OMEGA_HET,
+    OMEGA_S,
+    coherent_state,
+    squeezed_state,
+    standard_detector,
+    standard_lo,
+    standard_measurement,
+)
 
 
 class TestFieldMode:
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(InvalidSpec):
-            FieldMode(frequency=0.0, amplitude=1.0)
-        with pytest.raises(InvalidSpec):
-            FieldMode(frequency=-1.0, amplitude=1.0)
+    def test_frequency_is_an_offset_of_either_sign(self):
+        for offset in (0.0, -1.0, OMEGA_HET):
+            assert FieldMode(frequency=offset, amplitude=1.0).frequency == offset
 
     def test_rejects_excited_image_mode(self):
         with pytest.raises(InvalidSpec):
@@ -229,12 +237,10 @@ class TestLocalOscillator:
                 theta_2=0.0,
             )
 
-    def test_heterodyne_frequency_and_carrier(self):
+    def test_heterodyne_frequency(self):
+        # tones at +-Omega from the carrier beat at exactly Omega
         lo = standard_lo()
-        # Tone frequencies are constructed at optical scale, so the recovered
-        # beat frequency carries float rounding of order 1e-7 relative.
-        assert lo.omega_het == pytest.approx(OMEGA_HET, rel=1e-6)
-        assert lo.carrier() == pytest.approx(OMEGA_S, rel=1e-15)
+        assert lo.omega_het == OMEGA_HET
         assert lo.is_bichromatic
 
     def test_mean_phase(self):
@@ -296,44 +302,56 @@ class TestDetectorAndMeasurement:
         validate_measurement(cfg, standard_lo())
 
     def test_beat_exactly_at_the_limit_validates(self):
-        # at f_het = 10 rbw the beat recovered from the optical tones is
-        # 1999999.98 Hz; that is within the tones' precision of the limit
+        # tones at +-2 pi 2 MHz carry exactly the 2 MHz beat, 10 rbw
         d = TWO_PI * 2e6
         lo = LocalOscillator(1e3, OMEGA_S + d, 0.0, OMEGA_S - d, 0.0)
-        assert lo.omega_het / TWO_PI < 2e6
+        assert lo.omega_het / TWO_PI == 2e6
         for rbw, rate in ((2e5, 4e7), (1e5, 2e7)):
             validate_measurement(MeasurementConfig(duration=1e-3, rbw=rbw, sample_rate=rate), lo)
         for rbw, rate in ((2.0001e5, 4e7), (1e5, 1.9999e7)):
             with pytest.raises(ConfigViolation):
                 validate_measurement(MeasurementConfig(1e-3, rbw=rbw, sample_rate=rate), lo)
 
-    @pytest.mark.parametrize(
-        "f_het_hz, carried_off",
-        [(50.0, False), (1e5, False), (2e6, False), (10.0, True), (0.05, True)],
-    )
-    def test_configured_beat_must_be_carried_by_the_tones(self, f_het_hz, carried_off):
-        # at an optical carrier the tones carry 50 Hz 0.029 % off, 10 Hz
-        # 0.13 % off and 0.05 Hz 20 % off; the record clears every limit
+    @pytest.mark.parametrize("f_het_hz", [0.05, 10.0, 50.0, 1e5, 2e6])
+    def test_limits_read_the_beat_the_tones_carry(self, f_het_hz):
+        # tones at +-2 pi f_het carry f_het itself, so a record 10x on either
+        # side of it validates and one a hair inside either limit does not
         d = TWO_PI * f_het_hz
-        lo = LocalOscillator(1e3, OMEGA_S + d, 0.0, OMEGA_S - d, 0.0)
+        lo = LocalOscillator(1e3, d, 0.0, -d, 0.0)
+        assert lo.omega_het / TWO_PI == f_het_hz
         cfg = MeasurementConfig(duration=1e3 / f_het_hz, rbw=f_het_hz / 10.0, sample_rate=f_het_hz * 10)
         validate_measurement(cfg, lo)
-        if carried_off:
-            with pytest.raises(ConfigViolation, match="f_het = .* Hz: the LO tones carry"):
-                validate_measurement(cfg, lo, f_het_hz, ("f_het", "T", "rbw", "rate"))
-        else:
-            validate_measurement(cfg, lo, f_het_hz, ("f_het", "T", "rbw", "rate"))
+        names = ("f_het", "T", "rbw", "rate")
+        for rbw, rate in ((f_het_hz / 9.999, f_het_hz * 10), (f_het_hz / 10, f_het_hz * 9.999)):
+            with pytest.raises(ConfigViolation, match=re.escape(f"f_het = {f_het_hz:g} Hz")):
+                validate_measurement(MeasurementConfig(1e3 / f_het_hz, rbw, rate), lo, names)
 
-    def test_limits_read_the_configured_beat(self):
-        # the tones carry 0.0398 Hz, one ulp of the carrier, which the tones'
-        # precision would let clear any sample rate
-        d = TWO_PI * 0.05
-        lo = LocalOscillator(1e3, OMEGA_S + d, 0.0, OMEGA_S - d, 0.0)
-        carried = lo.omega_het / TWO_PI
-        cfg = MeasurementConfig(duration=2e4, rbw=1e-3, sample_rate=5e-3)
-        validate_measurement(cfg, lo)
-        with pytest.raises(ConfigViolation, match="rate = 0.005 Hz must be >= 10x"):
-            validate_measurement(cfg, lo, carried, ("f_het", "T", "rbw", "rate"))
+
+class TestScene:
+    @staticmethod
+    def scene(carrier, state=None, lo=None):
+        state, lo = state or coherent_state(), lo or standard_lo()
+        return Scene(state, lo, standard_detector(), standard_measurement(), carrier)
+
+    def test_holds_the_carrier(self):
+        assert self.scene(CARRIER).carrier == CARRIER
+
+    @pytest.mark.parametrize("carrier", [0.0, -1.0, math.nan, math.inf, 1e301])
+    def test_carrier_must_be_positive_and_finite(self, carrier):
+        with pytest.raises(InvalidSpec, match="optical carrier must be finite"):
+            self.scene(carrier)
+
+    @pytest.mark.parametrize(
+        "state",
+        [coherent_state(), squeezed_state(Hypothesis.ONE_FIELD, offset=2e6)],
+        ids=["lo-tone", "squeezed-mode"],
+    )
+    def test_refuses_a_mode_or_tone_at_or_below_zero_hz(self, state):
+        # a carrier of OMEGA_HET puts the lower tone at 0 Hz; the squeezed
+        # pair's lower mode sits below that
+        with pytest.raises(InvalidSpec, match="at or below 0 Hz"):
+            self.scene(OMEGA_HET, state)
+        assert self.scene(2.0 * OMEGA_HET + 2e6, state)
 
 
 NAN, INF = math.nan, math.inf
@@ -367,6 +385,9 @@ class TestNonFiniteScalars:
             lambda: LocalOscillator(1e3, OMEGA_S, 1e308),
             lambda: Scene(coherent_state(), standard_lo(), DetectorParams(0.7),
                           MeasurementConfig(2.0, 1e3, 1e7), NAN),
+            lambda: FieldMode(frequency=-INF, amplitude=1.0),
+            lambda: SqueezePair(OMEGA_S + OMEGA_HET, -INF, 0.5, 0.0),
+            lambda: LocalOscillator(1e3, OMEGA_HET, 0.0, -1e301, 0.0),
         ],
         ids=[
             "lo-theta_1-nan",
@@ -391,7 +412,10 @@ class TestNonFiniteScalars:
             "mode-frequency-1e308",
             "theta_s-1e308",
             "mono-theta-1e308",
-            "scene-f_het-nan",
+            "scene-carrier-nan",
+            "mode-frequency-minus-inf",
+            "squeeze-freq_b-minus-inf",
+            "lo-omega_2-minus-1e301",
         ],
     )
     def test_refused_where_they_are_made(self, build):

@@ -61,6 +61,7 @@ from tests.conftest import (
     standard_lo,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ALPHA = math.sqrt(2.0 * SIGNAL_FLUX)
 E_LO = math.sqrt(LO_FLUX)
 
@@ -239,7 +240,7 @@ def _beat_amplitude(state, lo, n: int = 100) -> float:
     difference onto e^{-i Omega t_c} over them keeps the beat alone;
     dividing by dt sinc(Omega dt / 2) undoes the bin integral.
     """
-    omega = abs(correlators.tone_phasors(lo, OMEGA_S)[0][0])
+    omega = abs(correlators.tone_phasors(lo)[0][0])
     dt = TWO_PI / (omega * n)
     m1, m2 = bin_means(state, lo, standard_detector(), n, dt)
     t_c = (np.arange(n) + 0.5) * dt
@@ -272,12 +273,22 @@ class TestBeatAmplitude:
 
 
 class TestToneOffsets:
-    """The sampler's LO tones sit at +-lo.omega_het from the signal carrier, bit for bit.
+    """Every mode and LO tone sits at exactly 2 pi times its configured offset from the carrier.
 
-    The lock-in runs at lo.omega_het, so it is tuned to the beat the
-    sampler draws, not to the configured f_het, from which the tones'
-    spacing is rounded at an optical carrier.
+    So the sampler draws its tones at +-2 pi f_het, bit for bit, and the
+    lock-in, at lo.omega_het, runs at that very beat.
     """
+
+    @staticmethod
+    def assert_sampled_at(scene, f_het_hz: float):
+        d = TWO_PI * f_het_hz
+        # the sampler refuses a squeezed state, so its pair is dropped here
+        state = dataclasses.replace(scene.state, squeeze=())
+        (tones, _), (modes, _) = _arm_phasors(state, scene.lo)
+        assert tones.tolist() == [d, -d]
+        assert modes.tolist() == [m.frequency for m in scene.state.modes]
+        assert modes[0] == 0.0
+        assert scene.lo.omega_het == d
 
     @pytest.mark.parametrize(
         "overrides",
@@ -291,14 +302,36 @@ class TestToneOffsets:
         ids=["default", "50Hz", "0.05Hz", "1e14Hz-carrier", "rf-carrier"],
     )
     def test_config_scene(self, overrides):
-        scene = RunConfig.defaults(overrides).build_scene()
-        (offsets, _), _ = _arm_phasors(scene.state, scene.lo)
-        assert offsets.tolist() == [scene.lo.omega_het, -scene.lo.omega_het]
+        cfg = RunConfig.defaults(overrides)
+        self.assert_sampled_at(cfg.build_scene(), cfg.values["lo.f_het_hz"])
 
-    def test_scan_scenes(self):
-        for scene in RunConfig.defaults().build_scan().scenes:
-            (offsets, _), _ = _arm_phasors(scene.state, scene.lo)
-            assert offsets.tolist() == [scene.lo.omega_het, -scene.lo.omega_het]
+    @pytest.mark.parametrize("name", ["default.cfg", "sensitivity.cfg", "squeezed.cfg"])
+    def test_shipped_config_and_its_scan(self, name):
+        cfg = RunConfig.load(CONFIGS / name)
+        scene = cfg.build_scene()
+        self.assert_sampled_at(scene, cfg.values["lo.f_het_hz"])
+        if cfg.values["squeeze.enabled"]:
+            d = TWO_PI * cfg.values["squeeze.offset_hz"]
+            assert [m.frequency for m in scene.state.modes] == [0.0, d, -d]
+            assert [(p.freq_a, p.freq_b) for p in scene.state.squeeze] == [(d, -d)]
+        for scan_scene in cfg.build_scan().scenes:
+            self.assert_sampled_at(scan_scene, cfg.values["scan.f_het_hz"])
+
+    def test_squeeze_offset_below_the_old_resolution(self):
+        # a 10 Hz offset is 3.5e-14 of the carrier: the pair builds, and its
+        # lines sit at exactly the tones' and modes' offset differences
+        cfg = RunConfig.defaults({"squeeze.enabled": True, "squeeze.offset_hz": 10.0})
+        scene = cfg.build_scene()
+        w, d = TWO_PI * 1e5, TWO_PI * 10.0
+        assert [m.frequency for m in scene.state.modes] == [0.0, d, -d]
+        lines = correlators.excess_lines(scene.state, scene.lo)
+        assert [nu for nu, _ in lines] == [w - d, w + d]
+        assert all(power > 0.0 for _, power in lines)
+
+    def test_zero_squeeze_offset_is_a_duplicate_mode(self):
+        cfg = RunConfig.defaults({"squeeze.enabled": True, "squeeze.offset_hz": 0.0})
+        with pytest.raises(ConfigViolation, match="squeeze.offset_hz: duplicate mode frequency"):
+            cfg.build_scene()
 
 
 class TestSampleBinCounts:
@@ -832,7 +865,7 @@ class TestRunExperiment:
     def test_null_phase_peak_is_the_band_maximum(self, null_phase_run):
         # the largest PSD bin within 2 rbw of f_het, on the floor's mask
         spec = null_phase_run.spectrum
-        f_het = RunConfig.defaults().build_scene().f_het_hz
+        f_het = RunConfig.defaults().values["lo.f_het_hz"]
         band = np.abs(spec.freqs_hz - f_het) <= 2.0 * spec.rbw_hz
         assert np.count_nonzero(band) == 5
         (check,) = null_phase_run.checks
@@ -840,9 +873,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_lockin_runs_at_the_sampled_beat(self, seed):
-        # at a 2.82e14 Hz carrier the tones' half spacing rounds to 50.0144 Hz
-        # for f_het = 50 Hz: a lock-in at 50 Hz keeps sinc^2(pi 0.0144 Hz 20 s)
-        # = 0.754 of the line's power over 20 s, and the 5 % gate fails
+        # a lock-in 0.0144 Hz off a 50 Hz line keeps sinc^2(pi 0.0144 Hz 20 s)
+        # = 0.754 of its power over 20 s, and the 5 % gate fails: the lock-in
+        # must run at the beat the tones carry, which is 2 pi f_het exactly
         scene = RunConfig.defaults(
             {
                 "lo.f_het_hz": 50.0,
