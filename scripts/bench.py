@@ -5,7 +5,7 @@
     python scripts/bench.py --label head --parent ../parent-checkout
 
 Runs `analytic`, `table1` and `squeezed-compare` on their shipped
-configs, and `simulate` in each of the five Monte Carlo scenarios
+configs, and `simulate` in each of the four Monte Carlo scenarios
 (`default.cfg` with `simulate.scenario` set, `sensitivity.cfg` for the
 scan), plus `simulate default +trace` (`output.write_trace = true`, so
 `trace.bin` is written), each in REPEATS = 10 fresh interpreters one
@@ -56,7 +56,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MONTE_CARLO = ("default", "shot-floor", "beatnote", "null-phase", "sensitivity")
+MONTE_CARLO = ("default", "shot-floor", "null-phase", "sensitivity")
 # fresh processes per scenario: medians of at least three runs, and ten
 # because a shared 2-vCPU VM moves single runs by a fifth, and a claimed
 # gain must win at least nine of ten pairs of a --parent sitting

@@ -4,44 +4,45 @@
 
 Each checkout runs with its own `src/` and `configs/`, one fresh
 interpreter per run: `analytic`, `table1` and `squeezed-compare` on each
-shipped config, and `simulate` in all five Monte Carlo scenarios
+shipped config, and `simulate` in all four Monte Carlo scenarios
 (`default.cfg` with `simulate.scenario` set, `sensitivity.cfg` for the
 scan, and `squeezed.cfg`, which the Monte Carlo refuses), every
 `simulate` run with `output.write_trace = true`.  Then the settings the
 shipped configs leave at their defaults: `analytic` and
 `squeezed-compare` on `squeezed.cfg` with the phase-averaged signal and
-with the exponential pulse, `squeezed-compare` with the sideband
-placement, and `simulate` on `default.cfg` with each of the first two,
-which it refuses; and the monochromatic LO (`lo.kind = mono`):
-`analytic` on `default.cfg`, `squeezed-compare` on `squeezed.cfg` and
-`simulate` on `default.cfg`, which refuses it.  Then two Welch segment
-lengths the shipped configs do not use, both `simulate shot-floor` on
-`default.cfg`: `measurement.rbw_hz = 100`, whose 10^5-sample segment is
-longer than half a block, and `measurement.rbw_hz = 3000.3`, whose
-segment has an odd length (3,333 samples).  Last, the failing path:
-`simulate beatnote` and `simulate default` on `default.cfg` with the
-signal in quadrature to the LO (`field.theta_s = pi/2`), whose beat
-power misses its near-zero target, so both exit 2.  Then eight refusals
-of one bad key each, which exit 1 with an `error:` line naming it:
-`simulate` with `measurement.duration_s = -1` and `analytic` with
-`detector.eta = 0` on `default.cfg`, `table1` with `scan.window_s = 0`
-on `sensitivity.cfg`, `analytic` with `lo.f_het_hz = 4e3` (a beat below
-10x the rbw) on `default.cfg`, the sensitivity scan with
-`lo.theta_1 = nan`, and the Monte Carlo's Welch average: `simulate` on
-`default.cfg` with `measurement.n_segments = 4` and with
+with the exponential pulse (`detector.pulse_tau_s = 1e-7`),
+`squeezed-compare` with the sideband placement, and `simulate` on
+`default.cfg` with each of the first two, which it refuses; and the
+monochromatic LO (`lo.kind = mono`): `analytic` on `default.cfg`,
+`squeezed-compare` on `squeezed.cfg` and `simulate` on `default.cfg`,
+which refuses it.  Then two Welch segment lengths the shipped configs
+do not use, both `simulate shot-floor` on `default.cfg`:
+`measurement.rbw_hz = 100`, whose 10^5-sample segment is longer than
+half a block, and `measurement.rbw_hz = 3000.3`, whose segment has an
+odd length (3,333 samples).  Last, the failing path: `simulate default`
+on `default.cfg` with the signal in quadrature to the LO
+(`field.theta_s = pi/2`), whose beat power misses its near-zero target,
+so it exits 2.  Then seven refusals of one bad key each, which exit 1
+with an `error:` line naming it: `simulate` with
+`measurement.duration_s = -1` and `analytic` with `detector.eta = 0` on
+`default.cfg`, `table1` with `scan.window_s = 0` on `sensitivity.cfg`,
+`analytic` with `lo.f_het_hz = 4e3` (a beat below 10x the rbw) on
+`default.cfg`, the sensitivity scan with `lo.theta_1 = nan`, and the
+Monte Carlo's Welch average: `simulate` on `default.cfg` with
 `measurement.duration_s = 0.01` (too short for 16 segments), and the
-scan with `scan.duration_s = 5e-5`.  A run's exit code,
-stdout, stderr and every file it writes (`spectrum*.csv`, `table.csv`,
-`trace.bin`, `report.json`) are compared byte for byte, `report.json`
-without its `generated_at` line and with the values of the checks in
-TOLERANT each compared to its relative tolerance instead: sums of
-squares and products over a record, which a change in summation order
-moves in their last bits.  One line per run, followed by both stderr
-texts where they differ and by each tolerant value that moved, with
-its relative change; then exit 0 when every run is identical or within
-tolerance and 1 otherwise.  The Monte Carlo runs take
-about a second each, so the whole comparison takes under a minute on a
-2-vCPU VM.  Not part of the test suite.
+scan with `scan.duration_s = 5e-5`.  A run's exit code, stdout, stderr
+and every file it writes (`spectrum*.csv`, `table.csv`, `trace.bin`,
+`report.json`) are compared byte for byte, `report.json` without its
+`generated_at` line.  Where `report.json` differs, every value that
+moved is listed by its JSON path, old -> new, a value present in one
+run only as `(absent)`.  The values of the checks in TOLERANT are each
+judged against their relative tolerance: sums of squares and products
+over a record, which a change in summation order moves in their last
+bits.  One line per run, followed by both stderr texts where they
+differ and by each value that moved; then exit 0 when every run is
+identical or within tolerance and 1 otherwise.  The Monte Carlo runs
+take about a second each, so the whole comparison takes under a minute
+on a 2-vCPU VM.  Not part of the test suite.
 """
 
 from __future__ import annotations
@@ -60,6 +61,16 @@ CONFIGS = ("default.cfg", "sensitivity.cfg", "squeezed.cfg")
 # report.json check name -> relative tolerance of its value
 TOLERANT = {"parseval_ratio": 1e-12, "arm_cross_covariance_z": 1e-12}
 
+
+class _Absent:
+    """A report.json value present in the other run only."""
+
+    def __repr__(self) -> str:
+        return "(absent)"
+
+
+ABSENT = _Absent()
+
 # run name -> (scenario, shipped config, lines appended to the config)
 RUNS = {
     f"{scenario} {config}": (scenario, config, "")
@@ -72,7 +83,6 @@ RUNS.update(
         for scenario, config in (
             ("default", "default.cfg"),
             ("shot-floor", "default.cfg"),
-            ("beatnote", "default.cfg"),
             ("null-phase", "default.cfg"),
             ("sensitivity", "sensitivity.cfg"),
             ("default", "squeezed.cfg"),
@@ -81,7 +91,7 @@ RUNS.update(
 )
 UNSHIPPED = {
     "phase-averaged": "field.phase_averaged = true\n",
-    "exponential": "detector.pulse = exponential\ndetector.pulse_tau_s = 1e-7\n",
+    "exponential": "detector.pulse_tau_s = 1e-7\n",
 }
 RUNS.update(
     {
@@ -121,15 +131,10 @@ RUNS.update(
         for name, rbw in (("rbw 100", 100), ("nperseg 3333", 3000.3))
     }
 )
-RUNS.update(
-    {
-        f"simulate {scenario} default.cfg quadrature": (
-            "simulate",
-            "default.cfg",
-            f"simulate.scenario = {scenario}\nfield.theta_s = 1.5707963267948966\n",
-        )
-        for scenario in ("beatnote", "default")
-    }
+RUNS["simulate default default.cfg quadrature"] = (
+    "simulate",
+    "default.cfg",
+    "simulate.scenario = default\nfield.theta_s = 1.5707963267948966\n",
 )
 
 # one bad key each: the error line must name it
@@ -142,7 +147,6 @@ RUNS.update(
             ("table1", "sensitivity.cfg", "scan.window_s = 0"),
             ("analytic", "default.cfg", "lo.f_het_hz = 4e3"),
             ("simulate", "sensitivity.cfg", "lo.theta_1 = nan"),
-            ("simulate", "default.cfg", "measurement.n_segments = 4"),
             ("simulate", "default.cfg", "measurement.duration_s = 0.01"),
             ("simulate", "sensitivity.cfg", "scan.duration_s = 5e-5"),
         )
@@ -170,41 +174,46 @@ def _outputs(repo: Path, work: Path, name: str) -> dict[str, bytes]:
     return found
 
 
-def _tolerant_values(report: bytes) -> tuple[bytes, dict[str, float]]:
-    """report.json with the value of each TOLERANT check blanked, and those values by name.
-
-    write_report_json sorts keys, so a check's "name" line comes before its "value" line.
-    """
-    lines, values, name = [], {}, None
-    for line in report.split(b"\n"):
-        key, _, rest = line.strip().partition(b": ")
-        if key == b'"name"':
-            name = json.loads(rest.rstrip(b","))
-        elif key == b'"value"' and name in TOLERANT:
-            values[name] = float(rest.rstrip(b","))
-            line = line.partition(b":")[0] + b": (compared within tolerance)"
-        lines.append(line)
-    return b"\n".join(lines), values
+def _leaves(node, path: str = "", tolerance: float | None = None):
+    """(JSON path, value, relative tolerance or None) of each scalar of a parsed report.json."""
+    if isinstance(node, dict):
+        name = node.get("name")
+        for key, item in node.items():
+            tol = TOLERANT.get(name) if key == "value" and isinstance(name, str) else None
+            yield from _leaves(item, f"{path}.{key}" if path else key, tol)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, node, tolerance
 
 
 def _moved(here: dict, there: dict) -> tuple[list[str], bool]:
-    """Each TOLERANT value that moved between the two reports, and whether all are within tolerance."""
-    if "report.json" not in here or "report.json" not in there:
+    """Each report.json value that moved between two runs, and whether all moved within TOLERANT.
+
+    Values compare by repr, so 1 and 1.0, 0.0 and -0.0 differ and NaN equals NaN.
+    """
+    try:
+        new, old = (
+            {path: (value, tol) for path, value, tol in _leaves(json.loads(found["report.json"]))}
+            for found in (here, there)
+        )
+    except (KeyError, ValueError):
         return [], False
-    (rest_here, ours), (rest_there, theirs) = (
-        _tolerant_values(found["report.json"]) for found in (here, there)
-    )
-    lines, within = [], rest_here == rest_there and ours.keys() == theirs.keys()
-    for name in sorted(ours.keys() & theirs.keys()):
-        new, old = ours[name], theirs[name]
-        if new == old or (math.isnan(new) and math.isnan(old)):
+    lines, within = [], True
+    for path in dict.fromkeys([*old, *new]):
+        (a, tol), (b, _) = old.get(path, (ABSENT, None)), new.get(path, (ABSENT, None))
+        if repr(a) == repr(b):
             continue
-        change = abs(new - old) / abs(old) if old else math.inf
-        ok = math.isclose(new, old, rel_tol=TOLERANT[name], abs_tol=0.0)
+        line = f"{path}: {a!r} -> {b!r}"
+        ok = tol is not None and all(isinstance(v, float) for v in (a, b))
+        if ok:
+            ok = math.isclose(b, a, rel_tol=tol, abs_tol=0.0)
+            change = abs(b - a) / abs(a) if a else math.inf
+            line += f" ({change:.2g} relative, {'within' if ok else 'BEYOND'} {tol:g})"
         within &= ok
-        verdict = "within" if ok else "BEYOND"
-        lines.append(f"{name} {old!r} -> {new!r} ({change:.2g} relative, {verdict} {TOLERANT[name]:g})")
-    return lines, within
+        lines.append(line)
+    return lines, within and bool(lines)
 
 
 def main(argv=None) -> int:

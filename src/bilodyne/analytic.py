@@ -57,26 +57,24 @@ class Spectrum:
         self.psd.setflags(write=False)
 
 
-def pulse_transfer(tau: float | None, omega):
+def pulse_transfer(tau: float, omega):
     """Fourier transform K(w) of the single-emission current pulse of charge e = 1.
 
-    A delta pulse (tau None) gives the flat K = 1; an exponential pulse
-    of decay tau gives 1 / (1 - i w tau), i.e. |K|^2 = 1 / (1 + w^2 tau^2),
-    and 0 where w tau is beyond the float range.  Raises InvalidSpec for
-    a tau that is not positive and finite or an omega that is not finite.
+    An exponential pulse of decay tau gives 1 / (1 - i w tau), i.e.
+    |K|^2 = 1 / (1 + w^2 tau^2), and 0 where w tau is beyond the float
+    range; the delta pulse, tau = 0, gives exactly K = 1.  Raises
+    InvalidSpec for a tau that is not >= 0 and finite or an omega that
+    is not finite.
     """
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
         raise InvalidSpec("pulse transfer frequencies must be finite")
-    if tau is None:
-        out = np.full(w.shape, 1.0, dtype=complex)
-    elif not (tau > 0.0 and math.isfinite(tau)):
-        raise InvalidSpec(f"pulse decay time must be positive and finite, got {tau!r}")
-    else:
-        den = np.ones(w.shape, dtype=complex)
-        with np.errstate(over="ignore"):
-            den.imag = -w * tau
-        out = 1.0 / den
+    if not 0.0 <= tau < math.inf:
+        raise InvalidSpec(f"pulse decay time must be >= 0 and finite, got {tau!r}")
+    den = np.ones(w.shape, dtype=complex)
+    with np.errstate(over="ignore"):
+        den.imag = -w * tau
+    out = 1.0 / den
     return out if out.shape else complex(out)
 
 

@@ -64,13 +64,11 @@ SCHEMA: dict = {
     "lo.theta_1": (float, 0.0),
     "lo.theta_2": (float, 0.0),
     "detector.eta": (float, 0.7),
-    "detector.pulse": (str, "delta"),
     "detector.pulse_tau_s": (float, 0.0),
     "measurement.duration_s": (float, 2.0),
     "measurement.rbw_hz": (float, 1.0e3),
     "measurement.sample_rate_hz": (float, 1.0e7),
     "measurement.seed": (int, 20260815),
-    "measurement.n_segments": (int, 16),
     "simulate.scenario": (str, "default"),
     "scan.powers_nw": (_parse_float_list, (0.5, 1.0, 2.0)),
     "scan.window_s": (float, 1.0e-3),
@@ -100,8 +98,7 @@ _CHOICES = {
     "field.hypothesis": ("one-field", "three-fields"),
     "squeeze.placement": ("image", "sideband"),
     "lo.kind": ("mono", "bichromatic"),
-    "detector.pulse": ("delta", "exponential"),
-    "simulate.scenario": ("default", "shot-floor", "beatnote", "null-phase", "sensitivity"),
+    "simulate.scenario": ("default", "shot-floor", "null-phase", "sensitivity"),
 }
 
 
@@ -232,13 +229,14 @@ class RunConfig:
         return self._make(keys, LocalOscillator, amplitude, *tones)
 
     def build_detector(self) -> DetectorParams:
+        """The detector; its refusal names detector.pulse_tau_s unless the pulse is a delta (0 s)."""
         v = self.values
-        tau = None if v["detector.pulse"] == "delta" else v["detector.pulse_tau_s"]
-        keys = ("detector.eta",) if tau is None else ("detector.eta", "detector.pulse_tau_s")
+        tau = v["detector.pulse_tau_s"]
+        keys = ("detector.eta",) if tau == 0.0 else ("detector.eta", "detector.pulse_tau_s")
         return self._make(keys, DetectorParams, v["detector.eta"], tau)
 
     def build_measurement(self) -> MeasurementConfig:
-        keys = (*MEASUREMENT_KEYS[1:], "measurement.n_segments")
+        keys = MEASUREMENT_KEYS[1:]
         return self._make(keys, MeasurementConfig, *(self.values[key] for key in keys))
 
     def build_scene(self) -> Scene:

@@ -268,18 +268,16 @@ class LocalOscillator:
 class DetectorParams:
     """Balanced detector pair: quantum efficiency and current pulse; each emission carries e = 1.
 
-    pulse_tau is the exponential pulse's decay time in seconds; None
-    means an ideal delta pulse (instantaneous charge deposition).
+    pulse_tau is the exponential pulse's decay time in seconds; 0 is
+    an ideal delta pulse (instantaneous charge deposition).
     """
 
     eta: float
-    pulse_tau: float | None = None
+    pulse_tau: float = 0.0
 
     def __post_init__(self):
-        if self.pulse_tau is not None and not (
-            self.pulse_tau > 0.0 and math.isfinite(self.pulse_tau)
-        ):
-            raise InvalidSpec(f"pulse decay time must be positive, got {self.pulse_tau!r}")
+        if not 0.0 <= self.pulse_tau < math.inf:
+            raise InvalidSpec(f"pulse decay time must be >= 0 and finite, got {self.pulse_tau!r}")
         if not (0.0 < self.eta <= 1.0):
             raise InvalidSpec(f"quantum efficiency must be in (0, 1], got {self.eta!r}")
 
@@ -295,15 +293,12 @@ class MeasurementConfig:
     duration: float
     rbw: float
     sample_rate: float
-    n_segments: int = 16
 
     def __post_init__(self):
         for name in ("duration", "rbw", "sample_rate"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise InvalidSpec(f"{name} must be positive and finite, got {value!r}")
-        if not (isinstance(self.n_segments, numbers.Integral) and self.n_segments >= 1):
-            raise InvalidSpec(f"n_segments must be a finite integer >= 1, got {self.n_segments!r}")
         samples, segment = self.duration * self.sample_rate, self.sample_rate / self.rbw
         if not samples <= MAX_RECORD_SAMPLES:
             raise ConfigViolation(

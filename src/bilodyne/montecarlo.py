@@ -77,6 +77,8 @@ _MAX_POISSON_MEAN = 1e18
 _THIN_PEAK_MEAN = 1.0
 # stride of the floor's slope test over the unmasked bins; see flatness_t_statistic
 _SLOPE_STRIDE = 3
+# segments of 1 / rbw a Monte Carlo record must hold for its Welch average
+_MIN_SEGMENTS = 16
 
 
 def _arm_phasors(state: FieldState, lo: LocalOscillator):
@@ -684,16 +686,15 @@ def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
     that asks for anything else.  The geometry must pass
     validate_measurement, whose limits on the configured beat leave a
     Welch segment of at least 100 samples, and the record, as
-    _stream_record takes it, must hold measurement.n_segments segments
-    (TooShort), at least 8 (ConfigViolation).  A geometry error names
-    keys, the settings of the scene's beat frequency, duration, rbw and
-    sample rate, or measurement.n_segments.
+    _stream_record takes it, must hold _MIN_SEGMENTS segments of 1 / rbw
+    (TooShort).  A geometry error names keys, the settings of the
+    scene's beat frequency, duration, rbw and sample rate.
     """
     for refused, setting in (
         (not scene.lo.is_bichromatic, "lo.kind = mono"),
         (scene.state.theta_s is None, "field.phase_averaged = true"),
         (scene.state.is_squeezed(), "squeeze.enabled = true"),
-        (scene.det.pulse_tau is not None, "detector.pulse = exponential"),
+        (scene.det.pulse_tau > 0.0, f"detector.pulse_tau_s = {scene.det.pulse_tau!r}"),
     ):
         if refused:
             raise ConfigViolation(
@@ -703,14 +704,11 @@ def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
     meas = scene.meas
     validate_measurement(meas, scene.lo, keys)
     _, duration_key, rbw_key, _ = keys
-    segments = f"measurement.n_segments = {meas.n_segments}"
-    if meas.n_segments < 8:
-        raise ConfigViolation(f"{segments}: PSD estimation needs at least 8 averaging segments")
     dt = 1.0 / meas.sample_rate
     record = round(meas.duration * meas.sample_rate) * dt
-    if record < meas.n_segments / meas.rbw - 1e-12:
+    if record < _MIN_SEGMENTS / meas.rbw - 1e-12:
         raise TooShort(
-            f"{duration_key}: a record of {record:g} s cannot average {segments} "
+            f"{duration_key}: a record of {record:g} s cannot average {_MIN_SEGMENTS} "
             f"segments at {rbw_key} = {meas.rbw:g} Hz"
         )
     # no bin of either arm expects more than eta/2 (sum of |amplitudes|)^2 dt
@@ -741,14 +739,14 @@ def run_experiment(
 
     Scenarios:
       shot-floor   vacuum signal; floor level (3 %) and flatness (95 %).
-      beatnote     coherent signal; lock-in line power within 5 % of
-                   theory, plus floor checks.
       null-phase   signal phase in quadrature to the LO mean phase; no
                    PSD bin within 2 rbw of f_het above floor + 3 sigma.
       sensitivity  empirical SNR_in/SNR_out/NF across the power scan;
                    NF within 0.3 dB of zero for each power.
-      default      beatnote checks plus a Parseval consistency check and
-                   a zero-lag arm cross-covariance check.
+      default      coherent signal; the floor checks, lock-in line power
+                   within 5 % of theory (beatnote_power), a Parseval
+                   consistency check and a zero-lag arm cross-covariance
+                   check.
 
     An unknown scenario, a seed that is not a non-negative integer and a
     scene of the wrong type are refused (InvalidSpec) before any work.
@@ -826,15 +824,12 @@ def _scenario_record(
     target = output_signal_power(scene.state, lo, det) * loss
     report.checks.append(CheckResult.within("beatnote_power", power, target, 0.05 * target))
     report.scalars.update({"beat_power": power, "beat_target": target})
-    if scenario == "default":
-        var = record.variance
-        if not var > 0.0:
-            raise Unresolved(
-                "the difference current is constant, so the Parseval ratio is undefined"
-            )
-        integrated = float(np.trapezoid(spec.psd, spec.freqs_hz))
-        report.checks.append(CheckResult.within("parseval_ratio", integrated / var, 1.0, 0.02))
-        report.checks.append(CheckResult.within("arm_cross_covariance_z", record.cross_z, 0.0, 3.0))
+    var = record.variance
+    if not var > 0.0:
+        raise Unresolved("the difference current is constant, so the Parseval ratio is undefined")
+    integrated = float(np.trapezoid(spec.psd, spec.freqs_hz))
+    report.checks.append(CheckResult.within("parseval_ratio", integrated / var, 1.0, 0.02))
+    report.checks.append(CheckResult.within("arm_cross_covariance_z", record.cross_z, 0.0, 3.0))
 
 
 def _scenario_sensitivity(
@@ -847,7 +842,7 @@ def _scenario_sensitivity(
     Each power gets two runs sharing one seed branch: a fixed-phase
     heterodyne run of its scan scene (theta_s = theta_bar) for the
     output side, and a signal-only counting run for the input side.
-    The beat power is the record's lock-in power, as for `beatnote`; at
+    The beat power is the record's lock-in power, as for `default`; at
     the fixed phase it is halved to convert to the
     phase-averaged convention before forming
     SNR_out = P / (floor * rbw_ref), rbw_ref = 1 / window.

@@ -50,9 +50,13 @@ E_LO = math.sqrt(LO_FLUX)
 
 class TestPulseTransfer:
     def test_delta_is_flat(self):
-        w = np.array([0.0, 1e3, 1e7])
-        np.testing.assert_array_equal(pulse_transfer(None, w), np.full(3, 1.0 + 0.0j))
-        assert pulse_transfer(None, 0.0) == 1.0 + 0.0j
+        # the delta pulse is the exponential one at tau = 0: exactly 1 at every
+        # finite w, the extremes and the smallest subnormal included
+        w = np.array([0.0, 1e3, 1e7, 1e300, -1e300, 5e-324])
+        k = pulse_transfer(0.0, w)
+        np.testing.assert_array_equal(k, np.full(w.size, 1.0 + 0.0j))
+        np.testing.assert_array_equal(np.abs(k) ** 2, np.ones(w.size))
+        assert pulse_transfer(0.0, 0.0) == 1.0 + 0.0j
 
     def test_exponential_matches_quadrature(self):
         # Independent route: numerically Fourier-transform the normalized

@@ -57,13 +57,13 @@ class TestParseConfig:
         # full-line comment
         field.signal_flux = 2e4   # inline comment
         field.phase_averaged = true
-        measurement.n_segments = 32
+        scan.count_windows = 32
         scan.powers_nw = 1.0, 3.0
         """
         values = parse_config(write_cfg(tmp_path, text))
         assert values["field.signal_flux"] == 2e4
         assert values["field.phase_averaged"] is True
-        assert values["measurement.n_segments"] == 32
+        assert values["scan.count_windows"] == 32
         assert values["scan.powers_nw"] == (1.0, 3.0)
 
     def test_unknown_key_with_location(self, tmp_path):
@@ -93,19 +93,18 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(write_cfg(tmp_path, "lo.kind = trichromatic\n"))
 
-    def test_exponential_needs_timescale(self, tmp_path):
-        # the file parses; DetectorParams refuses the default decay time of 0
-        # when the detector is built, and the refusal names the key
-        path = write_cfg(tmp_path, "detector.pulse = exponential\n")
-        cfg = RunConfig.load(path)
-        refusal = "detector.eta, detector.pulse_tau_s: pulse decay time must be positive, got 0.0"
+    def test_pulse_is_its_decay_time(self, tmp_path):
+        # 0 s, the default, is the delta pulse and any positive time an
+        # exponential one; a negative time is refused when the detector is
+        # built, and the refusal names the key
+        assert RunConfig.defaults().build_detector().pulse_tau == 0.0
+        path = write_cfg(tmp_path, "detector.pulse_tau_s = 1e-7\n")
+        assert RunConfig.load(path).build_detector().pulse_tau == 1e-7
+        bad = write_cfg(tmp_path, "detector.pulse_tau_s = -1\n", "bad.cfg")
+        refusal = "detector.eta, detector.pulse_tau_s: pulse decay time must be >= 0"
         with pytest.raises(ConfigViolation, match=refusal):
-            cfg.build_detector()
-        assert main(["analytic", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        values = parse_config(
-            write_cfg(tmp_path, "detector.pulse = exponential\ndetector.pulse_tau_s = 1e-7\n")
-        )
-        assert values["detector.pulse_tau_s"] == 1e-7
+            RunConfig.load(bad).build_detector()
+        assert main(["analytic", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
 class TestRunConfigBuilders:
@@ -161,8 +160,7 @@ class TestRunConfigBuilders:
 
     def test_detector_and_measurement(self, tmp_path):
         text = BASE_CFG + (
-            "detector.pulse = exponential\ndetector.pulse_tau_s = 2e-7\n"
-            "measurement.rbw_hz = 2e3\nmeasurement.seed = 99\n"
+            "detector.pulse_tau_s = 2e-7\nmeasurement.rbw_hz = 2e3\nmeasurement.seed = 99\n"
         )
         cfg = RunConfig.load(write_cfg(tmp_path, text))
         det = cfg.build_detector()
@@ -208,15 +206,12 @@ class TestRunConfigBuilders:
 # switch, the run's seed, and the scan block (checked against build_scan
 # instead)
 NON_SCENE_KEYS = {"simulate.scenario", "output.write_trace", "measurement.seed"}
-# settings under which a key is live (squeeze.* needs squeezing enabled,
-# the pulse time needs an exponential pulse)
+# settings under which a key is live (squeeze.* needs squeezing enabled)
 LIVE_WITH = {
     "squeeze.r": {"squeeze.enabled": True},
     "squeeze.phi": {"squeeze.enabled": True},
     "squeeze.offset_hz": {"squeeze.enabled": True},
     "squeeze.placement": {"squeeze.enabled": True},
-    "detector.pulse": {"detector.pulse_tau_s": 1e-7},
-    "detector.pulse_tau_s": {"detector.pulse": "exponential", "detector.pulse_tau_s": 1e-7},
 }
 
 
@@ -307,7 +302,6 @@ RELATIONS = [
     (("simulate",), "sensitivity.cfg", "scan.duration_s = 1e-6", "scan.duration_s"),
     (("simulate",), "sensitivity.cfg", "scan.rbw_hz = 1e6", "scan.rbw_hz"),
     (("simulate",), "sensitivity.cfg", "scan.sample_rate_hz = 1e7", "scan.sample_rate_hz"),
-    (("simulate",), "default.cfg", "measurement.n_segments = 4", "measurement.n_segments"),
     # 0.01 s cannot hold 16 segments of 1 / rbw: the refusal names both
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.duration_s"),
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.rbw_hz"),
@@ -446,7 +440,7 @@ class TestCliRuns:
         # a quadrature-phase signal has no beatnote, so the beatnote
         # power check must fail and the process must say so
         text = BASE_CFG + (
-            "simulate.scenario = beatnote\n"
+            "simulate.scenario = default\n"
             "measurement.duration_s = 0.5\n"
             "field.theta_s = 1.5707963267948966\n"
         )
@@ -462,7 +456,7 @@ class TestCliRuns:
         # the quadrature signal of the test above, matched by turning both
         # LO tones to pi/2: the beat is back at its full matched power
         text = BASE_CFG + (
-            "simulate.scenario = beatnote\n"
+            "simulate.scenario = default\n"
             "measurement.duration_s = 0.5\n"
             "field.theta_s = 1.5707963267948966\n"
             "lo.theta_1 = 1.5707963267948966\n"
@@ -554,6 +548,33 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "error:" in err and "lo.fluxx" in err
 
+    @pytest.mark.parametrize(
+        "key, value, refusal, message",
+        [
+            ("measurement.n_segments", 4, UnknownKey, "unknown key 'measurement.n_segments'"),
+            ("detector.pulse", "exponential", UnknownKey, "unknown key 'detector.pulse'"),
+            (
+                "simulate.scenario",
+                "beatnote",
+                ParseError,
+                "simulate.scenario must be one of "
+                "('default', 'shot-floor', 'null-phase', 'sensitivity'), got 'beatnote'",
+            ),
+        ],
+    )
+    def test_deleted_setting_is_refused_by_name(
+        self, tmp_path, capsys, key, value, refusal, message
+    ):
+        # the segment count only set a refusal threshold, the delta pulse is
+        # the exponential one at 0 s, and the beatnote scenario ran default's
+        # record and reported its first three checks
+        with pytest.raises(refusal, match=key):
+            RunConfig.defaults({key: value})
+        cfg = write_cfg(tmp_path, BASE_CFG + f"{key} = {value}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert main(["analytic", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
@@ -613,12 +634,11 @@ class TestCliErrors:
             "lo.kind = mono",
             "field.phase_averaged = true",
             "squeeze.enabled = true",
-            "detector.pulse = exponential",
+            "detector.pulse_tau_s = 1e-07",
         ],
     )
     def test_unmodelled_simulate_setting_exits_one(self, tmp_path, capsys, setting):
-        text = BASE_CFG + setting + "\ndetector.pulse_tau_s = 1e-7\n"
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, BASE_CFG + setting + "\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and setting in err
@@ -687,10 +707,7 @@ class TestCliErrors:
     def test_mono_lo_with_non_finite_f_het_exits_one(self, tmp_path, capsys):
         # a mono LO has one tone, but the exponential pulse's shot floor is
         # read at lo.f_het_hz: NaN there wrote "shot_floor": NaN to report.json
-        text = BASE_CFG + (
-            "lo.kind = mono\ndetector.pulse = exponential\ndetector.pulse_tau_s = 1e-7\n"
-            "lo.f_het_hz = nan\n"
-        )
+        text = BASE_CFG + "lo.kind = mono\ndetector.pulse_tau_s = 1e-7\nlo.f_het_hz = nan\n"
         cfg, out = write_cfg(tmp_path, text), tmp_path / "o"
         assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err

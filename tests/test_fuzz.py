@@ -257,7 +257,6 @@ SCENE = {
     "duration": 2.0,
     "rbw": 1e3,
     "sample_rate": 1e7,
-    "n_segments": 16,
     "carrier": CARRIER,
 }
 
@@ -289,7 +288,7 @@ def _scene(p: dict, squeezed: bool, mono: bool) -> Scene:
             None if mono else p["theta_2"],
         ),
         DetectorParams(p["eta"], p["pulse_tau"]),
-        MeasurementConfig(p["duration"], p["rbw"], p["sample_rate"], p["n_segments"]),
+        MeasurementConfig(p["duration"], p["rbw"], p["sample_rate"]),
         p["carrier"],
     )
 

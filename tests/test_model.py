@@ -265,12 +265,14 @@ class TestDetectorAndMeasurement:
             DetectorParams(eta=1.2)
         DetectorParams(eta=1.0)
 
-    def test_exponential_pulse_requires_timescale(self):
-        for tau in (0.0, -1e-6, math.inf, math.nan):
+    def test_pulse_decay_time_is_zero_or_positive_and_finite(self):
+        for tau in (-1e-6, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidSpec, match="pulse decay time"):
                 DetectorParams(eta=0.7, pulse_tau=tau)
         assert DetectorParams(eta=0.7, pulse_tau=1e-6).pulse_tau == 1e-6
-        assert DetectorParams(eta=0.7).pulse_tau is None
+        # 0, the default, is the delta pulse
+        assert DetectorParams(eta=0.7, pulse_tau=0.0) == DetectorParams(eta=0.7)
+        assert DetectorParams(eta=0.7).pulse_tau == 0.0
 
     def test_measurement_validation(self):
         with pytest.raises(InvalidSpec):
@@ -373,8 +375,8 @@ class TestNonFiniteScalars:
             lambda: SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, NAN),
             lambda: SqueezePair(OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET, 0.5, INF),
             lambda: SqueezePair(NAN, OMEGA_S - OMEGA_HET, 0.5, 0.0),
-            lambda: MeasurementConfig(2.0, 1e3, 1e7, n_segments=NAN),
-            lambda: MeasurementConfig(2.0, 1e3, 1e7, n_segments=2.5),
+            lambda: DetectorParams(0.7, NAN),
+            lambda: DetectorParams(0.7, INF),
             lambda: pulse_transfer(NAN, OMEGA_HET),
             lambda: pulse_transfer(-1e-7, OMEGA_HET),
             lambda: pulse_transfer(1e-7, [0.0, INF]),
@@ -402,8 +404,8 @@ class TestNonFiniteScalars:
             "squeeze-phi-nan",
             "squeeze-phi-inf",
             "squeeze-freq_a-nan",
-            "n_segments-nan",
-            "n_segments-2.5",
+            "detector-pulse-tau-nan",
+            "detector-pulse-tau-inf",
             "pulse-tau-nan",
             "pulse-tau-negative",
             "pulse-omega-inf",

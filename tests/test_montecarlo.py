@@ -560,19 +560,23 @@ def _scene_measured_by(cfg: MeasurementConfig):
 
 
 class TestEstimatePsd:
-    def test_segment_count_floor(self):
-        cfg = MeasurementConfig(duration=0.1, rbw=1e3, sample_rate=1e6, n_segments=4)
-        with pytest.raises(ConfigViolation, match="measurement.n_segments = 4"):
-            _check_scene(_scene_measured_by(cfg), MEASUREMENT_KEYS)
+    def test_record_must_hold_sixteen_segments(self):
+        # 16 segments of 1 / rbw are 16,000 samples at 1 MHz: one sample
+        # fewer is refused, naming both keys, and exactly 16 / rbw is admitted
+        short = MeasurementConfig(duration=15_999 / 1e6, rbw=1e3, sample_rate=1e6)
+        with pytest.raises(TooShort, match="measurement.duration_s: .*measurement.rbw_hz"):
+            _check_scene(_scene_measured_by(short), MEASUREMENT_KEYS)
+        exact = MeasurementConfig(duration=16 / 1e3, rbw=1e3, sample_rate=1e6)
+        _check_scene(_scene_measured_by(exact), MEASUREMENT_KEYS)
 
     def test_short_record_rejected(self):
-        cfg = MeasurementConfig(duration=0.01, rbw=1e3, sample_rate=1e6, n_segments=16)
+        cfg = MeasurementConfig(duration=0.01, rbw=1e3, sample_rate=1e6)
         with pytest.raises(TooShort, match="measurement.duration_s: .*measurement.rbw_hz"):
             _check_scene(_scene_measured_by(cfg), MEASUREMENT_KEYS)
 
     def test_pure_tone_line_power(self):
         amp, f0 = 3.0, 1.2e4
-        cfg = MeasurementConfig(duration=0.1, rbw=1e3, sample_rate=1e6, n_segments=16)
+        cfg = MeasurementConfig(duration=0.1, rbw=1e3, sample_rate=1e6)
         spec = _welch_psd(_cosine(amp, f0, 1e6, 0.1), 1e6, cfg)
         # the Hann line's bins within 2 rbw, on a floor of zero
         band = np.abs(spec.freqs_hz - f0) <= 2.0 * spec.rbw_hz
@@ -581,7 +585,7 @@ class TestEstimatePsd:
 
     def test_parseval_for_pure_tone(self):
         x = _cosine(3.0, 1.2e4, 1e6, 0.1)
-        cfg = MeasurementConfig(duration=0.1, rbw=1e3, sample_rate=1e6, n_segments=16)
+        cfg = MeasurementConfig(duration=0.1, rbw=1e3, sample_rate=1e6)
         spec = _welch_psd(x, 1e6, cfg)
         integrated = float(np.trapezoid(spec.psd, spec.freqs_hz))
         assert integrated == pytest.approx(np.var(x), rel=1e-2)
@@ -594,7 +598,7 @@ class TestEstimatePsd:
         det = standard_detector()
         counts = sample_bin_counts(bin_means(state, lo, det, 2500000, 1e-7), seed=12)
         jdiff = (counts[0] - counts[1]) * (1.0 * 1e7)
-        cfg = MeasurementConfig(duration=0.25, rbw=1e3, sample_rate=1e7, n_segments=16)
+        cfg = MeasurementConfig(duration=0.25, rbw=1e3, sample_rate=1e7)
         spec = _welch_psd(jdiff, 1e7, cfg)
         floor_mean, _, _ = floor_statistics(spec, 1e5)
         assert floor_mean == pytest.approx(2.0 * ETA * LO_FLUX, rel=0.03)
@@ -826,7 +830,6 @@ class TestRunExperiment:
         "scenario, checks, scalars",
         [
             ("shot-floor", FLOOR, FLOOR_SCALARS),
-            ("beatnote", FLOOR + BEAT, FLOOR_SCALARS | BEAT_SCALARS),
             (
                 "default",
                 FLOOR + BEAT + ["parseval_ratio", "arm_cross_covariance_z"],
@@ -834,7 +837,7 @@ class TestRunExperiment:
             ),
             ("null-phase", ["null_phase_peak_psd"], {"floor_mean", "floor_sigma", "peak_psd"}),
         ],
-        ids=["shot-floor", "beatnote", "default", "null-phase"],
+        ids=["shot-floor", "default", "null-phase"],
     )
     def test_short_record_run(self, scenario, checks, scalars):
         # every single-record scenario's checks, in order, and the scalars it writes
@@ -884,7 +887,7 @@ class TestRunExperiment:
                 "measurement.duration_s": 20.0,
             }
         ).build_scene()
-        report = run_experiment("beatnote", scene, seed=seed)
+        report = run_experiment("default", scene, seed=seed)
         (beat,) = (c for c in report.checks if c.name == "beatnote_power")
         assert beat.passed, beat
 

@@ -150,7 +150,7 @@ class TestWelchAgainstScipy:
 
     def test_one_chunk_at_the_configured_segment_length(self):
         x = _record(150_000)
-        cfg = MeasurementConfig(duration=0.15, rbw=1e3, sample_rate=FS, n_segments=16)
+        cfg = MeasurementConfig(duration=0.15, rbw=1e3, sample_rate=FS)
         freqs, ref = _scipy_welch(x, 1000)
         welch = _Welch(int(round(FS / cfg.rbw)), FS)
         welch.add(x)
