@@ -306,6 +306,16 @@ RELATIONS = [
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.duration_s"),
     (("simulate",), "default.cfg", "measurement.duration_s = 0.01", "measurement.rbw_hz"),
     (("simulate",), "sensitivity.cfg", "scan.duration_s = 5e-5", "scan.duration_s"),
+    (("simulate",), "sensitivity.cfg", "scan.duration_s = 5e-5", "scan.rbw_hz"),
+    # one sample under 16 / rbw: 159,999 samples at 10 MHz, 3,199 at 40 MHz
+    (("simulate",), "default.cfg", "measurement.duration_s = 0.0159999",
+     "measurement.duration_s"),
+    (("simulate",), "default.cfg", "measurement.duration_s = 0.0159999", "measurement.rbw_hz"),
+    (("simulate",), "sensitivity.cfg", "scan.duration_s = 7.9975e-5", "scan.duration_s"),
+    (("simulate",), "sensitivity.cfg", "scan.duration_s = 7.9975e-5", "scan.rbw_hz"),
+    # the checks model delta pulses: any positive decay time is refused by name
+    (("simulate",), "default.cfg", "detector.pulse_tau_s = 1e-7", "detector.pulse_tau_s"),
+    (("simulate",), "sensitivity.cfg", "detector.pulse_tau_s = 1e-7", "detector.pulse_tau_s"),
     # the tones carry a 0.05 Hz beat exactly, so the rate limit on it refuses
     # what would be a 5e-3 / 1e-3 = 5-sample Welch segment
     (

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from bilodyne import correlators, montecarlo
-from bilodyne.config import MEASUREMENT_KEYS, RunConfig
+from bilodyne.config import MEASUREMENT_KEYS, SCAN_KEYS, RunConfig
 from bilodyne.errors import (
     ConfigViolation,
     InvalidSpec,
@@ -568,6 +568,15 @@ class TestEstimatePsd:
             _check_scene(_scene_measured_by(short), MEASUREMENT_KEYS)
         exact = MeasurementConfig(duration=16 / 1e3, rbw=1e3, sample_rate=1e6)
         _check_scene(_scene_measured_by(exact), MEASUREMENT_KEYS)
+
+    def test_scan_record_rule_names_the_scan_keys(self):
+        # the scan's scenes meet the same 16-segment rule, and the refusal
+        # names the scan.* pair the scene's record was set under
+        short = MeasurementConfig(duration=15_999 / 1e6, rbw=1e3, sample_rate=1e6)
+        with pytest.raises(TooShort, match="scan.duration_s: .*scan.rbw_hz"):
+            _check_scene(_scene_measured_by(short), SCAN_KEYS)
+        exact = MeasurementConfig(duration=16 / 1e3, rbw=1e3, sample_rate=1e6)
+        _check_scene(_scene_measured_by(exact), SCAN_KEYS)
 
     def test_short_record_rejected(self):
         cfg = MeasurementConfig(duration=0.01, rbw=1e3, sample_rate=1e6)
