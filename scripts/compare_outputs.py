@@ -14,21 +14,23 @@ with the exponential pulse (`detector.pulse_tau_s = 1e-7`),
 `squeezed-compare` with the sideband placement, and `simulate` on
 `default.cfg` with each of the first two, which it refuses; and the
 monochromatic LO (`lo.kind = mono`): `analytic` on `default.cfg`,
-`squeezed-compare` on `squeezed.cfg` and `simulate` on `default.cfg`,
-which refuses it.  Then two Welch segment lengths the shipped configs
-do not use, both `simulate shot-floor` on `default.cfg`:
+also with its tone's phase `lo.theta_1 = 0.3`, `squeezed-compare` on
+`squeezed.cfg` and `simulate` on `default.cfg`, which refuses it.
+Then two Welch segment lengths the shipped configs do not use, both
+`simulate shot-floor` on `default.cfg`:
 `measurement.rbw_hz = 100`, whose 10^5-sample segment is longer than
 half a block, and `measurement.rbw_hz = 3000.3`, whose segment has an
 odd length (3,333 samples).  Last, the failing path: `simulate default`
 on `default.cfg` with the signal in quadrature to the LO
 (`field.theta_s = pi/2`), whose beat power misses its near-zero target,
-so it exits 2.  Then seven refusals of one bad key each, which exit 1
+so it exits 2.  Then nine refusals of one bad key each, which exit 1
 with an `error:` line naming it: `simulate` with
 `measurement.duration_s = -1` and `analytic` with `detector.eta = 0` on
 `default.cfg`, `table1` with `scan.window_s = 0` on `sensitivity.cfg`,
-`analytic` with `lo.f_het_hz = 4e3` (a beat below 10x the rbw) on
-`default.cfg`, the sensitivity scan with `lo.theta_1 = nan`, and the
-Monte Carlo's Welch average: `simulate` on `default.cfg` with
+`analytic` on `default.cfg` with `lo.f_het_hz = 4e3` (a beat below 10x
+the rbw), `lo.f_het_hz = 0` (both tones at the carrier) and
+`lo.f_het_hz = -1e5` (the tones in increasing order), the sensitivity
+scan with `lo.theta_1 = nan`, and the Monte Carlo's Welch average: `simulate` on `default.cfg` with
 `measurement.duration_s = 0.01` (too short for 16 segments), and the
 scan with `scan.duration_s = 5e-5`.  A run's exit code, stdout, stderr
 and every file it writes (`spectrum*.csv`, `table.csv`, `trace.bin`,
@@ -119,6 +121,11 @@ RUNS.update(
         )
     }
 )
+RUNS["analytic default.cfg mono theta_1"] = (
+    "analytic",
+    "default.cfg",
+    "lo.kind = mono\nlo.theta_1 = 0.3\n",
+)
 # Welch segments longer than half a block (one segment per group of the
 # running sum) and of odd length (3,333 samples)
 RUNS.update(
@@ -146,6 +153,8 @@ RUNS.update(
             ("analytic", "default.cfg", "detector.eta = 0"),
             ("table1", "sensitivity.cfg", "scan.window_s = 0"),
             ("analytic", "default.cfg", "lo.f_het_hz = 4e3"),
+            ("analytic", "default.cfg", "lo.f_het_hz = 0"),
+            ("analytic", "default.cfg", "lo.f_het_hz = -1e5"),
             ("simulate", "sensitivity.cfg", "lo.theta_1 = nan"),
             ("simulate", "default.cfg", "measurement.duration_s = 0.01"),
             ("simulate", "sensitivity.cfg", "scan.duration_s = 5e-5"),

@@ -29,6 +29,7 @@ from .model import (
     ModeLabel,
     Scan,
     photon_flux,
+    require_numbers,
     validate_measurement,
 )
 
@@ -42,6 +43,8 @@ class Spectrum:
     rbw_hz: float
 
     def __post_init__(self):
+        require_numbers(arrays=True, freqs_hz=self.freqs_hz, psd=self.psd)
+        require_numbers(rbw_hz=self.rbw_hz)
         if self.freqs_hz.shape != self.psd.shape or self.freqs_hz.ndim != 1:
             raise InvalidSpec("frequency grid and PSD must be 1-d arrays of equal length")
         f = self.freqs_hz
@@ -66,6 +69,8 @@ def pulse_transfer(tau: float, omega):
     InvalidSpec for a tau that is not >= 0 and finite or an omega that
     is not finite.
     """
+    require_numbers(tau=tau)
+    require_numbers(arrays=True, omega=omega)
     w = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(w)):
         raise InvalidSpec("pulse transfer frequencies must be finite")
@@ -145,9 +150,10 @@ def output_signal_power(state: FieldState, lo: LocalOscillator, det: DetectorPar
     2 eta alpha E_l cos(theta_s - theta_bar), giving time-averaged
     power 2 (eta alpha E_l)^2 cos^2(theta_s - theta_bar); averaging
     uniformly over theta_s leaves (eta alpha E_l)^2.  A non-delta
-    pulse filters the beat by |K(Omega)|^2.
+    pulse filters the beat by |K(Omega)|^2.  This is the bichromatic
+    LO's closed form: a one-tone LO is refused (Unsupported).
     """
-    if not lo.is_bichromatic:
+    if len(lo.tones) == 1:
         raise Unsupported("output_signal_power is defined for the bichromatic LO")
     alpha = _single_signal_amplitude(state)
     k_beat = pulse_transfer(det.pulse_tau, lo.omega_het)
@@ -173,6 +179,7 @@ def snr_out(
     """
     if state.is_squeezed():
         raise Unsupported("snr_out closed form applies to coherent input only")
+    require_numbers(rbw_hz=rbw_hz)
     if not 0.0 < rbw_hz < math.inf:
         raise InvalidSpec(f"rbw must be positive and finite, got {rbw_hz!r}")
     p_out = output_signal_power(state, lo, det)
@@ -193,6 +200,7 @@ def snr_in(state: FieldState, det: DetectorParams, rbw_hz: float = 1.0) -> float
     positive and finite is refused, and so is a count outside the float
     range.
     """
+    require_numbers(rbw_hz=rbw_hz)
     if not 0.0 < rbw_hz < math.inf:
         raise InvalidSpec(f"rbw must be positive and finite, got {rbw_hz!r}")
     flux = photon_flux(state)

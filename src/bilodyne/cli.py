@@ -58,7 +58,7 @@ def _run_analytic(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     spectrum = psd_analytic(state, lo, det, meas)
     write_spectrum_csv(out_dir / "spectrum.csv", spectrum)
     results: dict = {"shot_floor": _shot_floor(cfg, scene)}
-    if not state.is_squeezed() and lo.is_bichromatic:
+    if not state.is_squeezed() and len(lo.tones) == 2:
         results.update(
             {
                 "snr_in_db": _json_float(snr_in(state, det, meas.rbw)),

@@ -221,12 +221,12 @@ class RunConfig:
         v = self.values
         amplitude = math.sqrt(self._flux("lo.flux"))
         if v["lo.kind"] == "mono":
-            keys = ("lo.flux", "lo.theta_1")
-            return self._make(keys, LocalOscillator, amplitude, 0.0, v["lo.theta_1"])
-        d = TWO_PI * v["lo.f_het_hz"]
-        keys = ("lo.flux", "lo.f_het_hz", "lo.theta_1", "lo.theta_2")
-        tones = (d, v["lo.theta_1"], -d, v["lo.theta_2"])
-        return self._make(keys, LocalOscillator, amplitude, *tones)
+            keys, tones = ("lo.flux", "lo.theta_1"), ((0.0, v["lo.theta_1"]),)
+        else:
+            d = TWO_PI * v["lo.f_het_hz"]
+            keys = ("lo.flux", "lo.f_het_hz", "lo.theta_1", "lo.theta_2")
+            tones = ((d, v["lo.theta_1"]), (-d, v["lo.theta_2"]))
+        return self._make(keys, LocalOscillator, amplitude, tones)
 
     def build_detector(self) -> DetectorParams:
         """The detector; its refusal names detector.pulse_tau_s unless the pulse is a delta (0 s)."""
@@ -243,7 +243,7 @@ class RunConfig:
         """The scene at field.carrier_hz; its refusal names the carrier and the offsets in use."""
         state, lo = self.build_state(), self.build_lo()
         keys = ["field.carrier_hz"]
-        if lo.is_bichromatic:
+        if lo.omega_het > 0.0:
             keys.append(MEASUREMENT_KEYS[0])
         if state.squeeze:
             keys.append("squeeze.offset_hz")

@@ -127,11 +127,12 @@ def hypothesis_moments(state: FieldState) -> MomentTable:
 def tone_phasors(lo: LocalOscillator) -> tuple[np.ndarray, np.ndarray]:
     """LO field as sum_p L_p e^{-i d_p t} in the frame rotating at the carrier.
 
-    Returns (offsets d_p rad/s, complex amplitudes L_p).
+    Returns (offsets d_p rad/s, complex amplitudes L_p); each of the n
+    tones carries L_p = E_l/sqrt(n) e^{i theta_p}.
     """
-    tones = lo.tones()
-    offs = np.array([w for w, _ in tones])
-    amps = np.array([a for _, a in tones], dtype=complex)
+    per_tone = lo.amplitude / math.sqrt(len(lo.tones))
+    offs = np.array([w for w, _ in lo.tones])
+    amps = np.array([per_tone * complex(math.cos(t), math.sin(t)) for _, t in lo.tones])
     return offs, amps
 
 

@@ -26,6 +26,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigViolation, InvalidSpec, Unsupported
 
 TWO_PI = 2.0 * math.pi
@@ -52,6 +54,20 @@ MAX_PHASE = 2.0**52
 # shot-floor, 7 s record), most of it the Welch sum's segment-sized arrays.
 MAX_RECORD_SAMPLES = 10**9
 MAX_SEGMENT_SAMPLES = 1 << 22
+
+
+def require_numbers(kind=numbers.Real, /, *, arrays: bool = False, **values) -> None:
+    """Refuse (InvalidSpec) each named value that is not a kind, numbers.Real or numbers.Complex.
+
+    With arrays, an array of such numbers passes too, or a sequence
+    that numpy reads as one.  Every constructor and closed form asks
+    this before it compares a value, so a value of the wrong type ends
+    in InvalidSpec rather than a TypeError.
+    """
+    dtypes = "biufc" if kind is numbers.Complex else "biuf"
+    for name, value in values.items():
+        if not (isinstance(value, kind) or arrays and np.asarray(value).dtype.kind in dtypes):
+            raise InvalidSpec(f"{name} must be {kind.__name__.lower()}, got {value!r}")
 
 
 class ModeLabel(str, enum.Enum):
@@ -96,6 +112,8 @@ class FieldMode:
     label: ModeLabel = ModeLabel.SIGNAL
 
     def __post_init__(self):
+        require_numbers(frequency=self.frequency)
+        require_numbers(numbers.Complex, amplitude=self.amplitude)
         if not abs(self.frequency) <= MAX_FREQUENCY:
             raise InvalidSpec(
                 f"mode frequency must be finite, |offset| <= MAX_FREQUENCY, got {self.frequency!r}"
@@ -123,6 +141,7 @@ class SqueezePair:
     phi: float = 0.0
 
     def __post_init__(self):
+        require_numbers(freq_a=self.freq_a, freq_b=self.freq_b, r=self.r, phi=self.phi)
         freqs = (self.freq_a, self.freq_b)
         if not all(abs(f) <= MAX_FREQUENCY for f in freqs):
             raise InvalidSpec(
@@ -169,10 +188,12 @@ class FieldState:
             raise InvalidSpec(f"duplicate mode frequency {duplicate!r}")
         if _first_repeat([f for p in self.squeeze for f in (p.freq_a, p.freq_b)]) is not None:
             raise InvalidSpec("a mode frequency may participate in at most one squeeze pair")
-        if self.theta_s is not None and not abs(self.theta_s) <= MAX_PHASE:
-            raise InvalidSpec(
-                f"theta_s must be None or finite, |theta_s| <= MAX_PHASE, got {self.theta_s!r}"
-            )
+        if self.theta_s is not None:
+            require_numbers(theta_s=self.theta_s)
+            if not abs(self.theta_s) <= MAX_PHASE:
+                raise InvalidSpec(
+                    f"theta_s must be None or finite, |theta_s| <= MAX_PHASE, got {self.theta_s!r}"
+                )
         if self.squeeze:
             signal = self.signal_modes()
             if len(signal) != 1:
@@ -199,31 +220,36 @@ class FieldState:
 
 @dataclass(frozen=True)
 class LocalOscillator:
-    """Strong classical local oscillator, mono- or bichromatic.
+    """Strong classical local oscillator: the total amplitude E_l shared by its tones.
 
-    amplitude is the total amplitude E_l: the monochromatic LO carries
-    the full E_l on one tone at omega_1 with phase theta_1; giving
-    omega_2 and theta_2 too makes it bichromatic, and it splits E_l as
-    E_l/sqrt(2) per tone so both variants deliver the same photon flux
-    E_l^2, at most MAX_PHOTON_FLUX.  The tones' frequencies are angular
-    offsets from the scene's carrier, rad/s.
+    tones holds each tone's (angular offset from the scene's carrier,
+    rad/s; phase), in strictly decreasing offset and all offsets of one
+    magnitude, so the tones beat at one frequency: one tone at offset 0
+    is a homodyne, one at +-Omega a single-tone heterodyne and the pair
+    at +Omega and -Omega the bichromatic LO.  Each of the n tones
+    carries E_l/sqrt(n), so every LO delivers the photon flux E_l^2, at
+    most MAX_PHOTON_FLUX.
     """
 
     amplitude: float
-    omega_1: float
-    theta_1: float = 0.0
-    omega_2: float | None = None
-    theta_2: float | None = None
+    tones: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        try:
+            tones = tuple((w, theta) for w, theta in self.tones)
+        except (TypeError, ValueError):
+            raise InvalidSpec(
+                f"LO tones must be (offset, phase) pairs, got {self.tones!r}"
+            ) from None
+        object.__setattr__(self, "tones", tones)
+        require_numbers(amplitude=self.amplitude)
         if not 0.0 < self.amplitude <= math.sqrt(MAX_PHOTON_FLUX):
             raise InvalidSpec(
                 f"LO amplitude must be finite, > 0, flux <= MAX_PHOTON_FLUX, got {self.amplitude!r}"
             )
-        if (self.omega_2 is None) != (self.theta_2 is None):
-            raise InvalidSpec("bichromatic LO needs both omega_2 and theta_2")
-        omegas = [w for w in (self.omega_1, self.omega_2) if w is not None]
-        phases = [t for t in (self.theta_1, self.theta_2) if t is not None]
+        for w, theta in tones:
+            require_numbers(tone_offset=w, tone_phase=theta)
+        omegas, phases = [w for w, _ in tones], [theta for _, theta in tones]
         if not all(abs(w) <= MAX_FREQUENCY for w in omegas):
             raise InvalidSpec(
                 f"LO tone frequencies must be finite, |offset| <= MAX_FREQUENCY, got {omegas!r}"
@@ -232,36 +258,23 @@ class LocalOscillator:
             raise InvalidSpec(
                 f"LO tone phases must be finite, |theta| <= MAX_PHASE, got {phases!r}"
             )
-        if len(omegas) == 2 and not self.omega_1 > self.omega_2:
-            raise InvalidSpec("bichromatic LO requires omega_1 > omega_2")
-
-    @property
-    def is_bichromatic(self) -> bool:
-        return self.omega_2 is not None
-
-    def tones(self) -> tuple[tuple[float, complex], ...]:
-        """(angular offset, complex tone amplitude) for each tone."""
-        if not self.is_bichromatic:
-            return ((self.omega_1, self.amplitude * _cis(self.theta_1)),)
-        per_tone = self.amplitude / math.sqrt(2.0)
-        return (
-            (self.omega_1, per_tone * _cis(self.theta_1)),
-            (self.omega_2, per_tone * _cis(self.theta_2)),
-        )
+        if len({abs(w) for w in omegas}) != 1:
+            raise InvalidSpec(
+                "an LO needs at least one tone, all offsets of one magnitude so that they beat "
+                f"at one frequency, got {omegas!r}"
+            )
+        if not all(a > b for a, b in zip(omegas, omegas[1:])):
+            raise InvalidSpec(f"LO tone offsets must strictly decrease, got {omegas!r}")
 
     @property
     def theta_bar(self) -> float:
-        """Mean tone phase (theta_1 + theta_2) / 2 of a bichromatic LO."""
-        if not self.is_bichromatic:
-            raise Unsupported("theta_bar is defined only for a bichromatic LO")
-        return 0.5 * (self.theta_1 + self.theta_2)
+        """Mean tone phase: of the first and last tone, since no LO has more than two."""
+        return 0.5 * (self.tones[0][1] + self.tones[-1][1])
 
     @property
     def omega_het(self) -> float:
-        """Half the tone spacing; the beat frequency against a centred carrier."""
-        if not self.is_bichromatic:
-            raise Unsupported("omega_het is defined only for a bichromatic LO")
-        return 0.5 * (self.omega_1 - self.omega_2)
+        """The tones' common |offset|, their beat with a signal at the carrier: 0 for a homodyne."""
+        return abs(self.tones[0][0])
 
 
 @dataclass(frozen=True)
@@ -276,6 +289,7 @@ class DetectorParams:
     pulse_tau: float = 0.0
 
     def __post_init__(self):
+        require_numbers(eta=self.eta, pulse_tau=self.pulse_tau)
         if not 0.0 <= self.pulse_tau < math.inf:
             raise InvalidSpec(f"pulse decay time must be >= 0 and finite, got {self.pulse_tau!r}")
         if not (0.0 < self.eta <= 1.0):
@@ -295,6 +309,7 @@ class MeasurementConfig:
     sample_rate: float
 
     def __post_init__(self):
+        require_numbers(duration=self.duration, rbw=self.rbw, sample_rate=self.sample_rate)
         for name in ("duration", "rbw", "sample_rate"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -329,11 +344,12 @@ class Scene:
     carrier: float
 
     def __post_init__(self):
+        require_numbers(carrier=self.carrier)
         if not 0.0 < self.carrier <= MAX_FREQUENCY:
             raise InvalidSpec(
                 f"optical carrier must be finite, in (0, MAX_FREQUENCY], got {self.carrier!r} rad/s"
             )
-        offsets = [m.frequency for m in self.state.modes] + [w for w, _ in self.lo.tones()]
+        offsets = [m.frequency for m in self.state.modes] + [w for w, _ in self.lo.tones]
         lowest = min(offsets)
         if not self.carrier + lowest > 0.0:
             raise InvalidSpec(
@@ -362,6 +378,8 @@ class Scan:
     scenes: tuple[Scene, ...]
 
     def __post_init__(self):
+        require_numbers(photon_energy_j=self.photon_energy_j, window_s=self.window_s)
+        require_numbers(arrays=True, powers_w=self.powers_w)
         scales = (self.photon_energy_j, self.window_s, *self.powers_w)
         if not all(x > 0.0 and math.isfinite(x) for x in scales):
             raise InvalidSpec(f"scan energy, window and powers must be > 0 and finite: {scales!r}")
@@ -373,10 +391,6 @@ class Scan:
             )
         if not 0 < len(self.powers_w) == len(self.scenes):
             raise InvalidSpec("a scan needs one scene per power and at least one power")
-
-
-def _cis(phi: float) -> complex:
-    return complex(math.cos(phi), math.sin(phi))
 
 
 def _first_repeat(freqs: list[float]) -> float | None:
@@ -411,6 +425,9 @@ def calibrate_photon_energy(
     Raises InvalidSpec unless P and t are positive and finite, eta is in
     (0, 1] and the energy is positive and finite.
     """
+    require_numbers(
+        optical_power_w=optical_power_w, window_s=window_s, eta=eta, snr_in_db=snr_in_db
+    )
     for name, value in (("optical power", optical_power_w), ("counting window", window_s)):
         if not (value > 0.0 and math.isfinite(value)):
             raise InvalidSpec(f"{name} must be positive and finite, got {value!r}")
@@ -436,11 +453,11 @@ def validate_measurement(
     """Check the RBW and sample-rate limits of a heterodyne run's record.
 
     The record must resolve the resolution bandwidth (rbw * duration >=
-    1).  For a bichromatic LO the beat frequency Omega / 2 pi, read from
-    lo.omega_het, must clear it (Omega / 2 pi >= 10 * rbw) and the sample
-    rate must cover the beat (sample_rate >= 10 * Omega / 2 pi).  The
-    errors name the settings of the beat frequency, duration, rbw and
-    sample rate by names.
+    1).  Where the LO's tones beat, at Omega = lo.omega_het > 0, the
+    beat frequency Omega / 2 pi must clear it (Omega / 2 pi >= 10 * rbw)
+    and the sample rate must cover the beat (sample_rate >= 10 * Omega /
+    2 pi).  The errors name the settings of the beat frequency,
+    duration, rbw and sample rate by names.
     """
     beat_name, duration_name, rbw_name, rate_name = names
     if cfg.rbw * cfg.duration < 1.0:
@@ -448,7 +465,7 @@ def validate_measurement(
             f"{duration_name} = {cfg.duration:g} s cannot resolve {rbw_name} = {cfg.rbw:g} Hz "
             "(need rbw * T >= 1)"
         )
-    if lo.is_bichromatic:
+    if lo.omega_het > 0.0:
         f_het = lo.omega_het / TWO_PI
         beat = f"heterodyne frequency {beat_name} = {f_het:g} Hz"
         if f_het < 10.0 * cfg.rbw:

@@ -691,7 +691,7 @@ def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
     scene's beat frequency, duration, rbw and sample rate.
     """
     for refused, setting in (
-        (not scene.lo.is_bichromatic, "lo.kind = mono"),
+        (len(scene.lo.tones) == 1, "lo.kind = mono"),
         (scene.state.theta_s is None, "field.phase_averaged = true"),
         (scene.state.is_squeezed(), "squeeze.enabled = true"),
         (scene.det.pulse_tau > 0.0, f"detector.pulse_tau_s = {scene.det.pulse_tau!r}"),

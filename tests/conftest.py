@@ -67,16 +67,12 @@ def squeezed_state(
 
 def standard_lo(theta_1: float = 0.0, theta_2: float = 0.0, flux: float = LO_FLUX):
     return LocalOscillator(
-        amplitude=math.sqrt(flux),
-        omega_1=OMEGA_S + OMEGA_HET,
-        theta_1=theta_1,
-        omega_2=OMEGA_S - OMEGA_HET,
-        theta_2=theta_2,
+        math.sqrt(flux), ((OMEGA_S + OMEGA_HET, theta_1), (OMEGA_S - OMEGA_HET, theta_2))
     )
 
 
 def mono_lo(flux: float = LO_FLUX, theta: float = 0.0, omega: float = OMEGA_S):
-    return LocalOscillator(math.sqrt(flux), omega, theta)
+    return LocalOscillator(math.sqrt(flux), ((omega, theta),))
 
 
 def standard_detector(eta: float = ETA):

@@ -114,8 +114,9 @@ def lambda_ij(
     if table.is_zero():
         return 0.0
     # the frame rotating at the carrier: the tones' and modes' own offsets
-    t_offs = np.array([w for w, _ in lo.tones()])
-    t_amps = np.array([a for _, a in lo.tones()], dtype=complex)
+    t_offs = np.array([w for w, _ in lo.tones])
+    t_phases = np.array([theta for _, theta in lo.tones])
+    t_amps = lo.amplitude / np.sqrt(len(lo.tones)) * np.exp(1j * t_phases)
     m_offs = np.array(table.frequencies)
     t2 = t + iota
     lo_t = t_amps @ np.exp(-1j * t_offs * t)

@@ -151,12 +151,25 @@ class TestRunConfigBuilders:
     def test_lo_kinds(self, tmp_path):
         cfg = RunConfig.load(write_cfg(tmp_path, BASE_CFG))
         lo = cfg.build_lo()
-        assert lo.is_bichromatic
         assert lo.amplitude == pytest.approx(1e3)
-        assert (lo.omega_1, lo.omega_2) == (TWO_PI * 1e5, -TWO_PI * 1e5)
+        assert lo.tones == ((TWO_PI * 1e5, 0.0), (-TWO_PI * 1e5, 0.0))
         assert lo.omega_het == TWO_PI * 1e5
         cfg_mono = RunConfig.load(write_cfg(tmp_path, BASE_CFG + "lo.kind = mono\n", "mono.cfg"))
-        assert not cfg_mono.build_lo().is_bichromatic
+        assert cfg_mono.build_lo().tones == ((0.0, 0.0),)
+
+    @pytest.mark.parametrize("phases", [None, (0.3, -0.7)], ids=["shipped", "phases"])
+    @pytest.mark.parametrize("name", ["default.cfg", "sensitivity.cfg", "squeezed.cfg"])
+    def test_lo_beats_at_f_het_about_the_mean_phase(self, name, phases):
+        # bit for bit what the tone pair +-2 pi f_het and theta_1, theta_2 carry
+        cfg = RunConfig.load(CONFIGS / name)
+        if phases is not None:
+            cfg = RunConfig({**cfg.values, "lo.theta_1": phases[0], "lo.theta_2": phases[1]})
+        v = cfg.values
+        los = [(cfg.build_lo(), v["lo.f_het_hz"])]
+        los += [(scene.lo, v["scan.f_het_hz"]) for scene in cfg.build_scan().scenes]
+        for lo, f_het in los:
+            assert lo.omega_het == TWO_PI * f_het
+            assert lo.theta_bar == 0.5 * (v["lo.theta_1"] + v["lo.theta_2"])
 
     def test_detector_and_measurement(self, tmp_path):
         text = BASE_CFG + (
@@ -194,7 +207,7 @@ class TestRunConfigBuilders:
             assert photon_flux(scene.state) == pytest.approx(flux, rel=1e-12)
             assert scene.lo.amplitude**2 == pytest.approx(100.0 * flux, rel=1e-12)
             assert scene.lo.omega_het == TWO_PI * 2e6
-            assert (scene.lo.theta_1, scene.lo.theta_2) == (0.3, 0.1)
+            assert [theta for _, theta in scene.lo.tones] == [0.3, 0.1]
             assert scene.state.theta_s == scene.lo.theta_bar
             assert scene.carrier == TWO_PI * 2.82e14
             assert (scene.meas.duration, scene.meas.rbw, scene.meas.sample_rate) == (

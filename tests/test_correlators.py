@@ -89,17 +89,12 @@ def mean_field(state, t) -> np.ndarray | complex:
 def lo_field(lo, t) -> np.ndarray | complex:
     """Positive-frequency LO field in the frame rotating at the carrier, written out from the LO.
 
-    E_l e^{i (theta_1 - omega_1 t)} for one tone; two tones share E_l as
-    E_l / sqrt(2) each: the reference that tone_phasors is checked against.
+    E_l e^{i (theta - w t)} for one tone (w, theta); two tones share E_l
+    as E_l / sqrt(2) each: the reference that tone_phasors is checked against.
     """
     t_arr = np.asarray(t, dtype=float)
-    if not lo.is_bichromatic:
-        out = lo.amplitude * np.exp(1j * (lo.theta_1 - lo.omega_1 * t_arr))
-    else:
-        out = lo.amplitude / math.sqrt(2.0) * (
-            np.exp(1j * (lo.theta_1 - lo.omega_1 * t_arr))
-            + np.exp(1j * (lo.theta_2 - lo.omega_2 * t_arr))
-        )
+    share = lo.amplitude / math.sqrt(len(lo.tones))
+    out = share * sum(np.exp(1j * (theta - w * t_arr)) for w, theta in lo.tones)
     return out if out.shape else complex(out)
 
 

@@ -6,7 +6,8 @@ on stderr; never in a traceback.  Monte Carlo records are kept to about
 10^5 samples so that the examples stay fast; a geometry above the
 record or segment bound must be refused before any array exists.
 Whatever bad scalar a library call is given, it raises a BilodyneError
-or returns a documented value, without a warning.
+or returns a documented value, without a warning; a value of the wrong
+type is refused (InvalidSpec) where it is made.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -53,7 +55,7 @@ from bilodyne import (
 )
 from bilodyne.cli import main
 from bilodyne.config import _CHOICES, SCHEMA, RunConfig, parse_config
-from bilodyne.errors import BilodyneError
+from bilodyne.errors import BilodyneError, InvalidSpec
 from bilodyne.model import MAX_RECORD_SAMPLES, MAX_SEGMENT_SAMPLES
 from tests.conftest import (
     CARRIER,
@@ -231,14 +233,14 @@ def test_any_squeeze_ends_without_a_runtime_warning(scenario, r):
 # Each call must raise a BilodyneError or return a documented value: a
 # finite one, or the -inf dB SNR and NaN noise figure of zero signal.  The
 # result containers (SensitivityRow, CheckResult, ExperimentReport),
-# MomentTable's matrices and the enums hold no scalar to check, and values
-# of the wrong type are left out.
+# MomentTable's matrices and the enums hold no scalar to check.  Values of
+# the wrong type go into the same arguments: see WRONG_TYPES.
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e308, 1e308, 2.5, 16.0]
 BAD = st.one_of(st.sampled_from(BAD_VALUES), st.floats(max_value=-1e-300, allow_nan=False))
 
 # the scene's scalars, each valid on its own: an exponential pulse and, when
-# drawn, a squeezed pair at +-2 f_het and a mono LO (omega_1 and theta_1);
+# drawn, a squeezed pair at +-2 f_het and a mono LO (the first tone alone);
 # every frequency but the carrier is an offset from it
 SCENE = {
     "signal_frequency": OMEGA_S,
@@ -248,10 +250,10 @@ SCENE = {
     "r": 0.5,
     "phi": 0.0,
     "lo_amplitude": 1e3,
-    "omega_1": OMEGA_S + OMEGA_HET,
-    "theta_1": 0.0,
-    "omega_2": OMEGA_S - OMEGA_HET,
-    "theta_2": 0.0,
+    "tone_1_offset": OMEGA_S + OMEGA_HET,
+    "tone_1_phase": 0.0,
+    "tone_2_offset": OMEGA_S - OMEGA_HET,
+    "tone_2_phase": 0.0,
     "eta": 0.7,
     "pulse_tau": 1e-7,
     "duration": 2.0,
@@ -271,22 +273,19 @@ def _documented(value) -> bool:
 
 
 def _scene(p: dict, squeezed: bool, mono: bool) -> Scene:
+    tones = ((p["tone_1_offset"], p["tone_1_phase"]), (p["tone_2_offset"], p["tone_2_phase"]))
     modes = [FieldMode(p["signal_frequency"], p["signal_amplitude"])]
     pairs = ()
     if squeezed:
         centre, offset = p["signal_frequency"], p["squeeze_offset"]
-        up, down = centre + offset, centre - offset
+        # a value of the wrong type goes to the pair as it is
+        numeric = all(isinstance(x, float) for x in (centre, offset))
+        up, down = (centre + offset, centre - offset) if numeric else (offset, offset)
         modes += [FieldMode(up, 0.0, ModeLabel.IMAGE1), FieldMode(down, 0.0, ModeLabel.IMAGE2)]
         pairs = (SqueezePair(up, down, p["r"], p["phi"]),)
     return Scene(
         FieldState(modes, squeeze=pairs, theta_s=p["theta_s"]),
-        LocalOscillator(
-            p["lo_amplitude"],
-            p["omega_1"],
-            p["theta_1"],
-            None if mono else p["omega_2"],
-            None if mono else p["theta_2"],
-        ),
+        LocalOscillator(p["lo_amplitude"], tones[:1] if mono else tones),
         DetectorParams(p["eta"], p["pulse_tau"]),
         MeasurementConfig(p["duration"], p["rbw"], p["sample_rate"]),
         p["carrier"],
@@ -356,7 +355,7 @@ def test_bad_scene_scalars_are_refused_or_documented(bad, squeezed, mono):
 
 SCAN = RunConfig.defaults().build_scan()
 GRID = np.arange(100.0)
-MONO_SCENE = dataclasses.replace(SCAN.scenes[0], lo=LocalOscillator(1e3, OMEGA_S))
+MONO_SCENE = dataclasses.replace(SCAN.scenes[0], lo=LocalOscillator(1e3, ((OMEGA_S, 0.0),)))
 STATE, LO, DET = coherent_state(), standard_lo(), DetectorParams(0.7, 1e-7)
 # each closed form and constructor's scalar arguments, one bad value at a time
 SCALAR_CALLS = {
@@ -394,3 +393,26 @@ def test_each_bad_scalar_argument_is_refused_or_documented():
 @given(name=st.sampled_from(sorted(SCALAR_CALLS)), x=BAD)
 def test_bad_scalar_arguments_are_refused_or_documented(name, x):
     _check(lambda: SCALAR_CALLS[name](x))
+
+
+# Values of the wrong type, each into each scalar argument above on its own,
+# and tones that are not (offset, phase) pairs: each ended in a TypeError or
+# a ValueError, or a string was read as a number
+WRONG_TYPES = [None, "1.0"]
+NON_PAIRS = [OMEGA_HET, (OMEGA_HET,), (OMEGA_HET, 0.0, 0.0), "ab", None]
+
+
+def test_each_wrong_type_is_refused_where_it_is_made():
+    for key, x in itertools.product(SCENE, WRONG_TYPES):
+        if key == "theta_s" and x is None:
+            continue  # the phase-averaged signal
+        # the squeezed, bichromatic scene reads every key
+        with pytest.raises(InvalidSpec):
+            _scene({**SCENE, key: x}, squeezed=True, mono=False)
+    for name, x in itertools.product(SCALAR_CALLS, WRONG_TYPES):
+        with pytest.raises(InvalidSpec):
+            SCALAR_CALLS[name](x)
+    for tone in NON_PAIRS:
+        for tones in (tone, (tone, (OMEGA_S - OMEGA_HET, 0.0))):
+            with pytest.raises(InvalidSpec):
+                LocalOscillator(1e3, tones)

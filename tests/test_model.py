@@ -9,6 +9,7 @@ import re
 import pytest
 
 from bilodyne.analytic import pulse_transfer
+from bilodyne.correlators import tone_phasors
 from bilodyne.errors import ConfigViolation, InvalidSpec, Unsupported
 from bilodyne.model import (
     MAX_SQUEEZE_R,
@@ -220,41 +221,60 @@ class TestCalibration:
 class TestLocalOscillator:
     def test_bichromatic_tone_split(self):
         lo = standard_lo()
-        tones = lo.tones()
-        assert len(tones) == 2
-        total = sum(abs(a) ** 2 for _, a in tones)
-        assert total == pytest.approx(lo.amplitude**2, rel=1e-12)
-        for _, amp in tones:
+        _, amps = tone_phasors(lo)
+        assert len(amps) == 2
+        assert sum(abs(a) ** 2 for a in amps) == pytest.approx(lo.amplitude**2, rel=1e-12)
+        for amp in amps:
             assert abs(amp) == pytest.approx(lo.amplitude / math.sqrt(2.0), rel=1e-12)
-
-    def test_tone_ordering_enforced(self):
-        with pytest.raises(InvalidSpec):
-            LocalOscillator(
-                amplitude=1.0,
-                omega_1=OMEGA_S - OMEGA_HET,
-                theta_1=0.0,
-                omega_2=OMEGA_S + OMEGA_HET,
-                theta_2=0.0,
-            )
 
     def test_heterodyne_frequency(self):
         # tones at +-Omega from the carrier beat at exactly Omega
-        lo = standard_lo()
-        assert lo.omega_het == OMEGA_HET
-        assert lo.is_bichromatic
+        assert standard_lo().omega_het == OMEGA_HET
 
     def test_mean_phase(self):
         lo = standard_lo(theta_1=0.3, theta_2=0.7)
         assert lo.theta_bar == pytest.approx(0.5, rel=1e-12)
 
-    def test_mono_has_single_tone(self):
-        lo = LocalOscillator(2.0, OMEGA_S, 0.1)
-        assert not lo.is_bichromatic
-        tones = lo.tones()
-        assert len(tones) == 1
-        assert abs(tones[0][1]) == pytest.approx(2.0, rel=1e-12)
-        with pytest.raises(Unsupported):
-            lo.omega_het
+    @pytest.mark.parametrize("omega", [OMEGA_S, OMEGA_S + OMEGA_HET, OMEGA_S - OMEGA_HET])
+    def test_single_tone_carries_the_whole_amplitude(self, omega):
+        # a homodyne at the carrier, or a single-tone heterodyne on either side
+        lo = LocalOscillator(2.0, [(omega, 0.1)])
+        assert lo.tones == ((omega, 0.1),)
+        offs, amps = tone_phasors(lo)
+        assert offs.tolist() == [omega]
+        assert amps.tolist() == [2.0 * complex(math.cos(0.1), math.sin(0.1))]
+        assert lo.omega_het == abs(omega)
+        assert lo.theta_bar == 0.1
+
+    @pytest.mark.parametrize(
+        "tones",
+        [
+            (),
+            ((None, 0.0),),
+            ((OMEGA_S - OMEGA_HET, 0.0), (OMEGA_S + OMEGA_HET, 0.0)),
+            ((OMEGA_HET, 0.0), (OMEGA_HET, 0.0)),
+            ((0.0, 0.0), (-0.0, 0.0)),
+            ((2.0 * OMEGA_HET, 0.0), (-OMEGA_HET, 0.0)),
+            ((OMEGA_HET, 0.0), (0.0, 0.0), (-OMEGA_HET, 0.0)),
+            (OMEGA_HET, 0.0),
+            None,
+        ],
+        ids=[
+            "no-tone",
+            "none-offset",
+            "increasing",
+            "repeated",
+            "both-at-the-carrier",
+            "unequal-magnitudes",
+            "three-tones",
+            "a-bare-pair",
+            "none",
+        ],
+    )
+    def test_refuses_tones(self, tones):
+        # a tone-less LO and a None offset built, and psd_analytic took them
+        with pytest.raises(InvalidSpec):
+            LocalOscillator(1e3, tones)
 
 
 class TestDetectorAndMeasurement:
@@ -306,7 +326,7 @@ class TestDetectorAndMeasurement:
     def test_beat_exactly_at_the_limit_validates(self):
         # tones at +-2 pi 2 MHz carry exactly the 2 MHz beat, 10 rbw
         d = TWO_PI * 2e6
-        lo = LocalOscillator(1e3, OMEGA_S + d, 0.0, OMEGA_S - d, 0.0)
+        lo = LocalOscillator(1e3, ((OMEGA_S + d, 0.0), (OMEGA_S - d, 0.0)))
         assert lo.omega_het / TWO_PI == 2e6
         for rbw, rate in ((2e5, 4e7), (1e5, 2e7)):
             validate_measurement(MeasurementConfig(duration=1e-3, rbw=rbw, sample_rate=rate), lo)
@@ -319,7 +339,7 @@ class TestDetectorAndMeasurement:
         # tones at +-2 pi f_het carry f_het itself, so a record 10x on either
         # side of it validates and one a hair inside either limit does not
         d = TWO_PI * f_het_hz
-        lo = LocalOscillator(1e3, d, 0.0, -d, 0.0)
+        lo = LocalOscillator(1e3, ((d, 0.0), (-d, 0.0)))
         assert lo.omega_het / TWO_PI == f_het_hz
         cfg = MeasurementConfig(duration=1e3 / f_het_hz, rbw=f_het_hz / 10.0, sample_rate=f_het_hz * 10)
         validate_measurement(cfg, lo)
@@ -363,11 +383,11 @@ class TestNonFiniteScalars:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: LocalOscillator(1e3, OMEGA_S + OMEGA_HET, NAN, OMEGA_S, 0.0),
-            lambda: LocalOscillator(1e3, OMEGA_S + OMEGA_HET, 0.0, OMEGA_S, INF),
-            lambda: LocalOscillator(1e3, NAN),
-            lambda: LocalOscillator(1e3, INF),
-            lambda: LocalOscillator(1e3, OMEGA_S, NAN),
+            lambda: LocalOscillator(1e3, ((OMEGA_HET, NAN), (-OMEGA_HET, 0.0))),
+            lambda: LocalOscillator(1e3, ((OMEGA_HET, 0.0), (-OMEGA_HET, INF))),
+            lambda: LocalOscillator(1e3, ((NAN, 0.0),)),
+            lambda: LocalOscillator(1e3, ((INF, 0.0),)),
+            lambda: LocalOscillator(1e3, ((OMEGA_S, NAN),)),
             lambda: FieldMode(frequency=OMEGA_S, amplitude=NAN),
             lambda: FieldMode(frequency=OMEGA_S, amplitude=complex(1.0, INF)),
             lambda: FieldState((SIGNAL,), theta_s=NAN),
@@ -380,16 +400,16 @@ class TestNonFiniteScalars:
             lambda: pulse_transfer(NAN, OMEGA_HET),
             lambda: pulse_transfer(-1e-7, OMEGA_HET),
             lambda: pulse_transfer(1e-7, [0.0, INF]),
-            lambda: LocalOscillator(1e200, 1e15),
+            lambda: LocalOscillator(1e200, ((1e15, 0.0),)),
             lambda: FieldMode(frequency=OMEGA_S, amplitude=1e200),
             lambda: FieldMode(frequency=1e308, amplitude=1.0),
             lambda: FieldState((SIGNAL,), theta_s=1e308),
-            lambda: LocalOscillator(1e3, OMEGA_S, 1e308),
+            lambda: LocalOscillator(1e3, ((OMEGA_S, 1e308),)),
             lambda: Scene(coherent_state(), standard_lo(), DetectorParams(0.7),
                           MeasurementConfig(2.0, 1e3, 1e7), NAN),
             lambda: FieldMode(frequency=-INF, amplitude=1.0),
             lambda: SqueezePair(OMEGA_S + OMEGA_HET, -INF, 0.5, 0.0),
-            lambda: LocalOscillator(1e3, OMEGA_HET, 0.0, -1e301, 0.0),
+            lambda: LocalOscillator(1e3, ((OMEGA_HET, 0.0), (-1e301, 0.0))),
         ],
         ids=[
             "lo-theta_1-nan",
@@ -417,7 +437,7 @@ class TestNonFiniteScalars:
             "scene-carrier-nan",
             "mode-frequency-minus-inf",
             "squeeze-freq_b-minus-inf",
-            "lo-omega_2-minus-1e301",
+            "lo-tone_2-offset-minus-1e301",
         ],
     )
     def test_refused_where_they_are_made(self, build):

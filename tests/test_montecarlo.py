@@ -826,6 +826,19 @@ class TestRunExperiment:
             scene = dataclasses.replace(RunConfig.defaults().build_scene(), meas=meas)
             run_experiment("default", scene)
 
+    def test_one_tone_lo_is_refused_at_any_offset(self, monkeypatch):
+        # one tone offset by the beat now clears the beat limits, but the
+        # checks' targets are the bichromatic LO's, so it is refused as mono
+        def no_work(*args, **kwargs):
+            raise AssertionError("the record started before the scene was refused")
+
+        monkeypatch.setattr(montecarlo, "_stream_record", no_work)
+        scene = RunConfig.defaults().build_scene()
+        for omega in (OMEGA_S, OMEGA_S + OMEGA_HET):
+            one_tone = dataclasses.replace(scene, lo=mono_lo(omega=omega))
+            with pytest.raises(ConfigViolation, match="lo.kind = mono"):
+                run_experiment("default", one_tone)
+
     def test_scan_takes_a_numpy_window_count(self):
         scan = RunConfig.defaults().build_scan()
         assert dataclasses.replace(scan, count_windows=np.int64(3)).count_windows == 3
