@@ -8,9 +8,11 @@ shipped config, and `simulate` in all four Monte Carlo scenarios
 (`default.cfg` with `simulate.scenario` set, `sensitivity.cfg` for the
 scan, and `squeezed.cfg`, which the Monte Carlo refuses), every
 `simulate` run with `output.write_trace = true`.  Then the settings the
-shipped configs leave at their defaults: `analytic` and
-`squeezed-compare` on `squeezed.cfg` with the phase-averaged signal and
-with the exponential pulse (`detector.pulse_tau_s = 1e-7`),
+shipped configs leave at their defaults: `analytic` on `default.cfg`,
+whose SNR block then reports the averaged and the pulse-filtered beat
+power, and `analytic` and `squeezed-compare` on `squeezed.cfg`, each
+with the phase-averaged signal and with the exponential pulse
+(`detector.pulse_tau_s = 1e-7`),
 `squeezed-compare` with the sideband placement, and `simulate` on
 `default.cfg` with each of the first two, which it refuses; and the
 monochromatic LO (`lo.kind = mono`): `analytic` on `default.cfg`,
@@ -99,6 +101,7 @@ RUNS.update(
     {
         f"{scenario} {config} {setting}": (scenario, config, UNSHIPPED[setting])
         for scenario, config in (
+            ("analytic", "default.cfg"),
             ("analytic", "squeezed.cfg"),
             ("squeezed-compare", "squeezed.cfg"),
             ("simulate", "default.cfg"),

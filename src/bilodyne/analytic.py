@@ -26,7 +26,6 @@ from .model import (
     FieldState,
     LocalOscillator,
     MeasurementConfig,
-    ModeLabel,
     Scan,
     photon_flux,
     require_numbers,
@@ -90,6 +89,8 @@ def shot_floor_psd(lo: LocalOscillator, det: DetectorParams, omega) -> np.ndarra
     E_l^2 alone, identical for mono and bichromatic oscillators of the
     same total amplitude.
     """
+    require_numbers(LocalOscillator, lo=lo)
+    require_numbers(DetectorParams, det=det)
     k = pulse_transfer(det.pulse_tau, omega)
     return 2.0 * det.eta * np.abs(k) ** 2 * lo.amplitude**2
 
@@ -134,33 +135,31 @@ def psd_analytic(
     return Spectrum(freqs_hz=freqs_hz, psd=psd, rbw_hz=cfg.rbw)
 
 
-def _single_signal_amplitude(state: FieldState) -> float:
-    excited = state.excited_modes()
-    if not excited and state.signal_modes():
-        return 0.0
-    if len(excited) != 1 or excited[0].label is not ModeLabel.SIGNAL:
-        raise Unsupported("beat power is defined for exactly one excited signal mode")
-    return abs(excited[0].amplitude)
-
-
 def output_signal_power(state: FieldState, lo: LocalOscillator, det: DetectorParams) -> float:
-    """Mean power of the heterodyne beat in the difference current.
+    """Mean power of the heterodyne beat: the mean difference current's line at Omega.
 
-    With a fixed signal phase the beat amplitude is
-    2 eta alpha E_l cos(theta_s - theta_bar), giving time-averaged
-    power 2 (eta alpha E_l)^2 cos^2(theta_s - theta_bar); averaging
-    uniformly over theta_s leaves (eta alpha E_l)^2.  A non-delta
-    pulse filters the beat by |K(Omega)|^2.  This is the bichromatic
-    LO's closed form: a one-tone LO is refused (Unsupported).
+    Omega is lo.omega_het.  The mean difference current is
+    eta sum_D Re(cross_D e^{-i D t}) over correlators.arm_rates' cross
+    terms, so its line at Omega has power (eta |cross_Omega|)^2 / 2,
+    filtered by |K(Omega)|^2.  A signal at the carrier gives
+    2 (eta alpha E_l)^2 cos^2(theta_s - theta_bar) for the bichromatic
+    LO and (eta alpha E_l)^2 at every phase for one tone at +-Omega; a
+    signal off the carrier has no beat at Omega.  cross_Omega is
+    A e^{-i theta_s} + B e^{i theta_s}, so its square averaged over
+    theta_s is exactly the mean of its squares at 0 and pi/2.  A
+    homodyne (Omega = 0) is refused (Unsupported): its beat lies at DC.
     """
-    if len(lo.tones) == 1:
-        raise Unsupported("output_signal_power is defined for the bichromatic LO")
-    alpha = _single_signal_amplitude(state)
+    require_numbers(FieldState, state=state)
+    require_numbers(LocalOscillator, lo=lo)
+    require_numbers(DetectorParams, det=det)
+    if not lo.omega_het > 0.0:
+        raise Unsupported("a homodyne has no heterodyne beat: its signal beat lies at DC")
+    phases = (0.0, math.pi / 2.0) if state.theta_s is None else ()
+    states = [replace(state, theta_s=p) for p in phases] or [state]
+    lines = [correlators.arm_rates(s, lo)[1].get(lo.omega_het, 0.0) for s in states]
+    square = sum(abs(line) ** 2 for line in lines) / len(lines)
     k_beat = pulse_transfer(det.pulse_tau, lo.omega_het)
-    base = (det.eta * alpha * lo.amplitude) ** 2 * abs(k_beat) ** 2
-    if state.theta_s is None:
-        return base
-    return 2.0 * base * math.cos(state.theta_s - lo.theta_bar) ** 2
+    return (det.eta**2 * square / 2.0) * abs(k_beat) ** 2
 
 
 def snr_out(
@@ -173,10 +172,12 @@ def snr_out(
 
     The pulse transfer function cancels between numerator and floor, so
     the result is pulse-independent: eta alpha^2 / (2 rbw) for the
-    phase-averaged convention.  Zero signal gives -inf dB; an rbw that
+    phase-averaged signal at the carrier under the bichromatic LO or
+    one tone.  No beat at Omega gives -inf dB; an rbw that
     is not positive and finite is refused, and so is a shot power or a
     ratio outside the float range.
     """
+    require_numbers(FieldState, state=state)
     if state.is_squeezed():
         raise Unsupported("snr_out closed form applies to coherent input only")
     require_numbers(rbw_hz=rbw_hz)
@@ -204,6 +205,7 @@ def snr_in(state: FieldState, det: DetectorParams, rbw_hz: float = 1.0) -> float
     if not 0.0 < rbw_hz < math.inf:
         raise InvalidSpec(f"rbw must be positive and finite, got {rbw_hz!r}")
     flux = photon_flux(state)
+    require_numbers(DetectorParams, det=det)
     n_mean = det.eta * flux / rbw_hz
     if flux > 0.0 and not 0.0 < n_mean < math.inf:
         raise InvalidSpec(f"rbw {rbw_hz!r} Hz gives no positive finite photon count in 1 / rbw")
@@ -241,6 +243,7 @@ def sensitivity_table(scan: Scan) -> list[SensitivityRow]:
     scan.rbw_hz, which the Monte Carlo scan refuses, still gives a
     table (and `table1` exit code 0).
     """
+    require_numbers(Scan, scan=scan)
     rbw = 1.0 / scan.window_s
     rows = []
     for power, scene in zip(scan.powers_w, scan.scenes):

@@ -26,7 +26,6 @@ from pathlib import Path
 
 from . import __version__
 from .analytic import (
-    noise_figure,
     output_signal_power,
     psd_analytic,
     sensitivity_table,
@@ -58,12 +57,13 @@ def _run_analytic(cfg: RunConfig, out_dir: Path) -> tuple[dict, int]:
     spectrum = psd_analytic(state, lo, det, meas)
     write_spectrum_csv(out_dir / "spectrum.csv", spectrum)
     results: dict = {"shot_floor": _shot_floor(cfg, scene)}
-    if not state.is_squeezed() and len(lo.tones) == 2:
+    if not state.is_squeezed() and lo.omega_het > 0.0:
+        s_in, s_out = snr_in(state, det, meas.rbw), snr_out(state, lo, det, meas.rbw)
         results.update(
             {
-                "snr_in_db": _json_float(snr_in(state, det, meas.rbw)),
-                "snr_out_db": _json_float(snr_out(state, lo, det, meas.rbw)),
-                "nf_db": _json_float(noise_figure(state, lo, det, meas.rbw)),
+                "snr_in_db": _json_float(s_in),
+                "snr_out_db": _json_float(s_out),
+                "nf_db": _json_float(s_in - s_out),  # noise_figure's difference
                 "output_power": output_signal_power(state, lo, det),
                 "beat_freq_hz": cfg.values["lo.f_het_hz"],
             }

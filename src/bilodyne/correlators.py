@@ -3,9 +3,10 @@
 Mode and tone frequencies are offsets from the scene's optical carrier
 (see model), so every beat is an exact float difference of small
 offsets and every phasor is taken in the frame rotating at the carrier.
-collect_beats is the one beat rule: the sampler's bin
-means and excess_lines both collect their products of phasor sums with
-it.
+collect_beats is the one beat rule.  arm_rates applies it to the mean
+field for its readers: the sampler's bin means and output_signal_power,
+and through it snr_out, noise_figure, sensitivity_table, the `analytic`
+report and the MC beat target.  excess_lines applies it to the moments.
 
 Moment conventions, with d = fluctuation operator (a - <a>):
     normal[m, n]    = <d_m^dag d_n>      (Hermitian, real diagonal)
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, UnknownMode, Unsupported, WeakLO
-from .model import FieldState, Hypothesis, LocalOscillator, ModeLabel
+from .model import FieldState, Hypothesis, LocalOscillator, ModeLabel, require_numbers
 
 # Bound saturated by pure squeezed states; allow this much numerical slack.
 HEISENBERG_TOL = 1e-12
@@ -97,6 +98,7 @@ def hypothesis_moments(state: FieldState) -> MomentTable:
     fields, so their cross moments are zeroed.  Raises UnknownMode if a
     pair references a frequency absent from the mode list.
     """
+    require_numbers(FieldState, state=state)
     freqs = tuple(m.frequency for m in state.modes)
     n = len(freqs)
     normal = np.zeros((n, n), dtype=complex)
@@ -179,6 +181,35 @@ def collect_beats(terms, tol: float = 0.0) -> dict[float, complex]:
     return merged
 
 
+def arm_phasors(state: FieldState, lo: LocalOscillator):
+    """(offsets, amplitudes) of the LO and the signal in arm 1's E_lo - i M; arm 2 negates M."""
+    t_offs, t_amps = tone_phasors(lo)
+    m_offs, m_amps = mode_phasors(state)
+    return (t_offs, t_amps), (m_offs, -1j * m_amps)
+
+
+def arm_rates(state: FieldState, lo: LocalOscillator) -> tuple[dict, dict]:
+    """The arms' rate polynomials (common, cross), each {D >= 0: complex coefficient}.
+
+    Arm 1's rate eta/2 |E_lo - i M|^2 and arm 2's eta/2 |E_lo + i M|^2 are
+    exactly eta/2 sum_D Re((common_D +- cross_D) e^{-i D t}): common holds
+    the LO and signal self terms, cross the LO-signal ones.  Squeeze pairs
+    are not read; a phase-averaged state is refused (Unsupported).
+    """
+    # Python floats and complexes: numpy's scalar products and sums to the bit, at less cost
+    lo_ph, sig_ph = ((d.tolist(), a.tolist()) for d, a in arm_phasors(state, lo))
+
+    def collect(*pairs):  # the products a_k b_l* e^{-i (d_k - d_l) t} of each pair of sums
+        return collect_beats(
+            (d_a - d_b, a * b.conjugate())
+            for ph_a, ph_b in pairs
+            for d_a, a in zip(*ph_a)
+            for d_b, b in zip(*ph_b)
+        )
+
+    return collect((lo_ph, lo_ph), (sig_ph, sig_ph)), collect((lo_ph, sig_ph), (sig_ph, lo_ph))
+
+
 def fluctuation_flux(table: MomentTable) -> float:
     """Photon flux carried by fluctuation populations, sum_m N_mm / 2."""
     return float(np.diag(table.normal).real.sum()) / 2.0
@@ -208,6 +239,7 @@ def excess_lines(state: FieldState, lo: LocalOscillator) -> list[tuple[float, fl
     refused (WeakLO) before a state without fluctuations returns [].
     """
     table = hypothesis_moments(state)
+    require_numbers(LocalOscillator, lo=lo)
     require_strong_lo(state, lo, table)
     if table.is_zero():
         return []

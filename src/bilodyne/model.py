@@ -57,17 +57,18 @@ MAX_SEGMENT_SAMPLES = 1 << 22
 
 
 def require_numbers(kind=numbers.Real, /, *, arrays: bool = False, **values) -> None:
-    """Refuse (InvalidSpec) each named value that is not a kind, numbers.Real or numbers.Complex.
+    """Refuse (InvalidSpec) each named value that is not a kind: a numbers ABC or a model class.
 
     With arrays, an array of such numbers passes too, or a sequence
     that numpy reads as one.  Every constructor and closed form asks
-    this before it compares a value, so a value of the wrong type ends
-    in InvalidSpec rather than a TypeError.
+    this before it reads a value, so a value of the wrong type ends in
+    InvalidSpec rather than a TypeError or an AttributeError.
     """
     dtypes = "biufc" if kind is numbers.Complex else "biuf"
+    what = kind.__name__.lower() if kind in (numbers.Real, numbers.Complex) else kind.__name__
     for name, value in values.items():
         if not (isinstance(value, kind) or arrays and np.asarray(value).dtype.kind in dtypes):
-            raise InvalidSpec(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+            raise InvalidSpec(f"{name} must be {what}, got {value!r}")
 
 
 class ModeLabel(str, enum.Enum):
@@ -165,7 +166,8 @@ class FieldState:
     which is what distinguishes the two hypotheses in the detected
     spectrum.  theta_s is the fixed signal phase, or None for a uniform
     average over it.  Raises InvalidSpec, however the state is made
-    (dataclasses.replace too), for no modes, duplicate mode frequencies,
+    (dataclasses.replace too), for modes or pairs that are not sequences
+    of FieldMode and SqueezePair, no modes, duplicate mode frequencies,
     a frequency in more than one pair, pairs without exactly one signal
     mode, pairs whose mean frequency is not the signal mode's, and a
     non-finite theta_s.  Whether a pair's frequencies match declared
@@ -179,8 +181,8 @@ class FieldState:
     theta_s: float | None = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "squeeze", tuple(self.squeeze))
+        object.__setattr__(self, "modes", _tuple_of(FieldMode, "modes", self.modes))
+        object.__setattr__(self, "squeeze", _tuple_of(SqueezePair, "squeeze", self.squeeze))
         if not self.modes:
             raise InvalidSpec("a field state needs at least one mode")
         duplicate = _first_repeat([m.frequency for m in self.modes])
@@ -207,9 +209,6 @@ class FieldState:
                         "squeeze pair must be symmetric about the signal carrier: "
                         f"pair centre {centre!r} vs signal mode {signal[0].frequency!r}"
                     )
-
-    def excited_modes(self) -> tuple[FieldMode, ...]:
-        return tuple(m for m in self.modes if m.amplitude != 0)
 
     def signal_modes(self) -> tuple[FieldMode, ...]:
         return tuple(m for m in self.modes if m.label is ModeLabel.SIGNAL)
@@ -333,8 +332,8 @@ class Scene:
 
     carrier is the optical carrier, rad/s, that the modes' and LO tones'
     offsets are taken from.  Raises InvalidSpec, however the scene is
-    made, for a carrier outside (0, MAX_FREQUENCY] and for a mode or LO
-    tone that it puts at or below 0 Hz.
+    made, for a part not of its model type, a carrier outside
+    (0, MAX_FREQUENCY] and a mode or LO tone that it puts at or below 0 Hz.
     """
 
     state: FieldState
@@ -344,6 +343,10 @@ class Scene:
     carrier: float
 
     def __post_init__(self):
+        require_numbers(FieldState, state=self.state)
+        require_numbers(LocalOscillator, lo=self.lo)
+        require_numbers(DetectorParams, det=self.det)
+        require_numbers(MeasurementConfig, meas=self.meas)
         require_numbers(carrier=self.carrier)
         if not 0.0 < self.carrier <= MAX_FREQUENCY:
             raise InvalidSpec(
@@ -367,8 +370,8 @@ class Scan:
     windows; output SNR uses rbw = 1 / window_s.  Raises InvalidSpec,
     however the scan is made, unless photon_energy_j and window_s are
     positive and finite, count_windows is an integer in
-    [1, MAX_RECORD_SAMPLES] and powers_w is non-empty, positive, finite
-    and one per scene.
+    [1, MAX_RECORD_SAMPLES], powers_w is non-empty, positive, finite
+    and one per scene, and scenes is a sequence of Scene.
     """
 
     photon_energy_j: float
@@ -378,6 +381,7 @@ class Scan:
     scenes: tuple[Scene, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "scenes", _tuple_of(Scene, "scenes", self.scenes))
         require_numbers(photon_energy_j=self.photon_energy_j, window_s=self.window_s)
         require_numbers(arrays=True, powers_w=self.powers_w)
         scales = (self.photon_energy_j, self.window_s, *self.powers_w)
@@ -391,6 +395,17 @@ class Scan:
             )
         if not 0 < len(self.powers_w) == len(self.scenes):
             raise InvalidSpec("a scan needs one scene per power and at least one power")
+
+
+def _tuple_of(kind: type, name: str, values) -> tuple:
+    """values as a tuple, each item a kind; anything else is refused (InvalidSpec)."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidSpec(f"{name} must be a sequence of {kind.__name__}, got {values!r}") from None
+    for i, value in enumerate(values):
+        require_numbers(kind, **{f"{name}[{i}]": value})
+    return values
 
 
 def _first_repeat(freqs: list[float]) -> float | None:
@@ -407,6 +422,7 @@ def photon_flux(state: FieldState) -> float:
     Defined for coherent states only; squeezed populations carry flux
     that this closed form does not include, so those states are refused.
     """
+    require_numbers(FieldState, state=state)
     if state.is_squeezed():
         raise Unsupported("photon_flux is defined for coherent (unsqueezed) states only")
     return sum(abs(m.amplitude) ** 2 for m in state.modes) / 2.0
@@ -459,6 +475,8 @@ def validate_measurement(
     2 pi).  The errors name the settings of the beat frequency,
     duration, rbw and sample rate by names.
     """
+    require_numbers(MeasurementConfig, cfg=cfg)
+    require_numbers(LocalOscillator, lo=lo)
     beat_name, duration_name, rbw_name, rate_name = names
     if cfg.rbw * cfg.duration < 1.0:
         raise ConfigViolation(

@@ -46,14 +46,7 @@ from .analytic import SensitivityRow, Spectrum, output_signal_power, shot_floor_
 from .config import _CHOICES, MEASUREMENT_KEYS, SCAN_KEYS, RunConfig
 from .errors import ConfigViolation, InvalidSpec, NonClassicalInput, TooShort, Unresolved
 from .io import TraceWriter
-from .model import (
-    TWO_PI,
-    FieldState,
-    LocalOscillator,
-    Scan,
-    Scene,
-    validate_measurement,
-)
+from .model import TWO_PI, Scan, Scene, validate_measurement
 
 # samples per block of the streamed pass; 2^16 doubles is 512 KiB per array
 _BLOCK = 1 << 16
@@ -81,23 +74,16 @@ _SLOPE_STRIDE = 3
 _MIN_SEGMENTS = 16
 
 
-def _arm_phasors(state: FieldState, lo: LocalOscillator):
-    """(offsets, amplitudes) of the LO and the signal in arm 1's E_lo - i M; arm 2 negates M."""
-    if state.is_squeezed():
-        raise NonClassicalInput("squeezed input has no Poisson rate representation")
-    t_offs, t_amps = correlators.tone_phasors(lo)
-    m_offs, m_amps = correlators.mode_phasors(state)
-    return (t_offs, t_amps), (m_offs, -1j * m_amps)
-
-
 def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     """Iterator over (mean_1, mean_2) of bins [k dt, (k+1) dt), _BLOCK bins at a time.
 
     The arm rate eta/2 |sum_k a_k e^{-i d_k t}|^2 is a trigonometric
     polynomial, so its integral over the bin centred at t_c is
     eta/2 sum_{k,l} a_k a_l* sinc(D_kl dt/2) e^{-i D_kl t_c} dt with
-    D_kl = d_k - d_l.  The arms share the LO and signal self terms and
-    differ only in the sign of the LO-signal cross terms.  Each distinct
+    D_kl = d_k - d_l: correlators.arm_rates collects these, the arms
+    sharing the LO and signal self terms and differing only in the sign
+    of the LO-signal cross terms.  Squeezed input has no such rate and
+    is refused (NonClassicalInput).  Each distinct
     D has one cos and one sin row in a table of K rows over _SUB bins; a
     block is filled by one np.matmul of the coefficients of each of its
     sub-blocks of _SUB bins, rotated by the sub-block's start phase
@@ -117,18 +103,9 @@ def _bin_mean_blocks(state, lo, det, n: int, dt: float):
     """
     if n < 1 or not dt > 0.0:
         raise InvalidSpec(f"need at least one bin of positive width, got n={n}, dt={dt!r}")
-    lo_ph, sig_ph = _arm_phasors(state, lo)
-
-    def collect(*pairs):  # the products a_k b_l* e^{-i (d_k - d_l) t} of each pair of sums
-        return correlators.collect_beats(
-            (d_a - d_b, a * np.conj(b))
-            for ph_a, ph_b in pairs
-            for d_a, a in zip(*ph_a)
-            for d_b, b in zip(*ph_b)
-        )
-
-    common = collect((lo_ph, lo_ph), (sig_ph, sig_ph))
-    cross = collect((lo_ph, sig_ph), (sig_ph, lo_ph))
+    if state.is_squeezed():
+        raise NonClassicalInput("squeezed input has no Poisson rate representation")
+    common, cross = correlators.arm_rates(state, lo)
     beats = np.array(sorted(common.keys() | cross.keys()))
     # the bin integral of e^{-i D t} is dt sinc(D dt / 2) e^{-i D t_c}; arm 1 adds
     # the cross terms to the common ones, arm 2 subtracts them
@@ -712,7 +689,7 @@ def _check_scene(scene: Scene, keys: tuple[str, str, str, str]) -> None:
             f"segments at {rbw_key} = {meas.rbw:g} Hz"
         )
     # no bin of either arm expects more than eta/2 (sum of |amplitudes|)^2 dt
-    amps = np.concatenate([a for _, a in _arm_phasors(scene.state, scene.lo)])
+    amps = np.concatenate([a for _, a in correlators.arm_phasors(scene.state, scene.lo)])
     peak = 0.5 * scene.det.eta * float(np.abs(amps).sum()) ** 2 / meas.sample_rate
     if not peak <= _MAX_POISSON_MEAN:
         raise ConfigViolation(

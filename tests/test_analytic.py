@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -272,11 +273,19 @@ class TestOutputSignalPower:
         assert filtered / flat == pytest.approx(0.5, rel=1e-6)
 
     def test_mono_lo_unsupported(self):
-        # the bichromatic closed form refuses one tone at the carrier and one
-        # offset by the beat, whose beat power differs
-        for omega in (OMEGA_S, OMEGA_S + OMEGA_HET):
-            with pytest.raises(Unsupported):
-                output_signal_power(coherent_state(), mono_lo(omega=omega), standard_detector())
+        # a homodyne, one tone at the carrier, has its beat at DC and is refused
+        with pytest.raises(Unsupported, match="DC"):
+            output_signal_power(coherent_state(), mono_lo(omega=OMEGA_S), standard_detector())
+        # one tone offset by the beat gives (eta alpha E_l)^2 |K|^2 at every
+        # phase; at Omega tau = 1, |K|^2 = 1/2
+        det = DetectorParams(eta=ETA, pulse_tau=1.0 / OMEGA_HET)
+        expected = (ETA * ALPHA * E_LO) ** 2 * 0.5
+        for theta_s, theta in itertools.product((0.0, 0.7, math.pi / 2.0, 2.5), (0.0, -1.1)):
+            lo = mono_lo(theta=theta, omega=OMEGA_S + OMEGA_HET)
+            power = output_signal_power(coherent_state(theta_s=theta_s), lo, det)
+            assert power == pytest.approx(expected, rel=1e-12)
+        averaged = output_signal_power(coherent_state(averaged=True), lo, det)
+        assert averaged == pytest.approx(expected, rel=1e-12)
 
 
 class TestSnrChain:

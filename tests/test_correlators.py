@@ -18,9 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bilodyne.analytic import output_signal_power
 from bilodyne.config import RunConfig
 from bilodyne.correlators import (
     MomentTable,
+    arm_phasors,
+    arm_rates,
     collect_beats,
     excess_lines,
     fluctuation_flux,
@@ -34,6 +37,7 @@ from bilodyne.errors import InvalidSpec, UnknownMode, Unsupported, WeakLO
 from bilodyne.model import (
     MAX_PHOTON_FLUX,
     MAX_SQUEEZE_R,
+    DetectorParams,
     FieldMode,
     FieldState,
     Hypothesis,
@@ -551,3 +555,164 @@ class TestPhasorDecompositions:
         t = np.linspace(0.0, 1e-4, 50)
         rotating = np.exp(-1j * np.multiply.outer(t, offs)) @ amps
         np.testing.assert_allclose(rotating, mean_field(state, t), rtol=1e-13)
+
+
+def random_coherent_scene(seed: int, lo_kind: str, signal: str):
+    """A coherent (state, lo, eta) with random phases, fluxes and efficiency.
+
+    lo_kind is a homodyne (one tone at the carrier), one tone at +Omega
+    or the bichromatic pair; signal is one mode at the carrier, one
+    3/8 Omega off it, or two excited modes, at the carrier and at
+    2 Omega, both of which beat with the tones at Omega.  Every offset
+    is a multiple of Omega / 8.
+    """
+    rng = np.random.default_rng(seed)
+
+    def phase():
+        return rng.uniform(-math.pi, math.pi)
+
+    def amplitude():  # a flux of 1 to 10^4 photons/s at a random phase
+        return math.sqrt(2.0 * 10 ** rng.uniform(0.0, 4.0)) * np.exp(1j * phase())
+
+    tones = {
+        "homodyne": ((0.0, phase()),),
+        "single": ((OMEGA_HET, phase()),),
+        "bichromatic": ((OMEGA_HET, phase()), (-OMEGA_HET, phase())),
+    }[lo_kind]
+    offsets = {"carrier": (0.0,), "off": (0.375 * OMEGA_HET,), "two": (0.0, 2.0 * OMEGA_HET)}
+    modes = tuple(FieldMode(d, amplitude()) for d in offsets[signal])
+    lo = LocalOscillator(math.sqrt(10 ** rng.uniform(6.0, 9.0)), tones)
+    return FieldState(modes, theta_s=phase()), lo, rng.uniform(0.1, 1.0)
+
+
+def rate_scale(state, lo, eta: float) -> float:
+    """eta/2 (E_l + sum_k |alpha_k| / sqrt 2)^2, a bound on either arm's rate."""
+    signal = sum(abs(m.amplitude) for m in state.modes) / math.sqrt(2.0)
+    return 0.5 * eta * (lo.amplitude + signal) ** 2
+
+
+def beat_scale(state, lo, eta: float) -> float:
+    """2 eta E_l sum_k |alpha_k|, a bound on a line of the mean difference current."""
+    return 2.0 * eta * lo.amplitude * sum(abs(m.amplitude) for m in state.modes)
+
+
+def direct_arm_rates(state, lo, eta: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """eta/2 |E_lo(t) -+ i M(t)|^2, each field written out from the scene at each t."""
+    e_lo, m = lo_field(lo, t), mean_field(state, t)
+    return 0.5 * eta * np.abs(e_lo - 1j * m) ** 2, 0.5 * eta * np.abs(e_lo + 1j * m) ** 2
+
+
+def polynomial(terms: dict, t) -> np.ndarray:
+    """sum_D Re(c_D e^{-i D t}) on the grid t."""
+    return sum((c * np.exp(-1j * d * np.asarray(t))).real for d, c in terms.items())
+
+
+SCENE_KINDS = [
+    (lo_kind, signal, seed)
+    for lo_kind in ("homodyne", "single", "bichromatic")
+    for signal in ("carrier", "off", "two")
+    for seed in range(3)
+]
+HETERODYNES = [kind for kind in SCENE_KINDS if kind[0] != "homodyne"]
+
+
+class TestArmRates:
+    """The arms' rate polynomials against the fields evaluated directly in time."""
+
+    @pytest.mark.parametrize("lo_kind, signal, seed", SCENE_KINDS)
+    def test_polynomial_is_the_rate_on_a_time_grid(self, lo_kind, signal, seed):
+        state, lo, eta = random_coherent_scene(seed, lo_kind, signal)
+        t = np.random.default_rng(seed).uniform(0.0, 1e-3) + np.linspace(0.0, 3e-5, 301)
+        common, cross = arm_rates(state, lo)
+        assert all(d >= 0.0 for d in (*common, *cross))
+        rate_1, rate_2 = direct_arm_rates(state, lo, eta, t)
+        scale = rate_scale(state, lo, eta)
+        both = {d: common.get(d, 0.0) + cross.get(d, 0.0) for d in common.keys() | cross.keys()}
+        apart = {d: common.get(d, 0.0) - cross.get(d, 0.0) for d in common.keys() | cross.keys()}
+        np.testing.assert_allclose(0.5 * eta * polynomial(both, t), rate_1, atol=1e-12 * scale)
+        np.testing.assert_allclose(0.5 * eta * polynomial(apart, t), rate_2, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("lo_kind, signal, seed", SCENE_KINDS)
+    def test_coefficients_are_those_of_numpy_scalars(self, lo_kind, signal, seed):
+        # the sampler once formed these products on numpy scalars; Python's
+        # complex arithmetic is the same IEEE operations, so its bits stay
+        state, lo, _ = random_coherent_scene(seed, lo_kind, signal)
+        lo_ph, sig_ph = arm_phasors(state, lo)
+
+        def collect(*pairs):
+            return collect_beats(
+                (d_a - d_b, a * np.conj(b))
+                for ph_a, ph_b in pairs
+                for d_a, a in zip(*ph_a)
+                for d_b, b in zip(*ph_b)
+            )
+
+        common = collect((lo_ph, lo_ph), (sig_ph, sig_ph))
+        assert arm_rates(state, lo) == (common, collect((lo_ph, sig_ph), (sig_ph, lo_ph)))
+
+    @pytest.mark.parametrize("lo_kind, signal, seed", SCENE_KINDS)
+    def test_beat_power_is_the_direct_difference_line_at_omega(self, lo_kind, signal, seed):
+        state, lo, eta = random_coherent_scene(seed, lo_kind, signal)
+        det = DetectorParams(eta)
+        if lo_kind == "homodyne":
+            with pytest.raises(Unsupported, match="DC"):
+                output_signal_power(state, lo, det)
+            return
+        # 8 periods of Omega are whole periods of every offset, a multiple of
+        # Omega / 8, so the projection at Omega keeps the line at Omega alone.
+        # The arms' rates round at their own scale, so the line amplitudes
+        # are compared to 1e-12 of it.
+        n = 8 * 64
+        t = 8 * (2.0 * math.pi / OMEGA_HET) * np.arange(n) / n
+        rate_1, rate_2 = direct_arm_rates(state, lo, eta, t)
+        line = 2.0 / n * np.sum((rate_1 - rate_2) * np.exp(1j * OMEGA_HET * t))
+        power = output_signal_power(state, lo, det)
+        scale = rate_scale(state, lo, eta)
+        assert math.isclose(math.sqrt(2.0 * power), abs(line), rel_tol=1e-12, abs_tol=1e-12 * scale)
+        if signal == "off":
+            assert power == 0.0
+
+    @pytest.mark.parametrize("lo_kind, signal, seed", SCENE_KINDS)
+    def test_a_common_phase_shift_leaves_the_polynomial(self, lo_kind, signal, seed):
+        state, lo, eta = random_coherent_scene(seed, lo_kind, signal)
+        shift = 1.0 + seed
+        shifted_lo = LocalOscillator(lo.amplitude, tuple((w, th + shift) for w, th in lo.tones))
+        shifted = dataclasses.replace(state, theta_s=state.theta_s + shift)
+        scales = rate_scale(state, lo, 1.0), beat_scale(state, lo, 1.0)
+        pairs = zip(arm_rates(state, lo), arm_rates(shifted, shifted_lo), scales)
+        for before, after, scale in pairs:
+            assert before.keys() == after.keys()
+            for d, c in before.items():
+                assert abs(after[d] - c) <= 1e-12 * scale
+        if lo_kind != "homodyne":
+            det = DetectorParams(eta)
+            assert math.isclose(
+                output_signal_power(shifted, shifted_lo, det),
+                output_signal_power(state, lo, det),
+                rel_tol=1e-12,
+                abs_tol=1e-12 * beat_scale(state, lo, eta) ** 2,
+            )
+
+    @pytest.mark.parametrize("lo_kind, signal, seed", SCENE_KINDS)
+    def test_a_half_turn_of_the_signal_negates_cross(self, lo_kind, signal, seed):
+        state, lo, _ = random_coherent_scene(seed, lo_kind, signal)
+        common, cross = arm_rates(state, lo)
+        turned = dataclasses.replace(state, theta_s=state.theta_s + math.pi)
+        common_pi, cross_pi = arm_rates(turned, lo)
+        assert common_pi.keys() == common.keys() and cross_pi.keys() == cross.keys()
+        for d in common:
+            assert abs(common_pi[d] - common[d]) <= 1e-12 * rate_scale(state, lo, 1.0)
+        for d in cross:
+            assert abs(cross_pi[d] + cross[d]) <= 1e-12 * beat_scale(state, lo, 1.0)
+
+    @pytest.mark.parametrize("lo_kind, signal, seed", HETERODYNES)
+    def test_phase_average_is_the_mean_over_eight_phases(self, lo_kind, signal, seed):
+        state, lo, eta = random_coherent_scene(seed, lo_kind, signal)
+        det = DetectorParams(eta)
+        eight = [
+            output_signal_power(dataclasses.replace(state, theta_s=2.0 * math.pi * k / 8), lo, det)
+            for k in range(8)
+        ]
+        averaged = output_signal_power(dataclasses.replace(state, theta_s=None), lo, det)
+        scale = beat_scale(state, lo, eta)
+        assert math.isclose(averaged, sum(eight) / 8, rel_tol=1e-12, abs_tol=1e-12 * scale**2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import itertools
 import math
@@ -63,6 +64,7 @@ from tests.conftest import (
     OMEGA_S,
     coherent_state,
     standard_lo,
+    standard_measurement,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -293,10 +295,21 @@ def _scene(p: dict, squeezed: bool, mono: bool) -> Scene:
 
 
 def _closed_forms(scene: Scene):
-    """Each closed form of the scene, with the non-finite value it documents (None if none)."""
+    """Each closed form of the scene, with the non-finite value it documents (None if none).
+
+    No signal flux gives snr_in = snr_out = -inf and a NaN noise figure.
+    A signal whose flux is not 0 but that has no beat at Omega (off the
+    carrier, say) gives snr_out = -inf and a noise figure of +inf.
+    """
     state, lo, det, meas = scene.state, scene.lo, scene.det, scene.meas
     silent = not state.is_squeezed() and photon_flux(state) == 0.0
-    snr, nf = (-math.inf, math.nan) if silent else (None, None)
+    try:
+        dark = output_signal_power(state, lo, det) == 0.0
+    except BilodyneError:
+        dark = False
+    snr_in_doc = -math.inf if silent else None
+    snr_out_doc = -math.inf if silent or dark else None
+    nf = math.nan if silent else math.inf if dark else None
     return [
         (lambda: photon_flux(state), None),
         (lambda: hypothesis_moments(state), None),
@@ -304,8 +317,8 @@ def _closed_forms(scene: Scene):
         (lambda: pulse_transfer(det.pulse_tau, lo.omega_het), None),
         (lambda: shot_floor_psd(lo, det, lo.omega_het), None),
         (lambda: output_signal_power(state, lo, det), None),
-        (lambda: snr_in(state, det, meas.rbw), snr),
-        (lambda: snr_out(state, lo, det, meas.rbw), snr),
+        (lambda: snr_in(state, det, meas.rbw), snr_in_doc),
+        (lambda: snr_out(state, lo, det, meas.rbw), snr_out_doc),
         (lambda: noise_figure(state, lo, det, meas.rbw), nf),
         (lambda: validate_measurement(meas, lo), None),
         (lambda: psd_analytic(state, lo, det, meas), None),
@@ -400,6 +413,41 @@ def test_bad_scalar_arguments_are_refused_or_documented(name, x):
 # a ValueError, or a string was read as a number
 WRONG_TYPES = [None, "1.0"]
 NON_PAIRS = [OMEGA_HET, (OMEGA_HET,), (OMEGA_HET, 0.0, 0.0), "ab", None]
+# The exported closed forms, each model-typed argument of which is filled
+# with a value of the wrong type while the others stay valid: each such
+# value, and each below in a model constructor, ended in an AttributeError
+# or a TypeError
+CLOSED_FORMS = (
+    photon_flux, hypothesis_moments, excess_lines, shot_floor_psd, output_signal_power, snr_in,
+    snr_out, noise_figure, psd_analytic, validate_measurement, sensitivity_table,
+)
+MODEL_ARGS = {"state": STATE, "lo": LO, "det": DET, "cfg": standard_measurement(), "scan": SCAN}
+
+
+def _model_calls() -> dict:
+    """name -> a call with x in that model-typed argument, every other argument valid."""
+    scene = SCAN.scenes[0]
+    calls = {
+        "FieldState.modes": lambda x: FieldState(x),
+        "FieldState.modes[0]": lambda x: FieldState([x]),
+        "FieldState.squeeze": lambda x: FieldState(STATE.modes, squeeze=x),
+        "FieldState.squeeze[0]": lambda x: FieldState(STATE.modes, squeeze=[x]),
+        "Scan.scenes": lambda x: dataclasses.replace(SCAN, scenes=x, powers_w=(1e-9,)),
+        "Scan.scenes[0]": lambda x: dataclasses.replace(SCAN, scenes=(x,), powers_w=(1e-9,)),
+    }
+    for part in ("state", "lo", "det", "meas"):
+        calls[f"Scene.{part}"] = lambda x, part=part: dataclasses.replace(scene, **{part: x})
+    valid = {"omega": OMEGA_HET, **MODEL_ARGS}
+    for form in CLOSED_FORMS:
+        params = [p for p in inspect.signature(form).parameters if p in valid]
+        for name in set(params) & MODEL_ARGS.keys():
+            calls[f"{form.__name__}.{name}"] = lambda x, form=form, name=name, params=params: (
+                form(**{p: x if p == name else valid[p] for p in params})
+            )
+    return calls
+
+
+MODEL_CALLS = _model_calls()
 
 
 def test_each_wrong_type_is_refused_where_it_is_made():
@@ -416,3 +464,6 @@ def test_each_wrong_type_is_refused_where_it_is_made():
         for tones in (tone, (tone, (OMEGA_S - OMEGA_HET, 0.0))):
             with pytest.raises(InvalidSpec):
                 LocalOscillator(1e3, tones)
+    for name, x in itertools.product(MODEL_CALLS, WRONG_TYPES):
+        with pytest.raises(InvalidSpec, match=r"must be (a sequence of )?[A-Z]"):
+            MODEL_CALLS[name](x)

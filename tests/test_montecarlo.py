@@ -34,7 +34,6 @@ from bilodyne.montecarlo import (
     CheckResult,
     ExperimentReport,
     _arm_counts,
-    _arm_phasors,
     _arm_rngs,
     _bin_mean_blocks,
     _block_currents,
@@ -72,7 +71,7 @@ def intensity_rate(state, lo, det, arm: int, t) -> np.ndarray:
     Evaluated in the rotating frame, so exact at any t: the reference
     that the bin means are checked against by quadrature.
     """
-    (t_offs, t_amps), (m_offs, m_amps) = _arm_phasors(state, lo)
+    (t_offs, t_amps), (m_offs, m_amps) = correlators.arm_phasors(state, lo)
     offsets = np.concatenate([t_offs, m_offs])
     amps = np.concatenate([t_amps, m_amps if arm == 1 else -m_amps])
     field = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), offsets)) @ amps
@@ -284,7 +283,7 @@ class TestToneOffsets:
         d = TWO_PI * f_het_hz
         # the sampler refuses a squeezed state, so its pair is dropped here
         state = dataclasses.replace(scene.state, squeeze=())
-        (tones, _), (modes, _) = _arm_phasors(state, scene.lo)
+        (tones, _), (modes, _) = correlators.arm_phasors(state, scene.lo)
         assert tones.tolist() == [d, -d]
         assert modes.tolist() == [m.frequency for m in scene.state.modes]
         assert modes[0] == 0.0

@@ -18,5 +18,5 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(library_example(), str(README), "exec"), {"__name__": "readme_example"})
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == "0.0"  # the noise figure its comment states
+    assert first == "0.00"  # the noise figure its comment states
     assert (tmp_path / "trace.bin").is_file()
